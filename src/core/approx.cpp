@@ -116,17 +116,7 @@ double RefinableEstimate::stderr_estimate() const {
 std::vector<double> RefinableEstimate::scores(bool halve_undirected,
                                               bool normalize) const {
   std::vector<double> out = raw_sums_;
-  if (roots_used_ > 0 && roots_used_ < n_) {
-    const double scale =
-        static_cast<double>(n_) / static_cast<double>(roots_used_);
-    for (double& s : out) s *= scale;
-  }
-  if (halve_undirected) {
-    for (double& s : out) s *= 0.5;
-  }
-  if (normalize) {
-    out = normalized(out);
-  }
+  finalize(out, n_, roots_used_ < n_ ? roots_used_ : 0, halve_undirected, normalize);
   return out;
 }
 

@@ -119,10 +119,10 @@ class RefinableEstimate {
   /// The instantaneous (non-monotone) inter-stratum error estimate.
   double stderr_estimate() const;
 
-  /// Finalized scores: raw sums scaled by n/roots_used (the paper's
-  /// unbiased scale-up), then halved / normalized exactly as
-  /// core::compute does. Elementwise over the folded sums, so two
-  /// estimates with bitwise-equal folds produce bitwise-equal scores.
+  /// Finalized scores: core::finalize of the raw sums, scaled by
+  /// n/roots_used (the paper's unbiased scale-up) until saturation.
+  /// Elementwise over the folded sums, so two estimates with
+  /// bitwise-equal folds produce bitwise-equal scores.
   std::vector<double> scores(bool halve_undirected, bool normalize) const;
 
   /// Approximate heap footprint, for cache accounting.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -115,26 +116,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_compute_invocations{0};
 
-// Out-of-range roots would index past the CSR arrays; duplicate roots
-// silently double-count their sigma/delta contributions into the scores.
-// Both are caller bugs — reject them before any work happens.
-void validate_roots(const graph::CSRGraph& g, std::span<const VertexId> roots) {
-  std::vector<bool> seen(g.num_vertices(), false);
-  for (const VertexId r : roots) {
-    if (r >= g.num_vertices()) {
-      throw std::invalid_argument(
-          "core::compute: root " + std::to_string(r) + " out of range for graph with " +
-          std::to_string(g.num_vertices()) + " vertices");
-    }
-    if (seen[r]) {
-      throw std::invalid_argument(
-          "core::compute: duplicate root " + std::to_string(r) +
-          " (duplicates double-count its contribution to every score)");
-    }
-    seen[r] = true;
-  }
-}
-
 kernels::Strategy to_kernel_strategy(Strategy s) {
   switch (s) {
     case Strategy::VertexParallel: return kernels::Strategy::VertexParallel;
@@ -150,23 +131,63 @@ kernels::Strategy to_kernel_strategy(Strategy s) {
 
 }  // namespace
 
+void validate_roots(VertexId n, std::span<const VertexId> roots) {
+  std::vector<bool> seen(n, false);
+  for (const VertexId r : roots) {
+    if (r >= n) {
+      throw std::invalid_argument("root " + std::to_string(r) +
+                                  " out of range for graph with " +
+                                  std::to_string(n) + " vertices");
+    }
+    if (seen[r]) {
+      throw std::invalid_argument(
+          "duplicate root " + std::to_string(r) +
+          " (duplicates double-count its contribution to every score)");
+    }
+    seen[r] = true;
+  }
+}
+
+RootPlan resolve_roots(VertexId n, const Options& options) {
+  RootPlan plan;
+  plan.approximate =
+      options.roots.empty() && options.sample_roots > 0 && options.sample_roots < n;
+  if (!options.roots.empty()) {
+    plan.roots = options.roots;
+  } else if (plan.approximate) {
+    plan.roots = sample_roots(n, options.sample_roots, options.seed);
+  } else {
+    plan.roots.resize(n);
+    std::iota(plan.roots.begin(), plan.roots.end(), VertexId{0});
+  }
+  return plan;
+}
+
+void finalize(std::vector<double>& scores, std::size_t n, std::uint64_t scale_roots,
+              bool halve, bool normalize) {
+  if (scale_roots > 0) {
+    const double scale = static_cast<double>(n) / static_cast<double>(scale_roots);
+    for (double& s : scores) s *= scale;
+  }
+  if (halve) {
+    for (double& s : scores) s *= 0.5;
+  }
+  if (normalize) scores = normalized(scores);
+}
+
 std::uint64_t compute_invocations() noexcept {
   return g_compute_invocations.load(std::memory_order_relaxed);
 }
 
 BCResult compute(const graph::CSRGraph& g, const Options& options) {
-  validate_roots(g, options.roots);
+  validate_roots(g.num_vertices(), options.roots);
   g_compute_invocations.fetch_add(1, std::memory_order_relaxed);
   BCResult result;
   result.strategy = options.strategy;
 
-  std::vector<VertexId> roots = options.roots;
-  const bool approximate =
-      roots.empty() && options.sample_roots > 0 && options.sample_roots < g.num_vertices();
-  if (approximate) {
-    roots = sample_roots(g.num_vertices(), options.sample_roots, options.seed);
-  }
-  result.approximate = approximate || (!roots.empty() && roots.size() < g.num_vertices());
+  const RootPlan plan = resolve_roots(g.num_vertices(), options);
+  const std::vector<VertexId>& roots = plan.roots;
+  result.approximate = plan.approximate || roots.size() < g.num_vertices();
 
   // CPU engines get a wall-clock compute span on a host sink. GPU-model
   // strategies deliberately get NO wall-clock events — their traces are
@@ -177,9 +198,7 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
       tracer && !uses_gpu_model(options.strategy) ? tracer->thread_sink() : nullptr;
   trace::ScopedSpan compute_span(host_sink, tracer, to_string(options.strategy),
                                  trace::kCompute,
-                                 {{"roots", static_cast<std::uint64_t>(
-                                                roots.empty() ? g.num_vertices()
-                                                              : roots.size())}});
+                                 {{"roots", static_cast<std::uint64_t>(roots.size())}});
 
   util::Timer wall;
   switch (options.strategy) {
@@ -236,19 +255,9 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
   }
   result.wall_seconds = wall.elapsed_seconds();
 
-  // Approximation: unbiased scale-up of the sampled-root partial sums.
-  if (approximate && result.roots_processed > 0) {
-    const double scale = static_cast<double>(g.num_vertices()) /
-                         static_cast<double>(result.roots_processed);
-    for (double& s : result.scores) s *= scale;
-  }
-
-  if (options.halve_undirected) {
-    for (double& s : result.scores) s *= 0.5;
-  }
-  if (options.normalize) {
-    result.scores = normalized(result.scores);
-  }
+  finalize(result.scores, g.num_vertices(),
+           plan.approximate ? result.roots_processed : 0, options.halve_undirected,
+           options.normalize);
 
   result.teps = teps_bc(g, result.roots_processed, result.time_seconds);
   return result;

@@ -61,10 +61,9 @@ struct Options {
   Strategy strategy = Strategy::Sampling;
 
   /// Explicit root set. Empty = exact BC (all vertices as sources).
-  /// compute() validates the list: a root >= n or a duplicate root (which
-  /// would silently double-count its sigma/delta contributions) throws
-  /// std::invalid_argument. Order is significant — it fixes the
-  /// floating-point association of the accumulation.
+  /// compute() validates the list (validate_roots): a root >= n or a
+  /// duplicate root throws std::invalid_argument. Order is significant —
+  /// it fixes the floating-point association of the accumulation.
   std::vector<graph::VertexId> roots;
 
   /// Approximate BC with k sampled roots (Bader et al. style): when > 0
@@ -159,6 +158,31 @@ struct BCResult {
 };
 
 BCResult compute(const graph::CSRGraph& g, const Options& options = {});
+
+/// Reject a root list no run may use: a root >= n would index past the
+/// CSR arrays, and a duplicate root silently double-counts its sigma/delta
+/// contributions into every score. Throws std::invalid_argument naming
+/// the offending root. compute() calls this first; the serving layers
+/// call it to answer BadRequest before any work is scheduled.
+void validate_roots(graph::VertexId n, std::span<const graph::VertexId> roots);
+
+/// The roots a run of `options` visits on an n-vertex graph, in
+/// accumulation order.
+struct RootPlan {
+  /// The explicit `roots`, else `sample_roots` seeded draws (0 < k < n),
+  /// else every vertex in id order.
+  std::vector<graph::VertexId> roots;
+  /// The roots were sampled: finalize() scales the sums up by n/processed.
+  bool approximate = false;
+};
+RootPlan resolve_roots(graph::VertexId n, const Options& options);
+
+/// compute()'s finalization of raw dependency sums, in this order: scale
+/// by n/scale_roots (the unbiased sampled-root scale-up; 0 skips it),
+/// halve (the undirected double count), normalize. Elementwise, so equal
+/// raw sums finalize to equal bits wherever they were reduced.
+void finalize(std::vector<double>& scores, std::size_t n, std::uint64_t scale_roots,
+              bool halve, bool normalize);
 
 /// Scores scaled by 1/((n-1)(n-2)); n < 3 leaves scores at zero scale.
 std::vector<double> normalized(std::span<const double> scores);

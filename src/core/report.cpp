@@ -20,11 +20,6 @@ void append_line(std::string& out, const char* format, ...) {
   out += '\n';
 }
 
-bool is_gpu_model(Strategy s) {
-  return s != Strategy::CpuSerial && s != Strategy::CpuParallel &&
-         s != Strategy::CpuFineGrained;
-}
-
 }  // namespace
 
 std::string format_summary(const BCResult& result) {
@@ -44,10 +39,10 @@ std::string format_report(const graph::CSRGraph& g, const BCResult& result,
               result.approximate ? " (approximate)" : "");
   append_line(out, "roots      %" PRIu64, result.roots_processed);
   append_line(out, "time       %.6f s %s", result.time_seconds,
-              is_gpu_model(result.strategy) ? "(simulated device)" : "(wall clock)");
+              uses_gpu_model(result.strategy) ? "(simulated device)" : "(wall clock)");
   append_line(out, "TEPS       %.2f MTEPS (Eq. 4)", as_mteps(result.teps));
 
-  if (is_gpu_model(result.strategy)) {
+  if (uses_gpu_model(result.strategy)) {
     const auto& m = result.kernel_metrics;
     if (options.counters) {
       append_line(out, "traversed  %" PRIu64 " edges (useful work)",

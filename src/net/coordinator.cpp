@@ -36,6 +36,21 @@ std::uint32_t remaining_ms(const Clock::time_point& deadline, bool has_deadline)
   return static_cast<std::uint32_t>(std::min<long long>(ms + 1, 0xffffffffll));
 }
 
+service::Response failure(QueryStatus status, std::string error,
+                          Clock::time_point t0) {
+  service::Response resp;
+  resp.status = status;
+  resp.error = std::move(error);
+  resp.total_ms = ms_between(t0, Clock::now());
+  return resp;
+}
+
+/// Every GPU-model strategy except Sampling, whose probe phase ranks the
+/// whole root list (only correct on one node), shards at block granularity.
+bool block_shardable(core::Strategy s) {
+  return core::uses_gpu_model(s) && s != core::Strategy::Sampling;
+}
+
 std::vector<wire::WireUpdate> to_wire(const std::vector<dyn::EdgeUpdate>& updates) {
   std::vector<wire::WireUpdate> out;
   out.reserve(updates.size());
@@ -316,11 +331,15 @@ void Coordinator::pump(int timeout_ms) {
         const wire::DecodeStatus s = w.conn->next_frame(frame);
         if (s == wire::DecodeStatus::Ok) {
           handle_frame(w, frame);
+          // A refused graph load or mutation cuts the worker loose inside
+          // handle_frame, destroying `w`.
+          if (!workers_.contains(slot)) break;
           continue;
         }
         if (s != wire::DecodeStatus::NeedMore) failed = true;  // poisoned stream
         break;
       }
+      if (!workers_.contains(slot)) continue;
       if (io != Conn::Io::Ok) failed = true;
     }
     if (!failed && w.conn->frame_overdue()) {
@@ -913,150 +932,33 @@ void Coordinator::check_stragglers(ActiveQuery& q) {
   }
 }
 
-service::Response Coordinator::query(service::Request request) {
-  const auto t0 = Clock::now();
-  ++stats_.queries;
-  service::Response resp;
-
-  if (drained_) {
-    resp.status = QueryStatus::ServiceStopped;
-    resp.error = "coordinator drained";
-    resp.total_ms = ms_between(t0, Clock::now());
-    return resp;
-  }
-  auto git = graphs_.find(request.graph_id);
-  if (git == graphs_.end()) {
-    resp.status = QueryStatus::GraphNotFound;
-    resp.error = "graph '" + request.graph_id + "' is not registered";
-    resp.total_ms = ms_between(t0, Clock::now());
-    return resp;
-  }
-  const GraphEntry& entry = git->second;
-  const graph::VertexId n = entry.graph->num_vertices();
-
-  // Same validation core::compute applies, surfaced as BadRequest (the
-  // service contract) instead of a thrown invalid_argument.
-  {
-    std::vector<bool> seen(n, false);
-    for (const graph::VertexId r : request.options.roots) {
-      if (r >= n || seen[r]) {
-        resp.status = QueryStatus::BadRequest;
-        resp.error = r >= n ? "root " + std::to_string(r) + " out of range"
-                            : "duplicate root " + std::to_string(r);
-        resp.total_ms = ms_between(t0, Clock::now());
-        return resp;
-      }
-      seen[r] = true;
-    }
-  }
-
-  if (request.budget.active()) return query_budgeted(std::move(request), t0);
-
-  const std::string key = service::fingerprint_prefix(entry.fingerprint) +
-                          core::options_signature(request.options);
-  if (std::shared_ptr<const service::CachedResult> hit = cache_.get(key)) {
-    ++stats_.cache_hits;
-    resp.status = QueryStatus::Ok;
-    resp.from_cache = true;
-    resp.result = std::shared_ptr<const core::BCResult>(hit, &hit->result);
-    if (request.top_k > 0) resp.top = core::top_k(resp.result->scores, request.top_k);
-    resp.total_ms = ms_between(t0, Clock::now());
-    trace_instant("dist-cache-hit", 0);
-    return resp;
-  }
-
-  const core::Options& o = request.options;
-  const core::Strategy strategy = o.strategy;
-  // Block-shardable: every GPU-model strategy except Sampling (its probe
-  // phase ranks the whole root list — only correct on one node).
-  const bool whole =
-      !core::uses_gpu_model(strategy) || strategy == core::Strategy::Sampling;
-
+std::unique_ptr<Coordinator::ActiveQuery> Coordinator::start_query(
+    const service::Request& request, const GraphEntry& entry, Clock::time_point t0) {
   auto q = std::make_unique<ActiveQuery>();
   q->id = next_request_id_++;
   q->graph_id = request.graph_id;
   q->graph = entry.graph;
-  q->options = o;
-  q->whole = whole;
-  q->has_deadline = request.timeout.count() > 0;
-  q->deadline = t0 + request.timeout;
+  q->fingerprint = entry.fingerprint;
+  q->options = request.options;
+  q->whole = !block_shardable(request.options.strategy);
+  q->has_deadline = request.budget.deadline.count() > 0;
+  q->deadline = t0 + request.budget.deadline;
+  return q;
+}
 
-  // Template shard message: everything except mode/index/roots.
-  wire::SubmitShardMsg base;
-  base.graph_id = request.graph_id;
-  base.fingerprint = entry.fingerprint;
-  base.strategy = static_cast<std::uint8_t>(strategy);
-  base.grid_blocks = o.grid_blocks;
-  base.seed = o.seed;
-  base.cpu_threads = static_cast<std::uint32_t>(o.cpu_threads);
-  base.max_root_attempts = o.resilience.max_root_attempts;
-  base.device_num_sms = o.device.num_sms;
-  base.hybrid_alpha = o.hybrid.alpha;
-  base.hybrid_beta = o.hybrid.beta;
-  base.sampling_n_samps = o.sampling.n_samps;
-  base.sampling_gamma = o.sampling.gamma;
-  base.sampling_min_frontier = o.sampling.min_frontier;
-
-  if (whole) {
-    ++stats_.whole_queries;
-    Shard s;
-    s.index = 0;
-    s.msg = base;
-    s.msg.mode = wire::ShardMode::Whole;
-    s.msg.halve_undirected = o.halve_undirected ? 1 : 0;
-    s.msg.normalize = o.normalize ? 1 : 0;
-    s.msg.sample_roots = o.sample_roots;
-    s.msg.roots = o.roots;
-    q->approximate = o.roots.empty() && o.sample_roots > 0 && o.sample_roots < n;
-    q->resolved_roots = !o.roots.empty()        ? o.roots.size()
-                        : q->approximate        ? o.sample_roots
-                                                : static_cast<std::size_t>(n);
-    q->shards.push_back(std::move(s));
-  } else {
-    // Resolve the root list exactly as core::compute would, then deal
-    // global index i to block i mod B — kernels::BlockDriver's schedule.
-    std::vector<graph::VertexId> roots = o.roots;
-    q->approximate = roots.empty() && o.sample_roots > 0 && o.sample_roots < n;
-    if (q->approximate) {
-      roots = core::sample_roots(n, o.sample_roots, o.seed);
-    } else if (roots.empty()) {
-      roots.resize(n);
-      for (graph::VertexId v = 0; v < n; ++v) roots[v] = v;
-    }
-    q->resolved_roots = roots.size();
-    std::uint32_t blocks = strategy == core::Strategy::GpuFan ? 1
-                           : o.grid_blocks != 0               ? o.grid_blocks
-                                                              : o.device.num_sms;
-    blocks = std::max<std::uint32_t>(blocks, 1);
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      Shard s;
-      s.index = b;
-      for (std::size_t i = b; i < roots.size(); i += blocks) {
-        s.msg.roots.push_back(roots[i]);
-      }
-      if (s.msg.roots.empty()) continue;  // k < B: zero partial, zero fold
-      wire::SubmitShardMsg m = base;
-      m.shard_index = b;
-      m.mode = wire::ShardMode::Partial;
-      m.grid_blocks = 1;  // one block == one shard == one raw partial
-      m.sample_roots = 0;
-      m.halve_undirected = 0;
-      m.normalize = 0;
-      m.roots = std::move(s.msg.roots);
-      s.msg = std::move(m);
-      q->shards.push_back(std::move(s));
-    }
-  }
+service::Response Coordinator::run_query(std::unique_ptr<ActiveQuery> q,
+                                         std::size_t top_k, Clock::time_point t0) {
   q->remaining = q->shards.size();
   for (Shard& s : q->shards) {
+    s.msg.graph_id = q->graph_id;
+    s.msg.fingerprint = q->fingerprint;
     // Per-shard deterministic jitter stream: same query, same schedule.
     util::BackoffConfig bc = cfg_.redispatch_backoff;
     bc.seed = mix64(bc.seed ^ (q->id << 16) ^ s.index);
     s.backoff = util::Backoff(bc);
   }
 
-  trace::Sink* s = sink();
-  trace::ScopedSpan span(s, cfg_.tracer, "dist-request", trace::kService,
+  trace::ScopedSpan span(sink(), cfg_.tracer, "dist-request", trace::kService,
                          {{"req", q->id},
                           {"shards", static_cast<std::uint64_t>(q->shards.size())},
                           {"workers", static_cast<std::uint64_t>(worker_count())}});
@@ -1084,21 +986,90 @@ service::Response Coordinator::query(service::Request request) {
     pump(wait_ms);
   }
 
-  resp = assemble(aq, request.top_k, t0);
+  service::Response resp = assemble(aq, top_k, t0);
   active_.reset();
   return resp;
 }
 
-service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
-                                        Clock::time_point t0) {
-  service::Response resp;
-  if (q.failed) {
-    resp.status = q.fail_status;
-    resp.error = q.fail_error;
+service::Response Coordinator::query(service::Request request) {
+  const auto t0 = Clock::now();
+  ++stats_.queries;
+
+  if (drained_) return failure(QueryStatus::ServiceStopped, "coordinator drained", t0);
+  auto git = graphs_.find(request.graph_id);
+  if (git == graphs_.end()) {
+    return failure(QueryStatus::GraphNotFound,
+                   "graph '" + request.graph_id + "' is not registered", t0);
+  }
+  const GraphEntry& entry = git->second;
+  const graph::VertexId n = entry.graph->num_vertices();
+  try {
+    core::validate_roots(n, request.options.roots);
+  } catch (const std::invalid_argument& ex) {
+    return failure(QueryStatus::BadRequest, ex.what(), t0);
+  }
+
+  if (request.budget.active()) return query_budgeted(std::move(request), t0);
+
+  const std::string key = service::fingerprint_prefix(entry.fingerprint) +
+                          core::options_signature(request.options);
+  if (std::shared_ptr<const service::CachedResult> hit = cache_.get(key)) {
+    ++stats_.cache_hits;
+    service::Response resp;
+    resp.status = QueryStatus::Ok;
+    resp.from_cache = true;
+    resp.result = std::shared_ptr<const core::BCResult>(hit, &hit->result);
+    if (request.top_k > 0) resp.top = core::top_k(resp.result->scores, request.top_k);
     resp.total_ms = ms_between(t0, Clock::now());
+    trace_instant("dist-cache-hit", 0);
     return resp;
   }
 
+  const core::Options& o = request.options;
+  auto q = start_query(request, entry, t0);
+  const core::RootPlan plan = core::resolve_roots(n, o);
+  q->approximate = plan.approximate;
+  q->resolved_roots = plan.roots.size();
+  if (q->whole) {
+    ++stats_.whole_queries;
+    Shard s;
+    s.msg = shard_from_options(o);
+    s.msg.mode = wire::ShardMode::Whole;
+    q->shards.push_back(std::move(s));
+  } else {
+    // Deal resolved root i to block i mod B — kernels::BlockDriver's
+    // schedule. Each block is one raw grid_blocks=1 sub-run.
+    core::Options block = o;
+    block.sample_roots = 0;
+    block.halve_undirected = false;
+    block.normalize = false;
+    block.grid_blocks = 1;
+    std::uint32_t blocks = o.strategy == core::Strategy::GpuFan ? 1
+                           : o.grid_blocks != 0                ? o.grid_blocks
+                                                               : o.device.num_sms;
+    blocks = std::max<std::uint32_t>(blocks, 1);
+    for (std::uint32_t b = 0; b < blocks; ++b) {
+      block.roots.clear();
+      for (std::size_t i = b; i < plan.roots.size(); i += blocks) {
+        block.roots.push_back(plan.roots[i]);
+      }
+      if (block.roots.empty()) continue;  // k < B: zero partial, zero fold
+      Shard s;
+      s.index = b;
+      s.msg = shard_from_options(block);
+      s.msg.shard_index = b;
+      s.msg.mode = wire::ShardMode::Partial;
+      q->shards.push_back(std::move(s));
+    }
+  }
+  return run_query(std::move(q), request.top_k, t0);
+}
+
+service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
+                                        Clock::time_point t0) {
+  if (q.failed) return failure(q.fail_status, q.fail_error, t0);
+
+  service::Response resp;
   const graph::VertexId n = q.graph->num_vertices();
   auto result = std::make_shared<core::BCResult>();
   result->strategy = q.options.strategy;
@@ -1113,6 +1084,16 @@ service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
                               : q.approximate || (q.resolved_roots < n);
     resp.degraded = s.degraded != 0;
     compute_ms = s.compute_ms;
+    if (q.budgeted) {
+      // What the worker's progressive controller delivered; a local
+      // fallback ran exact, so its estimate is the saturated truth.
+      resp.estimate = s.has_estimate != 0
+                          ? service::Estimate{.roots_used = s.est_roots_used,
+                                              .stderr_est = s.est_stderr,
+                                              .rung = s.est_rung,
+                                              .refining = s.est_refining != 0}
+                          : service::Estimate{.roots_used = s.roots_processed};
+    }
   } else {
     // The paper's MPI_Reduce, made bitwise-deterministic: fold partials in
     // ascending block order (the exact association BlockDriver::finish
@@ -1127,17 +1108,8 @@ service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
       compute_ms = std::max(compute_ms, s.compute_ms);
     }
     resp.degraded = q.abandoned > 0;
-    if (q.approximate && result->roots_processed > 0) {
-      const double scale = static_cast<double>(n) /
-                           static_cast<double>(result->roots_processed);
-      for (double& x : result->scores) x *= scale;
-    }
-    if (q.options.halve_undirected) {
-      for (double& x : result->scores) x *= 0.5;
-    }
-    if (q.options.normalize) {
-      result->scores = core::normalized(result->scores);
-    }
+    core::finalize(result->scores, n, q.approximate ? result->roots_processed : 0,
+                   q.options.halve_undirected, q.options.normalize);
     result->approximate = q.approximate || (q.resolved_roots < n);
   }
 
@@ -1154,13 +1126,8 @@ service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
     // Budgeted results are estimates: under the exact options signature
     // they would be served to later exact queries. Never cached here —
     // the refinable ApproxCache (or the worker's) is their home.
-    // Single-threaded: the graph cannot have mutated since query() looked
-    // the entry up, so its fingerprint is still the one we sharded under.
-    auto git = graphs_.find(q.graph_id);
-    const std::uint64_t fp = git != graphs_.end() ? git->second.fingerprint
-                                                  : service::graph_fingerprint(*q.graph);
-    const std::string key =
-        service::fingerprint_prefix(fp) + core::options_signature(q.options);
+    const std::string key = service::fingerprint_prefix(q.fingerprint) +
+                            core::options_signature(q.options);
     auto cached = std::make_shared<service::CachedResult>();
     cached->result = *result;
     cached->bytes = service::estimate_result_bytes(cached->result);
@@ -1174,301 +1141,153 @@ service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
 
 // --- accuracy contracts --------------------------------------------------
 
-namespace {
-
-/// Rebuild an entry's published result + estimate from its fold state
-/// (caller holds entry.mu). Mirrors the in-process service's publish.
-void publish_entry_locked(service::ApproxEntry& e, const core::Options& o) {
-  auto result = std::make_shared<core::BCResult>();
-  result->strategy = o.strategy;
-  result->scores = e.est.scores(o.halve_undirected, o.normalize);
-  result->roots_processed = e.est.roots_used();
-  result->approximate = !e.est.saturated();
-  result->time_seconds = e.accum_seconds;
-  result->wall_seconds = e.accum_seconds;
-  e.published = std::move(result);
-  e.info.roots_used = e.est.roots_used();
-  e.info.stderr_est = e.est.reported_error();
-  e.info.rung = e.est.rung();
-  e.info.refining = false;
-}
-
-}  // namespace
-
-bool Coordinator::fold_stratum_via_query(
-    const std::string& graph_id,
-    const std::shared_ptr<service::ApproxEntry>& entry,
-    const core::Options& options) {
-  std::vector<graph::VertexId> roots;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->invalidated || entry->est.saturated()) return false;
-    roots = entry->est.next_stratum_roots();
-  }
-  if (roots.empty()) return false;
+service::StratumFn Coordinator::stratum_runner(const std::string& graph_id) {
   // The stratum is an ordinary exact explicit-root query: Partial-sharded
   // across the fleet and folded in block order, so its raw sums are
   // bitwise-identical to the stratum a standalone service would compute.
-  service::Request sub;
-  sub.graph_id = graph_id;
-  sub.options = options;
-  sub.options.roots = std::move(roots);
-  sub.options.sample_roots = 0;
-  sub.options.halve_undirected = false;
-  sub.options.normalize = false;
-  const std::size_t stratum_size = sub.options.roots.size();
-  service::Response r = query(std::move(sub));
-  if (!r.ok() || r.degraded || !r.result) return false;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (r.result->scores.size() != entry->est.num_vertices()) return false;
-    entry->est.fold(r.result->scores, stratum_size);
-    entry->accum_seconds += r.result->time_seconds;
-  }
-  approx_cache_.note_growth(entry);
-  return true;
+  return [this, graph_id](core::Options stratum) {
+    service::Request sub;
+    sub.graph_id = graph_id;
+    sub.options = std::move(stratum);
+    const service::Response r = query(std::move(sub));
+    if (!r.ok() || r.degraded || !r.result) {
+      throw std::runtime_error("stratum sub-query failed: " + r.error);
+    }
+    return service::StratumRun{r.result->scores, r.result->time_seconds};
+  };
 }
 
 bool Coordinator::refine_step() {
   if (drained_ || refine_queue_.empty()) return false;
-  PendingRefine job = refine_queue_.front();
+  const PendingRefine job = refine_queue_.front();
   const auto finish = [&] {
     refine_queue_.pop_front();
     std::lock_guard<std::mutex> lock(job.entry->mu);
     if (job.entry->refine_pending > 0) --job.entry->refine_pending;
   };
-  bool drop = false;
-  bool met = false;
-  std::uint32_t rung_before = 0;
-  {
-    std::lock_guard<std::mutex> lock(job.entry->mu);
-    if (job.entry->invalidated) {
-      // Never-resurrect: a mutation/eviction beat this refinement.
-      ++stats_.refine_dropped;
-      drop = true;
-    } else {
-      service::Estimate now;
-      now.roots_used = job.entry->est.roots_used();
-      now.stderr_est = job.entry->est.reported_error();
-      now.rung = job.entry->est.rung();
-      rung_before = now.rung;
-      met = service::contract_met(now, job.budget,
-                                  job.entry->est.num_vertices());
-    }
-  }
-  if (drop || met) {
+  const std::size_t n = job.entry->est.num_vertices();
+  const service::Progress before = service::progress(*job.entry);
+  if (before.invalidated) {
+    // Never-resurrect: a mutation/eviction beat this refinement.
+    ++stats_.refine_dropped;
     finish();
     return true;
   }
-  if (!fold_stratum_via_query(job.graph_id, job.entry, job.options)) {
+  if (service::contract_met(before.estimate, job.budget, n)) {
+    finish();
+    return true;
+  }
+  service::Estimate after;
+  try {
+    after = service::fold_next_stratum(approx_cache_, job.entry, job.options,
+                                       stratum_runner(job.graph_id));
+  } catch (const std::exception&) {
     // Best-effort: a failed stratum drops the refinement, not the entry.
     finish();
     return true;
   }
   ++stats_.refine_strata;
-  std::uint32_t rung_after = 0;
-  bool met_now = false;
-  {
-    std::lock_guard<std::mutex> lock(job.entry->mu);
-    publish_entry_locked(*job.entry, job.options);
-    rung_after = job.entry->est.rung();
-    service::Estimate now;
-    now.roots_used = job.entry->est.roots_used();
-    now.stderr_est = job.entry->est.reported_error();
-    met_now = service::contract_met(now, job.budget,
-                                    job.entry->est.num_vertices());
-  }
   // Retire a completed contract now so Estimate::refining drops the
   // moment the last stratum lands, not one refine_step later.
-  if (met_now) finish();
-  if (rung_after > rung_before) {
-    trace_instant("refine-rung", 0, {{"rung", rung_after}});
+  if (service::contract_met(after, job.budget, n)) finish();
+  if (after.rung > before.estimate.rung) {
+    trace_instant("refine-rung", 0, {{"rung", after.rung}});
   }
   return true;
 }
 
 service::Response Coordinator::query_budgeted(service::Request request,
                                               const Clock::time_point t0) {
-  service::Response resp;
   if (!request.options.roots.empty()) {
-    resp.status = QueryStatus::BadRequest;
-    resp.error = "budgeted query must not carry explicit roots";
-    resp.total_ms = ms_between(t0, Clock::now());
-    return resp;
+    return failure(QueryStatus::BadRequest,
+                   "budgeted query must not carry explicit roots", t0);
   }
   request.options.sample_roots = 0;  // the budget owns the sampling plan
-  auto git = graphs_.find(request.graph_id);
-  const GraphEntry& entry = git->second;  // caller verified existence
+  const GraphEntry& entry = graphs_.find(request.graph_id)->second;  // caller checked
   const graph::VertexId n = entry.graph->num_vertices();
   ++stats_.budgeted_queries;
-  if (request.budget.deadline.count() > 0) request.timeout = request.budget.deadline;
-
-  const core::Strategy strategy = request.options.strategy;
-  const bool whole =
-      !core::uses_gpu_model(strategy) || strategy == core::Strategy::Sampling;
+  const bool whole = !block_shardable(request.options.strategy);
+  trace::ScopedSpan span(sink(), cfg_.tracer, "dist-budgeted", trace::kService,
+                         {{"whole", whole ? 1 : 0}});
 
   if (whole) {
     // CPU engines and the sampling kernel are not block-shardable: hand
     // the whole budgeted query to one v2 worker, whose local progressive
     // controller computes (and caches) the estimate.
     ++stats_.whole_queries;
-    const core::Options& o = request.options;
-    auto q = std::make_unique<ActiveQuery>();
-    q->id = next_request_id_++;
-    q->graph_id = request.graph_id;
-    q->graph = entry.graph;
-    q->options = o;
-    q->whole = true;
+    auto q = start_query(request, entry, t0);
     q->budgeted = true;
-    q->has_deadline = request.timeout.count() > 0;
-    q->deadline = t0 + request.timeout;
     q->approximate = true;
     q->resolved_roots = n;
     Shard s;
-    s.index = 0;
-    s.msg.graph_id = request.graph_id;
-    s.msg.fingerprint = entry.fingerprint;
+    s.msg = shard_from_options(request.options);
     s.msg.mode = wire::ShardMode::Whole;
-    s.msg.strategy = static_cast<std::uint8_t>(strategy);
-    s.msg.halve_undirected = o.halve_undirected ? 1 : 0;
-    s.msg.normalize = o.normalize ? 1 : 0;
-    s.msg.grid_blocks = o.grid_blocks;
-    s.msg.sample_roots = 0;
-    s.msg.seed = o.seed;
-    s.msg.cpu_threads = static_cast<std::uint32_t>(o.cpu_threads);
-    s.msg.max_root_attempts = o.resilience.max_root_attempts;
-    s.msg.device_num_sms = o.device.num_sms;
-    s.msg.hybrid_alpha = o.hybrid.alpha;
-    s.msg.hybrid_beta = o.hybrid.beta;
-    s.msg.sampling_n_samps = o.sampling.n_samps;
-    s.msg.sampling_gamma = o.sampling.gamma;
-    s.msg.sampling_min_frontier = o.sampling.min_frontier;
     s.msg.has_budget = 1;
     s.msg.accuracy_target = request.budget.accuracy_target;
     s.msg.budget_max_roots = request.budget.max_roots;
     s.msg.allow_refinement = request.budget.allow_refinement ? 1 : 0;
-    util::BackoffConfig bc = cfg_.redispatch_backoff;
-    bc.seed = mix64(bc.seed ^ (q->id << 16));
-    s.backoff = util::Backoff(bc);
     q->shards.push_back(std::move(s));
-    q->remaining = 1;
-
-    trace::ScopedSpan span(sink(), cfg_.tracer, "dist-budgeted", trace::kService,
-                           {{"req", q->id}, {"whole", 1}});
-    active_ = std::move(q);
-    ActiveQuery& aq = *active_;
-    while (!aq.failed && aq.remaining > 0) {
-      if (aq.has_deadline && Clock::now() >= aq.deadline) {
-        aq.failed = true;
-        aq.fail_status = QueryStatus::DeadlineExceeded;
-        aq.fail_error = "deadline exceeded with the budgeted query outstanding";
-        break;
-      }
-      dispatch_pending(aq);
-      if (aq.failed || aq.remaining == 0) break;
-      check_stragglers(aq);
-      pump(20);
-    }
-    service::Estimate est;
-    bool have_est = false;
-    if (!aq.failed && !aq.shards.empty() &&
-        aq.shards.front().state == Shard::State::Done) {
-      const Shard& sh = aq.shards.front();
-      if (sh.has_estimate != 0) {
-        est.roots_used = sh.est_roots_used;
-        est.stderr_est = sh.est_stderr;
-        est.rung = sh.est_rung;
-        est.refining = sh.est_refining != 0;
-        have_est = true;
-      } else {
-        // Local fallback (or a fleet with no v2 worker after all): the
-        // query ran exact, so the "estimate" is the saturated truth.
-        est.roots_used = sh.roots_processed;
-        est.stderr_est = 0.0;
-        est.rung = 0;
-        est.refining = false;
-        have_est = true;
-      }
-    }
-    resp = assemble(aq, request.top_k, t0);
-    active_.reset();
-    if (resp.ok() && have_est) resp.estimate = est;
-    return resp;
+    return run_query(std::move(q), request.top_k, t0);
   }
 
   // Block-shardable GPU-model strategy: run the stratified controller
   // here, each stratum an exact explicit-root sub-query through query().
-  core::StratumPlan plan;
+  const core::StratumPlan plan;
   const std::string akey = service::fingerprint_prefix(entry.fingerprint) +
                            core::approx_signature(request.options, plan);
   bool created = false;
   const std::shared_ptr<service::ApproxEntry> e = approx_cache_.get_or_create(
       akey, n, plan, request.options.seed, entry.fingerprint, created);
-  const std::uint32_t rung0_strata = std::min(
-      plan.base_strata,
-      std::max<std::uint32_t>(core::total_strata(n, plan), 1));
-  const bool has_deadline = request.timeout.count() > 0;
-  const auto deadline = t0 + request.timeout;
+  const service::StratumFn run = stratum_runner(request.graph_id);
+  const bool has_deadline = request.budget.deadline.count() > 0;
+  const auto deadline = t0 + request.budget.deadline;
 
-  trace::ScopedSpan span(sink(), cfg_.tracer, "dist-budgeted", trace::kService,
-                         {{"whole", 0}});
   bool computed_any = false;
   bool queue_refine = false;
   for (;;) {
-    service::Estimate now;
-    bool rung0_done = false;
-    {
-      std::lock_guard<std::mutex> lock(e->mu);
-      now.roots_used = e->est.roots_used();
-      now.stderr_est = e->est.reported_error();
-      now.rung = e->est.rung();
-      rung0_done = e->est.strata_folded() >= rung0_strata || e->est.saturated();
-    }
-    const bool met = service::contract_met(now, request.budget, n);
-    const bool pause =
-        !met && rung0_done && request.budget.allow_refinement;
+    const service::Progress now = service::progress(*e);
+    const bool met = service::contract_met(now.estimate, request.budget, n);
+    const bool pause = !met && now.rung0_done && request.budget.allow_refinement;
     if (met || pause) {
       queue_refine = pause;
       break;
     }
     if (has_deadline && Clock::now() >= deadline) {
-      if (rung0_done) {
-        // Serve the best published rung; the contract keeps refining in
-        // the background if the caller allowed it.
-        queue_refine = request.budget.allow_refinement;
-        break;
+      if (!now.rung0_done) {
+        return failure(QueryStatus::DeadlineExceeded,
+                       "deadline exceeded before the first publishable rung", t0);
       }
-      resp.status = QueryStatus::DeadlineExceeded;
-      resp.error = "deadline exceeded before the first publishable rung";
-      resp.total_ms = ms_between(t0, Clock::now());
-      return resp;
+      // Serve the best published rung; the contract keeps refining in
+      // the background if the caller allowed it.
+      queue_refine = request.budget.allow_refinement;
+      break;
     }
-    if (!fold_stratum_via_query(request.graph_id, e, request.options)) {
-      resp.status = QueryStatus::Failed;
-      resp.error = "budgeted query: stratum sub-query failed";
-      resp.total_ms = ms_between(t0, Clock::now());
-      return resp;
+    try {
+      service::fold_next_stratum(approx_cache_, e, request.options, run);
+    } catch (const std::exception&) {
+      return failure(QueryStatus::Failed, "budgeted query: stratum sub-query failed",
+                     t0);
     }
     computed_any = true;
   }
 
-  service::Estimate info;
-  {
-    std::lock_guard<std::mutex> lock(e->mu);
-    if (!e->published || e->info.roots_used != e->est.roots_used()) {
-      publish_entry_locked(*e, request.options);
-    }
-    resp.result = e->published;
-    info = e->info;
-    if (queue_refine) ++e->refine_pending;
-    if (queue_refine || e->refine_pending > 0) info.refining = true;
-  }
+  const service::Published served = service::publish(*e, request.options);
   if (queue_refine) {
+    {
+      std::lock_guard<std::mutex> lock(e->mu);
+      ++e->refine_pending;
+    }
     refine_queue_.push_back(
         PendingRefine{request.graph_id, e, request.options, request.budget});
   }
-  resp.estimate = info;
+  service::Response resp;
   resp.status = QueryStatus::Ok;
+  resp.result = served.result;
+  resp.estimate = served.estimate;
+  {
+    std::lock_guard<std::mutex> lock(e->mu);
+    resp.estimate->refining = e->refine_pending > 0;
+  }
   resp.from_cache = !computed_any;
   resp.total_ms = ms_between(t0, Clock::now());
   if (request.top_k > 0) resp.top = core::top_k(resp.result->scores, request.top_k);

@@ -200,7 +200,7 @@ class Coordinator {
                                        const dyn::UpdateBatch& batch);
 
   /// The service surface: shard, dispatch, reduce, finalize. Synchronous;
-  /// respects request.timeout end to end. Response::result is
+  /// respects request.budget.deadline end to end. Response::result is
   /// bitwise-identical to standalone hbc::service for the same request.
   service::Response query(service::Request request);
 
@@ -303,6 +303,7 @@ class Coordinator {
     std::uint64_t id = 0;
     std::string graph_id;
     std::shared_ptr<const graph::CSRGraph> graph;
+    std::uint64_t fingerprint = 0;  // the graph's, when the query started
     core::Options options;  // as requested (finalization mirrors these)
     bool whole = false;
     /// Accuracy-contract Whole delegation: the result is an estimate and
@@ -357,11 +358,19 @@ class Coordinator {
   /// Returns false when there is nothing to do. Called from run_for()
   /// between pump passes and drained fully by drain().
   bool refine_step();
-  /// One stratum as a Partial-sharded exact sub-query; folds the scores
-  /// into `entry`. Returns false (entry untouched) on any failure.
-  bool fold_stratum_via_query(const std::string& graph_id,
-                              const std::shared_ptr<service::ApproxEntry>& entry,
-                              const core::Options& options);
+  /// The fleet's stratum executor for service::fold_next_stratum: each
+  /// stratum runs as a Partial-sharded exact sub-query through query().
+  service::StratumFn stratum_runner(const std::string& graph_id);
+
+  /// A query's shared state before sharding: ids, graph snapshot,
+  /// options, shardability and deadline.
+  std::unique_ptr<ActiveQuery> start_query(const service::Request& request,
+                                           const GraphEntry& entry,
+                                           std::chrono::steady_clock::time_point t0);
+  /// The one dispatch/pump loop: send `q`'s shards, heal failures until
+  /// every shard is done (or the query failed), then assemble.
+  service::Response run_query(std::unique_ptr<ActiveQuery> q, std::size_t top_k,
+                              std::chrono::steady_clock::time_point t0);
 
   void dispatch_pending(ActiveQuery& q);
   void check_stragglers(ActiveQuery& q);

@@ -1,8 +1,9 @@
 #pragma once
 
-// Shared shard-message ↔ core::Options translation. The worker uses it to
-// execute a SubmitShard; the coordinator uses the SAME function for its
-// local-fallback path — one translation, so a shard computed locally is
+// Shared shard-message ↔ core::Options translation. The coordinator
+// builds every SubmitShard with shard_from_options; the worker executes it
+// with options_from_shard, and so does the coordinator's local-fallback
+// path — one translation each way, so a shard computed locally is
 // bit-identical to the same shard computed remotely by construction.
 
 #include "core/bc.hpp"
@@ -31,6 +32,29 @@ inline core::Options options_from_shard(const wire::SubmitShardMsg& m) {
   o.sampling.gamma = m.sampling_gamma;
   o.sampling.min_frontier = m.sampling_min_frontier;
   return o;
+}
+
+/// The options half of a SubmitShard: every score-affecting field of `o`.
+/// The caller fills the routing fields (graph id, fingerprint, mode,
+/// shard index, deadline, budget).
+inline wire::SubmitShardMsg shard_from_options(const core::Options& o) {
+  wire::SubmitShardMsg m;
+  m.strategy = static_cast<std::uint8_t>(o.strategy);
+  m.roots.assign(o.roots.begin(), o.roots.end());
+  m.sample_roots = o.sample_roots;
+  m.seed = o.seed;
+  m.halve_undirected = o.halve_undirected ? 1 : 0;
+  m.normalize = o.normalize ? 1 : 0;
+  m.grid_blocks = o.grid_blocks;
+  m.cpu_threads = static_cast<std::uint32_t>(o.cpu_threads);
+  m.max_root_attempts = o.resilience.max_root_attempts;
+  m.device_num_sms = o.device.num_sms;
+  m.hybrid_alpha = o.hybrid.alpha;
+  m.hybrid_beta = o.hybrid.beta;
+  m.sampling_n_samps = o.sampling.n_samps;
+  m.sampling_gamma = o.sampling.gamma;
+  m.sampling_min_frontier = o.sampling.min_frontier;
+  return m;
 }
 
 }  // namespace hbc::net

@@ -272,7 +272,7 @@ void Worker::handle_frame(Conn& conn, const wire::Frame& frame, bool& draining,
       service::Request req;
       req.graph_id = m.graph_id;
       req.options = options_from_shard(m);
-      req.timeout = std::chrono::milliseconds(m.deadline_ms);
+      req.budget.deadline = std::chrono::milliseconds(m.deadline_ms);
       if (m.has_budget != 0) {
         // v2 budgeted query (Whole mode): the local service runs its own
         // progressive controller and reports what it delivered.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <vector>
 
 namespace hbc::service {
@@ -25,6 +26,95 @@ std::string budget_suffix(const QueryBudget& budget) {
                 budget.accuracy_target, budget.max_roots,
                 budget.allow_refinement ? 1 : 0);
   return buf;
+}
+
+namespace {
+
+/// Rebuild the published result and estimate from the fold (caller holds
+/// entry.mu), unless they already reflect it.
+void publish_locked(ApproxEntry& entry, const core::Options& options) {
+  const core::RefinableEstimate& est = entry.est;
+  if (entry.published && entry.info.roots_used == est.roots_used()) return;
+  auto result = std::make_shared<core::BCResult>();
+  result->strategy = options.strategy;
+  result->scores = est.scores(options.halve_undirected, options.normalize);
+  result->roots_processed = est.roots_used();
+  result->approximate = !est.saturated();
+  result->time_seconds = entry.accum_seconds;
+  result->wall_seconds = entry.accum_seconds;
+  entry.published = std::move(result);
+  entry.info.roots_used = est.roots_used();
+  entry.info.stderr_est = est.reported_error();
+  entry.info.rung = est.rung();
+  entry.info.refining = false;  // response-scoped; set by the serving path
+}
+
+/// Rung 0 is the plan's base strata (at least 2), capped by saturation.
+/// Estimates publish from here on; before it they have no variance and
+/// therefore no error to report.
+bool rung0_done_locked(const core::RefinableEstimate& est) {
+  const core::StratumPlan& plan = est.plan();
+  const std::uint32_t rung0_strata =
+      std::min(std::max<std::uint32_t>(plan.base_strata, 2),
+               std::max<std::uint32_t>(core::total_strata(est.num_vertices(), plan), 1));
+  return est.strata_folded() >= rung0_strata || est.saturated();
+}
+
+Estimate estimate_locked(const core::RefinableEstimate& est) {
+  Estimate e;
+  e.roots_used = est.roots_used();
+  e.stderr_est = est.reported_error();
+  e.rung = est.rung();
+  return e;
+}
+
+}  // namespace
+
+Progress progress(ApproxEntry& entry) {
+  std::lock_guard<std::mutex> lock(entry.mu);
+  Progress p;
+  p.estimate = estimate_locked(entry.est);
+  p.rung0_done = rung0_done_locked(entry.est);
+  p.invalidated = entry.invalidated;
+  return p;
+}
+
+Published publish(ApproxEntry& entry, const core::Options& options) {
+  std::lock_guard<std::mutex> lock(entry.mu);
+  publish_locked(entry, options);
+  return {entry.published, entry.info};
+}
+
+Estimate fold_next_stratum(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
+                           const core::Options& options, const StratumFn& run) {
+  core::Options stratum = options;
+  std::size_t n = 0;
+  {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    n = entry->est.num_vertices();
+    stratum.roots = entry->est.next_stratum_roots();
+  }
+  // Empty roots would mean "every vertex" to the executor.
+  if (stratum.roots.empty()) {
+    throw std::logic_error("fold_next_stratum: estimate is already saturated");
+  }
+  const std::size_t stratum_roots = stratum.roots.size();
+  stratum.sample_roots = 0;
+  stratum.halve_undirected = false;
+  stratum.normalize = false;
+  const StratumRun r = run(std::move(stratum));
+  if (r.scores.size() != n) throw std::runtime_error("stratum compute incomplete");
+
+  Estimate after;
+  {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    entry->est.fold(r.scores, stratum_roots);
+    entry->accum_seconds += r.seconds;
+    if (rung0_done_locked(entry->est)) publish_locked(*entry, options);
+    after = estimate_locked(entry->est);
+  }
+  cache.note_growth(entry);
+  return after;
 }
 
 std::size_t ApproxCache::entry_bytes(ApproxEntry& e) {

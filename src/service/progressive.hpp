@@ -26,12 +26,14 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/approx.hpp"
 #include "core/bc.hpp"
@@ -40,14 +42,18 @@ namespace hbc::service {
 
 /// The accuracy/latency contract of one request. Default-constructed
 /// (inactive) budgets leave the request on the classic exact path with
-/// byte-identical options signatures — the deprecated-shim guarantee.
+/// byte-identical options signatures.
 struct QueryBudget {
   /// Target relative standard error (inter-stratum; see core::approx).
   /// The controller adds rungs until the reported error is at or below
   /// this. 0 = no accuracy clause.
   double accuracy_target = 0.0;
-  /// Total submit→response budget. Supersedes the deprecated flat
-  /// Request::timeout when set; 0 defers to it.
+  /// Total submit→response budget of every request, exact or budgeted;
+  /// 0 = none. Expiry while queued (or blocked on admission) yields
+  /// DeadlineExceeded immediately; expiry mid-compute cancels the run
+  /// cooperatively at the next root boundary and yields DeadlineExceeded
+  /// then (docs/resilience.md). A deadline alone does not activate the
+  /// budget.
   std::chrono::milliseconds deadline{0};
   /// Hard cap on sampled roots (rounded up to a stratum boundary).
   /// 0 = no cap (the graph's vertex count). A budget with only a cap
@@ -173,5 +179,48 @@ class ApproxCache {
   std::unordered_map<std::string, std::list<std::shared_ptr<ApproxEntry>>::iterator>
       index_;
 };
+
+/// An entry's contract state, read in one critical section.
+struct Progress {
+  /// roots_used, stderr_est and rung of the fold so far (refining false).
+  Estimate estimate;
+  /// Rung 0 (the plan's base strata, capped by saturation) is folded: the
+  /// estimate has a variance, so it may be published and served.
+  bool rung0_done = false;
+  bool invalidated = false;
+};
+/// Snapshot `entry`'s contract state. Locks entry.mu.
+Progress progress(ApproxEntry& entry);
+
+/// The answer an entry serves: its published result and estimate.
+struct Published {
+  std::shared_ptr<const core::BCResult> result;
+  Estimate estimate;
+};
+/// Bring the published result up to date with the fold (a no-op when no
+/// stratum landed since the last publication) and return it. `options`
+/// are the request's: they fix the halving and normalization. Locks
+/// entry.mu.
+Published publish(ApproxEntry& entry, const core::Options& options);
+
+/// One stratum's output from a caller's executor.
+struct StratumRun {
+  /// UNSCALED dependency sums over exactly the stratum's roots.
+  std::vector<double> scores;
+  double seconds = 0.0;
+};
+/// Runs one stratum: `stratum` is the request's options with the
+/// stratum's roots pinned and sampling, halving and normalization off.
+/// Throws when the stratum cannot be computed completely.
+using StratumFn = std::function<StratumRun(core::Options stratum)>;
+
+/// The accuracy-contract step every controller shares: take the next
+/// stratum's roots, compute them through `run`, fold the sums, publish
+/// once rung 0 is folded, and re-account the entry in `cache`. Returns
+/// the estimate after the fold. Call with the entry unsaturated; throws
+/// std::runtime_error when `run`'s scores do not cover the graph, and
+/// propagates whatever `run` throws (the entry is then untouched).
+Estimate fold_next_stratum(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
+                           const core::Options& options, const StratumFn& run);
 
 }  // namespace hbc::service

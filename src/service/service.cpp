@@ -27,6 +27,11 @@ std::string make_key(std::uint64_t fingerprint, const core::Options& options) {
   return fingerprint_prefix(fingerprint) + core::options_signature(options);
 }
 
+Clock::time_point deadline_of(const QueryBudget& budget, Clock::time_point submitted) {
+  return budget.deadline.count() > 0 ? submitted + budget.deadline
+                                     : Clock::time_point::max();
+}
+
 }  // namespace
 
 const char* to_string(QueryStatus status) noexcept {
@@ -348,8 +353,6 @@ Ticket BcService::submit(Request request) {
   const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   trace_instant("submit", id);
   const Clock::time_point submitted = Clock::now();
-  // Deprecated-shim: QueryBudget::deadline supersedes the flat timeout.
-  if (request.budget.deadline.count() > 0) request.timeout = request.budget.deadline;
   if (request.budget.active()) {
     return submit_budgeted(std::move(request), id, submitted);
   }
@@ -408,9 +411,7 @@ Ticket BcService::submit(Request request) {
 
   // Admission (blocking for Block policy) happens OUTSIDE mu_ so a waiting
   // submitter never wedges workers that need the lock to publish results.
-  const Clock::time_point deadline = request.timeout.count() > 0
-                                         ? submitted + request.timeout
-                                         : Clock::time_point::max();
+  const Clock::time_point deadline = deadline_of(request.budget, submitted);
   const Admit admit = queue_.admit(request.options, deadline);
   switch (admit) {
     case Admit::RejectedFull: {
@@ -539,9 +540,7 @@ Ticket BcService::submit_budgeted(Request request, std::uint64_t id,
   // so "same contract, different sample_roots" requests share one entry.
   request.options.sample_roots = 0;
 
-  core::StratumPlan plan;
-  plan.stripe_roots = std::max<std::uint32_t>(cfg_.approx.stripe_roots, 1);
-  plan.base_strata = std::max<std::uint32_t>(cfg_.approx.base_strata, 2);
+  const core::StratumPlan plan = stratum_plan();
 
   std::shared_ptr<const graph::CSRGraph> g;
   std::uint64_t fingerprint = 0;
@@ -605,9 +604,7 @@ Ticket BcService::submit_budgeted(Request request, std::uint64_t id,
     }
   }
 
-  const Clock::time_point deadline = request.timeout.count() > 0
-                                         ? submitted + request.timeout
-                                         : Clock::time_point::max();
+  const Clock::time_point deadline = deadline_of(request.budget, submitted);
   // Admission applies unchanged — budgeted work queues like any other —
   // but Shed means something better here: instead of rewriting the
   // options, the quality dial caps synchronous work at rung 0 and the
@@ -862,110 +859,59 @@ core::BCResult BcService::compute_resilient(const graph::CSRGraph& g,
   return r;
 }
 
-namespace {
-
-/// Rebuild an entry's published result + estimate from its fold state.
-/// Caller holds entry.mu. Publication happens only from rung 0 (two
-/// strata) onward or at a terminal state, so published estimates always
-/// carry a meaningful (or exactly-zero) error.
-void publish_locked(ApproxEntry& entry, const core::Options& options) {
-  auto result = std::make_shared<core::BCResult>();
-  result->strategy = options.strategy;
-  result->scores =
-      entry.est.scores(options.halve_undirected, options.normalize);
-  result->roots_processed = entry.est.roots_used();
-  result->approximate = !entry.est.saturated();
-  result->time_seconds = entry.accum_seconds;
-  result->wall_seconds = entry.accum_seconds;
-  entry.published = std::move(result);
-  entry.info.roots_used = entry.est.roots_used();
-  entry.info.stderr_est = entry.est.reported_error();
-  entry.info.rung = entry.est.rung();
-  entry.info.refining = false;  // response-scoped; set by the serving path
+core::StratumPlan BcService::stratum_plan() const {
+  core::StratumPlan plan;
+  plan.stripe_roots = std::max<std::uint32_t>(cfg_.approx.stripe_roots, 1);
+  plan.base_strata = std::max<std::uint32_t>(cfg_.approx.base_strata, 2);
+  return plan;
 }
 
-}  // namespace
+StratumFn BcService::stratum_runner(const graph::CSRGraph& g, util::CancelToken cancel) {
+  return [this, &g, cancel](core::Options stratum) {
+    stratum.resilience.cancel = cancel;
+    core::BCResult r = run_compute(g, stratum);
+    metrics_.on_faults(r.faults.faults_injected);
+    if (!r.faults.complete()) throw std::runtime_error("stratum compute incomplete");
+    metrics_.on_approx_stratum();
+    return StratumRun{std::move(r.scores), r.time_seconds};
+  };
+}
 
 void BcService::compute_progressive(const Job& job,
                                     const util::CancelSource& cancel,
                                     Response& resp) {
   const graph::CSRGraph& g = *job.graph;
   const std::size_t n = g.num_vertices();
-  core::StratumPlan plan;
-  plan.stripe_roots = std::max<std::uint32_t>(cfg_.approx.stripe_roots, 1);
-  plan.base_strata = std::max<std::uint32_t>(cfg_.approx.base_strata, 2);
-  const std::uint32_t rung0_strata =
-      std::min(plan.base_strata, std::max<std::uint32_t>(
-                                     core::total_strata(n, plan), 1));
-
   bool created = false;
   const std::shared_ptr<ApproxEntry> entry = approx_cache_.get_or_create(
-      job.approx_key, n, plan, job.options.seed, job.fingerprint, created);
+      job.approx_key, n, stratum_plan(), job.options.seed, job.fingerprint, created);
 
   bool computed_any = false;
   bool queue_refine = false;
-  std::shared_ptr<const core::BCResult> served;
-  Estimate info;
+  Published served;
 
   try {
     // One upgrader at a time per entry; strata are computed under this
     // lock (coalescing keeps contract-twins out, but two different
     // contracts may race toward the same entry).
     std::unique_lock<std::mutex> work(entry->work_mu);
+    const StratumFn run = stratum_runner(g, cancel.token());
     for (;;) {
       cancel.token().check();
-      Estimate now;
-      bool rung0_done = false;
-      {
-        std::lock_guard<std::mutex> lock(entry->mu);
-        now.roots_used = entry->est.roots_used();
-        now.stderr_est = entry->est.reported_error();
-        now.rung = entry->est.rung();
-        rung0_done = entry->est.strata_folded() >= rung0_strata ||
-                     entry->est.saturated();
-      }
-      const bool met = contract_met(now, job.budget, n);
+      const Progress now = progress(*entry);
+      const bool met = contract_met(now.estimate, job.budget, n);
       // Early exit: the caller (or the quality dial, when admission
       // shed this request) accepts the current rung once it exists and
       // leaves the rest of the contract to background refinement.
-      const bool pause =
-          !met && rung0_done && (job.budget.allow_refinement || job.rung0_cap);
+      const bool pause = !met && now.rung0_done &&
+                         (job.budget.allow_refinement || job.rung0_cap);
       if (met || pause) {
-        std::lock_guard<std::mutex> lock(entry->mu);
-        if (!entry->published) publish_locked(*entry, job.options);
-        served = entry->published;
-        info = entry->info;
+        served = publish(*entry, job.options);
         queue_refine = pause;
         break;
       }
-
-      std::vector<graph::VertexId> roots;
-      {
-        std::lock_guard<std::mutex> lock(entry->mu);
-        roots = entry->est.next_stratum_roots();
-      }
-      core::Options sub = job.options;
-      sub.roots = std::move(roots);
-      sub.sample_roots = 0;
-      sub.halve_undirected = false;
-      sub.normalize = false;
-      sub.resilience.cancel = cancel.token();
-      core::BCResult r = run_compute(g, sub);
-      metrics_.on_faults(r.faults.faults_injected);
-      if (r.scores.size() != n || !r.faults.complete()) {
-        throw std::runtime_error("stratum compute incomplete");
-      }
+      fold_next_stratum(approx_cache_, entry, job.options, run);
       computed_any = true;
-      metrics_.on_approx_stratum();
-      {
-        std::lock_guard<std::mutex> lock(entry->mu);
-        entry->est.fold(r.scores, sub.roots.size());
-        entry->accum_seconds += r.time_seconds;
-        if (entry->est.strata_folded() >= rung0_strata || entry->est.saturated()) {
-          publish_locked(*entry, job.options);
-        }
-      }
-      approx_cache_.note_growth(entry);
     }
   } catch (const util::Cancelled&) {
     throw;
@@ -979,12 +925,7 @@ void BcService::compute_progressive(const Job& job,
     core::BCResult computed =
         compute_resilient(g, job.options, cancel, degraded);
     resp.degraded = degraded;
-    Estimate fallback;
-    fallback.roots_used = computed.roots_processed;
-    fallback.stderr_est = 0.0;
-    fallback.rung = 0;
-    fallback.refining = false;
-    resp.estimate = fallback;
+    resp.estimate = Estimate{.roots_used = computed.roots_processed};
     resp.result = std::make_shared<const core::BCResult>(std::move(computed));
     trace_instant("approx-fallback", 0);
     return;
@@ -996,14 +937,14 @@ void BcService::compute_progressive(const Job& job,
     refine.graph = job.graph;
     refine.options = job.options;
     refine.budget = job.budget;
-    if (enqueue_refinement(std::move(refine))) info.refining = true;
+    if (enqueue_refinement(std::move(refine))) served.estimate.refining = true;
   }
   {
     std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->refine_pending > 0) info.refining = true;
+    if (entry->refine_pending > 0) served.estimate.refining = true;
   }
-  resp.result = std::move(served);
-  resp.estimate = info;
+  resp.result = std::move(served.result);
+  resp.estimate = served.estimate;
   resp.from_cache = !computed_any;
 }
 
@@ -1065,19 +1006,10 @@ void BcService::refine_loop() {
 
     const graph::CSRGraph& g = *job.graph;
     const std::size_t n = g.num_vertices();
-    const std::uint32_t rung0_strata = std::max<std::uint32_t>(
-        std::min(std::max<std::uint32_t>(cfg_.approx.base_strata, 2),
-                 std::max<std::uint32_t>(core::total_strata(
-                                             n,
-                                             core::StratumPlan{
-                                                 std::max<std::uint32_t>(
-                                                     cfg_.approx.stripe_roots, 1),
-                                                 cfg_.approx.base_strata}),
-                                         1)),
-        1);
     const util::CancelToken cancel = refine_cancel_.token();
     {
       std::unique_lock<std::mutex> work(job.entry->work_mu);
+      const StratumFn run = stratum_runner(g, cancel);
       for (;;) {
         if (cancel.cancelled()) break;
         // Low priority: foreground queries own the service; refinement
@@ -1087,71 +1019,32 @@ void BcService::refine_loop() {
         }
         if (cancel.cancelled()) break;
 
-        Estimate now;
-        bool invalid = false;
-        std::uint32_t rung_before = 0;
-        {
-          std::lock_guard<std::mutex> lock(job.entry->mu);
-          invalid = job.entry->invalidated;
-          now.roots_used = job.entry->est.roots_used();
-          now.stderr_est = job.entry->est.reported_error();
-          rung_before = job.entry->est.rung();
-        }
-        if (invalid) {
+        const Progress before = progress(*job.entry);
+        if (before.invalidated) {
           // The never-resurrect guarantee: a mutation or eviction beat
           // us here, so this estimate must not be advanced or re-served.
           metrics_.on_refine_dropped();
           trace_instant("refine-dropped", job.entry->fingerprint);
           break;
         }
-        if (contract_met(now, job.budget, n)) break;
+        if (contract_met(before.estimate, job.budget, n)) break;
 
-        std::vector<graph::VertexId> roots;
-        {
-          std::lock_guard<std::mutex> lock(job.entry->mu);
-          roots = job.entry->est.next_stratum_roots();
-        }
-        core::Options sub = job.options;
-        sub.roots = std::move(roots);
-        sub.sample_roots = 0;
-        sub.halve_undirected = false;
-        sub.normalize = false;
-        sub.resilience.cancel = cancel;
-        core::BCResult r;
+        Estimate after;
         try {
           trace::ScopedSpan stratum_span(trace_sink(), cfg_.tracer,
                                          "refine-stratum", trace::kService);
-          r = run_compute(g, sub);
+          after = fold_next_stratum(approx_cache_, job.entry, job.options, run);
         } catch (...) {
           break;  // background work is best-effort; the entry stays valid
         }
-        if (r.scores.size() != n || !r.faults.complete()) break;
-        metrics_.on_faults(r.faults.faults_injected);
-        metrics_.on_approx_stratum();
-        std::uint32_t rung_after = 0;
-        bool saturated = false;
-        std::size_t roots_used = 0;
-        {
-          std::lock_guard<std::mutex> lock(job.entry->mu);
-          job.entry->est.fold(r.scores, sub.roots.size());
-          job.entry->accum_seconds += r.time_seconds;
-          if (job.entry->est.strata_folded() >= rung0_strata ||
-              job.entry->est.saturated()) {
-            publish_locked(*job.entry, job.options);
-          }
-          rung_after = job.entry->est.rung();
-          saturated = job.entry->est.saturated();
-          roots_used = job.entry->est.roots_used();
-        }
-        approx_cache_.note_growth(job.entry);
-        if (rung_after > rung_before || saturated) {
+        if (after.rung > before.estimate.rung || after.roots_used >= n) {
           metrics_.on_refine_rung();
           if (cfg_.tracer != nullptr) {
             if (trace::Sink* sink = trace_sink();
                 sink != nullptr && sink->wants(trace::kService)) {
               sink->instant("refine-rung", trace::kService, cfg_.tracer->now_ns(),
-                            {{"rung", static_cast<std::uint64_t>(rung_after)},
-                             {"roots", static_cast<std::uint64_t>(roots_used)}});
+                            {{"rung", static_cast<std::uint64_t>(after.rung)},
+                             {"roots", static_cast<std::uint64_t>(after.roots_used)}});
             }
           }
         }

@@ -80,13 +80,6 @@ struct Request {
   /// When > 0, wait() fills Response::top with the top-k (vertex, score)
   /// pairs. Per-request: coalesced twins may ask for different k.
   std::size_t top_k = 0;
-  /// DEPRECATED shim: prefer budget.deadline, which supersedes this when
-  /// set. Total budget from submit to response; 0 = none. Expiry while
-  /// queued (or blocked on admission) yields DeadlineExceeded
-  /// immediately; expiry mid-compute cancels the run cooperatively at
-  /// the next root boundary and yields DeadlineExceeded then (see
-  /// docs/resilience.md).
-  std::chrono::milliseconds timeout{0};
 };
 
 struct Response {
@@ -418,8 +411,8 @@ class BcService {
   Ticket submit_budgeted(Request request, std::uint64_t id,
                          std::chrono::steady_clock::time_point submitted);
   /// Worker-side progressive controller: upgrade the entry stratum by
-  /// stratum until the contract is met (or rung 0 with refinement),
-  /// publishing at each fold. Fills resp; throws like compute paths do.
+  /// stratum (fold_next_stratum) until the contract is met (or rung 0
+  /// with refinement). Fills resp; throws like compute paths do.
   void compute_progressive(const Job& job, const util::CancelSource& cancel,
                            Response& resp);
   /// Queue a background upgrade of `entry` toward `budget`; starts the
@@ -433,6 +426,12 @@ class BcService {
   void worker_loop();
   void refresher_loop();
   core::BCResult run_compute(const graph::CSRGraph& g, const core::Options& o);
+  /// The stratified-sample geometry of cfg_.approx, clamped to valid values.
+  core::StratumPlan stratum_plan() const;
+  /// The service's stratum executor: run_compute under `cancel`, with fault
+  /// accounting; throws std::runtime_error on an incomplete stratum. `g`
+  /// must outlive the returned function.
+  StratumFn stratum_runner(const graph::CSRGraph& g, util::CancelToken cancel);
   /// Retry-with-backoff + degradation ladder around run_compute. Sets
   /// `degraded` when a substitute (or partial) result is returned. Throws
   /// util::Cancelled, std::invalid_argument, or the final rung's error.

@@ -107,10 +107,12 @@ class ChaosFleet {
       if (wc.service.workers == 0) wc.service.workers = 2;
       workers.push_back(std::make_unique<net::Worker>(std::move(wc)));
     }
-    for (auto& w : workers) {
-      threads.emplace_back([worker = w.get()] { worker->run(); });
+    // One worker at a time: the coordinator numbers slots in accept order,
+    // so worker i reliably owns slot i + 1 (tests address workers by slot).
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      threads.emplace_back([worker = workers[i].get()] { worker->run(); });
+      coordinator->wait_for_workers(i + 1, std::chrono::seconds(20));
     }
-    coordinator->wait_for_workers(n_workers, std::chrono::seconds(20));
   }
 
   /// Abrupt coordinator death (no drain) followed by a warm restart on

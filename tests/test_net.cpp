@@ -378,7 +378,7 @@ TEST(NetDistributed, DeadlineExceededWithShardsOutstanding) {
   service::Request req;
   req.graph_id = "g0";
   req.options.strategy = core::Strategy::WorkEfficient;
-  req.timeout = std::chrono::milliseconds(5);
+  req.budget.deadline = std::chrono::milliseconds(5);
   const service::Response resp = fleet.coordinator->query(req);
   EXPECT_EQ(resp.status, service::QueryStatus::DeadlineExceeded);
 }

@@ -1,7 +1,7 @@
 // Accuracy-contract serving (docs/serving.md § Accuracy contracts):
-// budget activation and the deprecated-shim guarantee, the refinable
-// upgrade path's bitwise identity with from-scratch runs, cached-estimate
-// reuse, monotone reported error, mutation invalidation (including the
+// budget activation, the refinable upgrade path's bitwise identity with
+// from-scratch runs (foreground and background), cached-estimate reuse,
+// monotone reported error, mutation invalidation (including the
 // never-resurrect rule for background refinement), and the degraded-
 // never-cached rule on the progressive path.
 
@@ -57,8 +57,7 @@ TEST(QueryBudgetTest, DefaultIsInactiveAndTargetsActivate) {
   b = QueryBudget{};
   b.max_roots = 256;
   EXPECT_TRUE(b.active());
-  // A pure deadline does not switch paths: it maps onto the deprecated
-  // Request::timeout shim and the query stays exact.
+  // A pure deadline does not switch paths: the query stays exact.
   b = QueryBudget{};
   b.deadline = std::chrono::milliseconds(50);
   EXPECT_FALSE(b.active());
@@ -169,6 +168,33 @@ TEST(ProgressiveService, UpgradeIsBitwiseIdenticalToFreshRunAcrossThreads) {
           << "thread count changed the bits at workers=" << workers;
     }
   }
+}
+
+TEST(ProgressiveService, BackgroundRefinementIsBitwiseIdenticalToFreshRun) {
+  const graph::CSRGraph g = test_graph();
+  BcService svc({.workers = 2});
+  svc.load_graph("g", g);
+  // Answered at rung 0; the other four strata of the contract refine in
+  // the background.
+  const Response first = svc.query(budgeted_request(768, /*refine=*/true));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first.estimate.has_value());
+  EXPECT_EQ(first.estimate->roots_used, 256u);
+  svc.drain_refinement();
+
+  const Response refined = svc.query(budgeted_request(768, /*refine=*/true));
+  ASSERT_TRUE(refined.ok());
+  EXPECT_TRUE(refined.from_cache);
+  EXPECT_EQ(refined.estimate->roots_used, 768u);
+
+  BcService b({.workers = 2});
+  b.load_graph("g", g);
+  const Response fresh = b.query(budgeted_request(768));
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(refined.result->scores.size(), fresh.result->scores.size());
+  EXPECT_EQ(std::memcmp(refined.result->scores.data(), fresh.result->scores.data(),
+                        fresh.result->scores.size() * sizeof(double)),
+            0);
 }
 
 TEST(ProgressiveService, CachedEstimateIsServedWithoutRecompute) {

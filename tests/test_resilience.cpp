@@ -452,7 +452,7 @@ TEST(ServiceResilienceTest, DeadlineCancelsMidCompute) {
   core::Options opts;
   opts.strategy = core::Strategy::CpuSerial;  // checks cancel once per root
   service::Request req{.graph_id = "slow", .options = opts};
-  req.timeout = std::chrono::milliseconds(50);
+  req.budget.deadline = std::chrono::milliseconds(50);
 
   util::Timer timer;
   const service::Response r = svc.query(req);

@@ -356,7 +356,7 @@ TEST(BcServiceTest, DeadlineExpiresWhileQueued) {
   Request hurried{.graph_id = "g", .options = exact_cpu_options()};
   hurried.options.seed = 99;
   hurried.options.sample_roots = 16;
-  hurried.timeout = std::chrono::milliseconds(30);
+  hurried.budget.deadline = std::chrono::milliseconds(30);
   Ticket doomed = svc.submit(hurried);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "cpu/weighted_brandes.hpp"
 #include "graph/builder.hpp"
@@ -45,8 +47,11 @@ void expect_matches_oracle(const CSRGraph& g, const cpu::WeightArray& w,
   }
 }
 
+// The family is a std::string, not a const char*: gtest prints a pointer
+// inside a tuple with its address, which would put a per-run address into
+// the discovered ctest name.
 class WeightedKernelOracle
-    : public testing::TestWithParam<std::tuple<const char*, WeightedStrategy>> {};
+    : public testing::TestWithParam<std::tuple<std::string, WeightedStrategy>> {};
 
 TEST_P(WeightedKernelOracle, MatchesDijkstraBrandes) {
   const auto& [family, strategy] = GetParam();
@@ -57,12 +62,13 @@ TEST_P(WeightedKernelOracle, MatchesDijkstraBrandes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Families, WeightedKernelOracle,
-    testing::Combine(testing::Values("road", "smallworld", "kron", "delaunay",
-                                     "scalefree"),
+    testing::Combine(testing::Values(std::string("road"), std::string("smallworld"),
+                                     std::string("kron"), std::string("delaunay"),
+                                     std::string("scalefree")),
                      testing::Values(WeightedStrategy::BellmanFordEdgeParallel,
                                      WeightedStrategy::NearFarWorkEfficient)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              (std::get<1>(info.param) == WeightedStrategy::BellmanFordEdgeParallel
                   ? "bellman_ford"
                   : "near_far");

@@ -261,10 +261,7 @@ int main(int argc, char** argv) {
                 core::to_string(result.strategy),
                 static_cast<unsigned long long>(result.roots_processed),
                 result.time_seconds,
-                options.strategy == core::Strategy::CpuSerial ||
-                        options.strategy == core::Strategy::CpuParallel
-                    ? "wall clock"
-                    : "simulated GPU",
+                core::uses_gpu_model(options.strategy) ? "simulated GPU" : "wall clock",
                 core::as_mteps(result.teps),
                 result.approximate ? " [approximate]" : "");
 

@@ -160,10 +160,10 @@ struct ServeArgs {
   std::size_t distinct = 8;
   core::Strategy strategy = core::Strategy::Sampling;
   std::uint32_t sample_roots = 32;
-  service::QueryBudget budget;  // active() => accuracy-contract workload
+  /// active() => accuracy-contract workload; deadline is --timeout.
+  service::QueryBudget budget;
   std::size_t cpu_threads = 0;
   std::size_t top_k = 10;
-  std::chrono::milliseconds timeout{0};
   std::uint64_t seed = 7;
   std::string workload_file;
   std::string mutate_file;
@@ -207,7 +207,6 @@ std::vector<service::Request> synthetic_workload(const ServeArgs& args,
     r.options.resilience.fault_plan = args.fault_plan;
     r.options.resilience.max_root_attempts = args.max_root_attempts;
     r.top_k = args.top_k;
-    r.timeout = args.timeout;
     warm.push_back(std::move(r));
   }
 
@@ -256,7 +255,6 @@ std::vector<service::Request> file_workload(const ServeArgs& args) {
     r.options.resilience.fault_plan = args.fault_plan;
     r.options.resilience.max_root_attempts = args.max_root_attempts;
     r.top_k = args.top_k;
-    r.timeout = args.timeout;
     out.push_back(std::move(r));
   }
   return out;
@@ -658,7 +656,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--top") {
         args.top_k = cli::parse_size(arg, cursor.value(arg));
       } else if (arg == "--timeout") {
-        args.timeout =
+        args.budget.deadline =
             std::chrono::milliseconds(cli::parse_u64(arg, cursor.value(arg)));
       } else if (arg == "--seed") {
         args.seed = cli::parse_u64(arg, cursor.value(arg));
