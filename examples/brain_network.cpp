@@ -83,10 +83,14 @@ int main() {
               hubs_found, modules);
 
   // Approximation cross-checks (the estimators the paper cites).
-  const auto uniform = cpu::approximate_bc(c.graph, {.num_pivots = 64, .seed = 5});
+  core::Options uniform_options;
+  uniform_options.strategy = core::Strategy::CpuSerial;
+  uniform_options.sample_roots = 64;
+  uniform_options.seed = 5;
+  const auto uniform = core::compute(c.graph, uniform_options);
   const VertexId top_hub = top[0].first;
   std::printf("Brandes-Pich (64 pivots): top hub estimate %.0f vs exact %.0f\n",
-              uniform.bc[top_hub], exact.scores[top_hub]);
+              uniform.scores[top_hub], exact.scores[top_hub]);
   const auto adaptive = cpu::adaptive_bc(c.graph, top_hub, {.c = 5.0, .seed = 5});
   std::printf("Bader adaptive: %.0f after %u pivots (threshold %s)\n",
               adaptive.bc_estimate, adaptive.pivots_used,

@@ -17,47 +17,6 @@ namespace hbc::core {
 
 using graph::VertexId;
 
-const char* to_string(Strategy strategy) noexcept {
-  switch (strategy) {
-    case Strategy::CpuSerial: return "cpu-serial";
-    case Strategy::CpuParallel: return "cpu-parallel";
-    case Strategy::CpuFineGrained: return "cpu-fine-grained";
-    case Strategy::VertexParallel: return "vertex-parallel";
-    case Strategy::EdgeParallel: return "edge-parallel";
-    case Strategy::GpuFan: return "gpu-fan";
-    case Strategy::WorkEfficient: return "work-efficient";
-    case Strategy::Hybrid: return "hybrid";
-    case Strategy::Sampling: return "sampling";
-    case Strategy::DirectionOptimized: return "direction-optimized";
-  }
-  return "?";
-}
-
-Strategy strategy_from_string(const std::string& name) {
-  if (name == "cpu" || name == "cpu-serial") return Strategy::CpuSerial;
-  if (name == "cpu-parallel") return Strategy::CpuParallel;
-  if (name == "cpu-fine-grained" || name == "cpu-fine") return Strategy::CpuFineGrained;
-  if (name == "vertex" || name == "vertex-parallel") return Strategy::VertexParallel;
-  if (name == "edge" || name == "edge-parallel") return Strategy::EdgeParallel;
-  if (name == "gpufan" || name == "gpu-fan") return Strategy::GpuFan;
-  if (name == "we" || name == "work-efficient") return Strategy::WorkEfficient;
-  if (name == "hybrid") return Strategy::Hybrid;
-  if (name == "sampling") return Strategy::Sampling;
-  if (name == "diropt" || name == "direction-optimized") return Strategy::DirectionOptimized;
-  throw std::invalid_argument("unknown strategy name: " + name);
-}
-
-bool uses_gpu_model(Strategy strategy) noexcept {
-  switch (strategy) {
-    case Strategy::CpuSerial:
-    case Strategy::CpuParallel:
-    case Strategy::CpuFineGrained:
-      return false;
-    default:
-      return true;
-  }
-}
-
 std::vector<VertexId> sample_roots(VertexId n, std::uint32_t k, std::uint64_t seed) {
   // Partial Fisher–Yates over a dense id vector.
   std::vector<VertexId> ids(n);
@@ -115,19 +74,6 @@ std::string options_signature(const Options& o) {
 namespace {
 
 std::atomic<std::uint64_t> g_compute_invocations{0};
-
-kernels::Strategy to_kernel_strategy(Strategy s) {
-  switch (s) {
-    case Strategy::VertexParallel: return kernels::Strategy::VertexParallel;
-    case Strategy::EdgeParallel: return kernels::Strategy::EdgeParallel;
-    case Strategy::GpuFan: return kernels::Strategy::GpuFan;
-    case Strategy::WorkEfficient: return kernels::Strategy::WorkEfficient;
-    case Strategy::Hybrid: return kernels::Strategy::Hybrid;
-    case Strategy::Sampling: return kernels::Strategy::Sampling;
-    case Strategy::DirectionOptimized: return kernels::Strategy::DirectionOptimized;
-    default: throw std::invalid_argument("not a kernel strategy");
-  }
-}
 
 }  // namespace
 
@@ -242,8 +188,7 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
       rc.max_root_attempts = options.resilience.max_root_attempts;
       rc.fault_retry_epoch = options.resilience.fault_retry_epoch;
       rc.tracer = tracer;
-      kernels::RunResult r =
-          kernels::run_strategy(to_kernel_strategy(options.strategy), g, rc);
+      kernels::RunResult r = kernels::run_strategy(options.strategy, g, rc);
       result.scores = std::move(r.bc);
       result.roots_processed = r.metrics.counters.roots_processed;
       result.time_seconds = r.metrics.sim_seconds;

@@ -28,34 +28,12 @@
 
 namespace hbc::core {
 
-enum class Strategy {
-  CpuSerial,       // Brandes oracle (single thread)
-  CpuParallel,     // coarse-grained threaded Brandes (one source/thread)
-  CpuFineGrained,  // fine-grained threaded Brandes (threads share a source)
-  VertexParallel,  // Jia et al. baseline (GPU model)
-  EdgeParallel,    // Jia et al. baseline (GPU model)
-  GpuFan,          // Shi & Zhang baseline (GPU model)
-  WorkEfficient,   // paper Algorithms 1–3 (GPU model)
-  Hybrid,          // paper Algorithm 4
-  Sampling,        // paper Algorithm 5 (the paper's best overall)
-  DirectionOptimized,  // extension: Beamer-style top-down/bottom-up BC
-};
-
-const char* to_string(Strategy strategy) noexcept;
-
-/// Parse a strategy name; round-trips with to_string for every Strategy.
-/// Accepted spellings (canonical first): "cpu-serial"/"cpu",
-/// "cpu-parallel", "cpu-fine-grained"/"cpu-fine", "vertex-parallel"/
-/// "vertex", "edge-parallel"/"edge", "gpu-fan"/"gpufan",
-/// "work-efficient"/"we", "hybrid", "sampling",
-/// "direction-optimized"/"diropt". Throws std::invalid_argument on
-/// anything else.
-Strategy strategy_from_string(const std::string& name);
-
-/// True for the strategies that run on the simulated GPU (everything but
-/// the three CPU engines). GPU-model strategies are bitwise-deterministic
-/// in `Options::cpu_threads`; the CPU engines are not.
-bool uses_gpu_model(Strategy strategy) noexcept;
+/// The engine a compute() call runs; one enum shared with kernels (see
+/// kernels/kernels.hpp for the members, names and parsing).
+using Strategy = kernels::Strategy;
+using kernels::strategy_from_string;
+using kernels::to_string;
+using kernels::uses_gpu_model;
 
 struct Options {
   Strategy strategy = Strategy::Sampling;

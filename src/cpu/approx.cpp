@@ -3,39 +3,12 @@
 #include <algorithm>
 
 #include "cpu/brandes.hpp"
-#include "graph/types.hpp"
 #include "util/rng.hpp"
 
 namespace hbc::cpu {
 
 using graph::CSRGraph;
-using graph::kInfDistance;
 using graph::VertexId;
-
-UniformApproxResult approximate_bc(const CSRGraph& g, const UniformApproxOptions& options) {
-  const VertexId n = g.num_vertices();
-  UniformApproxResult result;
-  result.bc.assign(n, 0.0);
-  if (n == 0) return result;
-
-  const std::uint32_t pivots = std::min<std::uint32_t>(options.num_pivots, n);
-  util::Xoshiro256 rng(options.seed);
-
-  // Pivots drawn uniformly *with* replacement, as in Brandes–Pich: the
-  // estimator stays unbiased and the draw is O(1) per pivot.
-  for (std::uint32_t k = 0; k < pivots; ++k) {
-    const VertexId s = static_cast<VertexId>(rng.next_below(n));
-    const auto delta = single_source_dependencies(g, s);
-    for (VertexId v = 0; v < n; ++v) {
-      if (v != s) result.bc[v] += delta[v];
-    }
-    ++result.pivots_used;
-  }
-
-  const double scale = static_cast<double>(n) / static_cast<double>(pivots);
-  for (double& x : result.bc) x *= scale;
-  return result;
-}
 
 AdaptiveApproxResult adaptive_bc(const CSRGraph& g, VertexId target,
                                  const AdaptiveApproxOptions& options) {

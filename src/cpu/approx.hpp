@@ -1,41 +1,22 @@
 #pragma once
 
-// Approximate betweenness centrality — the two estimator families the
-// paper cites when it notes its techniques "can be trivially adjusted for
-// approximation" (§V.A):
+// Adaptive approximate betweenness centrality (Bader, Kintali, Madduri,
+// Mihail 2007 [3]) — one of the two estimator families the paper cites
+// when it notes its techniques "can be trivially adjusted for
+// approximation" (§V.A). Keep sampling pivots until the running score of
+// the vertex of interest exceeds c*n, giving a (proven) good relative
+// estimate for high-centrality vertices with far fewer samples. It drives
+// the serial Brandes stage.
 //
-//   * uniform root sampling (Brandes & Pich 2007 [9]): k uniformly random
-//     pivots, scores scaled by n/k — an unbiased estimator of exact BC;
-//   * adaptive sampling (Bader, Kintali, Madduri, Mihail 2007 [3]): keep
-//     sampling pivots until the running score of the vertex of interest
-//     exceeds c*n, giving a (proven) good relative estimate for
-//     high-centrality vertices with far fewer samples.
-//
-// Both run on top of any single-source engine; here they drive the serial
-// Brandes stage so they can serve as oracles for the GPU-model sampling
-// options exposed through core::Options.
+// The other family, uniform root sampling (Brandes & Pich 2007 [9]), is
+// core::compute with Options::sample_roots: k uniformly drawn roots,
+// scores scaled by n/k.
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/csr.hpp"
 
 namespace hbc::cpu {
-
-struct UniformApproxOptions {
-  std::uint32_t num_pivots = 64;
-  std::uint64_t seed = 42;
-};
-
-struct UniformApproxResult {
-  /// Estimated BC per vertex (scaled by n / pivots).
-  std::vector<double> bc;
-  std::uint32_t pivots_used = 0;
-};
-
-/// Brandes–Pich uniform pivot estimator.
-UniformApproxResult approximate_bc(const graph::CSRGraph& g,
-                                   const UniformApproxOptions& options = {});
 
 struct AdaptiveApproxOptions {
   /// Stop once the accumulated dependency of the target exceeds c * n.

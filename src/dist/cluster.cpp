@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "dist/comm.hpp"
-
 namespace hbc::dist {
 
 using graph::VertexId;
@@ -90,7 +88,8 @@ ClusterResult run_cluster_bc(const graph::CSRGraph& g, const ClusterConfig& conf
   const std::uint64_t bc_bytes = static_cast<std::uint64_t>(n) * sizeof(double);
   std::vector<double> node_seconds(config.nodes, 0.0);
 
-  auto node_body = [&](std::uint32_t node, std::vector<double>& node_bc) {
+  for (std::uint32_t node = 0; node < config.nodes; ++node) {
+    std::vector<double> node_bc(n, 0.0);
     double node_compute = 0.0;
     for (std::uint32_t local = 0; local < config.gpus_per_node; ++local) {
       const std::uint32_t gpu = node * config.gpus_per_node + local;
@@ -98,42 +97,14 @@ ClusterResult run_cluster_bc(const graph::CSRGraph& g, const ClusterConfig& conf
       for (VertexId v = 0; v < n; ++v) node_bc[v] += out.bc[v];
       result.per_gpu_seconds[gpu] = out.seconds;
       node_compute = std::max(node_compute, out.seconds);
-      {
-        // Counters and roots are aggregated; guarded by the caller when
-        // threaded (see below).
-        result.counters += out.counters;
-        result.roots_processed += out.roots;
-      }
+      result.counters += out.counters;
+      result.roots_processed += out.roots;
     }
     node_seconds[node] =
         node_compute +
         config.interconnect.node_accumulate_seconds(bc_bytes, config.gpus_per_node);
-  };
-
-  if (config.use_threads && config.nodes > 1) {
-    // SPMD over node ranks through the message-passing substrate; the
-    // final combine is a genuine reduce.
-    World world(static_cast<int>(config.nodes));
-    std::mutex agg_mutex;
-    std::vector<double> reduced(n, 0.0);
-    // Counter aggregation inside node_body is not thread-safe; serialize
-    // the whole node body per rank (compute results are deterministic
-    // regardless, and the modelled time uses per-node maxima).
-    world.run([&](Communicator& comm) {
-      std::vector<double> node_bc(n, 0.0);
-      {
-        std::lock_guard<std::mutex> lock(agg_mutex);
-        node_body(static_cast<std::uint32_t>(comm.rank()), node_bc);
-      }
-      comm.reduce_sum(node_bc, reduced, /*root=*/0);
-    });
-    result.bc = std::move(reduced);
-  } else {
-    for (std::uint32_t node = 0; node < config.nodes; ++node) {
-      std::vector<double> node_bc(n, 0.0);
-      node_body(node, node_bc);
-      for (VertexId v = 0; v < n; ++v) result.bc[v] += node_bc[v];
-    }
+    // Node-level partials combine in node order (the MPI_Reduce).
+    for (VertexId v = 0; v < n; ++v) result.bc[v] += node_bc[v];
   }
 
   result.compute_seconds =

@@ -48,9 +48,6 @@ struct ClusterConfig {
   kernels::Strategy strategy = kernels::Strategy::Sampling;
   kernels::HybridParams hybrid;
   kernels::SamplingParams sampling;
-  /// Run node ranks on real threads through dist::World (exercises the
-  /// message-passing substrate). Off: deterministic sequential loop.
-  bool use_threads = false;
 };
 
 struct ClusterResult {

@@ -2,10 +2,10 @@
 
 // dyn::IncrementalBC — batched incremental betweenness centrality.
 //
-// Generalizes cpu::DynamicBC from one edge at a time to a whole
-// UpdateBatch per epoch transition. The affected-source decomposition is
-// the same family (paper reference [27], McLaughlin & Bader IPDPSW'14 —
-// the dynamic-analytics workload class), extended to batches:
+// Maintains exact BC across whole UpdateBatches (a one-edge batch is the
+// classic single-update case) with the affected-source decomposition
+// (paper reference [27], McLaughlin & Bader IPDPSW'14 — the
+// dynamic-analytics workload class), extended to batches:
 //
 //   A source s is provably unaffected by the transition before -> after
 //   when EVERY applied edge {u,v} is a same-level edge w.r.t. s in BOTH
@@ -35,6 +35,12 @@
 // literature frames for approximate variants (arXiv:1409.7764), applied
 // here as a work cliff guard. Worst-case batches (a bridge insert) thus
 // degrade to ~1x full recompute, never ~2x.
+//
+// Undirected graphs ONLY. The level test reads d(s,u) for every s off a
+// single BFS *from* u, which is d(u,s) — equal to d(s,u) only under
+// undirected symmetry. On a directed graph the pruning would silently
+// skip genuinely affected sources, so directed graphs are rejected with
+// std::invalid_argument instead of producing wrong answers.
 //
 // docs/dynamic.md walks through the model; tests/test_dyn.cpp pins
 // batch-vs-sequential score equality and the determinism sweep.
@@ -110,8 +116,7 @@ BatchStats refresh_scores(const graph::CSRGraph& before, const graph::CSRGraph& 
                           const IncrementalConfig& config);
 
 /// Stateful engine: a VersionedGraph plus exact BC scores maintained
-/// across batched epoch transitions. The batched analogue of
-/// cpu::DynamicBC (which remains the one-edge reference implementation).
+/// across batched epoch transitions.
 class IncrementalBC {
  public:
   /// Builds epoch-0 scores with a full (striped, deterministic) Brandes
@@ -135,8 +140,7 @@ class IncrementalBC {
   const graph::CSRGraph& graph() const { return *snapshot_; }
   const std::vector<double>& scores() const noexcept { return bc_; }
 
-  /// Accumulated counters across all batches (cpu::DynamicBC's
-  /// UpdateStats, batch-aware).
+  /// Accumulated counters across all batches.
   struct Totals {
     std::uint64_t batches = 0;
     std::uint64_t applied_updates = 0;

@@ -19,7 +19,7 @@
 // reason about exactly the edges that changed.
 //
 // Only undirected graphs are mutable: the incremental BC machinery
-// downstream (dyn::IncrementalBC, cpu::DynamicBC) relies on the
+// downstream (dyn::IncrementalBC) relies on the
 // d(s,u) == d(u,s) symmetry, so the constructor rejects directed graphs
 // up front rather than letting a later refresh silently corrupt scores.
 //

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -49,6 +50,15 @@ bool parse_uints(const std::string& line, std::vector<std::uint64_t>& out) {
   return true;
 }
 
+/// A header's vertex count must fit VertexId; the builder would otherwise
+/// get a truncated count while entries are range-checked against the full
+/// one.
+void check_vertex_count(std::size_t line, std::uint64_t n) {
+  if (n > std::numeric_limits<VertexId>::max()) {
+    fail(line, "vertex count " + std::to_string(n) + " exceeds the 32-bit vertex id range");
+  }
+}
+
 std::ifstream open_or_throw(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw ParseError("cannot open file: " + path);
@@ -83,6 +93,7 @@ CSRGraph read_metis(std::istream& in) {
     n = nums[0];
     m = nums[1];
     if (nums.size() >= 3) fmt = nums[2];
+    check_vertex_count(lineno, n);
     break;
   }
   if (fmt != 0 && fmt != 100) {
@@ -141,6 +152,7 @@ CSRGraph read_matrix_market(std::istream& in) {
     if (is_comment_or_blank(line, '%')) continue;
     std::istringstream dims(line);
     if (!(dims >> rows >> cols >> nnz)) fail(lineno, "bad size line");
+    check_vertex_count(lineno, std::max(rows, cols));
     break;
   }
   const std::uint64_t n = std::max(rows, cols);

@@ -25,7 +25,7 @@
 //   hbc::dyn      epoch-versioned mutable graphs + batched incremental BC
 //   hbc::trace    Tracer/Sink span capture + Chrome JSON export
 //   hbc::cpu      Brandes baselines, weighted/approx/edge variants
-//   hbc::dist     multi-device scaling model
+//   hbc::dist     multi-device scaling model (link the hbc::dist target)
 //   hbc::util     cancellation, RNG, timers, stats
 
 // Graph construction, generation, and I/O — including the storage-policy
@@ -59,7 +59,6 @@
 // CPU reference and specialty engines.
 #include "cpu/approx.hpp"
 #include "cpu/brandes.hpp"
-#include "cpu/dynamic_bc.hpp"
 #include "cpu/edge_bc.hpp"
 #include "cpu/fine_grained.hpp"
 #include "cpu/parallel_brandes.hpp"

@@ -1,10 +1,12 @@
-// Approximation estimators (Brandes–Pich uniform pivots, Bader et al.
-// adaptive sampling): unbiasedness, convergence, and threshold behaviour.
+// Approximation estimators (Brandes–Pich uniform pivots through
+// core::compute's sample_roots, Bader et al. adaptive sampling):
+// unbiasedness, convergence, and threshold behaviour.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/bc.hpp"
 #include "cpu/approx.hpp"
 #include "cpu/brandes.hpp"
 #include "graph/builder.hpp"
@@ -16,6 +18,16 @@ using namespace hbc;
 using graph::CSRGraph;
 using graph::VertexId;
 
+/// Brandes–Pich uniform pivots: core::compute over `pivots` sampled roots
+/// on the serial Brandes engine, scores scaled by n / pivots.
+core::BCResult uniform_pivots(const CSRGraph& g, std::uint32_t pivots, std::uint64_t seed) {
+  core::Options options;
+  options.strategy = core::Strategy::CpuSerial;
+  options.sample_roots = pivots;
+  options.seed = seed;
+  return core::compute(g, options);
+}
+
 TEST(UniformApprox, AllPivotsEqualsExactInExpectation) {
   // Averaging over many seeds approaches exact BC (law of large numbers).
   const CSRGraph g = graph::gen::small_world({.num_vertices = 200, .k = 3, .seed = 4});
@@ -24,9 +36,9 @@ TEST(UniformApprox, AllPivotsEqualsExactInExpectation) {
   std::vector<double> avg(g.num_vertices(), 0.0);
   const int trials = 16;
   for (int t = 0; t < trials; ++t) {
-    const auto est = cpu::approximate_bc(g, {.num_pivots = 50, .seed = 100u + t});
-    EXPECT_EQ(est.pivots_used, 50u);
-    for (std::size_t v = 0; v < avg.size(); ++v) avg[v] += est.bc[v] / trials;
+    const auto est = uniform_pivots(g, 50, 100u + t);
+    EXPECT_EQ(est.roots_processed, 50u);
+    for (std::size_t v = 0; v < avg.size(); ++v) avg[v] += est.scores[v] / trials;
   }
   double total_exact = 0, total_err = 0;
   for (std::size_t v = 0; v < avg.size(); ++v) {
@@ -42,9 +54,9 @@ TEST(UniformApprox, MorePivotsReduceError) {
   auto total_error = [&](std::uint32_t pivots) {
     double err = 0, avg_trials = 6;
     for (int t = 0; t < 6; ++t) {
-      const auto est = cpu::approximate_bc(g, {.num_pivots = pivots, .seed = 7u + t});
+      const auto est = uniform_pivots(g, pivots, 7u + t);
       double e = 0;
-      for (std::size_t v = 0; v < exact.size(); ++v) e += std::abs(est.bc[v] - exact[v]);
+      for (std::size_t v = 0; v < exact.size(); ++v) e += std::abs(est.scores[v] - exact[v]);
       err += e / avg_trials;
     }
     return err;
@@ -54,15 +66,14 @@ TEST(UniformApprox, MorePivotsReduceError) {
 
 TEST(UniformApprox, DeterministicInSeed) {
   const CSRGraph g = graph::gen::scale_free({.num_vertices = 100, .attach = 2, .seed = 2});
-  const auto a = cpu::approximate_bc(g, {.num_pivots = 10, .seed = 5});
-  const auto b = cpu::approximate_bc(g, {.num_pivots = 10, .seed = 5});
-  EXPECT_EQ(a.bc, b.bc);
+  const auto a = uniform_pivots(g, 10, 5);
+  const auto b = uniform_pivots(g, 10, 5);
+  EXPECT_EQ(a.scores, b.scores);
 }
 
 TEST(UniformApprox, EmptyGraph) {
-  const CSRGraph g;
-  const auto est = cpu::approximate_bc(CSRGraph({0}, {}, true), {.num_pivots = 5});
-  EXPECT_TRUE(est.bc.empty());
+  const auto est = uniform_pivots(CSRGraph({0}, {}, true), 5, 42);
+  EXPECT_TRUE(est.scores.empty());
 }
 
 TEST(UniformApprox, TopVertexIdentifiedWithFewPivots) {
@@ -77,10 +88,10 @@ TEST(UniformApprox, TopVertexIdentifiedWithFewPivots) {
     }
   }
   const CSRGraph g = graph::build_csr(61, edges);
-  const auto est = cpu::approximate_bc(g, {.num_pivots = 6, .seed = 3});
+  const auto est = uniform_pivots(g, 6, 3);
   VertexId best = 0;
   for (VertexId v = 1; v < g.num_vertices(); ++v) {
-    if (est.bc[v] > est.bc[best]) best = v;
+    if (est.scores[v] > est.scores[best]) best = v;
   }
   EXPECT_EQ(best, 0u);
 }

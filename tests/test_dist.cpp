@@ -1,134 +1,18 @@
-// Message-passing substrate (World/Communicator) and the multi-GPU
-// cluster driver: correctness of the reduction and the scaling shape the
-// paper reports in Figure 6 / Table IV.
+// The multi-GPU cluster driver: correctness of the reduction and the
+// scaling shape the paper reports in Figure 6 / Table IV.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 
 #include "cpu/brandes.hpp"
 #include "dist/cluster.hpp"
-#include "dist/comm.hpp"
 #include "graph/generators.hpp"
 
 namespace {
 
 using namespace hbc;
 using dist::ClusterConfig;
-using dist::Communicator;
-using dist::World;
-
-TEST(Comm, BarrierSynchronizesAllRanks) {
-  World world(4);
-  std::atomic<int> before{0}, after{0};
-  world.run([&](Communicator& comm) {
-    before.fetch_add(1);
-    comm.barrier();
-    // Every rank passed `before` increment before anyone proceeds.
-    EXPECT_EQ(before.load(), 4);
-    after.fetch_add(1);
-  });
-  EXPECT_EQ(after.load(), 4);
-}
-
-TEST(Comm, ReduceSumOnRoot) {
-  World world(3);
-  std::vector<double> result(2, 0.0);
-  world.run([&](Communicator& comm) {
-    const std::vector<double> mine{static_cast<double>(comm.rank() + 1), 10.0};
-    std::vector<double> out(2, 0.0);
-    comm.reduce_sum(mine, out, /*root=*/0);
-    if (comm.rank() == 0) result = out;
-  });
-  EXPECT_DOUBLE_EQ(result[0], 6.0);   // 1 + 2 + 3
-  EXPECT_DOUBLE_EQ(result[1], 30.0);  // 10 * 3
-}
-
-TEST(Comm, ReduceIsReusableAcrossCalls) {
-  World world(2);
-  std::vector<double> first(1), second(1);
-  world.run([&](Communicator& comm) {
-    std::vector<double> out(1);
-    comm.reduce_sum(std::vector<double>{1.0}, out, 0);
-    if (comm.rank() == 0) first = out;
-    comm.reduce_sum(std::vector<double>{2.0}, out, 0);
-    if (comm.rank() == 0) second = out;
-  });
-  EXPECT_DOUBLE_EQ(first[0], 2.0);
-  EXPECT_DOUBLE_EQ(second[0], 4.0);
-}
-
-TEST(Comm, AllreduceGivesEveryRankTheSum) {
-  World world(4);
-  std::atomic<int> correct{0};
-  world.run([&](Communicator& comm) {
-    const std::vector<double> mine{1.0};
-    std::vector<double> out(1);
-    comm.allreduce_sum(mine, out);
-    if (out[0] == 4.0) correct.fetch_add(1);
-  });
-  EXPECT_EQ(correct.load(), 4);
-}
-
-TEST(Comm, BroadcastFromRoot) {
-  World world(3);
-  std::atomic<int> correct{0};
-  world.run([&](Communicator& comm) {
-    std::vector<double> data(2, 0.0);
-    if (comm.rank() == 1) data = {7.0, 8.0};
-    comm.broadcast(data, /*root=*/1);
-    if (data[0] == 7.0 && data[1] == 8.0) correct.fetch_add(1);
-  });
-  EXPECT_EQ(correct.load(), 3);
-}
-
-TEST(Comm, GatherCollectsPerRankVectors) {
-  World world(3);
-  std::vector<std::vector<double>> gathered;
-  world.run([&](Communicator& comm) {
-    const std::vector<double> mine{static_cast<double>(comm.rank() * 10)};
-    std::vector<std::vector<double>> out;
-    comm.gather(mine, out, /*root=*/2);
-    if (comm.rank() == 2) gathered = out;
-  });
-  ASSERT_EQ(gathered.size(), 3u);
-  EXPECT_DOUBLE_EQ(gathered[0][0], 0.0);
-  EXPECT_DOUBLE_EQ(gathered[1][0], 10.0);
-  EXPECT_DOUBLE_EQ(gathered[2][0], 20.0);
-}
-
-TEST(Comm, PointToPointByTag) {
-  World world(2);
-  std::vector<double> got_a, got_b;
-  world.run([&](Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.send(1, /*tag=*/5, std::vector<double>{1.5});
-      comm.send(1, /*tag=*/9, std::vector<double>{2.5, 3.5});
-    } else {
-      // Receive out of order: tag matching must pick the right message.
-      got_b = comm.recv(0, 9);
-      got_a = comm.recv(0, 5);
-    }
-  });
-  ASSERT_EQ(got_a.size(), 1u);
-  EXPECT_DOUBLE_EQ(got_a[0], 1.5);
-  ASSERT_EQ(got_b.size(), 2u);
-  EXPECT_DOUBLE_EQ(got_b[1], 3.5);
-}
-
-TEST(Comm, RankExceptionPropagates) {
-  World world(2);
-  EXPECT_THROW(world.run([&](Communicator& comm) {
-    if (comm.rank() == 1) throw std::runtime_error("rank 1 failed");
-  }),
-               std::runtime_error);
-}
-
-TEST(World, RejectsNonPositiveSize) {
-  EXPECT_THROW(World(0), std::invalid_argument);
-  EXPECT_THROW(World(-3), std::invalid_argument);
-}
 
 TEST(Cluster, BCMatchesSerialOracle) {
   const auto g = graph::gen::small_world({.num_vertices = 512, .k = 4, .seed = 1});
@@ -146,24 +30,6 @@ TEST(Cluster, BCMatchesSerialOracle) {
   for (std::size_t i = 0; i < oracle.size(); ++i) {
     EXPECT_NEAR(r.bc[i], oracle[i], 1e-9 * std::max(1.0, oracle[i]));
   }
-}
-
-TEST(Cluster, ThreadedPathMatchesSequentialPath) {
-  const auto g = graph::gen::scale_free({.num_vertices = 300, .attach = 3, .seed = 2});
-  ClusterConfig config;
-  config.nodes = 3;
-  config.gpus_per_node = 2;
-  config.strategy = kernels::Strategy::Hybrid;
-
-  const auto seq = dist::run_cluster_bc(g, config);
-  config.use_threads = true;
-  const auto thr = dist::run_cluster_bc(g, config);
-
-  ASSERT_EQ(seq.bc.size(), thr.bc.size());
-  for (std::size_t i = 0; i < seq.bc.size(); ++i) {
-    EXPECT_NEAR(seq.bc[i], thr.bc[i], 1e-9 * std::max(1.0, seq.bc[i]));
-  }
-  EXPECT_NEAR(seq.sim_seconds, thr.sim_seconds, 1e-12);
 }
 
 TEST(Cluster, NearLinearScalingWithEnoughWork) {

@@ -3,7 +3,7 @@
 // Pins the subsystem's contracts: epoch snapshots stay immutable under
 // concurrent readers (this binary runs in the CI TSan job), a batch of
 // updates produces exactly the scores of applying the same updates one
-// edge at a time (cpu::DynamicBC is the reference), the churn threshold
+// edge at a time (one-edge batches are the reference), the churn threshold
 // degrades to a full recompute, the service invalidates or patches cached
 // results across mutations, and refreshed scores are bitwise-identical at
 // every thread count.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "cpu/brandes.hpp"
-#include "cpu/dynamic_bc.hpp"
 #include "dyn/incremental_bc.hpp"
 #include "dyn/versioned_graph.hpp"
 #include "graph/builder.hpp"
@@ -202,11 +201,10 @@ TEST(IncrementalBC, BatchMatchesSequentialSingleEdgeUpdates) {
   const dyn::UpdateBatch batch = mixed_batch(g, 5, 3, 11);
 
   // Reference: the same updates applied one edge at a time.
-  cpu::DynamicBC sequential(g);
+  dyn::IncrementalBC sequential(g, inc_cfg(2));
   for (const dyn::EdgeUpdate& e : batch.edges) {
-    const bool changed =
-        e.insert ? sequential.insert_edge(e.u, e.v) : sequential.remove_edge(e.u, e.v);
-    ASSERT_TRUE(changed);  // mixed_batch only emits effective updates
+    const dyn::BatchStats one = sequential.apply(dyn::UpdateBatch{{e}});
+    ASSERT_EQ(one.applied_updates, 1u);  // mixed_batch only emits effective updates
   }
 
   dyn::IncrementalBC engine(g, inc_cfg(2));
@@ -237,7 +235,7 @@ TEST(IncrementalBC, RepeatedBatchesTrackFromScratchRecompute) {
 }
 
 TEST(IncrementalBC, LevelTestPrunesUnaffectedSources) {
-  // Star + chord (the cpu::DynamicBC pruning scenario, batched): only the
+  // Star + chord (test_dynamic_bc's one-edge pruning scenario): only the
   // chord endpoints are affected; the hub and other leaves are skipped.
   const CSRGraph g = graph::build_csr(
       5, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {0, 4}});

@@ -1,11 +1,15 @@
-// Dynamic BC maintenance: every update sequence must leave scores equal
-// to a from-scratch Brandes run, while the affected-source pruning
-// actually skips work on same-level updates.
+// Dynamic BC maintenance, one edge at a time: dyn::IncrementalBC fed
+// one-edge batches must leave scores equal to a from-scratch Brandes run
+// after every update sequence, while the affected-source pruning actually
+// skips work on same-level updates.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "cpu/brandes.hpp"
-#include "cpu/dynamic_bc.hpp"
+#include "dyn/incremental_bc.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -17,11 +21,27 @@ using graph::CSRGraph;
 using graph::Edge;
 using graph::VertexId;
 
-void expect_matches_recompute(const cpu::DynamicBC& dynamic) {
-  const auto fresh = cpu::brandes(dynamic.graph()).bc;
-  ASSERT_EQ(dynamic.scores().size(), fresh.size());
+/// Threshold 1.0 never falls back to a full recompute, so the pruning
+/// counters show the level test itself even on tiny graphs.
+dyn::IncrementalConfig pruning_visible() {
+  dyn::IncrementalConfig cfg;
+  cfg.churn_threshold = 1.0;
+  return cfg;
+}
+
+dyn::BatchStats insert_edge(dyn::IncrementalBC& engine, VertexId u, VertexId v) {
+  return engine.apply(dyn::UpdateBatch{}.insert(u, v));
+}
+
+dyn::BatchStats remove_edge(dyn::IncrementalBC& engine, VertexId u, VertexId v) {
+  return engine.apply(dyn::UpdateBatch{}.remove(u, v));
+}
+
+void expect_matches_recompute(const dyn::IncrementalBC& engine) {
+  const auto fresh = cpu::brandes(engine.graph()).bc;
+  ASSERT_EQ(engine.scores().size(), fresh.size());
   for (std::size_t v = 0; v < fresh.size(); ++v) {
-    EXPECT_NEAR(dynamic.scores()[v], fresh[v], 1e-7 * std::max(1.0, fresh[v]))
+    EXPECT_NEAR(engine.scores()[v], fresh[v], 1e-7 * std::max(1.0, fresh[v]))
         << "vertex " << v;
   }
 }
@@ -29,33 +49,33 @@ void expect_matches_recompute(const cpu::DynamicBC& dynamic) {
 TEST(DynamicBC, InsertBridgeUpdatesScores) {
   // Two paths joined by a new bridge: the bridge endpoints' BC jumps.
   const CSRGraph g = graph::build_csr(6, std::vector<Edge>{{0, 1}, {1, 2}, {3, 4}, {4, 5}});
-  cpu::DynamicBC dyn(g);
-  EXPECT_TRUE(dyn.insert_edge(2, 3));
-  expect_matches_recompute(dyn);
-  EXPECT_GT(dyn.scores()[2], 0.0);
-  EXPECT_GT(dyn.scores()[3], 0.0);
-  EXPECT_EQ(dyn.graph().num_undirected_edges(), 5u);
+  dyn::IncrementalBC engine(g);
+  EXPECT_EQ(insert_edge(engine, 2, 3).applied_updates, 1u);
+  expect_matches_recompute(engine);
+  EXPECT_GT(engine.scores()[2], 0.0);
+  EXPECT_GT(engine.scores()[3], 0.0);
+  EXPECT_EQ(engine.graph().num_undirected_edges(), 5u);
 }
 
 TEST(DynamicBC, RemoveBridgeUpdatesScores) {
   const CSRGraph g = graph::build_csr(
       6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  cpu::DynamicBC dyn(g);
-  EXPECT_TRUE(dyn.remove_edge(2, 3));
-  expect_matches_recompute(dyn);
+  dyn::IncrementalBC engine(g);
+  EXPECT_EQ(remove_edge(engine, 2, 3).applied_updates, 1u);
+  expect_matches_recompute(engine);
   // Path split in two: the former bridge interiors lose most traffic.
-  EXPECT_LT(dyn.scores()[2], 3.0);
+  EXPECT_LT(engine.scores()[2], 3.0);
 }
 
 TEST(DynamicBC, DuplicateInsertAndMissingRemoveAreNoOps) {
   const CSRGraph g = graph::gen::figure1_graph();
-  cpu::DynamicBC dyn(g);
-  const auto before = dyn.scores();
-  EXPECT_FALSE(dyn.insert_edge(0, 1));  // already present
-  EXPECT_FALSE(dyn.remove_edge(0, 8));  // absent
-  EXPECT_FALSE(dyn.insert_edge(3, 3));  // self loop
-  EXPECT_EQ(dyn.scores(), before);
-  EXPECT_EQ(dyn.update_stats().updates, 0u);
+  dyn::IncrementalBC engine(g);
+  const auto before = engine.scores();
+  EXPECT_EQ(insert_edge(engine, 0, 1).noop_updates, 1u);  // already present
+  EXPECT_EQ(remove_edge(engine, 0, 8).noop_updates, 1u);  // absent
+  EXPECT_EQ(insert_edge(engine, 3, 3).noop_updates, 1u);  // self loop
+  EXPECT_EQ(engine.scores(), before);
+  EXPECT_EQ(engine.totals().applied_updates, 0u);
 }
 
 TEST(DynamicBC, RejectsDirectedGraphs) {
@@ -65,13 +85,13 @@ TEST(DynamicBC, RejectsDirectedGraphs) {
   const CSRGraph directed = graph::build_csr(
       4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}}, {.symmetrize = false});
   ASSERT_FALSE(directed.undirected());
-  EXPECT_THROW(cpu::DynamicBC{directed}, std::invalid_argument);
+  EXPECT_THROW(dyn::IncrementalBC{directed}, std::invalid_argument);
 }
 
 TEST(DynamicBC, OutOfRangeThrows) {
-  cpu::DynamicBC dyn(graph::gen::figure1_graph());
-  EXPECT_THROW(dyn.insert_edge(0, 99), std::out_of_range);
-  EXPECT_THROW(dyn.remove_edge(99, 0), std::out_of_range);
+  dyn::IncrementalBC engine(graph::gen::figure1_graph());
+  EXPECT_THROW(insert_edge(engine, 0, 99), std::out_of_range);
+  EXPECT_THROW(remove_edge(engine, 99, 0), std::out_of_range);
 }
 
 TEST(DynamicBC, SameLevelInsertSkipsNonEndpointSources) {
@@ -81,38 +101,40 @@ TEST(DynamicBC, SameLevelInsertSkipsNonEndpointSources) {
   // be recomputed.
   const CSRGraph g = graph::build_csr(
       5, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {0, 4}});
-  cpu::DynamicBC dyn(g);
-  EXPECT_TRUE(dyn.insert_edge(1, 2));
-  expect_matches_recompute(dyn);
-  EXPECT_EQ(dyn.update_stats().sources_recomputed, 2u);  // sources 1 and 2
-  EXPECT_EQ(dyn.update_stats().sources_skipped, 3u);     // 0, 3, 4
+  dyn::IncrementalBC engine(g, pruning_visible());
+  EXPECT_EQ(insert_edge(engine, 1, 2).applied_updates, 1u);
+  expect_matches_recompute(engine);
+  EXPECT_EQ(engine.totals().sources_recomputed, 2u);  // sources 1 and 2
+  EXPECT_EQ(engine.totals().sources_skipped, 3u);     // 0, 3, 4
 }
 
 TEST(DynamicBC, ConnectingComponentsRecomputesReachableSources) {
   const CSRGraph g = graph::build_csr(4, std::vector<Edge>{{0, 1}, {2, 3}});
-  cpu::DynamicBC dyn(g);
-  EXPECT_TRUE(dyn.insert_edge(1, 2));
-  expect_matches_recompute(dyn);
+  dyn::IncrementalBC engine(g, pruning_visible());
+  EXPECT_EQ(insert_edge(engine, 1, 2).applied_updates, 1u);
+  expect_matches_recompute(engine);
   // Every source sees the new connectivity.
-  EXPECT_EQ(dyn.update_stats().sources_recomputed, 4u);
+  EXPECT_EQ(engine.totals().sources_recomputed, 4u);
 }
 
 TEST(DynamicBC, RandomUpdateSequenceMatchesRecompute) {
   const CSRGraph g = graph::gen::small_world({.num_vertices = 60, .k = 2, .seed = 3});
-  cpu::DynamicBC dyn(g);
+  dyn::IncrementalBC engine(g);
   util::Xoshiro256 rng(17);
   int applied = 0;
   for (int step = 0; step < 20; ++step) {
     const auto u = static_cast<VertexId>(rng.next_below(60));
     const auto v = static_cast<VertexId>(rng.next_below(60));
     if (u == v) continue;
-    const auto nbrs = dyn.graph().neighbors(u);
+    const auto nbrs = engine.graph().neighbors(u);
     const bool present = std::binary_search(nbrs.begin(), nbrs.end(), v);
-    if (present ? dyn.remove_edge(u, v) : dyn.insert_edge(u, v)) ++applied;
+    const dyn::BatchStats stats =
+        present ? remove_edge(engine, u, v) : insert_edge(engine, u, v);
+    if (stats.applied_updates == 1) ++applied;
   }
   EXPECT_GT(applied, 5);
-  expect_matches_recompute(dyn);
-  EXPECT_EQ(dyn.update_stats().updates, static_cast<std::uint64_t>(applied));
+  expect_matches_recompute(engine);
+  EXPECT_EQ(engine.totals().applied_updates, static_cast<std::uint64_t>(applied));
 }
 
 TEST(DynamicBC, PruningSavesWorkOnLocalUpdates) {
@@ -120,12 +142,12 @@ TEST(DynamicBC, PruningSavesWorkOnLocalUpdates) {
   // sources, so the updater should skip a visible fraction.
   const CSRGraph g = graph::gen::small_world(
       {.num_vertices = 200, .k = 4, .rewire_p = 0.0, .seed = 1});
-  cpu::DynamicBC dyn(g);
+  dyn::IncrementalBC engine(g, pruning_visible());
   // Connect vertices 0 and 2 (already at distance 1? k=4 ring covers
   // offsets 1..4, so 0-2 exists; use offset 7 instead).
-  EXPECT_TRUE(dyn.insert_edge(0, 7));
-  expect_matches_recompute(dyn);
-  EXPECT_GT(dyn.update_stats().sources_skipped, 0u);
+  EXPECT_EQ(insert_edge(engine, 0, 7).applied_updates, 1u);
+  expect_matches_recompute(engine);
+  EXPECT_GT(engine.totals().sources_skipped, 0u);
 }
 
 }  // namespace

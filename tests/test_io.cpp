@@ -4,15 +4,30 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "cpu/brandes.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using namespace hbc::graph;
 namespace io = hbc::graph::io;
+
+/// The ParseError message `read` throws on `text` ("" if it parses).
+std::string parse_error(CSRGraph (*read)(std::istream&), const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read(in);
+  } catch (const io::ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(Metis, ReadsSimpleGraph) {
   std::istringstream in("3 2\n2 3\n1\n1\n");
@@ -43,6 +58,12 @@ TEST(Metis, RejectsOutOfRangeNeighbor) {
 TEST(Metis, RejectsTruncatedFile) {
   std::istringstream in("3 2\n2 3\n");
   EXPECT_THROW(io::read_metis(in), io::ParseError);
+}
+
+TEST(Metis, RejectsVertexCountAboveIdRange) {
+  // 2^32 + 1 vertices: rejected at the header, not truncated to 1.
+  const std::string what = parse_error(io::read_metis, "4294967297 1\n2\n1\n");
+  EXPECT_NE(what.find("line 1"), std::string::npos) << what;
 }
 
 TEST(Metis, RoundTripPreservesBC) {
@@ -91,6 +112,14 @@ TEST(MatrixMarket, RejectsNonCoordinate) {
 TEST(MatrixMarket, RejectsTruncatedEntries) {
   std::istringstream in("%%MatrixMarket matrix coordinate pattern general\n3 3 5\n1 2\n");
   EXPECT_THROW(io::read_matrix_market(in), io::ParseError);
+}
+
+TEST(MatrixMarket, RejectsVertexCountAboveIdRange) {
+  // 2^32 + 3 columns: rejected at the size line, not truncated to 3.
+  const std::string what = parse_error(
+      io::read_matrix_market,
+      "%%MatrixMarket matrix coordinate pattern general\n3 4294967299 1\n5 1\n");
+  EXPECT_NE(what.find("line 2"), std::string::npos) << what;
 }
 
 TEST(EdgeList, ReadsSnapStyle) {
@@ -193,6 +222,62 @@ TEST(ReadAuto, MissingFileThrows) {
   EXPECT_THROW(io::read_auto("/nonexistent/path.mtx"), io::ParseError);
   EXPECT_THROW(io::read_auto("/nonexistent/path.txt"), io::ParseError);
   EXPECT_THROW(io::read_auto("/nonexistent/path.hbc"), io::ParseError);
+}
+
+TEST(TextReaders, MutationFuzzYieldsParseErrorOrValidGraph) {
+  // Seeded mutations of a valid METIS, MatrixMarket and SNAP text: bit
+  // flips and truncations. Every outcome is a ParseError or a graph whose
+  // neighbour ids are all in range; nothing else may escape, and under
+  // ASan no read strays. A bit flip can turn a separator into a digit
+  // (' ' -> '0') but never a newline into one, so header counts stay
+  // small and no input asks for a huge allocation.
+  const CSRGraph g = gen::small_world({.num_vertices = 24, .k = 2, .seed = 5});
+  struct Format {
+    const char* name;
+    std::string text;
+    CSRGraph (*read)(std::istream&);
+  };
+  std::vector<Format> formats;
+  for (auto [name, write, read] :
+       {std::tuple{"metis", &io::write_metis, &io::read_metis},
+        std::tuple{"matrix-market", &io::write_matrix_market, &io::read_matrix_market},
+        std::tuple{"snap", &io::write_edge_list, &io::read_edge_list}}) {
+    std::ostringstream out;
+    write(g, out);
+    formats.push_back({name, out.str(), read});
+  }
+
+  hbc::util::Xoshiro256 rng(20261017);
+  for (const Format& format : formats) {
+    int parsed = 0, rejected = 0;
+    for (int iter = 0; iter < 3000; ++iter) {
+      std::string text = format.text;
+      const int mutations = 1 + static_cast<int>(rng.next() % 8);
+      for (int k = 0; k < mutations && !text.empty(); ++k) {
+        if (rng.next() % 4 == 0) {
+          text.resize(rng.next() % text.size());
+        } else {
+          text[rng.next() % text.size()] ^= static_cast<char>(1u << (rng.next() % 8));
+        }
+      }
+      std::istringstream in(text);
+      try {
+        const CSRGraph out = format.read(in);
+        ++parsed;
+        for (VertexId v = 0; v < out.num_vertices(); ++v) {
+          for (const VertexId w : out.neighbors(v)) {
+            ASSERT_LT(w, out.num_vertices()) << format.name << " input:\n" << text;
+          }
+        }
+      } catch (const io::ParseError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        FAIL() << format.name << " threw " << e.what() << " on input:\n" << text;
+      }
+    }
+    EXPECT_GT(parsed, 0) << format.name;
+    EXPECT_GT(rejected, 0) << format.name;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -136,6 +137,18 @@ TEST(Kernels, StrategyNamesRoundTrip) {
   EXPECT_STREQ(kernels::to_string(Strategy::EdgeParallel), "edge-parallel");
   EXPECT_STREQ(kernels::to_string(Strategy::GpuFan), "gpu-fan");
   EXPECT_STREQ(kernels::to_string(Strategy::Sampling), "sampling");
+}
+
+TEST(Kernels, RunStrategyRejectsCpuEngines) {
+  // The CPU engines share the Strategy enum but run inside core::compute,
+  // never on the simulated device.
+  const CSRGraph g = graph::gen::figure1_graph();
+  for (const Strategy strategy :
+       {Strategy::CpuSerial, Strategy::CpuParallel, Strategy::CpuFineGrained}) {
+    EXPECT_FALSE(kernels::uses_gpu_model(strategy));
+    EXPECT_THROW(kernels::run_strategy(strategy, g, small_device_config()),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Kernels, DeterministicAcrossRuns) {

@@ -11,8 +11,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "net/shard.hpp"
 #include "net/wire.hpp"
 #include "util/rng.hpp"
 
@@ -127,6 +130,44 @@ TEST(NetCodec, SubmitShardRoundTrip) {
   EXPECT_EQ(out.sampling_min_frontier, in.sampling_min_frontier);
   EXPECT_EQ(out.deadline_ms, in.deadline_ms);
   EXPECT_EQ(out.roots, in.roots);
+}
+
+TEST(NetCodec, StrategyWireValuesAreStable) {
+  // The strategy travels as a u8 in SubmitShard frames and coordinator
+  // snapshots, so every enum value is frozen: a reordered member would
+  // make old snapshots and mixed-version fleets run the wrong engine.
+  using hbc::core::Strategy;
+  const std::pair<Strategy, std::uint8_t> frozen[] = {
+      {Strategy::CpuSerial, 0},      {Strategy::CpuParallel, 1},
+      {Strategy::CpuFineGrained, 2}, {Strategy::VertexParallel, 3},
+      {Strategy::EdgeParallel, 4},   {Strategy::GpuFan, 5},
+      {Strategy::WorkEfficient, 6},  {Strategy::Hybrid, 7},
+      {Strategy::Sampling, 8},       {Strategy::DirectionOptimized, 9},
+  };
+  // Payload layout before the strategy byte: graph_id (u32 length +
+  // bytes), fingerprint u64, shard_index u32, mode u8.
+  const std::string graph_id = "g0";
+  const std::size_t at = wire::kHeaderSize + 4 + graph_id.size() + 8 + 4 + 1;
+  for (const auto& [strategy, value] : frozen) {
+    hbc::core::Options options;
+    options.strategy = strategy;
+    wire::SubmitShardMsg in = hbc::net::shard_from_options(options);
+    in.graph_id = graph_id;
+    const std::vector<std::uint8_t> bytes = wire::encode(in, 1);
+    ASSERT_GT(bytes.size(), at);
+    EXPECT_EQ(bytes[at], value) << hbc::core::to_string(strategy);
+    Frame f;
+    ASSERT_EQ(extract(bytes, f), DecodeStatus::Ok);
+    wire::SubmitShardMsg out;
+    ASSERT_EQ(wire::decode(f, out), DecodeStatus::Ok);
+    EXPECT_EQ(hbc::net::options_from_shard(out).strategy, strategy);
+  }
+  wire::SubmitShardMsg past_end = sample_shard();
+  past_end.strategy = 10;
+  Frame f;
+  ASSERT_EQ(extract(wire::encode(past_end, 1), f), DecodeStatus::Ok);
+  wire::SubmitShardMsg out;
+  EXPECT_EQ(wire::decode(f, out), DecodeStatus::BadValue);
 }
 
 TEST(NetCodec, SubmitShardBudgetRoundTripV2) {
