@@ -118,6 +118,31 @@ void Socket::close() noexcept {
   }
 }
 
+Wakeup::Wakeup() {
+  int fds[2];
+  if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) < 0) {
+    throw NetError(std::string("pipe2: ") + std::strerror(errno));
+  }
+  read_ = Socket(fds[0]);
+  write_ = Socket(fds[1]);
+}
+
+void Wakeup::notify() noexcept {
+  const char b = 1;
+  while (::write(write_.fd(), &b, 1) < 0 && errno == EINTR) {
+  }
+}
+
+void Wakeup::drain() noexcept {
+  char buf[256];
+  for (;;) {
+    const ssize_t n = ::read(read_.fd(), buf, sizeof(buf));
+    if (n > 0) continue;
+    if (n < 0 && errno == EINTR) continue;
+    return;  // empty (EAGAIN) or closed
+  }
+}
+
 Socket listen_on(const Endpoint& ep, int backlog) {
   const int family = ep.kind == Endpoint::Kind::Unix ? AF_UNIX : AF_INET;
   Socket s(::socket(family, SOCK_STREAM | SOCK_CLOEXEC, 0));

@@ -2,7 +2,8 @@
 
 // hbc::net transport — thin, dependency-free POSIX socket layer under the
 // wire codec: endpoint parsing (Unix-domain by default, TCP optional),
-// RAII fds, nonblocking accept/connect, a poll() wrapper, and Conn — a
+// RAII fds, nonblocking accept/connect, a poll() wrapper, a self-pipe
+// Wakeup that other threads use to interrupt a poll(), and Conn — a
 // buffered frame pump (per-connection read/write byte buffers with
 // streaming frame extraction) that both the coordinator's event loop and
 // the worker loop are built on.
@@ -73,6 +74,26 @@ class Socket {
 
  private:
   int fd_ = -1;
+};
+
+/// Self-pipe that lets any thread wake a poll() loop: the loop polls
+/// fd() for POLLIN and calls drain() when it fires. Both ends are
+/// nonblocking and close-on-exec. Throws NetError if the pipe can't be
+/// created.
+class Wakeup {
+ public:
+  Wakeup();
+
+  /// Write one byte (thread-safe). A full pipe already holds a pending
+  /// wake, so EAGAIN is ignored.
+  void notify() noexcept;
+  int fd() const noexcept { return read_.fd(); }
+  /// Consume every pending wake byte.
+  void drain() noexcept;
+
+ private:
+  Socket read_;
+  Socket write_;
 };
 
 /// Bind + listen on `ep` (a stale Unix socket file is unlinked first so

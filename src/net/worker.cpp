@@ -41,9 +41,17 @@ graph::CSRGraph default_loader(const std::string& spec) {
   return graph::gen::family_by_name(family).make(scale, seed);
 }
 
+// The worker's service config: `base` with a completion hook that wakes
+// the serving loop.
+service::ServiceConfig waking(service::ServiceConfig base, Wakeup& wake) {
+  base.on_complete = [&wake] { wake.notify(); };
+  return base;
+}
+
 }  // namespace
 
-Worker::Worker(WorkerConfig config) : cfg_(std::move(config)), svc_(cfg_.service) {
+Worker::Worker(WorkerConfig config)
+    : cfg_(std::move(config)), svc_(waking(cfg_.service, wake_)) {
   if (!cfg_.graph_loader) cfg_.graph_loader = default_loader;
 }
 
@@ -129,11 +137,12 @@ Worker::SessionEnd Worker::run_session() {
     short events = POLLIN;
     if (conn.wants_write()) events |= POLLOUT;
     fds.push_back(pollfd{conn.fd(), events, 0});
-    // Short timeout either way: pending tickets complete on service
-    // threads, not on this socket, so the loop must come back to look.
-    int wait_ms = pending_.empty() ? 50 : 10;
-    if (conn.chaos_pending()) wait_ms = std::min(wait_ms, 5);
-    poll_wait(fds, wait_ms);
+    // Pending tickets complete on service threads, whose on_complete hook
+    // writes to wake_, so a finished shard ends the wait. The timeout only
+    // paces heartbeats, and chaos-held frames that come due.
+    fds.push_back(pollfd{wake_.fd(), POLLIN, 0});
+    poll_wait(fds, conn.chaos_pending() ? 5 : 50);
+    if (fds[1].revents & POLLIN) wake_.drain();
 
     if (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) {
       const Conn::Io io = conn.pump_read();

@@ -11,6 +11,11 @@
 // results back as they complete. Shard execution is asynchronous: the
 // poll loop keeps reading new shards while earlier ones compute, so one
 // worker can overlap as many shards as its service has worker threads.
+// Completion wakes the loop: the service's on_complete hook writes to a
+// self-pipe (net::Wakeup) that the loop polls next to the socket, so a
+// finished shard is sent as soon as its service thread publishes it —
+// there is no timer on the result path. request_stop() uses the same
+// pipe, so a stopped worker leaves run() at once.
 //
 // Determinism contract: a Partial-mode shard the local service answered
 // *degraded* (strategy substituted by the resilience ladder) is refused —
@@ -49,7 +54,8 @@ struct WorkerConfig {
   /// Coordinator endpoint to connect to.
   Endpoint connect;
   std::string name = "worker";
-  /// Configuration for the wrapped BcService.
+  /// Configuration for the wrapped BcService. Its on_complete is replaced
+  /// by the worker's own wakeup hook.
   service::ServiceConfig service;
   /// Materialize a graph from the coordinator's spec (a path, or
   /// "gen:family:scale[:seed]"). Default handles both; tests override it
@@ -113,7 +119,10 @@ class Worker {
 
   /// Ask run() to return at its next loop iteration (thread-safe; the
   /// in-process tests run workers on std::thread).
-  void request_stop() noexcept { stop_.store(true, std::memory_order_relaxed); }
+  void request_stop() noexcept {
+    stop_.store(true, std::memory_order_relaxed);
+    wake_.notify();
+  }
 
   const WorkerStats& stats() const noexcept { return stats_; }
 
@@ -141,6 +150,9 @@ class Worker {
   void trace_instant(const char* name, std::uint64_t req, std::uint64_t shard) const;
 
   WorkerConfig cfg_;
+  // Declared before svc_: the service's threads call wake_.notify() until
+  // svc_ is destroyed (joined), so the pipe must outlive it.
+  Wakeup wake_;
   service::BcService svc_;
   WorkerStats stats_;
   std::vector<PendingShard> pending_;

@@ -1174,6 +1174,7 @@ void BcService::worker_loop() {
       if (it != inflight_.end() && it->second == entry) inflight_.erase(it);
     }
     entry->promise.set_value(std::move(resp));
+    if (cfg_.on_complete) cfg_.on_complete();
   }
 }
 
@@ -1222,6 +1223,7 @@ void BcService::stop() {
     Response r;
     r.status = QueryStatus::ServiceStopped;
     job->entry->promise.set_value(std::move(r));
+    if (cfg_.on_complete) cfg_.on_complete();
   }
 }
 

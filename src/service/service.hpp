@@ -138,6 +138,14 @@ struct ServiceConfig {
   /// Must be thread-safe; default (empty) calls core::compute. Receives
   /// the job's full Options including `cancel` and any `fault_plan`.
   std::function<core::BCResult(const graph::CSRGraph&, const core::Options&)> compute_fn;
+  /// Completion hook: called once per queued request's response, on the
+  /// thread that published it (a service worker, or stop() answering jobs
+  /// left in the queue), after the ticket's future is ready and outside
+  /// every service lock. A coalesced entry completes once, so twins share
+  /// one call. Responses that are ready when submit() returns (cache hits,
+  /// rejects, bad requests) get no call. The hook must be cheap, must not
+  /// block and must not throw. Empty (default) = no call.
+  std::function<void()> on_complete;
 
   // --- resilience (docs/resilience.md) ---
 

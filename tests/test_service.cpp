@@ -43,20 +43,31 @@ struct ComputeGate {
   bool open = false;
   std::atomic<int> calls{0};
 
-  void release() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      open = true;
-    }
-    cv.notify_all();
+  void release() { set_open(true); }
+  void close() { set_open(false); }
+
+  /// Block until `n` compute calls have reached the gate.
+  void wait_calls(int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return calls.load() >= n; });
   }
 
   core::BCResult run(const graph::CSRGraph& g, const core::Options& o) {
-    calls.fetch_add(1);
     std::unique_lock<std::mutex> lock(mu);
+    calls.fetch_add(1);
+    cv.notify_all();
     cv.wait(lock, [this] { return open; });
     lock.unlock();
     return core::compute(g, o);
+  }
+
+ private:
+  void set_open(bool o) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = o;
+    }
+    cv.notify_all();
   }
 };
 
@@ -263,6 +274,75 @@ TEST(BcServiceTest, IdenticalConcurrentRequestsCoalesceToOneCompute) {
   const MetricsSnapshot m = svc.metrics();
   EXPECT_EQ(m.computed, 1u);
   EXPECT_EQ(m.coalesced, static_cast<std::uint64_t>(kTwins - 1));
+}
+
+TEST(BcService, OnCompleteFiresOncePerPublishedResponse) {
+  auto gate = std::make_shared<ComputeGate>();
+  auto completions = std::make_shared<std::atomic<int>>(0);
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = [gate](const graph::CSRGraph& g, const core::Options& o) {
+    return gate->run(g, o);
+  };
+  cfg.on_complete = [completions] { completions->fetch_add(1); };
+  BcService svc(cfg);
+  svc.load_graph("g", test_graph());
+
+  // The hook runs just after the future turns ready, so a caller that
+  // waited on the ticket can still observe the count one call short.
+  auto completions_after_settling = [&](int expected) {
+    const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (completions->load() < expected && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return completions->load();
+  };
+  auto request_with_seed = [](std::uint64_t seed) {
+    Request r{.graph_id = "g", .options = exact_cpu_options()};
+    r.options.sample_roots = 16;
+    r.options.seed = seed;
+    return r;
+  };
+
+  // Three distinct misses: three published responses.
+  std::vector<Ticket> misses;
+  for (std::uint64_t s = 1; s <= 3; ++s) misses.push_back(svc.submit(request_with_seed(s)));
+  gate->wait_calls(1);
+  EXPECT_EQ(completions->load(), 0);
+  gate->release();
+  for (const Ticket& t : misses) ASSERT_TRUE(svc.wait(t).ok());
+  EXPECT_EQ(completions_after_settling(3), 3);
+
+  // A coalesced twin pair shares one entry, so one call for two tickets.
+  gate->close();
+  const Ticket leader = svc.submit(request_with_seed(4));
+  const Ticket twin = svc.submit(request_with_seed(4));
+  ASSERT_TRUE(twin.coalesced);
+  gate->release();
+  ASSERT_TRUE(svc.wait(leader).ok());
+  ASSERT_TRUE(svc.wait(twin).ok());
+  EXPECT_EQ(completions_after_settling(4), 4);
+
+  // A cache hit is ready when submit returns: no call.
+  const Ticket hit = svc.submit(request_with_seed(1));
+  ASSERT_TRUE(hit.cache_hit);
+  ASSERT_TRUE(svc.wait(hit).ok());
+  EXPECT_EQ(completions->load(), 4);
+
+  // stop() with one job computing and two queued: one call per entry.
+  gate->close();
+  std::vector<Ticket> abandoned;
+  for (std::uint64_t s = 5; s <= 7; ++s) abandoned.push_back(svc.submit(request_with_seed(s)));
+  gate->wait_calls(5);  // the three misses, the twin leader, then seed 5
+  std::thread stopper([&] { svc.stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate->release();
+  stopper.join();
+  for (const Ticket& t : abandoned) {
+    ASSERT_EQ(t.future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  }
+  // stop() has joined every service thread: the count is final.
+  EXPECT_EQ(completions->load(), 7);
 }
 
 TEST(BcServiceTest, RejectPolicyReturnsQueueFull) {
