@@ -21,13 +21,15 @@ AdaptiveApproxResult adaptive_bc(const CSRGraph& g, VertexId target,
       options.max_pivots == 0 ? n : std::min<std::uint32_t>(options.max_pivots, n);
   util::Xoshiro256 rng(options.seed);
 
+  BrandesWorkspace ws;
+  std::vector<double> delta(n);
   double accumulated = 0.0;
   std::uint32_t k = 0;
   while (k < cap) {
     const VertexId s = static_cast<VertexId>(rng.next_below(n));
     ++k;
     if (s == target) continue;  // delta_s(s) is by definition excluded
-    const auto delta = single_source_dependencies(g, s);
+    single_source_dependencies(g, s, ws, delta);
     accumulated += delta[target];
     if (accumulated >= threshold) {
       result.threshold_hit = true;

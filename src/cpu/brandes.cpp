@@ -1,5 +1,9 @@
 #include "cpu/brandes.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "cpu/brandes_impl.hpp"
 #include "graph/storage/compressed.hpp"
 #include "graph/types.hpp"
@@ -11,49 +15,80 @@ using graph::VertexId;
 
 namespace {
 
-// Dispatch on the backing: compressed storages get the streaming decode
-// instantiation (no adjacency materialization on the CPU path); raw
-// backings get the contiguous-span instantiation. Both produce
+// A compressed backing whose columns are not resident: the kernel streams
+// its varint decode rather than materialize the adjacency. Once another
+// engine has decoded the columns (CompressedStorage::col_indices()), the
+// kernel reads that copy like any raw backing. Both views produce
 // bitwise-identical scores — see brandes_impl.hpp.
 const graph::storage::CompressedStorage* compressed_backing(const CSRGraph& g) {
   if (!graph::storage::is_compressed(g.residency())) return nullptr;
-  return dynamic_cast<const graph::storage::CompressedStorage*>(g.storage().get());
+  const auto* cs = dynamic_cast<const graph::storage::CompressedStorage*>(g.storage().get());
+  return cs != nullptr && cs->resident_columns().empty() ? cs : nullptr;
+}
+
+template <class Visit>
+void run_kernel(const CSRGraph& g, VertexId s, BrandesWorkspace& ws, BrandesResult* stats,
+                Visit&& visit) {
+  if (s >= g.num_vertices()) {
+    throw std::out_of_range("brandes: source " + std::to_string(s) + " >= num_vertices " +
+                            std::to_string(g.num_vertices()));
+  }
+  if (const auto* cs = compressed_backing(g)) {
+    detail::SingleSourceKernel::run(cs->stream_view(), s, ws, stats, visit);
+  } else {
+    detail::SingleSourceKernel::run(detail::SpanView{g.row_offsets(), g.col_indices()}, s,
+                                    ws, stats, visit);
+  }
 }
 
 }  // namespace
 
+void brandes_single_source(const CSRGraph& g, VertexId s, BrandesWorkspace& ws,
+                           std::span<double> bc, BrandesResult* stats) {
+  run_kernel(g, s, ws, stats, [&](VertexId w, double dsw) {
+    if (w != s) bc[w] += dsw;
+  });
+}
+
 void brandes_single_source(const CSRGraph& g, VertexId s, std::span<double> bc,
                            BrandesResult* stats) {
-  if (const auto* cs = compressed_backing(g)) {
-    detail::brandes_single_source_impl(cs->stream_view(), s, bc, stats);
-  } else {
-    detail::brandes_single_source_impl(g, s, bc, stats);
+  BrandesWorkspace ws;
+  brandes_single_source(g, s, ws, bc, stats);
+}
+
+void single_source_dependencies(const CSRGraph& g, VertexId s, BrandesWorkspace& ws,
+                                std::span<double> delta) {
+  if (delta.size() != g.num_vertices()) {
+    throw std::invalid_argument("single_source_dependencies: delta size != num_vertices");
   }
+  std::fill(delta.begin(), delta.end(), 0.0);
+  run_kernel(g, s, ws, nullptr, [&](VertexId w, double dsw) { delta[w] = dsw; });
 }
 
 std::vector<double> single_source_dependencies(const CSRGraph& g, VertexId s) {
-  if (const auto* cs = compressed_backing(g)) {
-    return detail::single_source_dependencies_impl(cs->stream_view(), s);
-  }
-  return detail::single_source_dependencies_impl(g, s);
+  BrandesWorkspace ws;
+  std::vector<double> delta(g.num_vertices());
+  single_source_dependencies(g, s, ws, delta);
+  return delta;
 }
 
 BrandesResult brandes(const CSRGraph& g, const BrandesOptions& options) {
   const VertexId n = g.num_vertices();
   BrandesResult result;
   result.bc.assign(n, 0.0);
+  BrandesWorkspace ws;
 
   if (options.sources.empty()) {
     for (VertexId s = 0; s < n; ++s) {
       options.cancel.check();
-      brandes_single_source(g, s, result.bc, &result);
+      brandes_single_source(g, s, ws, result.bc, &result);
       ++result.roots_processed;
     }
   } else {
     for (VertexId s : options.sources) {
       if (s >= n) continue;
       options.cancel.check();
-      brandes_single_source(g, s, result.bc, &result);
+      brandes_single_source(g, s, ws, result.bc, &result);
       ++result.roots_processed;
     }
   }

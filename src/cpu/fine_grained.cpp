@@ -15,11 +15,12 @@ using graph::VertexId;
 
 // Storage note: this engine deliberately stays on the contiguous-span
 // path (g.neighbors()) rather than the streaming decode the serial/
-// parallel Brandes engines use for compressed backings — its workers
-// race over shared frontiers, and per-iterator decode state would defeat
-// the level-synchronous chunking. A compressed-backed graph materializes
-// its adjacency once on first touch (CSRGraph facade) and is then
-// identical to heap.
+// parallel Brandes engines use for compressed backings whose columns are
+// not resident — its workers race over shared frontiers, and
+// per-iterator decode state would defeat the level-synchronous chunking.
+// It is the one CPU engine that materializes: a compressed-backed graph
+// decodes its adjacency once on first touch (CSRGraph facade), after
+// which this engine and the serial/parallel ones all read that copy.
 
 namespace {
 

@@ -28,13 +28,14 @@ BrandesResult parallel_brandes(const CSRGraph& g, const ParallelBrandesOptions& 
 
   pool.parallel_ranges(sources.size(), [&](std::size_t tid, std::size_t begin, std::size_t end) {
     BrandesResult& local = partials[tid];
+    BrandesWorkspace ws;
     for (std::size_t i = begin; i < end; ++i) {
       // Pool tasks must not throw; bail at the root boundary and let the
       // calling thread raise Cancelled after the join below.
       if (options.cancel.cancelled()) return;
       const VertexId s = sources[i];
       if (s >= n) continue;
-      brandes_single_source(g, s, local.bc, &local);
+      brandes_single_source(g, s, ws, local.bc, &local);
       ++local.roots_processed;
     }
   });

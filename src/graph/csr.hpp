@@ -73,8 +73,10 @@ class CSRGraph {
   /// Contiguous neighbor span. For compressed backings the first call
   /// materializes the full adjacency once (the simulated-device upload);
   /// engines that want to stay streaming should dispatch on residency()
-  /// and use storage::CompressedStorage::neighbors() instead (the CPU
-  /// engines in src/cpu do exactly that).
+  /// and use storage::CompressedStorage::neighbors() while
+  /// resident_columns() is empty, and read the resident copy once it is
+  /// not (the serial and parallel Brandes engines in src/cpu do exactly
+  /// that).
   std::span<const VertexId> neighbors(VertexId v) const {
     const VertexId* cols = cols_data();
     return {cols + rows_[v], cols + rows_[v + 1]};

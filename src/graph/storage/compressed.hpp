@@ -16,7 +16,9 @@
 //    iterator advances — the CPU engines stream through this and never
 //    materialize the full adjacency.
 //  - col_indices(): materializes the whole array once (thread-safe) —
-//    the simulated-device upload path for the gpusim kernels.
+//    the simulated-device upload path for the gpusim kernels. Once it
+//    has run, resident_columns() exposes that copy and the CPU engines
+//    read it instead of decoding again.
 // Both reproduce the stored neighbor order exactly, so BC scores are
 // bitwise-identical to the raw backings.
 
@@ -49,6 +51,14 @@ class CompressedStorage final : public Storage {
       bool undirected);
 
   std::span<const VertexId> col_indices() const override;
+
+  /// The decoded column array if col_indices() has already run, else an
+  /// empty span. Never materializes anything itself: this is how the CPU
+  /// engines read columns another engine already paid to decode.
+  std::span<const VertexId> resident_columns() const noexcept {
+    if (materialized_bytes_.load(std::memory_order_acquire) == 0) return {};
+    return materialized_cols_;
+  }
 
   /// Forward range decoding vertex v's neighbors on the fly.
   class NeighborIterator {
@@ -115,11 +125,15 @@ class CompressedStorage final : public Storage {
   }
 
   /// Lightweight adapter satisfying the storage-generic graph concept
-  /// (num_vertices / neighbors) the templated CPU engines instantiate
-  /// over — streaming decode, never materializes (cpu/brandes_impl.hpp).
+  /// (num_vertices / row_offsets / neighbors) the templated CPU kernel
+  /// instantiates over while the columns are not resident — streaming
+  /// decode, never materializes (cpu/brandes_impl.hpp).
   struct StreamView {
     const CompressedStorage* storage;
     VertexId num_vertices() const noexcept { return storage->num_vertices(); }
+    std::span<const EdgeOffset> row_offsets() const noexcept {
+      return storage->row_offsets();
+    }
     NeighborRange neighbors(VertexId v) const noexcept {
       return storage->neighbors(v);
     }

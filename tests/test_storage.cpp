@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cpu/brandes.hpp"
+#include "cpu/parallel_brandes.hpp"
 #include "dyn/versioned_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -577,6 +578,52 @@ TEST(CompressedTraversal, BrandesMatchesHeapBitwise) {
             st::CompressedStorage::compress(heap.row_offsets(), heap.col_indices(),
                                             heap.undirected())
                 ->resident_bytes());
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(CompressedTraversal, CpuEnginesNeverMaterialize) {
+  const CSRGraph heap = graph::gen::small_world({.num_vertices = 200, .seed = 21});
+  const auto storage = st::CompressedStorage::compress(heap.row_offsets(),
+                                                       heap.col_indices(), heap.undirected());
+  const CSRGraph comp(storage);
+  const std::size_t fresh_bytes = storage->resident_bytes();
+
+  cpu::parallel_brandes(comp, {.sources = {}, .num_threads = 2, .cancel = {}});
+  EXPECT_EQ(storage->resident_bytes(), fresh_bytes);
+  cpu::single_source_dependencies(comp, 7);
+  EXPECT_EQ(storage->resident_bytes(), fresh_bytes);
+  EXPECT_TRUE(storage->resident_columns().empty());
+}
+
+TEST(CompressedTraversal, CpuEnginesReadResidentColumns) {
+  const CSRGraph heap = graph::gen::small_world({.num_vertices = 200, .seed = 21});
+  const auto storage = st::CompressedStorage::compress(heap.row_offsets(),
+                                                       heap.col_indices(), heap.undirected());
+  const CSRGraph comp(storage);
+  ASSERT_TRUE(storage->resident_columns().empty());
+
+  // Another engine (the simulated-device upload) decodes the columns.
+  const auto cols = storage->col_indices();
+  const auto resident = storage->resident_columns();
+  ASSERT_EQ(resident.data(), cols.data());
+  ASSERT_EQ(resident.size(), heap.col_indices().size());
+  const std::size_t decoded_bytes = storage->resident_bytes();
+
+  const std::vector<VertexId> roots{0, 13, 77, 199};
+  EXPECT_TRUE(bitwise_equal(cpu::brandes(comp).bc, cpu::brandes(heap).bc));
+  EXPECT_TRUE(bitwise_equal(
+      cpu::parallel_brandes(comp, {.sources = roots, .num_threads = 2, .cancel = {}}).bc,
+      cpu::parallel_brandes(heap, {.sources = roots, .num_threads = 2, .cancel = {}}).bc));
+  for (VertexId s : roots) {
+    EXPECT_TRUE(bitwise_equal(cpu::single_source_dependencies(comp, s),
+                              cpu::single_source_dependencies(heap, s)))
+        << "root " << s;
+  }
+  EXPECT_EQ(storage->resident_bytes(), decoded_bytes);
 }
 
 }  // namespace
