@@ -1,16 +1,28 @@
 // Google-benchmark micro-benchmarks of the algorithmic building blocks:
 // host BFS, single-source Brandes (per adjacency backing, scratch reused
-// across roots as the engines do), generator throughput, and the
-// work-efficient kernel's forward stage. These measure real host wall
-// time (not the device model) and track performance regressions in the
-// library itself.
+// across roots as the engines do), generator throughput, the GPU-model
+// level primitives (work-efficient forward and dependency stages, the
+// edge-parallel level), and the per-root host cost of whole strategies
+// through core::compute. These measure real host wall time (not the
+// device model) and track performance regressions in the library itself.
+//
+// BM_KernelHostCost/<strategy>_<family>/<scale> reports `per_root`: host
+// seconds per root at 1 thread and 64 sampled roots, best of 10
+// repetitions (the `_min` row). Compare work-efficient (and the other
+// GPU-model strategies) with cpu-serial on the same graph; interleaving
+// the repetitions spreads host noise evenly over the strategies:
+//
+//   ./build/bench/bench_micro --benchmark_filter=KernelHostCost --benchmark_enable_random_interleaving=true
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/bc.hpp"
 #include "cpu/brandes.hpp"
 #include "cpu/edge_bc.hpp"
 #include "cpu/weighted_brandes.hpp"
@@ -103,6 +115,85 @@ void BM_WorkEfficientForward(benchmark::State& state, const char* family) {
                           static_cast<std::int64_t>(g.num_directed_edges()));
 }
 
+// Dependency stage only: the forward stage of each root runs untimed.
+void BM_WorkEfficientDependency(benchmark::State& state, const char* family) {
+  const auto& g = cached_graph(family, static_cast<std::uint32_t>(state.range(0)));
+  gpusim::Device device(gpusim::gtx_titan());
+  device.begin_run(1);
+  kernels::BCWorkspace ws(g);
+  graph::VertexId root = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto ctx = device.block(0);
+    ws.init_root(root, ctx);
+    while (true) {
+      ws.we_forward_level(ctx);
+      if (ws.q_next_len() == 0) break;
+      ws.finish_level(ctx);
+    }
+    state.ResumeTiming();
+    for (std::uint32_t dep = ws.max_depth(); dep-- > 1;) ws.we_backward_level(ctx, dep);
+    benchmark::DoNotOptimize(ws.deltas().data());
+    root = (root + 1) % g.num_vertices();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_directed_edges()));
+}
+
+// The queue-less edge-parallel forward stage (Jia et al.): one
+// ep_forward_level per depth; `per_level` is host seconds per level.
+void BM_EdgeParallelLevel(benchmark::State& state, const char* family) {
+  const auto& g = cached_graph(family, static_cast<std::uint32_t>(state.range(0)));
+  gpusim::Device device(gpusim::gtx_titan());
+  device.begin_run(1);
+  kernels::BCWorkspace ws(g);
+  graph::VertexId root = 0;
+  std::uint64_t levels = 0;
+  for (auto _ : state) {
+    auto ctx = device.block(0);
+    ws.init_root(root, ctx);
+    for (std::uint32_t depth = 0;; ++depth) {
+      ++levels;
+      if (ws.ep_forward_level(ctx, depth, /*maintain_queue=*/false).discovered == 0) break;
+    }
+    benchmark::DoNotOptimize(ws.sigmas().data());
+    root = (root + 1) % g.num_vertices();
+  }
+  state.counters["per_level"] = benchmark::Counter(
+      static_cast<double>(levels), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+// Whole-strategy host cost per root: core::compute at 1 thread over 64
+// sampled roots (graph generation and caching excluded).
+void BM_KernelHostCost(benchmark::State& state, const char* strategy, const char* family) {
+  constexpr std::uint32_t kRoots = 64;
+  const auto& g = cached_graph(family, static_cast<std::uint32_t>(state.range(0)));
+  core::Options opt;
+  opt.strategy = kernels::strategy_from_string(strategy);
+  opt.sample_roots = kRoots;
+  opt.cpu_threads = 1;
+  for (auto _ : state) {
+    const core::BCResult r = core::compute(g, opt);
+    benchmark::DoNotOptimize(r.scores.data());
+  }
+  state.counters["per_root"] = benchmark::Counter(
+      kRoots, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+// Best of 10 short repetitions: the host is usually shared, and the
+// minimum is the run the noise touched least (more, shorter samples find
+// a quiet one more reliably than a few long ones).
+void host_cost_args(benchmark::internal::Benchmark* b) {
+  b->Repetitions(10)
+      ->Iterations(2)
+      ->ComputeStatistics("min",
+                          [](const std::vector<double>& v) {
+                            return *std::min_element(v.begin(), v.end());
+                          })
+      ->DisplayAggregatesOnly(true)
+      ->Unit(benchmark::kMillisecond);
+}
+
 void BM_WeightedBrandesSingleSource(benchmark::State& state, const char* family) {
   const auto& g = cached_graph(family, static_cast<std::uint32_t>(state.range(0)));
   static std::map<std::string, cpu::WeightArray> wcache;
@@ -164,6 +255,60 @@ BENCHMARK_CAPTURE(BM_WorkEfficientForward, kron, "kron")
 BENCHMARK_CAPTURE(BM_WorkEfficientForward, road, "road")
     ->Arg(12)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WorkEfficientDependency, kron, "kron")
+    ->Arg(12)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WorkEfficientDependency, road, "road")
+    ->Arg(12)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_EdgeParallelLevel, kron, "kron")
+    ->Arg(12)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_EdgeParallelLevel, road, "road")
+    ->Arg(12)
+    ->Unit(benchmark::kMicrosecond);
+
+BENCHMARK_CAPTURE(BM_KernelHostCost, work_efficient_kron, "work-efficient", "kron")
+    ->Apply(host_cost_args)
+    ->Arg(12)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, work_efficient_road, "work-efficient", "road")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, work_efficient_smallworld, "work-efficient", "smallworld")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, sampling_kron, "sampling", "kron")
+    ->Apply(host_cost_args)
+    ->Arg(12)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, sampling_road, "sampling", "road")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, sampling_smallworld, "sampling", "smallworld")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, edge_parallel_kron, "edge-parallel", "kron")
+    ->Apply(host_cost_args)
+    ->Arg(12)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, edge_parallel_road, "edge-parallel", "road")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, edge_parallel_smallworld, "edge-parallel", "smallworld")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, cpu_serial_kron, "cpu-serial", "kron")
+    ->Apply(host_cost_args)
+    ->Arg(12)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, cpu_serial_road, "cpu-serial", "road")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_KernelHostCost, cpu_serial_smallworld, "cpu-serial", "smallworld")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+
 BENCHMARK_CAPTURE(BM_WeightedBrandesSingleSource, smallworld, "smallworld")
     ->Arg(12)
     ->Unit(benchmark::kMicrosecond);

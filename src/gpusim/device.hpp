@@ -69,19 +69,34 @@ struct Counters {
 /// (§III.A) without pretending a hub serializes at full memory latency.
 class ImbalancedRound {
  public:
-  explicit ImbalancedRound(std::uint32_t threads)
-      : per_thread_(std::max<std::uint32_t>(threads, 1), 0), next_(0) {}
+  explicit ImbalancedRound(std::uint32_t threads) { reset(threads); }
+
+  /// Start a new round over `threads` threads, reusing the buffer: only
+  /// the entries the previous round touched need zeroing.
+  void reset(std::uint32_t threads) {
+    std::fill_n(per_thread_.begin(), touched(), 0);
+    per_thread_.resize(std::max<std::uint32_t>(threads, 1), 0);
+    next_ = 0;
+    wrapped_ = false;
+    total_ = 0;
+  }
 
   void add_item(std::uint64_t cycles) noexcept {
     total_ += cycles;
     per_thread_[next_] += cycles;
-    next_ = (next_ + 1) % per_thread_.size();
+    if (++next_ == per_thread_.size()) {
+      next_ = 0;
+      wrapped_ = true;
+    }
   }
 
   std::uint64_t total_cycles() const noexcept { return total_; }
 
+  /// Untouched entries are zero, so the max runs over the touched prefix.
   std::uint64_t max_thread_cycles() const noexcept {
-    return *std::max_element(per_thread_.begin(), per_thread_.end());
+    const auto first = per_thread_.begin();
+    const auto last = first + static_cast<std::ptrdiff_t>(touched());
+    return first == last ? 0 : *std::max_element(first, last);
   }
 
   std::uint64_t cost_cycles(std::uint32_t thread_ilp) const noexcept {
@@ -93,8 +108,14 @@ class ImbalancedRound {
   }
 
  private:
+  /// Entries [0, touched()) have received at least one item.
+  std::size_t touched() const noexcept {
+    return wrapped_ ? per_thread_.size() : next_;
+  }
+
   std::vector<std::uint64_t> per_thread_;
-  std::size_t next_;
+  std::size_t next_ = 0;
+  bool wrapped_ = false;
   std::uint64_t total_ = 0;
 };
 
@@ -155,11 +176,17 @@ class BlockContext {
     maybe_trip();
   }
 
-  /// Imbalanced round helper; commit with charge_imbalanced_round().
-  ImbalancedRound make_round(std::uint64_t width = 0) const {
+  /// Thread count of an imbalanced round (`width` as for uniform rounds).
+  std::uint32_t round_threads(std::uint64_t width = 0) const noexcept {
     const std::uint64_t threads = width ? width : cfg_->threads_per_block;
-    return ImbalancedRound(static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(threads, 1u << 20)));
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(threads, 1u << 20));
+  }
+
+  /// Imbalanced round helper; commit with charge_imbalanced_round(). A
+  /// caller that runs many rounds can instead keep one ImbalancedRound and
+  /// reset(round_threads()) it per round.
+  ImbalancedRound make_round(std::uint64_t width = 0) const {
+    return ImbalancedRound(round_threads(width));
   }
 
   void charge_imbalanced_round(const ImbalancedRound& round) {

@@ -10,6 +10,18 @@ using graph::EdgeOffset;
 using graph::kInfDistance;
 using graph::VertexId;
 
+namespace {
+
+/// Cycles one thread spends walking a `degree`-long adjacency run: the
+/// first stream_threshold edges pay the scattered process_rand charge, the
+/// rest stream at process_seq.
+std::uint64_t walk_cycles(const gpusim::CostModel& cost, std::uint64_t degree) {
+  const std::uint64_t scattered = std::min<std::uint64_t>(degree, cost.stream_threshold);
+  return scattered * cost.process_rand + (degree - scattered) * cost.process_seq;
+}
+
+}  // namespace
+
 const char* to_string(Mode mode) noexcept {
   switch (mode) {
     case Mode::WorkEfficient: return "work-efficient";
@@ -59,8 +71,7 @@ void BCWorkspace::init_root(VertexId s, gpusim::BlockContext& ctx) {
   std::fill(d_.begin(), d_.end(), kInfDistance);
   std::fill(sigma_.begin(), sigma_.end(), 0.0);
   std::fill(delta_.begin(), delta_.end(), 0.0);
-
-  if (!successor_marks_.empty()) successor_marks_.reset();
+  clear_successor_marks();
 
   d_[s] = 0;
   sigma_[s] = 1.0;
@@ -80,59 +91,77 @@ void BCWorkspace::init_root(VertexId s, gpusim::BlockContext& ctx) {
   ctx.counters().vertices_scanned += n;
 }
 
+void BCWorkspace::clear_successor_marks() noexcept {
+  if (level_marked_.empty()) return;  // no we_forward_level since the last clear
+  const auto offsets = g_->row_offsets();
+  for (std::uint64_t i = 0; i < s_len_; ++i) {
+    const VertexId v = s_[i];
+    successor_marks_.reset_range(offsets[v], offsets[v + 1]);
+  }
+  level_marked_.clear();
+}
+
 BCWorkspace::LevelStats BCWorkspace::we_forward_level(gpusim::BlockContext& ctx,
                                                       bool mark_predecessors) {
   LevelStats stats;
   stats.vertex_frontier = q_curr_len_;
 
-  if (mark_predecessors && successor_marks_.size() != g_->num_directed_edges()) {
+  if (successor_marks_.size() != g_->num_directed_edges()) {
     successor_marks_.assign(g_->num_directed_edges(), false);
   }
+  if (level_marked_.size() <= depth_) level_marked_.resize(depth_ + 1, 0);
+  level_marked_[depth_] = 1;
 
   auto& counters = ctx.counters();
   const auto& cost = ctx.cost();
   const auto offsets = g_->row_offsets();
   const auto cols = g_->col_indices();
-  auto round = ctx.make_round();
+  round_.reset(ctx.round_threads());
 
+  // Locals keep the hot loop's stores from aliasing the members.
+  std::uint32_t* const d = d_.data();
+  double* const sigma = sigma_.data();
+  VertexId* const q_next = q_next_.data();
+  std::uint64_t tail = q_next_len_;
+  std::uint64_t sigma_adds = 0;
   for (std::uint64_t i = 0; i < q_curr_len_; ++i) {
     const VertexId v = q_curr_[i];
-    const std::uint32_t dv = d_[v];
-    std::uint64_t item_cycles = cost.queue_vertex;
-
-    std::uint32_t walked = 0;
+    const std::uint32_t next = d[v] + 1;
+    const double sigma_v = sigma[v];
+    const std::uint64_t tail_before = tail;
+    std::uint64_t marks = 0;
     for (EdgeOffset e = offsets[v]; e < offsets[v + 1]; ++e) {
       const VertexId w = cols[e];
-      ++stats.edge_frontier;
-      ++counters.edges_traversed;
-      ++counters.edges_inspected;
-      ++counters.atomic_ops;  // the unconditional atomicCAS on d[w]
-      // Long adjacency runs stream after the first few lines.
-      item_cycles += (walked++ < cost.stream_threshold) ? cost.process_rand
-                                                        : cost.process_seq;
-
-      if (d_[w] == kInfDistance) {  // CAS wins: insert into Q_next
-        d_[w] = dv + 1;
-        q_next_[q_next_len_++] = w;
-        ++stats.discovered;
-        ++counters.queue_inserts;
-        ++counters.atomic_ops;  // atomicAdd on Q_next_len
-        item_cycles += cost.queue_insert;
+      if (d[w] == kInfDistance) {  // CAS wins: insert into Q_next
+        d[w] = next;
+        q_next[tail++] = w;
       }
-      if (d_[w] == dv + 1) {
-        sigma_[w] += sigma_[v];
-        ++counters.atomic_ops;  // atomicAdd on sigma[w]
-        if (mark_predecessors) {
-          // Record edge (v -> w) as a shortest-path (successor) edge.
-          successor_marks_.set(e);
-          item_cycles += cost.scan_seq;  // streamed 1-bit store
-        }
+      if (d[w] == next) {
+        sigma[w] += sigma_v;
+        successor_marks_.set(e);  // (v -> w) is a shortest-path edge
+        ++marks;
       }
     }
-    round.add_item(item_cycles);
+    // Per edge: the unconditional atomicCAS on d[w] and the adjacency walk;
+    // per discovery: the Q_next insert (atomicAdd on its tail); per
+    // successor: the atomicAdd on sigma[w], plus, with the predecessor
+    // bitmap, a streamed 1-bit store.
+    const std::uint64_t degree = offsets[v + 1] - offsets[v];
+    const std::uint64_t found = tail - tail_before;
+    round_.add_item(cost.queue_vertex + walk_cycles(cost, degree) +
+                    found * cost.queue_insert +
+                    (mark_predecessors ? marks * cost.scan_seq : 0));
+    stats.edge_frontier += degree;
+    sigma_adds += marks;
   }
+  stats.discovered = tail - q_next_len_;
+  q_next_len_ = tail;
 
-  ctx.charge_imbalanced_round(round);
+  counters.edges_traversed += stats.edge_frontier;
+  counters.edges_inspected += stats.edge_frontier;
+  counters.queue_inserts += stats.discovered;
+  counters.atomic_ops += stats.edge_frontier + stats.discovered + sigma_adds;
+  ctx.charge_imbalanced_round(round_);
   ctx.charge_barrier();
   ++counters.bfs_iterations;
   return stats;
@@ -147,37 +176,49 @@ BCWorkspace::LevelStats BCWorkspace::ep_forward_level(gpusim::BlockContext& ctx,
 
   auto& counters = ctx.counters();
   const auto& cost = ctx.cost();
-  const auto sources = g_->edge_sources();
+  const auto offsets = g_->row_offsets();
   const auto cols = g_->col_indices();
-  const EdgeOffset m = g_->num_directed_edges();
 
   // Full streaming scan of the edge array (the O(m)-per-level term).
-  ctx.charge_uniform_round(m, cost.scan_seq, width);
-  counters.edges_inspected += m;
+  ctx.charge_uniform_round(g_->num_directed_edges(), cost.scan_seq, width);
+  counters.edges_inspected += g_->num_directed_edges();
 
-  std::uint64_t useful = 0;
-  for (EdgeOffset e = 0; e < m; ++e) {
-    const VertexId u = sources[e];
-    if (d_[u] != depth) continue;
-    const VertexId w = cols[e];
-    ++useful;
-    ++counters.edges_traversed;
-    ++counters.atomic_ops;  // CAS on d[w]
-    ++stats.edge_frontier;
+  // Only edges whose source sits at `depth` do anything. Sorted, the
+  // level's vertices visit exactly those edges in edge-array order, so
+  // sigma sums and Q_next come out as the scan would produce them.
+  const std::span<VertexId> frontier =
+      maintain_queue ? std::span<VertexId>(q_curr_.data(), q_curr_len_)
+                     : std::span<VertexId>(s_.data() + ends_[depth],
+                                           ends_[depth + 1] - ends_[depth]);
+  std::sort(frontier.begin(), frontier.end());
+  VertexId* const out = maintain_queue ? q_next_.data() + q_next_len_ : s_.data() + s_len_;
 
-    if (d_[w] == kInfDistance) {
-      d_[w] = depth + 1;
-      ++stats.discovered;
-      if (maintain_queue) {
-        q_next_[q_next_len_++] = w;
-        ++counters.queue_inserts;
-        ++counters.atomic_ops;
+  std::uint64_t sigma_adds = 0;
+  for (const VertexId u : frontier) {
+    const double sigma_u = sigma_[u];
+    stats.edge_frontier += offsets[u + 1] - offsets[u];
+    for (EdgeOffset e = offsets[u]; e < offsets[u + 1]; ++e) {
+      const VertexId w = cols[e];
+      if (d_[w] == kInfDistance) {
+        d_[w] = depth + 1;
+        out[stats.discovered++] = w;
+      }
+      if (d_[w] == depth + 1) {
+        sigma_[w] += sigma_u;
+        ++sigma_adds;
       }
     }
-    if (d_[w] == depth + 1) {
-      sigma_[w] += sigma_[u];
-      ++counters.atomic_ops;
-    }
+  }
+  const std::uint64_t useful = stats.edge_frontier;
+  counters.edges_traversed += useful;
+  counters.atomic_ops += useful + sigma_adds;  // CAS on d[w]; sigma adds
+  if (maintain_queue) {
+    q_next_len_ += stats.discovered;
+    counters.queue_inserts += stats.discovered;
+    counters.atomic_ops += stats.discovered;
+  } else {
+    s_len_ += stats.discovered;
+    ends_[ends_len_++] = s_len_;
   }
 
   // Useful edges are processed with streaming-friendly locality (edge
@@ -205,7 +246,7 @@ BCWorkspace::LevelStats BCWorkspace::vp_forward_level(gpusim::BlockContext& ctx,
   // frontier vertices additionally traverse their whole adjacency —
   // charged through the imbalanced round (this is §III.A's load-imbalance
   // pathology: a hub vertex serializes its warp).
-  auto round = ctx.make_round();
+  round_.reset(ctx.round_threads());
   for (VertexId v = 0; v < n; ++v) {
     std::uint64_t item_cycles = cost.scan_seq;
     if (d_[v] == depth) {
@@ -225,9 +266,9 @@ BCWorkspace::LevelStats BCWorkspace::vp_forward_level(gpusim::BlockContext& ctx,
         }
       }
     }
-    round.add_item(item_cycles);
+    round_.add_item(item_cycles);
   }
-  ctx.charge_imbalanced_round(round);
+  ctx.charge_imbalanced_round(round_);
   ctx.charge_barrier();
   ++counters.bfs_iterations;
   return stats;
@@ -245,7 +286,7 @@ BCWorkspace::LevelStats BCWorkspace::bu_forward_level(gpusim::BlockContext& ctx,
 
   // One thread per vertex; only unvisited threads walk their adjacency.
   // No atomics at all: w owns d[w] and sigma[w] exclusively.
-  auto round = ctx.make_round();
+  round_.reset(ctx.round_threads());
   for (VertexId v = 0; v < n; ++v) {
     std::uint64_t item_cycles = cost.scan_seq;
     if (d_[v] == kInfDistance) {
@@ -270,9 +311,9 @@ BCWorkspace::LevelStats BCWorkspace::bu_forward_level(gpusim::BlockContext& ctx,
         item_cycles += cost.queue_insert;
       }
     }
-    round.add_item(item_cycles);
+    round_.add_item(item_cycles);
   }
-  ctx.charge_imbalanced_round(round);
+  ctx.charge_imbalanced_round(round_);
   ctx.charge_barrier();
   ++counters.bfs_iterations;
 
@@ -303,29 +344,42 @@ void BCWorkspace::finish_level(gpusim::BlockContext& ctx) {
 void BCWorkspace::we_backward_level(gpusim::BlockContext& ctx, std::uint32_t depth) {
   auto& counters = ctx.counters();
   const auto& cost = ctx.cost();
-  auto round = ctx.make_round();
+  const auto offsets = g_->row_offsets();
+  const auto cols = g_->col_indices();
+  const bool marked = depth < level_marked_.size() && level_marked_[depth] != 0;
+  round_.reset(ctx.round_threads());
 
   // Threads cover exactly S[ends[depth] .. ends[depth+1]) — no level
-  // checks against the rest of the graph (Algorithm 3 line 3).
+  // checks against the rest of the graph (Algorithm 3 line 3). Each
+  // thread walks w's whole adjacency checking d[v] == depth+1; the host
+  // charges that walk and adds the same successor terms in the same
+  // (adjacency) order, read from the marked edges where it has them.
+  std::uint64_t walked = 0;
   for (std::uint64_t i = ends_[depth]; i < ends_[depth + 1]; ++i) {
     const VertexId w = s_[i];
     const double sw = sigma_[w];
     double dsw = 0.0;
-    std::uint64_t item_cycles = cost.queue_vertex;
-    std::uint32_t walked = 0;
-    for (VertexId v : g_->neighbors(w)) {
-      ++counters.edges_traversed;
-      ++counters.edges_inspected;
-      item_cycles += (walked++ < cost.stream_threshold) ? cost.process_rand
-                                                        : cost.process_seq;
-      if (d_[v] == depth + 1) {
+    if (marked) {
+      successor_marks_.for_each_set(offsets[w], offsets[w + 1], [&](std::size_t e) {
+        const VertexId v = cols[e];
         dsw += (sw / sigma_[v]) * (1.0 + delta_[v]);
+      });
+    } else {
+      for (EdgeOffset e = offsets[w]; e < offsets[w + 1]; ++e) {
+        const VertexId v = cols[e];
+        if (d_[v] == depth + 1) {
+          dsw += (sw / sigma_[v]) * (1.0 + delta_[v]);
+        }
       }
     }
     delta_[w] = dsw;  // no atomics: w updates itself from successors
-    round.add_item(item_cycles);
+    const std::uint64_t degree = offsets[w + 1] - offsets[w];
+    round_.add_item(cost.queue_vertex + walk_cycles(cost, degree));
+    walked += degree;
   }
-  ctx.charge_imbalanced_round(round);
+  counters.edges_traversed += walked;
+  counters.edges_inspected += walked;
+  ctx.charge_imbalanced_round(round_);
   ctx.charge_barrier();
 }
 
@@ -335,29 +389,31 @@ void BCWorkspace::we_backward_level_pred(gpusim::BlockContext& ctx,
   const auto& cost = ctx.cost();
   const auto offsets = g_->row_offsets();
   const auto cols = g_->col_indices();
-  auto round = ctx.make_round();
+  round_.reset(ctx.round_threads());
 
+  std::uint64_t inspected = 0;
+  std::uint64_t successors = 0;
   for (std::uint64_t i = ends_[depth]; i < ends_[depth + 1]; ++i) {
     const VertexId w = s_[i];
     const double sw = sigma_[w];
     double dsw = 0.0;
-    std::uint64_t item_cycles = cost.queue_vertex;
-    for (EdgeOffset e = offsets[w]; e < offsets[w + 1]; ++e) {
-      ++counters.edges_inspected;
-      // 1-bit streamed check replaces the scattered d[v] fetch...
-      item_cycles += cost.scan_seq;
-      if (successor_marks_.test(e)) {
-        // ...but confirmed successors still read sigma/delta scattered.
-        const VertexId v = cols[e];
-        ++counters.edges_traversed;
-        item_cycles += cost.process_rand;
-        dsw += (sw / sigma_[v]) * (1.0 + delta_[v]);
-      }
-    }
+    std::uint64_t found = 0;
+    successor_marks_.for_each_set(offsets[w], offsets[w + 1], [&](std::size_t e) {
+      const VertexId v = cols[e];
+      ++found;
+      dsw += (sw / sigma_[v]) * (1.0 + delta_[v]);
+    });
     delta_[w] = dsw;
-    round.add_item(item_cycles);
+    // A 1-bit streamed check per edge replaces the scattered d[v] fetch,
+    // but confirmed successors still read sigma/delta scattered.
+    const std::uint64_t degree = offsets[w + 1] - offsets[w];
+    round_.add_item(cost.queue_vertex + degree * cost.scan_seq + found * cost.process_rand);
+    inspected += degree;
+    successors += found;
   }
-  ctx.charge_imbalanced_round(round);
+  counters.edges_inspected += inspected;
+  counters.edges_traversed += successors;
+  ctx.charge_imbalanced_round(round_);
   ctx.charge_barrier();
 }
 
@@ -365,27 +421,35 @@ void BCWorkspace::ep_backward_level(gpusim::BlockContext& ctx, std::uint32_t dep
                                     std::uint64_t width) {
   auto& counters = ctx.counters();
   const auto& cost = ctx.cost();
-  const auto sources = g_->edge_sources();
+  const auto offsets = g_->row_offsets();
   const auto cols = g_->col_indices();
   const EdgeOffset m = g_->num_directed_edges();
 
   ctx.charge_uniform_round(m, cost.scan_seq, width);
   counters.edges_inspected += m;
 
+  // The scan's useful edges are those leaving S[ends[depth] ..
+  // ends[depth+1]); each w's terms arrive in adjacency order either way.
+  std::uint64_t traversed = 0;
   std::uint64_t useful = 0;
-  for (EdgeOffset e = 0; e < m; ++e) {
-    const VertexId w = sources[e];
-    if (d_[w] != depth) continue;
-    const VertexId v = cols[e];
-    ++counters.edges_traversed;
-    if (d_[v] == depth + 1) {
-      // Multiple threads share the same w, so the accumulation into
-      // delta[w] must be atomic (§IV.A's closing observation).
-      delta_[w] += (sigma_[w] / sigma_[v]) * (1.0 + delta_[v]);
-      ++counters.atomic_ops;
-      ++useful;
+  for (std::uint64_t i = ends_[depth]; i < ends_[depth + 1]; ++i) {
+    const VertexId w = s_[i];
+    const double sw = sigma_[w];
+    double dw = delta_[w];
+    traversed += offsets[w + 1] - offsets[w];
+    for (EdgeOffset e = offsets[w]; e < offsets[w + 1]; ++e) {
+      const VertexId v = cols[e];
+      if (d_[v] == depth + 1) {
+        // Multiple threads share the same w, so the accumulation into
+        // delta[w] must be atomic (§IV.A's closing observation).
+        dw += (sw / sigma_[v]) * (1.0 + delta_[v]);
+        ++useful;
+      }
     }
+    delta_[w] = dw;
   }
+  counters.edges_traversed += traversed;
+  counters.atomic_ops += useful;
   ctx.charge_uniform_round(useful, cost.process_seq + cost.atomic_extra, width);
   ctx.charge_barrier();
 }
@@ -396,7 +460,7 @@ void BCWorkspace::vp_backward_level(gpusim::BlockContext& ctx, std::uint32_t dep
   const VertexId n = g_->num_vertices();
   counters.vertices_scanned += n;
 
-  auto round = ctx.make_round();
+  round_.reset(ctx.round_threads());
   for (VertexId v = 0; v < n; ++v) {
     std::uint64_t item_cycles = cost.scan_seq;
     if (d_[v] == depth) {
@@ -412,9 +476,9 @@ void BCWorkspace::vp_backward_level(gpusim::BlockContext& ctx, std::uint32_t dep
       }
       delta_[v] = dsv;
     }
-    round.add_item(item_cycles);
+    round_.add_item(item_cycles);
   }
-  ctx.charge_imbalanced_round(round);
+  ctx.charge_imbalanced_round(round_);
   ctx.charge_barrier();
 }
 
@@ -424,6 +488,7 @@ void BCWorkspace::accumulate_bc(std::span<double> bc, VertexId root, bool use_qu
   if (use_queue) {
     // Walk S: only reached vertices, contiguous.
     ctx.charge_uniform_round(s_len_, cost.process_seq);
+    ctx.charge_barrier();
     for (std::uint64_t i = 0; i < s_len_; ++i) {
       const VertexId v = s_[i];
       if (v != root) {
@@ -434,6 +499,7 @@ void BCWorkspace::accumulate_bc(std::span<double> bc, VertexId root, bool use_qu
   } else {
     const VertexId n = g_->num_vertices();
     ctx.charge_uniform_round(n, cost.scan_seq);
+    ctx.charge_barrier();
     for (VertexId v = 0; v < n; ++v) {
       if (v != root && d_[v] != kInfDistance) {
         bc[v] += delta_[v];
@@ -441,7 +507,6 @@ void BCWorkspace::accumulate_bc(std::span<double> bc, VertexId root, bool use_qu
       }
     }
   }
-  ctx.charge_barrier();
 }
 
 std::uint32_t BCWorkspace::max_depth() const noexcept {

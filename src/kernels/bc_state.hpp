@@ -4,10 +4,11 @@
 // which every GPU-model BC kernel is composed:
 //
 //   * BCWorkspace holds the paper's per-block local variables
-//     (Algorithm 1): d, sigma, delta, Q_curr, Q_next, S and ends. One
-//     workspace per simulated thread block, reused across that block's
-//     roots — exactly the data-structure reuse a real implementation
-//     relies on.
+//     (Algorithm 1): d, sigma, delta, Q_curr, Q_next, S and ends. On the
+//     modelled device every simulated block owns one (the device-memory
+//     ledger charges them per block); on the host, BlockDriver keeps one
+//     per host thread and leases it to whichever block that thread runs,
+//     since a workspace is fully reset at every root.
 //   * we_forward_level / finish_level implement Algorithm 2 (queue-based
 //     shortest-path iteration with CAS dedup);
 //   * we_backward_level implements Algorithm 3 (successor / neighbor-
@@ -18,8 +19,18 @@
 //     reused by the hybrid (Algorithm 4) and sampling (Algorithm 5)
 //     kernels for their edge-parallel phases.
 //
-// Every method performs the real computation on host memory AND charges
-// the simulated device through the BlockContext (see gpusim/device.hpp).
+// The rule every method follows: charge per modelled operation; execute
+// only useful work. The simulated device (the BlockContext, see
+// gpusim/device.hpp) is charged for every operation the modelled kernel
+// performs, including the futile ones — an edge-parallel level still
+// pays its O(m) scan, an adjacency walk still pays for every neighbour
+// it inspects. The host computes those charges in closed form (a
+// vertex's walk cost depends only on its degree and on what it found)
+// and executes only the operations that change state: an edge-parallel
+// level walks the frontier's edges, and the dependency stage sums over
+// successor edges the forward stage marked in a host-only bitmap. The
+// modelled outputs — scores, counters, cycles, traces — are the same as
+// executing every charged step.
 
 #include <cstdint>
 #include <memory>
@@ -197,7 +208,7 @@ struct RunResult {
   gpusim::FaultReport faults;
 };
 
-/// Per-block working set (Algorithm 1's local variables).
+/// Per-root working set (Algorithm 1's local variables).
 class BCWorkspace {
  public:
   explicit BCWorkspace(const graph::CSRGraph& g);
@@ -234,6 +245,12 @@ class BCWorkspace {
   /// discovered vertices are also appended to Q_next so hybrid/sampling
   /// bookkeeping (frontier sizes, S, ends) stays intact.
   /// `width` widens the round to more threads (GPU-FAN grid mode).
+  /// Charged as the full scan; the host walks only the frontier's edges,
+  /// in ascending source order — the edge array's order. Without
+  /// maintain_queue (the queue-less Jia et al. kernels, which keep no
+  /// frontier on the device) the level's vertices still go into S and
+  /// ends as host-only entries, uncharged, so the next level and the
+  /// dependency stage can find them.
   LevelStats ep_forward_level(gpusim::BlockContext& ctx, std::uint32_t depth,
                               bool maintain_queue, std::uint64_t width = 0);
 
@@ -254,6 +271,9 @@ class BCWorkspace {
   void finish_level(gpusim::BlockContext& ctx);
 
   /// Algorithm 3 body for one depth (S-slice driven, successor checks).
+  /// Charged as a walk over every neighbour; for levels that
+  /// we_forward_level expanded, the host sums only over the successor
+  /// edges it marked.
   void we_backward_level(gpusim::BlockContext& ctx, std::uint32_t depth);
 
   /// Predecessor-bitmap dependency level: walks the same S-slice but
@@ -268,7 +288,8 @@ class BCWorkspace {
 
   /// Edge-parallel dependency level: scan all edges; updates the
   /// dependency of edge sources atomically (the paper notes edge-parallel
-  /// successor accumulation cannot avoid atomics).
+  /// successor accumulation cannot avoid atomics). Charged as the full
+  /// scan; the host walks only the edges of the level's S slice.
   void ep_backward_level(gpusim::BlockContext& ctx, std::uint32_t depth,
                          std::uint64_t width = 0);
 
@@ -277,6 +298,8 @@ class BCWorkspace {
 
   /// Add delta into the global BC accumulator (skipping the root).
   /// Queue-less kernels scan all n vertices; queue-based kernels walk S.
+  /// Every charge is issued before `bc` is touched, so a fault that trips
+  /// in this step leaves the accumulator unchanged for the retry.
   void accumulate_bc(std::span<double> bc, graph::VertexId root, bool use_queue,
                      gpusim::BlockContext& ctx);
 
@@ -301,11 +324,23 @@ class BCWorkspace {
   }
 
  private:
+  /// Zero the successor bits the previous root set (walks its S).
+  void clear_successor_marks() noexcept;
+
   const graph::CSRGraph* g_;
   std::vector<std::uint32_t> d_;
   std::vector<double> sigma_;
   std::vector<double> delta_;
-  util::BitVector successor_marks_;  // lazily sized; per directed edge
+  /// Bit e is set when edge e carried a sigma update in we_forward_level.
+  /// Host-only: it is the modelled predecessor bitmap only when the
+  /// kernel runs with use_predecessor_bitmap (which puts it on the
+  /// device ledger); otherwise it just lets the dependency stage skip
+  /// non-successor edges. Lazily sized; one bit per directed edge.
+  util::BitVector successor_marks_;
+  /// level_marked_[k] != 0 when we_forward_level expanded depth k (and so
+  /// marked its successor edges) for the current root.
+  std::vector<std::uint8_t> level_marked_;
+  gpusim::ImbalancedRound round_{1};  // reused by every imbalanced round
   std::vector<graph::VertexId> q_curr_;
   std::vector<graph::VertexId> q_next_;
   std::vector<graph::VertexId> s_;

@@ -1,31 +1,23 @@
 #include "kernels/block_driver.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 
+#include "kernels/detail.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hbc::kernels {
 
 using graph::CSRGraph;
-using graph::VertexId;
-
-namespace {
-
-std::vector<VertexId> resolve_roots(const CSRGraph& g, const RunConfig& config) {
-  if (!config.roots.empty()) return config.roots;
-  std::vector<VertexId> roots(g.num_vertices());
-  std::iota(roots.begin(), roots.end(), VertexId{0});
-  return roots;
-}
-
-}  // namespace
 
 BlockDriver::BlockDriver(const CSRGraph& g, const RunConfig& config,
                          const DriverLayout& layout)
-    : g_(&g), config_(&config), device_(config.device) {
+    : g_(&g),
+      config_(&config),
+      device_(config.device),
+      roots_(detail::resolve_roots(g, config)) {
   // Grid size precedence: a layout-forced count (GPU-FAN's grid mode) wins,
   // then an explicit RunConfig override (the distributed shard path), then
   // the device SM count.
@@ -39,27 +31,16 @@ BlockDriver::BlockDriver(const CSRGraph& g, const RunConfig& config,
   // high-water marks (and OOM behaviour) are unchanged. Graph arrays are
   // charged at the storage policy's *decoded* sizes: the simulated upload
   // decompresses, so the ledger is identical across backings.
-  auto& mem = device_.memory();
-  mem.allocate(g.storage()->decoded_row_bytes(), "csr.row_offsets");
-  mem.allocate(g.storage()->decoded_adjacency_bytes(), "csr.col_indices");
-  if (layout.needs_edge_sources) {
-    mem.allocate(g.storage()->decoded_adjacency_bytes(), "csr.edge_sources");
-  }
-  mem.allocate(static_cast<std::uint64_t>(g.num_vertices()) * sizeof(double),
-               "bc.global");
+  detail::allocate_graph(device_, g, layout.needs_edge_sources);
   for (std::uint32_t b = 0; b < num_blocks_; ++b) {
     for (const PerBlockAllocation& alloc : layout.per_block) {
-      mem.allocate(alloc.bytes, alloc.label);
+      device_.memory().allocate(alloc.bytes, alloc.label);
     }
   }
   device_.begin_run(num_blocks_);
 
-  roots_ = resolve_roots(g, config);
-
-  workspaces_.reserve(num_blocks_);
   partial_bc_.reserve(num_blocks_);
   for (std::uint32_t b = 0; b < num_blocks_; ++b) {
-    workspaces_.push_back(std::make_unique<BCWorkspace>(g));
     partial_bc_.emplace_back(g.num_vertices(), 0.0);
   }
   we_levels_.assign(num_blocks_, 0);
@@ -81,6 +62,15 @@ BlockDriver::BlockDriver(const CSRGraph& g, const RunConfig& config,
           ? config.cpu_threads
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   host_threads_ = std::clamp<std::size_t>(requested, 1, num_blocks_);
+
+  // At most host_threads_ blocks execute at once, and a workspace is fully
+  // reset at every root, so one workspace per host thread serves them all.
+  workspaces_.reserve(host_threads_);
+  idle_workspaces_.reserve(host_threads_);
+  for (std::size_t t = 0; t < host_threads_; ++t) {
+    workspaces_.push_back(std::make_unique<BCWorkspace>(g));
+    idle_workspaces_.push_back(workspaces_.back().get());
+  }
 
   // Trace capture: one driver sink (the run span) plus one sink per block,
   // registered here, on the driver thread, in ascending block order — the
@@ -111,9 +101,21 @@ std::uint64_t BlockDriver::sim_ns(std::uint64_t cycles) const noexcept {
       device_.config().seconds_from_cycles(static_cast<double>(cycles)) * 1e9);
 }
 
-void BlockDriver::launch_root(std::uint32_t block, gpusim::BlockContext& ctx,
-                              std::size_t i, std::uint32_t plan_attempt,
-                              const RootFn& fn) {
+BCWorkspace& BlockDriver::lease_workspace() {
+  std::lock_guard<std::mutex> lock(workspace_mu_);
+  BCWorkspace* ws = idle_workspaces_.back();
+  idle_workspaces_.pop_back();
+  return *ws;
+}
+
+void BlockDriver::return_workspace(BCWorkspace& ws) {
+  std::lock_guard<std::mutex> lock(workspace_mu_);
+  idle_workspaces_.push_back(&ws);
+}
+
+void BlockDriver::launch_root(BCWorkspace& ws, std::uint32_t block,
+                              gpusim::BlockContext& ctx, std::size_t i,
+                              std::uint32_t plan_attempt, const RootFn& fn) {
   const auto root32 = static_cast<std::uint32_t>(roots_[i]);
   if (const gpusim::FaultPlan* plan = config_->fault_plan.get()) {
     // Launch-stage faults fail before any work is done or charged.
@@ -126,7 +128,7 @@ void BlockDriver::launch_root(std::uint32_t block, gpusim::BlockContext& ctx,
       device_.arm_fault(block, ef->kind, root32, ef->transient, ef->after_cycles);
     }
   }
-  RootTask task{*workspaces_[block],
+  RootTask task{ws,
                 ctx,
                 roots_[i],
                 i,
@@ -175,6 +177,14 @@ void BlockDriver::process_block(std::uint32_t block, std::size_t begin,
   gpusim::BlockContext ctx = device_.block(block);
   trace::Sink* sink = ctx.trace();
   gpusim::FaultReport& rep = block_reports_[block];
+  // The pool runs at most host_threads_ blocks at once, so a workspace is
+  // always idle here; it goes back when the block's phase ends or throws.
+  BCWorkspace& ws = lease_workspace();
+  struct Return {
+    BlockDriver* driver;
+    BCWorkspace* ws;
+    ~Return() { driver->return_workspace(*ws); }
+  } give_back{this, &ws};
   const std::uint32_t epoch_base = config_->fault_retry_epoch * max_attempts_;
   SimSpan phase_span(sink, ctx, "phase", trace::kRun,
                      {{"first_root", static_cast<std::uint64_t>(begin)},
@@ -193,7 +203,7 @@ void BlockDriver::process_block(std::uint32_t block, std::size_t begin,
     std::uint32_t attempt = 0;
     while (true) {
       try {
-        launch_root(block, ctx, i, epoch_base + attempt, fn);
+        launch_root(ws, block, ctx, i, epoch_base + attempt, fn);
         mark_completed(i, ctx);
         break;
       } catch (const gpusim::DeviceFault& f) {
@@ -279,7 +289,8 @@ void BlockDriver::recovery_sweep(const RootFn& fn) {
   if (parked.empty()) return;
   // Serial, ascending-root-index order on the driver thread: deterministic
   // no matter which host thread deferred each root. Each rescue executes
-  // with the root's OWNING block context and accumulates into that block's
+  // in any workspace (the pool is idle after the barrier) with the root's
+  // OWNING block context and accumulates into that block's
   // partial vector — the right block, but after the block's other roots,
   // so a rescued run matches a clean one up to FP re-association (and is
   // bitwise-reproducible for the same plan at any thread count).
@@ -306,7 +317,7 @@ void BlockDriver::recovery_sweep(const RootFn& fn) {
     while (last_transient && attempt < max_attempts_) {
       ++report_.retries;
       try {
-        launch_root(block, ctx, d.index, epoch_base + attempt, fn);
+        launch_root(*workspaces_.front(), block, ctx, d.index, epoch_base + attempt, fn);
         mark_completed(d.index, ctx);
         ++report_.rescued_roots;
         completed = true;

@@ -8,9 +8,15 @@
 // nothing but the read-only graph and the global BC accumulator. A
 // strategy therefore reduces to a *per-root functor* (forward stage +
 // dependency stage over a BCWorkspace and BlockContext); everything else —
-// root resolution, device-memory layout, root→block scheduling, workspace
-// pooling, per-root stats/cycle collection, and metrics finalization — is
-// identical across strategies and lives here.
+// root resolution and validation, device-memory layout, root→block
+// scheduling, workspace pooling, per-root stats/cycle collection, and
+// metrics finalization — is identical across strategies and lives here.
+//
+// The device-memory ledger charges every simulated block its own local
+// structures (DriverLayout::per_block). The host needs fewer: a workspace
+// is fully reset at every root, and at most host_threads() blocks run at
+// once, so the driver keeps one BCWorkspace per host thread and leases it
+// to a block for the block's share of a phase.
 //
 // Because blocks are independent, the driver executes them on real host
 // threads (util::ThreadPool), one task per block. Determinism is preserved
@@ -19,8 +25,9 @@
 //   * roots are dealt round-robin: global root index i → block i mod B,
 //     exactly the serial schedule, so each block processes the same roots
 //     in the same order regardless of which host thread runs it;
-//   * each block owns a private Counters/cycle ledger (gpusim::Device) and
-//     a private partial BC vector; nothing mutable is shared;
+//   * each block owns a private Counters/cycle ledger (gpusim::Device), a
+//     private fault arm and a private partial BC vector; the workspace it
+//     leases is reset at every root, so which one it gets never shows;
 //   * finish() reduces the partials and ledgers in fixed ascending block
 //     order, so the floating-point association — hence the bit pattern of
 //     every score — and the simulated-cycle totals are independent of the
@@ -50,6 +57,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -92,7 +100,7 @@ class BlockDriver {
   /// Everything a per-root functor may touch. All mutable references are
   /// private to the executing block, so the functor needs no locking.
   struct RootTask {
-    BCWorkspace& ws;               // this block's workspace, reused per root
+    BCWorkspace& ws;               // leased workspace; reset by init_root
     gpusim::BlockContext& ctx;     // this block's cycle/counter ledger
     graph::VertexId root;          // the root to process
     std::size_t index;             // global root index (position in roots())
@@ -112,9 +120,11 @@ class BlockDriver {
   using RootFn = std::function<void(RootTask&)>;
 
   /// Resolves roots, builds the device (graph arrays + per-block locals on
-  /// the memory ledger, in layout order), sizes the per-block workspaces
-  /// and partial BC vectors, and picks the host-thread count
-  /// (clamp(config.cpu_threads or hardware concurrency, 1, num_blocks)).
+  /// the memory ledger, in layout order), sizes the per-block partial BC
+  /// vectors, picks the host-thread count (clamp(config.cpu_threads or
+  /// hardware concurrency, 1, num_blocks)) and makes one workspace per
+  /// host thread. Throws std::invalid_argument if a root in config.roots
+  /// is not a vertex of `g`.
   BlockDriver(const graph::CSRGraph& g, const RunConfig& config,
               const DriverLayout& layout);
   ~BlockDriver();
@@ -171,11 +181,15 @@ class BlockDriver {
 
   void process_block(std::uint32_t block, std::size_t begin, std::size_t end,
                      const RootFn& fn);
-  /// One launch of root index `i` on `block`: inject/arm plan faults for
-  /// `plan_attempt`, run `fn`, disarm. Throws gpusim::DeviceFault when the
-  /// launch fails or an armed fault trips mid-kernel.
-  void launch_root(std::uint32_t block, gpusim::BlockContext& ctx, std::size_t i,
-                   std::uint32_t plan_attempt, const RootFn& fn);
+  /// Take an idle workspace / give it back (thread-safe).
+  BCWorkspace& lease_workspace();
+  void return_workspace(BCWorkspace& ws);
+  /// One launch of root index `i` on `block` in workspace `ws`:
+  /// inject/arm plan faults for `plan_attempt`, run `fn`, disarm. Throws
+  /// gpusim::DeviceFault when the launch fails or an armed fault trips
+  /// mid-kernel.
+  void launch_root(BCWorkspace& ws, std::uint32_t block, gpusim::BlockContext& ctx,
+                   std::size_t i, std::uint32_t plan_attempt, const RootFn& fn);
   void mark_completed(std::size_t i, gpusim::BlockContext& ctx);
   /// Serially retry the phase's deferred roots in ascending root order,
   /// charging each root's owning block (run after the phase barrier).
@@ -191,7 +205,9 @@ class BlockDriver {
   std::uint32_t in_block_budget_ = 2; // launches before deferring to sweep
   std::vector<graph::VertexId> roots_;
   std::size_t next_index_ = 0;
-  std::vector<std::unique_ptr<BCWorkspace>> workspaces_;  // one per block
+  std::vector<std::unique_ptr<BCWorkspace>> workspaces_;  // one per host thread
+  std::mutex workspace_mu_;                     // guards idle_workspaces_
+  std::vector<BCWorkspace*> idle_workspaces_;   // not leased to a block
   std::vector<std::vector<double>> partial_bc_;           // one per block
   std::vector<std::uint64_t> we_levels_;                  // one per block
   std::vector<std::uint64_t> ep_levels_;                  // one per block

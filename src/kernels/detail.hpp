@@ -1,12 +1,11 @@
 #pragma once
 
-// Internal helpers shared by kernel drivers that have not moved onto
-// kernels::BlockDriver (the weighted engines keep a bespoke loop). The
-// run-loop plumbing that used to live here — root resolution, graph
-// allocation for the unweighted kernels, metrics finalization — is now
-// owned by BlockDriver (see block_driver.hpp). Not part of the public API.
+// Internal helpers shared by kernels::BlockDriver and the weighted
+// engines, which keep a bespoke loop. Not part of the public API.
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -14,9 +13,17 @@
 
 namespace hbc::kernels::detail {
 
-/// Roots to process: the explicit list, or every vertex.
+/// Roots to process: the explicit list, or every vertex. Throws
+/// std::invalid_argument for a listed root that is not a vertex of `g`
+/// (the kernels index their O(n) arrays with it).
 inline std::vector<graph::VertexId> resolve_roots(const graph::CSRGraph& g,
                                                   const RunConfig& config) {
+  for (const graph::VertexId root : config.roots) {
+    if (root >= g.num_vertices()) {
+      throw std::invalid_argument("root " + std::to_string(root) + " out of range for " +
+                                  std::to_string(g.num_vertices()) + " vertices");
+    }
+  }
   if (!config.roots.empty()) return config.roots;
   std::vector<graph::VertexId> roots(g.num_vertices());
   std::iota(roots.begin(), roots.end(), graph::VertexId{0});

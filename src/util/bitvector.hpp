@@ -6,6 +6,7 @@
 // vs 1 byte in std::vector<bool>-free code elsewhere; the gpusim memory
 // model charges the byte count the kernel declares, see kernels/*).
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -40,6 +41,26 @@ class BitVector {
     for (auto& w : words_) w = 0;
   }
 
+  /// Clear every bit in [begin, end).
+  void reset_range(std::size_t begin, std::size_t end) noexcept {
+    if (begin >= end) return;
+    for (std::size_t word = begin >> 6; word <= (end - 1) >> 6; ++word) {
+      words_[word] &= ~range_mask(word, begin, end);
+    }
+  }
+
+  /// Call fn(i) for every set bit i in [begin, end), in ascending order.
+  template <class Fn>
+  void for_each_set(std::size_t begin, std::size_t end, Fn&& fn) const {
+    if (begin >= end) return;
+    for (std::size_t word = begin >> 6; word <= (end - 1) >> 6; ++word) {
+      for (std::uint64_t bits = words_[word] & range_mask(word, begin, end); bits != 0;
+           bits &= bits - 1) {
+        fn((word << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
   std::size_t count() const noexcept {
     std::size_t total = 0;
     for (auto w : words_) total += static_cast<std::size_t>(__builtin_popcountll(w));
@@ -50,6 +71,15 @@ class BitVector {
   std::size_t byte_size() const noexcept { return words_.size() * sizeof(std::uint64_t); }
 
  private:
+  /// Bits of `word` that lie inside [begin, end); requires begin < end.
+  static std::uint64_t range_mask(std::size_t word, std::size_t begin,
+                                  std::size_t end) noexcept {
+    std::uint64_t mask = ~std::uint64_t{0};
+    if (word == begin >> 6) mask &= ~std::uint64_t{0} << (begin & 63);
+    if (word == (end - 1) >> 6) mask &= ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
+    return mask;
+  }
+
   void trim() noexcept {
     const std::size_t rem = size_ & 63;
     if (rem != 0 && !words_.empty()) words_.back() &= (std::uint64_t{1} << rem) - 1;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -174,6 +175,19 @@ TEST(BlockDriverDeterminism, DefaultThreadsMatchExplicitOne) {
   const RunResult defaulted = kernels::run_sampling(g, config);
   expect_bitwise_equal(defaulted.bc, serial.bc, "threads=default");
   expect_identical_metrics(defaulted.metrics, serial.metrics, "threads=default");
+}
+
+TEST(BlockDriver, RejectsOutOfRangeRoot) {
+  // Only core::compute and the coordinator validate roots; the kernels
+  // must not trust RunConfig::roots either (a root >= n would index past
+  // the workspace arrays).
+  const CSRGraph g = undirected_graph();
+  for (const Strategy strategy : kAllStrategies) {
+    RunConfig config = small_device_config();
+    config.roots = {0, g.num_vertices()};
+    EXPECT_THROW(kernels::run_strategy(strategy, g, config), std::invalid_argument)
+        << kernels::to_string(strategy);
+  }
 }
 
 }  // namespace

@@ -256,6 +256,84 @@ TEST(DriverResilienceTest, PersistentFaultsSurfaceAsFailedRoots) {
             static_cast<std::uint64_t>(g.num_vertices()));
 }
 
+// A fault that trips mid-root leaves the leased workspace dirty: successor
+// bits and marked levels from the forward stage, deltas, host-only S
+// entries, a half-filled round. The in-block retry reuses that workspace
+// (and, with fewer host threads than blocks, so does the next block), so
+// the retry must reproduce the clean run bit for bit. Each targeted root
+// trips once at a chosen point of its clean cost C, taken from a
+// collect_root_cycles run:
+//   * mid forward stage — after about half its levels;
+//   * the last dependency level — just before accumulate_bc;
+//   * C itself — the final barrier of accumulate_bc, after which a root
+//     whose delta had already landed in the partial would count twice.
+TEST(DriverResilienceTest, DirtyPooledWorkspacesRetryBitwiseIdentical) {
+  const auto g = driver_graph();
+  constexpr kernels::Strategy kStrategies[] = {
+      kernels::Strategy::WorkEfficient, kernels::Strategy::Hybrid,
+      kernels::Strategy::Sampling, kernels::Strategy::EdgeParallel};
+  for (const kernels::Strategy strategy : kStrategies) {
+    kernels::RunConfig clean = driver_config();
+    clean.collect_root_cycles = true;
+    clean.collect_per_root_stats = true;
+    const kernels::RunResult baseline = kernels::run_strategy(strategy, g, clean);
+    const gpusim::DeviceConfig& dev = clean.device;
+    const auto rounds = [&](std::uint64_t items) {
+      return (items + dev.threads_per_block - 1) / dev.threads_per_block;
+    };
+
+    enum Point { kForward, kDependency, kFinalBarrier };
+    for (const Point point : {kForward, kDependency, kFinalBarrier}) {
+      std::string spec = "seed=1";
+      std::size_t targeted = 0;
+      for (std::size_t i = 3; i < baseline.per_root.size(); i += 23) {
+        const kernels::PerRootStats& stats = baseline.per_root[i];
+        ASSERT_GE(stats.max_depth, 2u);  // at least one dependency level
+        const std::uint64_t cost = baseline.metrics.per_root_cycles[i];
+        std::uint64_t reached = 0;
+        for (const kernels::IterationRecord& it : stats.iterations) {
+          reached += it.vertex_frontier;
+        }
+        // accumulate_bc: one round over S (or, queue-less, over all n)
+        // and a barrier.
+        const std::uint64_t accumulate =
+            (strategy == kernels::Strategy::EdgeParallel
+                 ? rounds(g.num_vertices()) * dev.cost.scan_seq
+                 : rounds(reached) * dev.cost.process_seq) +
+            dev.cost.block_barrier;
+        std::uint64_t after = cost;
+        if (point == kForward) {
+          after = 0;
+          for (std::size_t k = 0; k <= stats.iterations.size() / 2; ++k) {
+            after += stats.iterations[k].cycles;
+          }
+        } else if (point == kDependency) {
+          after = cost - accumulate - 1;
+        }
+        spec += ";ecc,roots=" + std::to_string(stats.root) +
+                ",transient,after=" + std::to_string(after);
+        ++targeted;
+      }
+
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        const std::string what = std::string(kernels::to_string(strategy)) + " point " +
+                                 std::to_string(point) + " threads " +
+                                 std::to_string(threads);
+        kernels::RunConfig faulty = clean;
+        faulty.cpu_threads = threads;
+        faulty.fault_plan = FaultPlan::parse_shared(spec);
+        const kernels::RunResult r = kernels::run_strategy(strategy, g, faulty);
+        EXPECT_EQ(r.faults.faults_injected, targeted) << what;
+        EXPECT_EQ(r.faults.retries, targeted) << what;
+        EXPECT_TRUE(r.faults.complete()) << what;
+        expect_bitwise_equal(r.bc, baseline.bc, what);
+        // The completing attempt of every root costs what the clean one did.
+        EXPECT_EQ(r.metrics.per_root_cycles, baseline.metrics.per_root_cycles) << what;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cooperative cancellation: driver and CPU engines.
 

@@ -181,6 +181,35 @@ TEST(BitVector, AssignAllTrueTrimsTail) {
   EXPECT_EQ(bv.count(), 0u);
 }
 
+TEST(BitVector, RangeWalkAndResetMatchPerBitLoops) {
+  // Ranges that start, end and sit inside word boundaries, against the
+  // per-bit test()/clear() loops they replace.
+  Xoshiro256 rng(5);
+  BitVector bv(300);
+  for (std::size_t i = 0; i < 300; ++i) {
+    if (rng.next_below(3) == 0) bv.set(i);
+  }
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 0}, {0, 1}, {0, 64}, {63, 65}, {64, 128}, {5, 9}, {70, 250}, {1, 300}, {299, 300}};
+  for (const auto& [begin, end] : ranges) {
+    std::vector<std::size_t> expected;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (bv.test(i)) expected.push_back(i);
+    }
+    std::vector<std::size_t> walked;
+    bv.for_each_set(begin, end, [&](std::size_t i) { walked.push_back(i); });
+    EXPECT_EQ(walked, expected) << begin << ".." << end;
+
+    BitVector cleared = bv;
+    BitVector reference = bv;
+    cleared.reset_range(begin, end);
+    for (std::size_t i = begin; i < end; ++i) reference.clear(i);
+    for (std::size_t i = 0; i < 300; ++i) {
+      EXPECT_EQ(cleared.test(i), reference.test(i)) << begin << ".." << end << " bit " << i;
+    }
+  }
+}
+
 TEST(BitVector, ByteSizeIsWordGranular) {
   EXPECT_EQ(BitVector(1).byte_size(), 8u);
   EXPECT_EQ(BitVector(64).byte_size(), 8u);
