@@ -1,6 +1,7 @@
 #include "net/coordinator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -28,8 +29,8 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-std::uint32_t remaining_ms(const Clock::time_point& deadline, bool has_deadline) {
-  if (!has_deadline) return 0;
+std::uint32_t remaining_ms(const Clock::time_point& deadline) {
+  if (deadline == Clock::time_point::max()) return 0;
   const auto left = deadline - Clock::now();
   if (left <= Clock::duration::zero()) return 1;  // expired: smallest budget
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(left).count();
@@ -82,33 +83,12 @@ void Coordinator::trace_instant(const char* name, std::uint64_t req,
   trace::Sink* s = sink();
   if (!s || !s->wants(trace::kService)) return;
   // One fixed slot for the request id plus the caller's args.
-  switch (extra.size()) {
-    case 0:
-      s->instant(name, trace::kService, cfg_.tracer->now_ns(), {{"req", req}});
-      break;
-    default: {
-      std::initializer_list<trace::Arg> all = extra;
-      trace::Arg args[trace::Event::kMaxArgs];
-      std::size_t n = 0;
-      args[n++] = {"req", req};
-      for (const trace::Arg& a : all) {
-        if (n >= trace::Event::kMaxArgs) break;
-        args[n++] = a;
-      }
-      // Sink::instant takes an initializer_list; re-emit via the widest
-      // fixed arity we use (req + up to 3 extras).
-      if (n == 2) {
-        s->instant(name, trace::kService, cfg_.tracer->now_ns(), {args[0], args[1]});
-      } else if (n == 3) {
-        s->instant(name, trace::kService, cfg_.tracer->now_ns(),
-                   {args[0], args[1], args[2]});
-      } else {
-        s->instant(name, trace::kService, cfg_.tracer->now_ns(),
-                   {args[0], args[1], args[2], args[3]});
-      }
-      break;
-    }
-  }
+  std::array<trace::Arg, trace::Event::kMaxArgs> args;
+  args[0] = {"req", req};
+  const std::size_t n = 1 + std::min(extra.size(), args.size() - 1);
+  std::copy_n(extra.begin(), n - 1, args.begin() + 1);
+  s->instant(name, trace::kService, cfg_.tracer->now_ns(),
+             std::span<const trace::Arg>(args.data(), n));
 }
 
 std::size_t Coordinator::worker_count() const {
@@ -217,24 +197,15 @@ service::MutationResult Coordinator::mutate_graph(const std::string& id,
                                 id + "'");
   }
   GraphEntry& e = it->second;
-  if (!e.versioned) {
-    // Throws std::invalid_argument for directed graphs, like the service.
-    e.versioned = std::make_shared<dyn::VersionedGraph>(e.graph, cfg_.tracer);
-  }
-  const dyn::CommitResult cr = e.versioned->apply(batch);
+  const dyn::CommitResult cr =
+      service::versioned_graph(e.versioned, e.graph, cfg_.tracer)->apply(batch);
   e.graph = cr.after.graph;
   e.fingerprint = cr.after.fingerprint;
   e.epoch = cr.after.id;
   const std::vector<wire::WireUpdate> applied = to_wire(cr.applied);
   e.history.insert(e.history.end(), applied.begin(), applied.end());
 
-  service::MutationResult out;
-  out.epoch = cr.after.id;
-  out.fingerprint_before = cr.before.fingerprint;
-  out.fingerprint_after = cr.after.fingerprint;
-  out.applied = cr.applied.size();
-  out.noops = cr.noops;
-
+  service::MutationResult out = service::mutation_result(cr);
   ++stats_.mutations;
   if (cr.applied.empty()) return out;  // no-op batch: nothing changed anywhere
 
@@ -245,15 +216,10 @@ service::MutationResult Coordinator::mutate_graph(const std::string& id,
     return key.rfind(old_prefix, 0) == 0;
   });
   // Partial folds cannot be patched forward across epochs: invalidate the
-  // refinable estimates too, and drop their queued refinements so a stale
-  // estimate is never advanced or re-served (the never-resurrect rule).
+  // refinable estimates too. refine_step drops their queued refinements
+  // when it reaches them, so a stale estimate is never advanced or
+  // re-served (the never-resurrect rule).
   out.approx_invalidated = approx_cache_.invalidate_prefix(old_prefix);
-  std::erase_if(refine_queue_, [&](const PendingRefine& r) {
-    std::lock_guard<std::mutex> lock(r.entry->mu);
-    if (!r.entry->invalidated) return false;
-    ++stats_.refine_dropped;
-    return true;
-  });
 
   // Broadcast to every worker that holds the graph; fingerprint agreement
   // is checked on each ack (a disagreeing worker is cut loose).
@@ -536,22 +502,10 @@ void Coordinator::worker_dead(std::uint32_t slot) {
       control_->errors.push_back("worker " + std::to_string(slot) + " disconnected");
     }
   }
-  if (active_) {
-    // Root-range reassignment: every shard this worker still owed goes
-    // back to Pending; the dispatch loop finds it a new home (or the
-    // local-fallback lane computes it — bit-identical either way).
-    for (Shard& s : active_->shards) {
-      auto dit = std::find(s.dispatched_to.begin(), s.dispatched_to.end(), slot);
-      if (dit == s.dispatched_to.end()) continue;
-      s.dispatched_to.erase(dit);
-      if (s.state == Shard::State::Dispatched && s.dispatched_to.empty()) {
-        s.state = Shard::State::Pending;
-        trace_instant("shard-reassign", active_->id,
-                      {{"shard", std::uint64_t{s.index}},
-                       {"worker", std::uint64_t{slot}}});
-      }
-    }
-  }
+  // Root-range reassignment: every shard this worker still owed goes back
+  // to Pending; the dispatch loop finds it a new home (or the local-fallback
+  // lane computes it — bit-identical either way).
+  reassign_dispatched(slot);
   workers_.erase(it);
 }
 
@@ -570,20 +524,22 @@ void Coordinator::set_health(WorkerState& w, wire::HealthState state,
                  {"state", std::uint64_t{static_cast<std::uint8_t>(state)}}});
 }
 
-void Coordinator::reassign_dispatched(std::uint32_t slot) {
-  if (!active_) return;
+std::uint64_t Coordinator::reassign_dispatched(std::uint32_t slot) {
+  std::uint64_t reassigned = 0;
+  if (!active_) return reassigned;
   for (Shard& s : active_->shards) {
     auto dit = std::find(s.dispatched_to.begin(), s.dispatched_to.end(), slot);
     if (dit == s.dispatched_to.end()) continue;
     s.dispatched_to.erase(dit);
     if (s.state == Shard::State::Dispatched && s.dispatched_to.empty()) {
       s.state = Shard::State::Pending;
-      ++stats_.shard_retries;
+      ++reassigned;
       trace_instant("shard-reassign", active_->id,
                     {{"shard", std::uint64_t{s.index}},
                      {"worker", std::uint64_t{slot}}});
     }
   }
+  return reassigned;
 }
 
 void Coordinator::detect_failures() {
@@ -600,7 +556,7 @@ void Coordinator::detect_failures() {
     ++stats_.quarantines;
     set_health(w, wire::HealthState::Quarantined, "missed heartbeat deadline");
     w.inflight = 0;
-    reassign_dispatched(slot);
+    stats_.shard_retries += reassign_dispatched(slot);
   }
 }
 
@@ -843,18 +799,12 @@ void Coordinator::dispatch_pending(ActiveQuery& q) {
     }
     // Backoff window after a failed attempt: leave the shard Pending.
     if (s.attempts > 0 && now < s.not_before) continue;
-    // Candidates: *healthy* ready owners of the graph, preferring ones
-    // this shard has not tried, then least in-flight (load balance).
+    // Candidates: eligible workers, preferring ones this shard has not
+    // tried, then least in-flight (load balance).
     WorkerState* best = nullptr;
     bool best_untried = false;
     for (auto& [slot, w] : workers_) {
-      if (!w.ready || w.health != wire::HealthState::Healthy ||
-          w.graphs.count(q.graph_id) == 0) {
-        continue;
-      }
-      // Budgeted shards only travel to workers that negotiated v2 — a v1
-      // worker would silently run the query exact (no budget on the wire).
-      if (s.msg.has_budget != 0 && w.protocol < 2) continue;
+      if (!eligible(w, q, s)) continue;
       const bool untried = s.tried.count(slot) == 0;
       if (best == nullptr || (untried && !best_untried) ||
           (untried == best_untried && w.inflight < best->inflight)) {
@@ -866,19 +816,9 @@ void Coordinator::dispatch_pending(ActiveQuery& q) {
       escalate(q, s);
       continue;
     }
-    s.msg.deadline_ms = remaining_ms(q.deadline, q.has_deadline);
-    best->conn->send(wire::encode(s.msg, q.id, best->protocol));
-    ++best->inflight;
     s.state = Shard::State::Dispatched;
-    ++s.attempts;
+    send_shard(q, s, *best, "shard-dispatch");
     if (s.attempts > 1) ++stats_.shard_retries;
-    s.dispatched_to.push_back(best->slot);
-    s.tried.insert(best->slot);
-    s.last_dispatch = Clock::now();
-    ++stats_.shards_dispatched;
-    trace_instant("shard-dispatch", q.id,
-                  {{"shard", std::uint64_t{s.index}},
-                   {"worker", std::uint64_t{best->slot}}});
   }
 }
 
@@ -901,12 +841,7 @@ void Coordinator::check_stragglers(ActiveQuery& q) {
     // result wins.
     WorkerState* best = nullptr;
     for (auto& [slot, w] : workers_) {
-      if (!w.ready || w.health != wire::HealthState::Healthy ||
-          w.graphs.count(q.graph_id) == 0) {
-        continue;
-      }
-      if (s.msg.has_budget != 0 && w.protocol < 2) continue;
-      if (s.tried.count(slot) != 0) continue;
+      if (!eligible(w, q, s) || s.tried.count(slot) != 0) continue;
       if (best == nullptr || w.inflight < best->inflight) best = &w;
     }
     if (best == nullptr) {
@@ -917,19 +852,31 @@ void Coordinator::check_stragglers(ActiveQuery& q) {
       escalate(q, s);
       continue;
     }
-    s.msg.deadline_ms = remaining_ms(q.deadline, q.has_deadline);
-    best->conn->send(wire::encode(s.msg, q.id, best->protocol));
-    ++best->inflight;
-    ++s.attempts;
-    s.dispatched_to.push_back(best->slot);
-    s.tried.insert(best->slot);
-    s.last_dispatch = now;
-    ++stats_.shards_dispatched;
+    send_shard(q, s, *best, "shard-straggler");
     ++stats_.straggler_redispatches;
-    trace_instant("shard-straggler", q.id,
-                  {{"shard", std::uint64_t{s.index}},
-                   {"worker", std::uint64_t{best->slot}}});
   }
+}
+
+bool Coordinator::eligible(const WorkerState& w, const ActiveQuery& q,
+                           const Shard& s) const {
+  // Healthy ready owners of the graph. Budgeted shards only travel to
+  // workers that negotiated v2 — a v1 worker would silently run the query
+  // exact (no budget on the wire).
+  return w.ready && w.health == wire::HealthState::Healthy &&
+         w.graphs.count(q.graph_id) != 0 && (s.msg.has_budget == 0 || w.protocol >= 2);
+}
+
+void Coordinator::send_shard(ActiveQuery& q, Shard& s, WorkerState& w, const char* event) {
+  s.msg.deadline_ms = remaining_ms(q.deadline);
+  w.conn->send(wire::encode(s.msg, q.id, w.protocol));
+  ++w.inflight;
+  ++s.attempts;
+  s.dispatched_to.push_back(w.slot);
+  s.tried.insert(w.slot);
+  s.last_dispatch = Clock::now();
+  ++stats_.shards_dispatched;
+  trace_instant(event, q.id,
+                {{"shard", std::uint64_t{s.index}}, {"worker", std::uint64_t{w.slot}}});
 }
 
 std::unique_ptr<Coordinator::ActiveQuery> Coordinator::start_query(
@@ -941,8 +888,7 @@ std::unique_ptr<Coordinator::ActiveQuery> Coordinator::start_query(
   q->fingerprint = entry.fingerprint;
   q->options = request.options;
   q->whole = !block_shardable(request.options.strategy);
-  q->has_deadline = request.budget.deadline.count() > 0;
-  q->deadline = t0 + request.budget.deadline;
+  q->deadline = request.budget.expires(t0);
   return q;
 }
 
@@ -966,7 +912,7 @@ service::Response Coordinator::run_query(std::unique_ptr<ActiveQuery> q,
   active_ = std::move(q);
   ActiveQuery& aq = *active_;
   while (!aq.failed && aq.remaining > 0) {
-    if (aq.has_deadline && Clock::now() >= aq.deadline) {
+    if (Clock::now() >= aq.deadline) {
       aq.failed = true;
       aq.fail_status = QueryStatus::DeadlineExceeded;
       aq.fail_error = "deadline exceeded with " + std::to_string(aq.remaining) +
@@ -976,14 +922,10 @@ service::Response Coordinator::run_query(std::unique_ptr<ActiveQuery> q,
     dispatch_pending(aq);
     if (aq.failed || aq.remaining == 0) break;
     check_stragglers(aq);
-    int wait_ms = 20;
-    if (aq.has_deadline) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            aq.deadline - Clock::now())
-                            .count();
-      wait_ms = static_cast<int>(std::clamp<long long>(left, 0, wait_ms));
-    }
-    pump(wait_ms);
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          aq.deadline - Clock::now())
+                          .count();
+    pump(static_cast<int>(std::clamp<long long>(left, 0, 20)));
   }
 
   service::Response resp = assemble(aq, top_k, t0);
@@ -1002,31 +944,33 @@ service::Response Coordinator::query(service::Request request) {
                    "graph '" + request.graph_id + "' is not registered", t0);
   }
   const GraphEntry& entry = git->second;
-  const graph::VertexId n = entry.graph->num_vertices();
   try {
-    core::validate_roots(n, request.options.roots);
+    core::validate_roots(entry.graph->num_vertices(), request.options.roots);
   } catch (const std::invalid_argument& ex) {
     return failure(QueryStatus::BadRequest, ex.what(), t0);
   }
 
   if (request.budget.active()) return query_budgeted(std::move(request), t0);
 
-  const std::string key = service::fingerprint_prefix(entry.fingerprint) +
-                          core::options_signature(request.options);
+  std::string key = service::cache_key(entry.fingerprint, request.options);
   if (std::shared_ptr<const service::CachedResult> hit = cache_.get(key)) {
     ++stats_.cache_hits;
-    service::Response resp;
-    resp.status = QueryStatus::Ok;
-    resp.from_cache = true;
-    resp.result = std::shared_ptr<const core::BCResult>(hit, &hit->result);
+    service::Response resp = service::cached_response(std::move(hit));
     if (request.top_k > 0) resp.top = core::top_k(resp.result->scores, request.top_k);
     resp.total_ms = ms_between(t0, Clock::now());
     trace_instant("dist-cache-hit", 0);
     return resp;
   }
+  return execute(request, entry, t0, std::move(key));
+}
 
+service::Response Coordinator::execute(const service::Request& request,
+                                       const GraphEntry& entry, Clock::time_point t0,
+                                       std::string cache_key) {
   const core::Options& o = request.options;
+  const graph::VertexId n = entry.graph->num_vertices();
   auto q = start_query(request, entry, t0);
+  q->cache_key = std::move(cache_key);
   const core::RootPlan plan = core::resolve_roots(n, o);
   q->approximate = plan.approximate;
   q->resolved_roots = plan.roots.size();
@@ -1071,15 +1015,15 @@ service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
 
   service::Response resp;
   const graph::VertexId n = q.graph->num_vertices();
-  auto result = std::make_shared<core::BCResult>();
-  result->strategy = q.options.strategy;
+  core::BCResult result;
+  result.strategy = q.options.strategy;
   double compute_ms = 0.0;
 
   if (q.whole) {
     Shard& s = q.shards.front();
-    result->scores = std::move(s.partial);
-    result->roots_processed = s.roots_processed;
-    result->approximate = s.has_estimate != 0
+    result.scores = std::move(s.partial);
+    result.roots_processed = s.roots_processed;
+    result.approximate = s.has_estimate != 0
                               ? s.est_roots_used < n
                               : q.approximate || (q.resolved_roots < n);
     resp.degraded = s.degraded != 0;
@@ -1098,58 +1042,65 @@ service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
     // The paper's MPI_Reduce, made bitwise-deterministic: fold partials in
     // ascending block order (the exact association BlockDriver::finish
     // uses), then finalize exactly as core::compute does.
-    result->scores.assign(n, 0.0);
+    result.scores.assign(n, 0.0);
     for (const Shard& s : q.shards) {
       if (s.state != Shard::State::Done) continue;  // abandoned (degraded)
       for (std::size_t v = 0; v < s.partial.size(); ++v) {
-        result->scores[v] += s.partial[v];
+        result.scores[v] += s.partial[v];
       }
-      result->roots_processed += s.roots_processed;
+      result.roots_processed += s.roots_processed;
       compute_ms = std::max(compute_ms, s.compute_ms);
     }
     resp.degraded = q.abandoned > 0;
-    core::finalize(result->scores, n, q.approximate ? result->roots_processed : 0,
+    core::finalize(result.scores, n, q.approximate ? result.roots_processed : 0,
                    q.options.halve_undirected, q.options.normalize);
-    result->approximate = q.approximate || (q.resolved_roots < n);
+    result.approximate = q.approximate || (q.resolved_roots < n);
   }
 
-  result->time_seconds = compute_ms / 1e3;
-  result->wall_seconds = ms_between(t0, Clock::now()) / 1e3;
-  result->teps = core::teps_bc(*q.graph, result->roots_processed, result->time_seconds);
+  result.time_seconds = compute_ms / 1e3;
+  result.wall_seconds = ms_between(t0, Clock::now()) / 1e3;
+  result.teps = core::teps_bc(*q.graph, result.roots_processed, result.time_seconds);
 
   resp.status = QueryStatus::Ok;
   resp.compute_ms = compute_ms;
   resp.total_ms = ms_between(t0, Clock::now());
-  if (resp.degraded) {
-    ++stats_.degraded;
-  } else if (!q.budgeted && cache_.budget_bytes() > 0) {
-    // Budgeted results are estimates: under the exact options signature
-    // they would be served to later exact queries. Never cached here —
-    // the refinable ApproxCache (or the worker's) is their home.
-    const std::string key = service::fingerprint_prefix(q.fingerprint) +
-                            core::options_signature(q.options);
-    auto cached = std::make_shared<service::CachedResult>();
-    cached->result = *result;
-    cached->bytes = service::estimate_result_bytes(cached->result);
-    cached->refreshable = false;
-    cache_.put(key, cached);
+  if (resp.degraded) ++stats_.degraded;
+  if (q.cache_key.empty()) {
+    resp.result = std::make_shared<const core::BCResult>(std::move(result));
+  } else {
+    service::store_result(cache_, q.cache_key, std::move(result), /*refreshable=*/false,
+                          resp);
   }
-  resp.result = std::move(result);
   if (top_k > 0) resp.top = core::top_k(resp.result->scores, top_k);
   return resp;
 }
 
 // --- accuracy contracts --------------------------------------------------
 
-service::StratumFn Coordinator::stratum_runner(const std::string& graph_id) {
-  // The stratum is an ordinary exact explicit-root query: Partial-sharded
+service::StratumFn Coordinator::stratum_runner(const std::string& graph_id,
+                                               Clock::time_point deadline) {
+  // The stratum is an ordinary exact explicit-root sub-run: Partial-sharded
   // across the fleet and folded in block order, so its raw sums are
   // bitwise-identical to the stratum a standalone service would compute.
-  return [this, graph_id](core::Options stratum) {
+  // It carries the remaining deadline and bypasses the exact cache.
+  return [this, graph_id, deadline](core::Options stratum) {
+    const auto t0 = Clock::now();
+    if (t0 >= deadline) throw util::Cancelled(util::CancelReason::Deadline);
+    const auto git = graphs_.find(graph_id);
+    if (git == graphs_.end()) {
+      throw std::runtime_error("stratum sub-query: graph '" + graph_id +
+                               "' is not registered");
+    }
     service::Request sub;
     sub.graph_id = graph_id;
     sub.options = std::move(stratum);
-    const service::Response r = query(std::move(sub));
+    if (deadline != Clock::time_point::max()) {
+      sub.budget.deadline = std::chrono::ceil<std::chrono::milliseconds>(deadline - t0);
+    }
+    const service::Response r = execute(sub, git->second, t0, "");
+    if (r.status == QueryStatus::DeadlineExceeded) {
+      throw util::Cancelled(util::CancelReason::Deadline);
+    }
     if (!r.ok() || r.degraded || !r.result) {
       throw std::runtime_error("stratum sub-query failed: " + r.error);
     }
@@ -1160,38 +1111,25 @@ service::StratumFn Coordinator::stratum_runner(const std::string& graph_id) {
 bool Coordinator::refine_step() {
   if (drained_ || refine_queue_.empty()) return false;
   const PendingRefine job = refine_queue_.front();
-  const auto finish = [&] {
+  service::RefineStep step;  // a failed stratum leaves it Met and done
+  try {
+    step = service::refine_step(approx_cache_, job.entry, job.options, job.budget,
+                                stratum_runner(job.graph_id, Clock::time_point::max()));
+  } catch (const std::exception&) {
+    // Best-effort: a failed stratum drops the refinement, not the entry.
+  }
+  if (step.outcome == service::RefineOutcome::Dropped) {
+    ++stats_.refine_dropped;  // never-resurrect: a mutation beat this refinement
+  } else if (step.outcome == service::RefineOutcome::Folded) {
+    ++stats_.refine_strata;
+  }
+  if (step.new_rung) trace_instant("refine-rung", 0, {{"rung", step.after.rung}});
+  // Retire a finished job now so Estimate::refining drops the moment the
+  // last stratum lands, not one refine_step later.
+  if (step.done) {
     refine_queue_.pop_front();
     std::lock_guard<std::mutex> lock(job.entry->mu);
     if (job.entry->refine_pending > 0) --job.entry->refine_pending;
-  };
-  const std::size_t n = job.entry->est.num_vertices();
-  const service::Progress before = service::progress(*job.entry);
-  if (before.invalidated) {
-    // Never-resurrect: a mutation/eviction beat this refinement.
-    ++stats_.refine_dropped;
-    finish();
-    return true;
-  }
-  if (service::contract_met(before.estimate, job.budget, n)) {
-    finish();
-    return true;
-  }
-  service::Estimate after;
-  try {
-    after = service::fold_next_stratum(approx_cache_, job.entry, job.options,
-                                       stratum_runner(job.graph_id));
-  } catch (const std::exception&) {
-    // Best-effort: a failed stratum drops the refinement, not the entry.
-    finish();
-    return true;
-  }
-  ++stats_.refine_strata;
-  // Retire a completed contract now so Estimate::refining drops the
-  // moment the last stratum lands, not one refine_step later.
-  if (service::contract_met(after, job.budget, n)) finish();
-  if (after.rung > before.estimate.rung) {
-    trace_instant("refine-rung", 0, {{"rung", after.rung}});
   }
   return true;
 }
@@ -1230,65 +1168,42 @@ service::Response Coordinator::query_budgeted(service::Request request,
     return run_query(std::move(q), request.top_k, t0);
   }
 
-  // Block-shardable GPU-model strategy: run the stratified controller
-  // here, each stratum an exact explicit-root sub-query through query().
+  // Block-shardable GPU-model strategy: run the contract controller here,
+  // each stratum an exact explicit-root sub-run across the fleet.
   const core::StratumPlan plan;
-  const std::string akey = service::fingerprint_prefix(entry.fingerprint) +
-                           core::approx_signature(request.options, plan);
   bool created = false;
   const std::shared_ptr<service::ApproxEntry> e = approx_cache_.get_or_create(
-      akey, n, plan, request.options.seed, entry.fingerprint, created);
-  const service::StratumFn run = stratum_runner(request.graph_id);
-  const bool has_deadline = request.budget.deadline.count() > 0;
-  const auto deadline = t0 + request.budget.deadline;
-
-  bool computed_any = false;
-  bool queue_refine = false;
-  for (;;) {
-    const service::Progress now = service::progress(*e);
-    const bool met = service::contract_met(now.estimate, request.budget, n);
-    const bool pause = !met && now.rung0_done && request.budget.allow_refinement;
-    if (met || pause) {
-      queue_refine = pause;
-      break;
-    }
-    if (has_deadline && Clock::now() >= deadline) {
-      if (!now.rung0_done) {
-        return failure(QueryStatus::DeadlineExceeded,
-                       "deadline exceeded before the first publishable rung", t0);
-      }
-      // Serve the best published rung; the contract keeps refining in
-      // the background if the caller allowed it.
-      queue_refine = request.budget.allow_refinement;
-      break;
-    }
-    try {
-      service::fold_next_stratum(approx_cache_, e, request.options, run);
-    } catch (const std::exception&) {
-      return failure(QueryStatus::Failed, "budgeted query: stratum sub-query failed",
-                     t0);
-    }
-    computed_any = true;
-  }
-
-  const service::Published served = service::publish(*e, request.options);
-  if (queue_refine) {
+      service::approx_key(entry.fingerprint, request.options, plan), n, plan,
+      request.options.seed, entry.fingerprint, created);
+  const Clock::time_point deadline = request.budget.expires(t0);
+  const auto queue_refinement = [&] {
     {
       std::lock_guard<std::mutex> lock(e->mu);
       ++e->refine_pending;
     }
     refine_queue_.push_back(
         PendingRefine{request.graph_id, e, request.options, request.budget});
+    return true;
+  };
+  service::ContractRun run;
+  try {
+    run = service::advance_contract(approx_cache_, e, request.options, request.budget,
+                                    request.budget.allow_refinement,
+                                    stratum_runner(request.graph_id, deadline),
+                                    util::CancelSource::with_deadline(deadline).token(),
+                                    queue_refinement);
+  } catch (const util::Cancelled&) {
+    return failure(QueryStatus::DeadlineExceeded,
+                   "deadline exceeded before the first publishable rung", t0);
+  } catch (const std::exception&) {
+    return failure(QueryStatus::Failed, "budgeted query: stratum sub-query failed", t0);
   }
+
   service::Response resp;
   resp.status = QueryStatus::Ok;
-  resp.result = served.result;
-  resp.estimate = served.estimate;
-  {
-    std::lock_guard<std::mutex> lock(e->mu);
-    resp.estimate->refining = e->refine_pending > 0;
-  }
-  resp.from_cache = !computed_any;
+  resp.result = std::move(run.result);
+  resp.estimate = run.estimate;
+  resp.from_cache = !run.computed;
   resp.total_ms = ms_between(t0, Clock::now());
   if (request.top_k > 0) resp.top = core::top_k(resp.result->scores, request.top_k);
   return resp;

@@ -306,16 +306,18 @@ class Coordinator {
     std::uint64_t fingerprint = 0;  // the graph's, when the query started
     core::Options options;  // as requested (finalization mirrors these)
     bool whole = false;
-    /// Accuracy-contract Whole delegation: the result is an estimate and
-    /// must never land in the exact-signature result cache.
+    /// Accuracy-contract Whole delegation: the response carries the
+    /// worker's estimate.
     bool budgeted = false;
+    /// Exact-cache slot for the answer; empty = never cached.
+    std::string cache_key;
     bool approximate = false;      // sampled-roots scale-up applies
     std::size_t resolved_roots = 0;  // |resolved root list|
     std::vector<Shard> shards;
     std::size_t remaining = 0;
     std::size_t abandoned = 0;
+    /// time_point::max() = none.
     std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
     bool failed = false;
     service::QueryStatus fail_status = service::QueryStatus::Failed;
     std::string fail_error;
@@ -333,9 +335,9 @@ class Coordinator {
   void detect_failures();
   /// Transition `w` to `state`, notify it with a QuarantineMsg, trace.
   void set_health(WorkerState& w, wire::HealthState state, const std::string& reason);
-  /// Reassign every shard dispatched to `slot` without touching the
-  /// connection (quarantine: suspected, not dead).
-  void reassign_dispatched(std::uint32_t slot);
+  /// Return every shard dispatched to `slot` to Pending, without touching
+  /// the connection (a dead or quarantined worker). Returns the count.
+  std::uint64_t reassign_dispatched(std::uint32_t slot);
 
   /// Best-effort snapshot after a registry change (records the error in
   /// snapshot_info_ instead of throwing).
@@ -347,9 +349,9 @@ class Coordinator {
   std::vector<std::uint32_t> owners(const std::string& id) const;
 
   /// Accuracy-contract queries (request.budget active). GPU-model
-  /// block-shardable strategies run the stratified controller HERE —
-  /// each stratum is an explicit-root Partial-sharded sub-query through
-  /// query(), so every stratum (and therefore the folded estimate) is
+  /// block-shardable strategies run service::advance_contract HERE —
+  /// each stratum is an explicit-root Partial-sharded sub-run through
+  /// execute(), so every stratum (and therefore the folded estimate) is
   /// bitwise-identical to a standalone budgeted run. CPU/Sampling
   /// strategies delegate the whole budgeted query to one v2 worker.
   service::Response query_budgeted(service::Request request,
@@ -358,15 +360,25 @@ class Coordinator {
   /// Returns false when there is nothing to do. Called from run_for()
   /// between pump passes and drained fully by drain().
   bool refine_step();
-  /// The fleet's stratum executor for service::fold_next_stratum: each
-  /// stratum runs as a Partial-sharded exact sub-query through query().
-  service::StratumFn stratum_runner(const std::string& graph_id);
+  /// The fleet's stratum executor for the contract controller: each
+  /// stratum runs through execute() with the time left before `deadline`
+  /// (time_point::max() = none), and a deadline surfaces as
+  /// util::Cancelled. Strata never touch the exact cache.
+  service::StratumFn stratum_runner(const std::string& graph_id,
+                                    std::chrono::steady_clock::time_point deadline);
 
   /// A query's shared state before sharding: ids, graph snapshot,
   /// options, shardability and deadline.
   std::unique_ptr<ActiveQuery> start_query(const service::Request& request,
                                            const GraphEntry& entry,
                                            std::chrono::steady_clock::time_point t0);
+  /// Shard, dispatch and fold one exact request: start_query, the shard
+  /// build, run_query. The answer is stored under `cache_key` unless it is
+  /// empty (strata). Client bookkeeping (stats_.queries, the cache probe)
+  /// is query()'s.
+  service::Response execute(const service::Request& request, const GraphEntry& entry,
+                            std::chrono::steady_clock::time_point t0,
+                            std::string cache_key);
   /// The one dispatch/pump loop: send `q`'s shards, heal failures until
   /// every shard is done (or the query failed), then assemble.
   service::Response run_query(std::unique_ptr<ActiveQuery> q, std::size_t top_k,
@@ -374,6 +386,11 @@ class Coordinator {
 
   void dispatch_pending(ActiveQuery& q);
   void check_stragglers(ActiveQuery& q);
+  /// Whether `w` may receive shard `s` of `q` at all.
+  bool eligible(const WorkerState& w, const ActiveQuery& q, const Shard& s) const;
+  /// Send `s` to `w` with the time left on `q`, and record the attempt
+  /// (`event` names the trace instant).
+  void send_shard(ActiveQuery& q, Shard& s, WorkerState& w, const char* event);
   /// Escalation for a shard out of remote options: local fallback
   /// (bit-identical) or abandon/fail.
   void escalate(ActiveQuery& q, Shard& s);

@@ -6,12 +6,13 @@
 // Admission is two-phase so the service can decide the final cache key
 // before a job becomes visible to workers:
 //
-//   1. admit(options, deadline)  — applies the policy against the current
-//      depth and *reserves* a slot (Shed mutates `options` to a cheaper
-//      approximate configuration first). Block waits here for space; this
-//      wait is the service's backpressure point.
-//   2. push(job)                 — converts the reservation into a queued
-//      job, or cancel() releases it (the submitter found a cache hit or an
+//   1. admit(deadline)  — applies the policy against the current depth
+//      and *reserves* a slot. Shed admits over the bound; what it costs is
+//      the caller's call (an exact request takes shed_downgrade, which
+//      changes its key). Block waits here for space; this wait is the
+//      service's backpressure point.
+//   2. push(job)        — converts the reservation into a queued job, or
+//      cancel() releases it (the submitter found a cache hit or an
 //      in-flight twin after the downgrade changed the key).
 //
 // pop() blocks until a job or shutdown. close() stops new admissions but
@@ -44,7 +45,7 @@ AdmissionPolicy admission_policy_from_string(const std::string& name);
 
 enum class Admit {
   Admitted,          // slot reserved, job unchanged
-  Shed,              // slot reserved, options downgraded (queue was full)
+  Shed,              // slot reserved over the bound (queue was full)
   RejectedFull,      // Reject policy, queue full
   RejectedDeadline,  // Block policy, deadline passed while waiting for space
   RejectedClosed,    // service stopping
@@ -75,10 +76,9 @@ class AdmissionQueue {
   const AdmissionConfig& config() const noexcept { return cfg_; }
 
   /// Phase 1: apply the policy and reserve a slot. May block (Block
-  /// policy) until space, `deadline`, or close(); may mutate `options`
-  /// (Shed policy on a full queue). `deadline` uses Clock::time_point::max()
-  /// for "none".
-  Admit admit(core::Options& options, Clock::time_point deadline) {
+  /// policy) until space, `deadline`, or close(). `deadline` uses
+  /// Clock::time_point::max() for "none".
+  Admit admit(Clock::time_point deadline) {
     std::unique_lock<std::mutex> lock(mu_);
     if (closed_) return Admit::RejectedClosed;
     if (occupancy() < cfg_.max_queue_depth) {
@@ -90,7 +90,6 @@ class AdmissionQueue {
         ++rejected_full_;
         return Admit::RejectedFull;
       case AdmissionPolicy::Shed:
-        options = shed_downgrade(std::move(options), cfg_.shed_sample_roots);
         ++reserved_;  // deliberately over the bound: shed work is cheap
         ++shed_;
         return Admit::Shed;

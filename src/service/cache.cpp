@@ -14,6 +14,10 @@ std::string fingerprint_prefix(std::uint64_t fingerprint) {
   return buf;
 }
 
+std::string cache_key(std::uint64_t fingerprint, const core::Options& options) {
+  return fingerprint_prefix(fingerprint) + core::options_signature(options);
+}
+
 std::size_t estimate_result_bytes(const core::BCResult& r) noexcept {
   std::size_t bytes = sizeof(core::BCResult);
   bytes += r.scores.capacity() * sizeof(double);

@@ -43,6 +43,9 @@ std::uint64_t graph_fingerprint(const graph::CSRGraph& g) noexcept;
 /// Exposed so the service can drop a graph's entries by prefix on evict.
 std::string fingerprint_prefix(std::uint64_t fingerprint);
 
+/// The exact-cache key of `options` on the graph with `fingerprint`.
+std::string cache_key(std::uint64_t fingerprint, const core::Options& options);
+
 struct CachedResult {
   core::BCResult result;
   std::size_t bytes = 0;  // budget charge, from estimate_result_bytes

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "service/cache.hpp"
+
 namespace hbc::service {
 
 std::size_t effective_root_cap(const QueryBudget& budget, std::size_t n) {
@@ -18,6 +20,11 @@ bool contract_met(const Estimate& estimate, const QueryBudget& budget,
   if (estimate.roots_used >= effective_root_cap(budget, n)) return true;
   return budget.accuracy_target > 0.0 &&
          estimate.stderr_est <= budget.accuracy_target;
+}
+
+std::string approx_key(std::uint64_t fingerprint, const core::Options& options,
+                       const core::StratumPlan& plan) {
+  return fingerprint_prefix(fingerprint) + core::approx_signature(options, plan);
 }
 
 std::string budget_suffix(const QueryBudget& budget) {
@@ -68,7 +75,15 @@ Estimate estimate_locked(const core::RefinableEstimate& est) {
   return e;
 }
 
-}  // namespace
+/// An entry's contract state, read in one critical section.
+struct Progress {
+  /// roots_used, stderr_est and rung of the fold so far (refining false).
+  Estimate estimate;
+  /// Rung 0 (the plan's base strata, capped by saturation) is folded: the
+  /// estimate has a variance, so it may be published and served.
+  bool rung0_done = false;
+  bool invalidated = false;
+};
 
 Progress progress(ApproxEntry& entry) {
   std::lock_guard<std::mutex> lock(entry.mu);
@@ -79,12 +94,11 @@ Progress progress(ApproxEntry& entry) {
   return p;
 }
 
-Published publish(ApproxEntry& entry, const core::Options& options) {
-  std::lock_guard<std::mutex> lock(entry.mu);
-  publish_locked(entry, options);
-  return {entry.published, entry.info};
-}
-
+/// One stratum: take the next stratum's roots, compute them through `run`,
+/// fold the sums, publish once rung 0 is folded, and re-account the entry
+/// in `cache`. Returns the estimate after the fold. Call with the entry
+/// unsaturated; propagates whatever `run` throws (the entry is then
+/// untouched).
 Estimate fold_next_stratum(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
                            const core::Options& options, const StratumFn& run) {
   core::Options stratum = options;
@@ -115,6 +129,62 @@ Estimate fold_next_stratum(ApproxCache& cache, const std::shared_ptr<ApproxEntry
   }
   cache.note_growth(entry);
   return after;
+}
+
+}  // namespace
+
+ContractRun advance_contract(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
+                             const core::Options& options, const QueryBudget& budget,
+                             bool pause_at_rung0, const StratumFn& run,
+                             const util::CancelToken& cancel,
+                             const std::function<bool()>& queue_refinement) {
+  const std::size_t n = entry->est.num_vertices();
+  ContractRun out;
+  bool queued = false;
+  for (;;) {
+    const util::CancelReason cancelled = cancel.state();
+    if (cancelled == util::CancelReason::Manual) throw util::Cancelled(cancelled);
+    const Progress now = progress(*entry);
+    const bool met = contract_met(now.estimate, budget, n);
+    if (met || (now.rung0_done && (pause_at_rung0 || cancelled != util::CancelReason::None))) {
+      queued = !met && pause_at_rung0 && queue_refinement();
+      break;
+    }
+    if (cancelled != util::CancelReason::None) throw util::Cancelled(cancelled);
+    try {
+      fold_next_stratum(cache, entry, options, run);
+    } catch (const util::Cancelled& c) {
+      if (c.reason() != util::CancelReason::Deadline || !now.rung0_done) throw;
+      break;  // the stratum ran out of time: serve what is published
+    }
+    out.computed = true;
+  }
+  // Bring the published result up to date with the fold (a no-op when no
+  // stratum landed since the last publication).
+  std::lock_guard<std::mutex> lock(entry->mu);
+  publish_locked(*entry, options);
+  out.result = entry->published;
+  out.estimate = entry->info;
+  out.estimate.refining = queued || entry->refine_pending > 0;
+  return out;
+}
+
+RefineStep refine_step(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
+                       const core::Options& options, const QueryBudget& budget,
+                       const StratumFn& run) {
+  const std::size_t n = entry->est.num_vertices();
+  const Progress before = progress(*entry);
+  RefineStep step;
+  if (before.invalidated) {
+    step.outcome = RefineOutcome::Dropped;
+    return step;
+  }
+  if (contract_met(before.estimate, budget, n)) return step;
+  step.outcome = RefineOutcome::Folded;
+  step.after = fold_next_stratum(cache, entry, options, run);
+  step.done = contract_met(step.after, budget, n);
+  step.new_rung = step.after.rung > before.estimate.rung || step.after.roots_used >= n;
+  return step;
 }
 
 std::size_t ApproxCache::entry_bytes(ApproxEntry& e) {

@@ -37,6 +37,7 @@
 
 #include "core/approx.hpp"
 #include "core/bc.hpp"
+#include "util/cancel.hpp"
 
 namespace hbc::service {
 
@@ -66,6 +67,14 @@ struct QueryBudget {
 
   /// An active budget routes the request onto the progressive path.
   bool active() const noexcept { return accuracy_target > 0.0 || max_roots > 0; }
+
+  /// When a request that started at `start` expires; time_point::max()
+  /// when it has no deadline.
+  std::chrono::steady_clock::time_point expires(
+      std::chrono::steady_clock::time_point start) const noexcept {
+    return deadline.count() > 0 ? start + deadline
+                                : std::chrono::steady_clock::time_point::max();
+  }
 };
 
 /// What an approximate response actually delivered. Present on every
@@ -92,6 +101,12 @@ std::size_t effective_root_cap(const QueryBudget& budget, std::size_t n);
 /// are only published from rung 0 onward, so stderr_est is meaningful.
 bool contract_met(const Estimate& estimate, const QueryBudget& budget,
                   std::size_t n);
+
+/// The approx-cache key of `options` under `plan` on the graph with
+/// `fingerprint`. Contract-free: every contract on the same options refines
+/// one estimate in place.
+std::string approx_key(std::uint64_t fingerprint, const core::Options& options,
+                       const core::StratumPlan& plan);
 
 /// Canonical in-flight-coalescing suffix: two budgeted requests share a
 /// leader only when their contracts match (the approx-cache key itself
@@ -180,29 +195,6 @@ class ApproxCache {
       index_;
 };
 
-/// An entry's contract state, read in one critical section.
-struct Progress {
-  /// roots_used, stderr_est and rung of the fold so far (refining false).
-  Estimate estimate;
-  /// Rung 0 (the plan's base strata, capped by saturation) is folded: the
-  /// estimate has a variance, so it may be published and served.
-  bool rung0_done = false;
-  bool invalidated = false;
-};
-/// Snapshot `entry`'s contract state. Locks entry.mu.
-Progress progress(ApproxEntry& entry);
-
-/// The answer an entry serves: its published result and estimate.
-struct Published {
-  std::shared_ptr<const core::BCResult> result;
-  Estimate estimate;
-};
-/// Bring the published result up to date with the fold (a no-op when no
-/// stratum landed since the last publication) and return it. `options`
-/// are the request's: they fix the halving and normalization. Locks
-/// entry.mu.
-Published publish(ApproxEntry& entry, const core::Options& options);
-
 /// One stratum's output from a caller's executor.
 struct StratumRun {
   /// UNSCALED dependency sums over exactly the stratum's roots.
@@ -214,13 +206,52 @@ struct StratumRun {
 /// Throws when the stratum cannot be computed completely.
 using StratumFn = std::function<StratumRun(core::Options stratum)>;
 
-/// The accuracy-contract step every controller shares: take the next
-/// stratum's roots, compute them through `run`, fold the sums, publish
-/// once rung 0 is folded, and re-account the entry in `cache`. Returns
-/// the estimate after the fold. Call with the entry unsaturated; throws
-/// std::runtime_error when `run`'s scores do not cover the graph, and
-/// propagates whatever `run` throws (the entry is then untouched).
-Estimate fold_next_stratum(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
-                           const core::Options& options, const StratumFn& run);
+/// What advance_contract served.
+struct ContractRun {
+  /// The entry's published answer, finalized per the request's options.
+  std::shared_ptr<const core::BCResult> result;
+  Estimate estimate;
+  /// At least one stratum was computed (false: the fold already held it).
+  bool computed = false;
+};
+
+/// The accuracy-contract controller every caller shares. Folds strata into
+/// `entry` through `run` until `budget`'s contract is met, then publishes
+/// (callers upgrading one entry from several threads hold its work_mu).
+/// With `pause_at_rung0` (allow_refinement, or the shed quality dial) it
+/// stops as soon as rung 0 is published and calls `queue_refinement` to
+/// carry on in the background (true: queued). After rung 0 a deadline on
+/// `cancel` — observed between strata, or thrown by `run` as
+/// util::Cancelled — serves the best published rung; before rung 0 it
+/// throws util::Cancelled(Deadline). A manual cancel always throws. Other
+/// exceptions from `run` propagate with the entry untouched by that stratum.
+/// The estimate is `refining` while a refinement of the entry is pending.
+ContractRun advance_contract(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
+                             const core::Options& options, const QueryBudget& budget,
+                             bool pause_at_rung0, const StratumFn& run,
+                             const util::CancelToken& cancel,
+                             const std::function<bool()>& queue_refinement);
+
+enum class RefineOutcome {
+  Dropped,  // the entry was invalidated: never advance or re-serve it
+  Met,      // the contract already holds; nothing was computed
+  Folded,   // one more stratum was folded
+};
+
+struct RefineStep {
+  RefineOutcome outcome = RefineOutcome::Met;
+  /// The refinement job is finished (Dropped, Met, or met by this fold).
+  bool done = true;
+  /// Folded only: the fold completed a rung or saturated the estimate.
+  bool new_rung = false;
+  Estimate after;
+};
+
+/// One background-refinement step toward `budget`, shared by every
+/// controller (each keeps its own scheduling, metrics and traces).
+/// Propagates whatever `run` throws; the entry then stays valid.
+RefineStep refine_step(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
+                       const core::Options& options, const QueryBudget& budget,
+                       const StratumFn& run);
 
 }  // namespace hbc::service

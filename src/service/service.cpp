@@ -23,13 +23,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string make_key(std::uint64_t fingerprint, const core::Options& options) {
-  return fingerprint_prefix(fingerprint) + core::options_signature(options);
-}
-
-Clock::time_point deadline_of(const QueryBudget& budget, Clock::time_point submitted) {
-  return budget.deadline.count() > 0 ? submitted + budget.deadline
-                                     : Clock::time_point::max();
+Response failed(QueryStatus status, std::string error = {}) {
+  Response r;
+  r.status = status;
+  r.error = std::move(error);
+  return r;
 }
 
 }  // namespace
@@ -45,6 +43,45 @@ const char* to_string(QueryStatus status) noexcept {
     case QueryStatus::Failed: return "failed";
   }
   return "?";
+}
+
+Response cached_response(std::shared_ptr<const CachedResult> hit) {
+  Response r;
+  r.status = QueryStatus::Ok;
+  r.result = std::shared_ptr<const core::BCResult>(hit, &hit->result);
+  r.from_cache = true;
+  return r;
+}
+
+void store_result(ResultCache& cache, const std::string& key, core::BCResult result,
+                  bool refreshable, Response& resp) {
+  if (resp.degraded || resp.estimate) {
+    resp.result = std::make_shared<const core::BCResult>(std::move(result));
+    return;
+  }
+  auto cached = std::make_shared<CachedResult>();
+  cached->result = std::move(result);
+  cached->bytes = estimate_result_bytes(cached->result);
+  cached->refreshable = refreshable;
+  cache.put(key, cached);
+  resp.result = std::shared_ptr<const core::BCResult>(cached, &cached->result);
+}
+
+std::shared_ptr<dyn::VersionedGraph> versioned_graph(
+    std::shared_ptr<dyn::VersionedGraph>& slot,
+    std::shared_ptr<const graph::CSRGraph> graph, trace::Tracer* tracer) {
+  if (!slot) slot = std::make_shared<dyn::VersionedGraph>(std::move(graph), tracer);
+  return slot;
+}
+
+MutationResult mutation_result(const dyn::CommitResult& commit) {
+  MutationResult out;
+  out.epoch = commit.after.id;
+  out.fingerprint_before = commit.before.fingerprint;
+  out.fingerprint_after = commit.after.fingerprint;
+  out.applied = commit.applied.size();
+  out.noops = commit.noops;
+  return out;
 }
 
 BcService::BcService(ServiceConfig config)
@@ -170,12 +207,7 @@ MutationResult BcService::mutate_graph(const std::string& id,
     if (it == graphs_.end()) {
       throw std::invalid_argument("mutate_graph: no graph registered as '" + id + "'");
     }
-    GraphEntry& entry = it->second;
-    if (!entry.versioned) {
-      // Throws invalid_argument for directed graphs; nothing changed then.
-      entry.versioned = std::make_shared<dyn::VersionedGraph>(entry.graph, cfg_.tracer);
-    }
-    vg = entry.versioned;
+    vg = versioned_graph(it->second.versioned, it->second.graph, cfg_.tracer);
   }
 
   // Stage + commit outside mu_: the copy-on-write CSR rebuild is O(n + m)
@@ -183,12 +215,7 @@ MutationResult BcService::mutate_graph(const std::string& id,
   // the VersionedGraph's own mutex.
   const dyn::CommitResult cr = vg->apply(batch);
 
-  MutationResult out;
-  out.epoch = cr.after.id;
-  out.fingerprint_before = cr.before.fingerprint;
-  out.fingerprint_after = cr.after.fingerprint;
-  out.applied = cr.applied.size();
-  out.noops = cr.noops;
+  MutationResult out = mutation_result(cr);
   if (cr.applied.empty()) return out;  // all-no-op batch: same epoch
 
   bool fingerprint_shared = false;
@@ -337,10 +364,11 @@ void BcService::trace_instant(const char* name, std::uint64_t id) const {
   sink->instant(name, trace::kService, cfg_.tracer->now_ns(), {{"id", id}});
 }
 
-Ticket BcService::ready_ticket(std::uint64_t id, Response response) {
+Ticket BcService::ready_ticket(std::uint64_t id, std::size_t top_k, Response response) {
   std::promise<Response> promise;
   Ticket ticket;
   ticket.id = id;
+  ticket.top_k = top_k;
   ticket.cache_hit = response.from_cache;
   ticket.shed = response.shed;
   promise.set_value(std::move(response));
@@ -348,147 +376,150 @@ Ticket BcService::ready_ticket(std::uint64_t id, Response response) {
   return ticket;
 }
 
+std::optional<Response> BcService::cached_answer(const Job& job, const std::string& key) {
+  if (!job.budgeted) {
+    if (auto hit = cache_.get(key)) return cached_response(std::move(hit));
+    return std::nullopt;
+  }
+  const std::shared_ptr<ApproxEntry> entry = approx_cache_.get(job.approx_key);
+  if (!entry) return std::nullopt;
+  std::lock_guard<std::mutex> entry_lock(entry->mu);
+  if (entry->invalidated || !entry->published ||
+      !contract_met(entry->info, job.budget, job.graph->num_vertices())) {
+    return std::nullopt;
+  }
+  Response r;
+  r.status = QueryStatus::Ok;
+  r.result = entry->published;
+  r.estimate = entry->info;
+  r.estimate->refining = entry->refine_pending > 0;
+  r.from_cache = true;
+  return r;
+}
+
 Ticket BcService::submit(Request request) {
   metrics_.on_submitted();
   const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   trace_instant("submit", id);
-  const Clock::time_point submitted = Clock::now();
-  if (request.budget.active()) {
-    return submit_budgeted(std::move(request), id, submitted);
-  }
   util::Timer turnaround;
+  Job job;
+  job.submitted = Clock::now();
+  job.deadline = request.budget.expires(job.submitted);
+  job.budgeted = request.budget.active();
+  if (job.budgeted) {
+    if (!request.options.roots.empty()) {
+      metrics_.on_error();
+      return ready_ticket(id, request.top_k,
+                          failed(QueryStatus::BadRequest,
+                                 "budgeted queries must not pin options.roots — the "
+                                 "accuracy contract owns the root schedule"));
+    }
+    // The controller owns the sample schedule; the legacy knob is ignored
+    // so "same contract, different sample_roots" requests share one entry.
+    request.options.sample_roots = 0;
+    job.budget = request.budget;
+  }
 
-  std::shared_ptr<const graph::CSRGraph> g;
-  std::uint64_t fingerprint = 0;
+  // The in-flight key; for exact requests also the cache key.
+  std::string key;
+  const auto attach = [&](const Inflight& leader, bool coalesced) {
+    Ticket t;
+    t.future = leader.future;
+    t.id = id;
+    t.top_k = request.top_k;
+    t.coalesced = coalesced;
+    t.shed = leader.shed;
+    return t;
+  };
+  // A cache hit or an in-flight twin answers the request; probed under mu_
+  // before admission and again after it.
+  const auto answered = [&](bool shed) -> std::optional<Ticket> {
+    if (std::optional<Response> hit = cached_answer(job, key)) {
+      trace_instant(job.budgeted ? "approx-cache-hit" : "cache-hit", id);
+      hit->shed = shed;
+      hit->total_ms = turnaround.elapsed_ms();
+      metrics_.on_cache_hit(hit->total_ms);
+      if (job.budgeted) metrics_.on_approx_served();
+      return ready_ticket(id, request.top_k, std::move(*hit));
+    }
+    const auto inflight = inflight_.find(key);
+    if (inflight == inflight_.end()) return std::nullopt;
+    metrics_.on_coalesced();
+    trace_instant("coalesced", id);
+    return attach(*inflight->second, /*coalesced=*/true);
+  };
+
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      Response r;
-      r.status = QueryStatus::ServiceStopped;
-      auto t = ready_ticket(id, std::move(r));
-      t.top_k = request.top_k;
-      return t;
-    }
+    if (stopped_) return ready_ticket(id, request.top_k, failed(QueryStatus::ServiceStopped));
     const auto it = graphs_.find(request.graph_id);
     if (it == graphs_.end()) {
       metrics_.on_graph_not_found();
       trace_instant("graph-missing", id);
-      Response r;
-      r.status = QueryStatus::GraphNotFound;
-      r.error = "no graph registered as '" + request.graph_id + "'";
-      auto t = ready_ticket(id, std::move(r));
-      t.top_k = request.top_k;
-      return t;
+      return ready_ticket(id, request.top_k,
+                          failed(QueryStatus::GraphNotFound,
+                                 "no graph registered as '" + request.graph_id + "'"));
     }
-    g = it->second.graph;
-    fingerprint = it->second.fingerprint;
-
-    std::string key = make_key(fingerprint, request.options);
-    if (auto cached = cache_.get(key)) {
-      trace_instant("cache-hit", id);
-      Response r;
-      r.status = QueryStatus::Ok;
-      r.result = std::shared_ptr<const core::BCResult>(cached, &cached->result);
-      r.from_cache = true;
-      r.total_ms = turnaround.elapsed_ms();
-      metrics_.on_cache_hit(r.total_ms);
-      auto t = ready_ticket(id, std::move(r));
-      t.top_k = request.top_k;
-      return t;
+    job.graph = it->second.graph;
+    job.fingerprint = it->second.fingerprint;
+    if (job.budgeted) {
+      // The approx-cache key is contract-free; the in-flight key is not:
+      // twins must agree on the whole budget or the leader's early exit
+      // would break the stricter twin.
+      job.approx_key = approx_key(job.fingerprint, request.options, stratum_plan());
+      key = job.approx_key + budget_suffix(request.budget);
+    } else {
+      key = cache_key(job.fingerprint, request.options);
     }
-    if (const auto inflight = inflight_.find(key); inflight != inflight_.end()) {
-      metrics_.on_coalesced();
-      trace_instant("coalesced", id);
-      Ticket t;
-      t.future = inflight->second->future;
-      t.id = id;
-      t.top_k = request.top_k;
-      t.coalesced = true;
-      t.shed = inflight->second->shed;
-      return t;
-    }
+    if (std::optional<Ticket> t = answered(false)) return std::move(*t);
   }
 
   // Admission (blocking for Block policy) happens OUTSIDE mu_ so a waiting
   // submitter never wedges workers that need the lock to publish results.
-  const Clock::time_point deadline = deadline_of(request.budget, submitted);
-  const Admit admit = queue_.admit(request.options, deadline);
+  const Admit admit = queue_.admit(job.deadline);
   switch (admit) {
-    case Admit::RejectedFull: {
+    case Admit::RejectedFull:
       metrics_.on_rejected_full();
       trace_instant("reject-full", id);
-      Response r;
-      r.status = QueryStatus::QueueFull;
-      auto t = ready_ticket(id, std::move(r));
-      t.top_k = request.top_k;
-      return t;
-    }
-    case Admit::RejectedDeadline: {
+      return ready_ticket(id, request.top_k, failed(QueryStatus::QueueFull));
+    case Admit::RejectedDeadline:
       metrics_.on_rejected_deadline();
       trace_instant("reject-deadline", id);
-      Response r;
-      r.status = QueryStatus::DeadlineExceeded;
-      auto t = ready_ticket(id, std::move(r));
-      t.top_k = request.top_k;
-      return t;
-    }
-    case Admit::RejectedClosed: {
-      Response r;
-      r.status = QueryStatus::ServiceStopped;
-      auto t = ready_ticket(id, std::move(r));
-      t.top_k = request.top_k;
-      return t;
-    }
+      return ready_ticket(id, request.top_k, failed(QueryStatus::DeadlineExceeded));
+    case Admit::RejectedClosed:
+      return ready_ticket(id, request.top_k, failed(QueryStatus::ServiceStopped));
     case Admit::Admitted:
+      break;
     case Admit::Shed:
+      metrics_.on_shed();
+      trace_instant("shed", id);
+      // An exact request is downgraded to a cheap approximation, which
+      // re-keys it. A budgeted one keeps its options: the quality dial caps
+      // synchronous work at rung 0 and the contract's remainder refines in
+      // the background.
+      if (job.budgeted) {
+        job.rung0_cap = true;
+      } else {
+        request.options = shed_downgrade(std::move(request.options),
+                                         queue_.config().shed_sample_roots);
+        key = cache_key(job.fingerprint, request.options);
+      }
       break;
   }
   const bool shed = admit == Admit::Shed;
-  if (shed) {
-    metrics_.on_shed();
-    trace_instant("shed", id);
-  }
 
-  // The shed downgrade may have rewritten the options, so the key is
-  // final only now; re-check cache and in-flight under the lock before
-  // becoming the leader (also closes the submit/submit race above).
-  const std::string key = make_key(fingerprint, request.options);
+  // Re-probe under the lock before becoming the leader: the shed downgrade
+  // may have changed the key, and a twin may have won the race meanwhile.
   std::shared_ptr<Inflight> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) {
       queue_.cancel();
-      Response r;
-      r.status = QueryStatus::ServiceStopped;
-      auto t = ready_ticket(id, std::move(r));
-      t.top_k = request.top_k;
-      return t;
+      return ready_ticket(id, request.top_k, failed(QueryStatus::ServiceStopped));
     }
-    if (auto cached = cache_.get(key)) {
+    if (std::optional<Ticket> t = answered(shed)) {
       queue_.cancel();
-      trace_instant("cache-hit", id);
-      Response r;
-      r.status = QueryStatus::Ok;
-      r.result = std::shared_ptr<const core::BCResult>(cached, &cached->result);
-      r.from_cache = true;
-      r.shed = shed;
-      r.total_ms = turnaround.elapsed_ms();
-      metrics_.on_cache_hit(r.total_ms);
-      auto t = ready_ticket(id, std::move(r));
-      t.top_k = request.top_k;
-      return t;
-    }
-    if (const auto inflight = inflight_.find(key); inflight != inflight_.end()) {
-      queue_.cancel();
-      metrics_.on_coalesced();
-      trace_instant("coalesced", id);
-      Ticket t;
-      t.future = inflight->second->future;
-      t.id = id;
-      t.top_k = request.top_k;
-      t.coalesced = true;
-      t.shed = inflight->second->shed;
-      return t;
+      return std::move(*t);
     }
     entry = std::make_shared<Inflight>();
     entry->future = entry->promise.get_future().share();
@@ -501,214 +532,12 @@ Ticket BcService::submit(Request request) {
     // lock before draining, so a job is either visible to that drain or
     // the submit above already bailed with ServiceStopped — a leader can
     // never enqueue into a queue nobody will ever pop again.
-    Job job;
     job.entry = entry;
-    job.graph = std::move(g);
     job.options = std::move(request.options);
-    job.submitted = submitted;
-    job.deadline = deadline;
     queue_.push(std::move(job));
     trace_instant("enqueue", id);
   }
-
-  Ticket t;
-  t.future = entry->future;
-  t.id = id;
-  t.top_k = request.top_k;
-  t.shed = shed;
-  return t;
-}
-
-Ticket BcService::submit_budgeted(Request request, std::uint64_t id,
-                                  Clock::time_point submitted) {
-  util::Timer turnaround;
-  const auto finish = [&](Response r) {
-    auto t = ready_ticket(id, std::move(r));
-    t.top_k = request.top_k;
-    return t;
-  };
-
-  if (!request.options.roots.empty()) {
-    metrics_.on_error();
-    Response r;
-    r.status = QueryStatus::BadRequest;
-    r.error = "budgeted queries must not pin options.roots — the accuracy "
-              "contract owns the root schedule";
-    return finish(std::move(r));
-  }
-  // The controller owns the sample schedule; the legacy knob is ignored
-  // so "same contract, different sample_roots" requests share one entry.
-  request.options.sample_roots = 0;
-
-  const core::StratumPlan plan = stratum_plan();
-
-  std::shared_ptr<const graph::CSRGraph> g;
-  std::uint64_t fingerprint = 0;
-  std::size_t n = 0;
-  std::string akey;
-  std::string ikey;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      Response r;
-      r.status = QueryStatus::ServiceStopped;
-      return finish(std::move(r));
-    }
-    const auto it = graphs_.find(request.graph_id);
-    if (it == graphs_.end()) {
-      metrics_.on_graph_not_found();
-      trace_instant("graph-missing", id);
-      Response r;
-      r.status = QueryStatus::GraphNotFound;
-      r.error = "no graph registered as '" + request.graph_id + "'";
-      return finish(std::move(r));
-    }
-    g = it->second.graph;
-    fingerprint = it->second.fingerprint;
-    n = g->num_vertices();
-
-    // The approx-cache key is contract-free: every contract against the
-    // same (graph, options, plan) refines ONE estimate in place.
-    akey = fingerprint_prefix(fingerprint) +
-           core::approx_signature(request.options, plan);
-    if (const auto entry = approx_cache_.get(akey)) {
-      std::lock_guard<std::mutex> entry_lock(entry->mu);
-      if (!entry->invalidated && entry->published &&
-          contract_met(entry->info, request.budget, n)) {
-        trace_instant("approx-cache-hit", id);
-        Response r;
-        r.status = QueryStatus::Ok;
-        r.result = entry->published;
-        r.estimate = entry->info;
-        r.estimate->refining = entry->refine_pending > 0;
-        r.from_cache = true;
-        r.total_ms = turnaround.elapsed_ms();
-        metrics_.on_cache_hit(r.total_ms);
-        metrics_.on_approx_served();
-        return finish(std::move(r));
-      }
-    }
-    // Coalescing is contract-keyed: twins must agree on the whole budget
-    // or the leader's early exit would break the stricter twin.
-    ikey = akey + budget_suffix(request.budget);
-    if (const auto inflight = inflight_.find(ikey); inflight != inflight_.end()) {
-      metrics_.on_coalesced();
-      trace_instant("coalesced", id);
-      Ticket t;
-      t.future = inflight->second->future;
-      t.id = id;
-      t.top_k = request.top_k;
-      t.coalesced = true;
-      t.shed = inflight->second->shed;
-      return t;
-    }
-  }
-
-  const Clock::time_point deadline = deadline_of(request.budget, submitted);
-  // Admission applies unchanged — budgeted work queues like any other —
-  // but Shed means something better here: instead of rewriting the
-  // options, the quality dial caps synchronous work at rung 0 and the
-  // contract's remainder refines in the background.
-  core::Options admit_probe = request.options;
-  const Admit admit = queue_.admit(admit_probe, deadline);
-  switch (admit) {
-    case Admit::RejectedFull: {
-      metrics_.on_rejected_full();
-      trace_instant("reject-full", id);
-      Response r;
-      r.status = QueryStatus::QueueFull;
-      return finish(std::move(r));
-    }
-    case Admit::RejectedDeadline: {
-      metrics_.on_rejected_deadline();
-      trace_instant("reject-deadline", id);
-      Response r;
-      r.status = QueryStatus::DeadlineExceeded;
-      return finish(std::move(r));
-    }
-    case Admit::RejectedClosed: {
-      Response r;
-      r.status = QueryStatus::ServiceStopped;
-      return finish(std::move(r));
-    }
-    case Admit::Admitted:
-    case Admit::Shed:
-      break;
-  }
-  const bool rung0_cap = admit == Admit::Shed;
-  if (rung0_cap) {
-    metrics_.on_shed();
-    trace_instant("shed", id);
-  }
-
-  std::shared_ptr<Inflight> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      queue_.cancel();
-      Response r;
-      r.status = QueryStatus::ServiceStopped;
-      return finish(std::move(r));
-    }
-    if (const auto cached = approx_cache_.get(akey)) {
-      std::lock_guard<std::mutex> entry_lock(cached->mu);
-      if (!cached->invalidated && cached->published &&
-          contract_met(cached->info, request.budget, n)) {
-        queue_.cancel();
-        trace_instant("approx-cache-hit", id);
-        Response r;
-        r.status = QueryStatus::Ok;
-        r.result = cached->published;
-        r.estimate = cached->info;
-        r.estimate->refining = cached->refine_pending > 0;
-        r.from_cache = true;
-        r.shed = rung0_cap;
-        r.total_ms = turnaround.elapsed_ms();
-        metrics_.on_cache_hit(r.total_ms);
-        metrics_.on_approx_served();
-        return finish(std::move(r));
-      }
-    }
-    if (const auto inflight = inflight_.find(ikey); inflight != inflight_.end()) {
-      queue_.cancel();
-      metrics_.on_coalesced();
-      trace_instant("coalesced", id);
-      Ticket t;
-      t.future = inflight->second->future;
-      t.id = id;
-      t.top_k = request.top_k;
-      t.coalesced = true;
-      t.shed = inflight->second->shed;
-      return t;
-    }
-    entry = std::make_shared<Inflight>();
-    entry->future = entry->promise.get_future().share();
-    entry->key = ikey;
-    entry->shed = rung0_cap;
-    inflight_[ikey] = entry;
-    metrics_.on_cache_miss();
-
-    Job job;
-    job.entry = entry;
-    job.graph = std::move(g);
-    job.options = std::move(request.options);
-    job.submitted = submitted;
-    job.deadline = deadline;
-    job.budgeted = true;
-    job.rung0_cap = rung0_cap;
-    job.budget = request.budget;
-    job.approx_key = akey;
-    job.fingerprint = fingerprint;
-    queue_.push(std::move(job));
-    trace_instant("enqueue", id);
-  }
-
-  Ticket t;
-  t.future = entry->future;
-  t.id = id;
-  t.top_k = request.top_k;
-  t.shed = rung0_cap;
-  return t;
+  return attach(*entry, /*coalesced=*/false);
 }
 
 Response BcService::wait(const Ticket& ticket) const {
@@ -771,7 +600,16 @@ core::BCResult BcService::compute_resilient(const graph::CSRGraph& g,
 
   // Rung 0: the requested strategy, with whole-run retries while failures
   // are transient. Each retry bumps fault_retry_epoch, so a seeded
-  // FaultPlan's transient faults deterministically clear.
+  // FaultPlan's transient faults deterministically clear. Returns false
+  // once the retries are spent.
+  const auto retry = [&](std::uint32_t attempt) {
+    if (attempt >= cfg_.max_compute_retries) return false;
+    metrics_.on_compute_retry();
+    trace_instant("compute-retry", attempt + 1);
+    backoff_sleep(retry_backoff.next(), opts.resilience.cancel);
+    opts.resilience.fault_retry_epoch = requested.resilience.fault_retry_epoch + attempt + 1;
+    return true;
+  };
   core::BCResult partial;
   bool have_partial = false;
   for (std::uint32_t attempt = 0;; ++attempt) {
@@ -780,14 +618,7 @@ core::BCResult BcService::compute_resilient(const graph::CSRGraph& g,
       core::BCResult r = run_compute(g, opts);
       metrics_.on_faults(r.faults.faults_injected);
       if (r.faults.complete()) return r;  // clean or fully recovered
-      if (r.faults.all_failures_transient() && attempt < cfg_.max_compute_retries) {
-        metrics_.on_compute_retry();
-        trace_instant("compute-retry", attempt + 1);
-        backoff_sleep(retry_backoff.next(), opts.resilience.cancel);
-        opts.resilience.fault_retry_epoch =
-            requested.resilience.fault_retry_epoch + attempt + 1;
-        continue;
-      }
+      if (r.faults.all_failures_transient() && retry(attempt)) continue;
       partial = std::move(r);  // persistent failures (or retries exhausted)
       have_partial = true;
     } catch (const util::Cancelled&) {
@@ -797,14 +628,7 @@ core::BCResult BcService::compute_resilient(const graph::CSRGraph& g,
     } catch (const hbc::DeviceFault& f) {
       // A fault escaped compute (e.g. an injecting compute_fn hook).
       metrics_.on_faults(1);
-      if (f.transient() && attempt < cfg_.max_compute_retries) {
-        metrics_.on_compute_retry();
-        trace_instant("compute-retry", attempt + 1);
-        backoff_sleep(retry_backoff.next(), opts.resilience.cancel);
-        opts.resilience.fault_retry_epoch =
-            requested.resilience.fault_retry_epoch + attempt + 1;
-        continue;
-      }
+      if (f.transient() && retry(attempt)) continue;
       if (!cfg_.enable_fallback || !core::uses_gpu_model(requested.strategy)) throw;
     } catch (const gpusim::DeviceOutOfMemory&) {
       // Resource exhaustion never clears by retrying — descend directly.
@@ -881,38 +705,22 @@ void BcService::compute_progressive(const Job& job,
                                     const util::CancelSource& cancel,
                                     Response& resp) {
   const graph::CSRGraph& g = *job.graph;
-  const std::size_t n = g.num_vertices();
   bool created = false;
-  const std::shared_ptr<ApproxEntry> entry = approx_cache_.get_or_create(
-      job.approx_key, n, stratum_plan(), job.options.seed, job.fingerprint, created);
+  const std::shared_ptr<ApproxEntry> entry =
+      approx_cache_.get_or_create(job.approx_key, g.num_vertices(), stratum_plan(),
+                                  job.options.seed, job.fingerprint, created);
 
-  bool computed_any = false;
-  bool queue_refine = false;
-  Published served;
-
+  ContractRun run;
   try {
     // One upgrader at a time per entry; strata are computed under this
     // lock (coalescing keeps contract-twins out, but two different
     // contracts may race toward the same entry).
     std::unique_lock<std::mutex> work(entry->work_mu);
-    const StratumFn run = stratum_runner(g, cancel.token());
-    for (;;) {
-      cancel.token().check();
-      const Progress now = progress(*entry);
-      const bool met = contract_met(now.estimate, job.budget, n);
-      // Early exit: the caller (or the quality dial, when admission
-      // shed this request) accepts the current rung once it exists and
-      // leaves the rest of the contract to background refinement.
-      const bool pause = !met && now.rung0_done &&
-                         (job.budget.allow_refinement || job.rung0_cap);
-      if (met || pause) {
-        served = publish(*entry, job.options);
-        queue_refine = pause;
-        break;
-      }
-      fold_next_stratum(approx_cache_, entry, job.options, run);
-      computed_any = true;
-    }
+    run = advance_contract(
+        approx_cache_, entry, job.options, job.budget,
+        job.budget.allow_refinement || job.rung0_cap, stratum_runner(g, cancel.token()),
+        cancel.token(),
+        [&] { return enqueue_refinement({entry, job.graph, job.options, job.budget}); });
   } catch (const util::Cancelled&) {
     throw;
   } catch (const std::invalid_argument&) {
@@ -931,21 +739,9 @@ void BcService::compute_progressive(const Job& job,
     return;
   }
 
-  if (queue_refine && cfg_.approx.refinement) {
-    RefineJob refine;
-    refine.entry = entry;
-    refine.graph = job.graph;
-    refine.options = job.options;
-    refine.budget = job.budget;
-    if (enqueue_refinement(std::move(refine))) served.estimate.refining = true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->refine_pending > 0) served.estimate.refining = true;
-  }
-  resp.result = std::move(served.result);
-  resp.estimate = served.estimate;
-  resp.from_cache = !computed_any;
+  resp.result = std::move(run.result);
+  resp.estimate = run.estimate;
+  resp.from_cache = !run.computed;
 }
 
 bool BcService::enqueue_refinement(RefineJob job) {
@@ -1004,12 +800,10 @@ void BcService::refine_loop() {
       refine_active_ = true;
     }
 
-    const graph::CSRGraph& g = *job.graph;
-    const std::size_t n = g.num_vertices();
     const util::CancelToken cancel = refine_cancel_.token();
     {
       std::unique_lock<std::mutex> work(job.entry->work_mu);
-      const StratumFn run = stratum_runner(g, cancel);
+      const StratumFn run = stratum_runner(*job.graph, cancel);
       for (;;) {
         if (cancel.cancelled()) break;
         // Low priority: foreground queries own the service; refinement
@@ -1019,35 +813,32 @@ void BcService::refine_loop() {
         }
         if (cancel.cancelled()) break;
 
-        const Progress before = progress(*job.entry);
-        if (before.invalidated) {
+        RefineStep step;
+        try {
+          trace::ScopedSpan stratum_span(trace_sink(), cfg_.tracer,
+                                         "refine-stratum", trace::kService);
+          step = refine_step(approx_cache_, job.entry, job.options, job.budget, run);
+        } catch (...) {
+          break;  // background work is best-effort; the entry stays valid
+        }
+        if (step.outcome == RefineOutcome::Dropped) {
           // The never-resurrect guarantee: a mutation or eviction beat
           // us here, so this estimate must not be advanced or re-served.
           metrics_.on_refine_dropped();
           trace_instant("refine-dropped", job.entry->fingerprint);
-          break;
         }
-        if (contract_met(before.estimate, job.budget, n)) break;
-
-        Estimate after;
-        try {
-          trace::ScopedSpan stratum_span(trace_sink(), cfg_.tracer,
-                                         "refine-stratum", trace::kService);
-          after = fold_next_stratum(approx_cache_, job.entry, job.options, run);
-        } catch (...) {
-          break;  // background work is best-effort; the entry stays valid
-        }
-        if (after.rung > before.estimate.rung || after.roots_used >= n) {
+        if (step.new_rung) {
           metrics_.on_refine_rung();
           if (cfg_.tracer != nullptr) {
             if (trace::Sink* sink = trace_sink();
                 sink != nullptr && sink->wants(trace::kService)) {
               sink->instant("refine-rung", trace::kService, cfg_.tracer->now_ns(),
-                            {{"rung", static_cast<std::uint64_t>(after.rung)},
-                             {"roots", static_cast<std::uint64_t>(after.roots_used)}});
+                            {{"rung", static_cast<std::uint64_t>(step.after.rung)},
+                             {"roots", static_cast<std::uint64_t>(step.after.roots_used)}});
             }
           }
         }
+        if (step.done) break;
       }
     }
     {
@@ -1114,29 +905,15 @@ void BcService::worker_loop() {
                                                       cancel, degraded);
           resp.compute_ms = timer.elapsed_ms();
           resp.degraded = degraded;
-
-          // Degraded results are substitutes (or partial) — never cached, so
-          // an identical later request gets a fresh shot at the real answer.
-          if (!degraded) {
-            auto cached = std::make_shared<CachedResult>();
-            cached->result = std::move(computed);
-            cached->bytes = estimate_result_bytes(cached->result);
-            // Patchable on mutation: exact full BC with raw scores (the
-            // refresher's dyn::refresh_scores contract). Decided here — the
-            // result alone can't reveal the request's score scaling.
-            cached->refreshable = !cached->result.approximate &&
-                                  cached->result.roots_processed ==
-                                      job->graph->num_vertices() &&
-                                  job->options.roots.empty() &&
-                                  !job->options.halve_undirected &&
-                                  !job->options.normalize;
-            cache_.put(entry->key, cached);
-            resp.result =
-                std::shared_ptr<const core::BCResult>(cached, &cached->result);
-          } else {
-            resp.result =
-                std::make_shared<const core::BCResult>(std::move(computed));
-          }
+          // Patchable on mutation: exact full BC with raw scores (the
+          // refresher's dyn::refresh_scores contract). Decided here — the
+          // result alone can't reveal the request's score scaling.
+          const bool refreshable =
+              !computed.approximate &&
+              computed.roots_processed == job->graph->num_vertices() &&
+              job->options.roots.empty() && !job->options.halve_undirected &&
+              !job->options.normalize;
+          store_result(cache_, entry->key, std::move(computed), refreshable, resp);
         }
 
         resp.status = QueryStatus::Ok;
@@ -1165,17 +942,21 @@ void BcService::worker_loop() {
       }
     }
 
-    // Unregister before completing: once the promise is set the result is
-    // in the cache (or failed), so later twins must go through the cache,
-    // not attach to a dead entry.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = inflight_.find(entry->key);
-      if (it != inflight_.end() && it->second == entry) inflight_.erase(it);
-    }
-    entry->promise.set_value(std::move(resp));
-    if (cfg_.on_complete) cfg_.on_complete();
+    complete(entry, std::move(resp));
   }
+}
+
+void BcService::complete(const std::shared_ptr<Inflight>& entry, Response resp) {
+  // Unregister before completing: once the promise is set the result is
+  // in the cache (or failed), so later twins must go through the cache,
+  // not attach to a dead entry.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = inflight_.find(entry->key);
+    if (it != inflight_.end() && it->second == entry) inflight_.erase(it);
+  }
+  entry->promise.set_value(std::move(resp));
+  if (cfg_.on_complete) cfg_.on_complete();
 }
 
 void BcService::stop() {
@@ -1215,15 +996,7 @@ void BcService::stop() {
   // A submitter that was admitted before close() may have pushed after the
   // workers drained; answer anything left so no future is abandoned.
   while (std::optional<Job> job = queue_.pop()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = inflight_.find(job->entry->key);
-      if (it != inflight_.end() && it->second == job->entry) inflight_.erase(it);
-    }
-    Response r;
-    r.status = QueryStatus::ServiceStopped;
-    job->entry->promise.set_value(std::move(r));
-    if (cfg_.on_complete) cfg_.on_complete();
+    complete(job->entry, failed(QueryStatus::ServiceStopped));
   }
 }
 

@@ -244,6 +244,32 @@ struct MutationResult {
   std::size_t approx_invalidated = 0;
 };
 
+// --- Serving decisions shared with net::Coordinator ------------------------
+
+/// The response to an exact-cache hit: Ok, from_cache, and the result
+/// shared with the cache entry.
+Response cached_response(std::shared_ptr<const CachedResult> hit);
+
+/// The exact-cache insert rule: answer `resp` with `result` and keep it
+/// under `key` — unless the answer is degraded (a substitute or partial)
+/// or budgeted (`resp.estimate` set): keyed by the exact options
+/// signature, either would later be served to an exact request.
+/// `refreshable` is the service's call (CachedResult::refreshable); other
+/// callers pass false.
+void store_result(ResultCache& cache, const std::string& key, core::BCResult result,
+                  bool refreshable, Response& resp);
+
+/// The VersionedGraph behind a registered graph, created in `slot` over
+/// `graph` on the first mutation. Throws std::invalid_argument for a
+/// directed graph; nothing changes then.
+std::shared_ptr<dyn::VersionedGraph> versioned_graph(
+    std::shared_ptr<dyn::VersionedGraph>& slot,
+    std::shared_ptr<const graph::CSRGraph> graph, trace::Tracer* tracer);
+
+/// The MutationResult fields a commit alone determines (the cache counts
+/// stay 0 for the caller to fill).
+MutationResult mutation_result(const dyn::CommitResult& commit);
+
 class BcService {
  public:
   explicit BcService(ServiceConfig config = {});
@@ -392,16 +418,16 @@ class BcService {
     core::Options options;
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point deadline;
-    /// Progressive-approximation jobs (budget.active()): the contract,
-    /// the contract-free approx-cache key, and the graph fingerprint at
-    /// submit time. rung0_cap is the quality dial — set when admission
-    /// shed the request, capping synchronous work at rung 0 with the
-    /// rest of the contract refined in the background.
+    /// The graph's fingerprint at submit time.
+    std::uint64_t fingerprint = 0;
+    /// Progressive-approximation jobs (budget.active()): the contract and
+    /// the contract-free approx-cache key. rung0_cap is the quality dial —
+    /// set when admission shed the request, capping synchronous work at
+    /// rung 0 with the rest of the contract refined in the background.
     bool budgeted = false;
     bool rung0_cap = false;
     QueryBudget budget;
     std::string approx_key;
-    std::uint64_t fingerprint = 0;
   };
 
   /// One queued background-refinement task: upgrade `entry` toward
@@ -413,14 +439,14 @@ class BcService {
     QueryBudget budget;
   };
 
-  static Ticket ready_ticket(std::uint64_t id, Response response);
-  /// The budgeted (progressive) submit path: approx-cache lookup,
-  /// contract-keyed coalescing, admission (Shed = rung-0 cap), enqueue.
-  Ticket submit_budgeted(Request request, std::uint64_t id,
-                         std::chrono::steady_clock::time_point submitted);
-  /// Worker-side progressive controller: upgrade the entry stratum by
-  /// stratum (fold_next_stratum) until the contract is met (or rung 0
-  /// with refinement). Fills resp; throws like compute paths do.
+  static Ticket ready_ticket(std::uint64_t id, std::size_t top_k, Response response);
+  /// The cache probe of `job`'s request kind: the exact ResultCache under
+  /// `key`, or the ApproxCache estimate when it meets the contract. Call
+  /// under mu_; metrics and timing are the caller's.
+  std::optional<Response> cached_answer(const Job& job, const std::string& key);
+  /// Worker-side progressive path: advance_contract on the job's entry,
+  /// queueing refinement when it pauses. Fills resp; throws like compute
+  /// paths do.
   void compute_progressive(const Job& job, const util::CancelSource& cancel,
                            Response& resp);
   /// Queue a background upgrade of `entry` toward `budget`; starts the
@@ -432,6 +458,9 @@ class BcService {
   /// One kService instant tagged with the request id; no-op when off.
   void trace_instant(const char* name, std::uint64_t id) const;
   void worker_loop();
+  /// Answer a leader and everyone attached to it: unregister it from
+  /// inflight_, set its promise, run on_complete.
+  void complete(const std::shared_ptr<Inflight>& entry, Response resp);
   void refresher_loop();
   core::BCResult run_compute(const graph::CSRGraph& g, const core::Options& o);
   /// The stratified-sample geometry of cfg_.approx, clamped to valid values.

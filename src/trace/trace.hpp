@@ -38,6 +38,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,11 @@ class Sink {
                std::initializer_list<Arg> args = {}) {
     push(name, category, Phase::Instant, ts_ns, args);
   }
+  /// For callers that assemble their args at run time.
+  void instant(const char* name, Category category, std::uint64_t ts_ns,
+               std::span<const Arg> args) {
+    push(name, category, Phase::Instant, ts_ns, args);
+  }
   void counter(const char* name, Category category, std::uint64_t ts_ns,
                std::initializer_list<Arg> args) {
     push(name, category, Phase::Counter, ts_ns, args);
@@ -157,7 +163,7 @@ class Sink {
       : name_(std::move(name)), pid_(pid), tid_(tid), mask_(mask), capacity_(capacity) {}
 
   void push(const char* name, Category category, Phase phase, std::uint64_t ts_ns,
-            std::initializer_list<Arg> args) {
+            std::span<const Arg> args) {
     if ((mask_ & category) == 0) return;
     if (events_.size() >= capacity_) {
       ++dropped_;

@@ -12,6 +12,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/approx.hpp"
 #include "core/bc.hpp"
 #include "dyn/versioned_graph.hpp"
 #include "graph/generators.hpp"
@@ -663,6 +665,19 @@ TEST(NetDistributed, BudgetedUpgradeThroughFleetIsBitwiseIdenticalToStandalone) 
   EXPECT_TRUE(bitwise_equal(f512.result->scores, s512.result->scores));
   EXPECT_TRUE(bitwise_equal(f512.result->scores, s512_fresh.result->scores));
 
+  // Both controllers report the same estimate, not only the same scores.
+  for (const auto& [fleet_r, standalone_r] :
+       {std::pair{&f256, &s256}, std::pair{&f512, &s512}}) {
+    ASSERT_TRUE(standalone_r->estimate.has_value());
+    const service::Estimate& fe = *fleet_r->estimate;
+    const service::Estimate& se = *standalone_r->estimate;
+    EXPECT_EQ(fe.roots_used, se.roots_used);
+    EXPECT_EQ(fe.rung, se.rung);
+    EXPECT_EQ(fe.refining, se.refining);
+    EXPECT_EQ(std::memcmp(&fe.stderr_est, &se.stderr_est, sizeof(double)), 0)
+        << fe.stderr_est << " vs " << se.stderr_est;
+  }
+
   EXPECT_EQ(fleet.coordinator->stats().budgeted_queries, 2u);
   EXPECT_EQ(fleet.coordinator->stats().local_fallbacks, 0u);
 }
@@ -760,4 +775,103 @@ TEST(NetDistributed, MutationPurgesPendingRefinement) {
   ASSERT_TRUE(again.estimate.has_value());
   EXPECT_EQ(again.estimate->roots_used, 256u);
   EXPECT_FALSE(again.from_cache);
+}
+
+namespace {
+
+/// The roots of rung 0 (the first two strata) of the default plan on an
+/// n-vertex graph at the default seed — what the contract controller
+/// computes before it may publish.
+std::vector<graph::VertexId> rung0_roots(std::size_t n) {
+  core::RefinableEstimate est(n, core::StratumPlan{}, core::Options{}.seed);
+  std::vector<graph::VertexId> roots = est.next_stratum_roots();
+  est.fold(std::vector<double>(n, 0.0), roots.size());
+  const std::vector<graph::VertexId> second = est.next_stratum_roots();
+  roots.insert(roots.end(), second.begin(), second.end());
+  return roots;
+}
+
+}  // namespace
+
+// A deadline that passes after rung 0 serves the best published rung in
+// both controllers: the coordinator sends each stratum with the remaining
+// deadline, so it answers on time instead of waiting out slow strata. The
+// deadline leaves rung 0 room even under the sanitizers.
+TEST(NetDistributed, BudgetedDeadlineMatchesStandalone) {
+  const auto g = std::make_shared<const graph::CSRGraph>(big_graph());
+  const std::vector<graph::VertexId> rung0 = rung0_roots(g->num_vertices());
+  // Every run with a root outside rung 0 blocks until its own deadline
+  // fires (bounded, should it carry none), then computes — which the
+  // cancelled token turns into util::Cancelled.
+  const auto slow_after_rung0 = [rung0](const graph::CSRGraph& graph,
+                                        const core::Options& o) {
+    const bool outside = std::any_of(o.roots.begin(), o.roots.end(), [&](graph::VertexId r) {
+      return std::find(rung0.begin(), rung0.end(), r) == rung0.end();
+    });
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (outside && !o.resilience.cancel.cancelled() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return core::compute(graph, o);
+  };
+
+  service::BcService plain({.workers = 2});
+  plain.load_graph("g0", *g);
+  const service::Response r256 = plain.query(budgeted_request(256));
+  ASSERT_TRUE(r256.ok());
+
+  service::Request req = budgeted_request(768);
+  req.budget.deadline = std::chrono::milliseconds(1000);
+
+  service::ServiceConfig slow_cfg{.workers = 1};
+  slow_cfg.compute_fn = slow_after_rung0;
+  service::BcService slow(slow_cfg);
+  slow.load_graph("g0", *g);
+  const service::Response standalone = slow.query(req);
+  ASSERT_TRUE(standalone.ok()) << standalone.error;
+  ASSERT_TRUE(standalone.estimate.has_value());
+  EXPECT_EQ(standalone.estimate->roots_used, 256u);
+  EXPECT_TRUE(bitwise_equal(standalone.result->scores, r256.result->scores));
+
+  std::vector<net::WorkerConfig> cfgs = in_memory_workers(2, g);
+  for (net::WorkerConfig& wc : cfgs) wc.service.compute_fn = slow_after_rung0;
+  Fleet fleet(2, {}, std::move(cfgs));
+  ASSERT_EQ(fleet.coordinator->load_graph("g0", g, ""), 2u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const service::Response resp = fleet.coordinator->query(req);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(resp.ok()) << resp.error;
+  ASSERT_TRUE(resp.estimate.has_value());
+  EXPECT_EQ(resp.estimate->roots_used, 256u);
+  EXPECT_TRUE(bitwise_equal(resp.result->scores, r256.result->scores));
+  EXPECT_LE(elapsed, std::chrono::seconds(2));
+}
+
+// Strata are sub-runs of one budgeted query: they neither count as client
+// queries nor leave exact-cache entries that later requests could hit.
+TEST(NetDistributed, BudgetedStrataStayOutOfExactCache) {
+  const auto g = std::make_shared<const graph::CSRGraph>(big_graph());
+  Fleet fleet(2, {}, in_memory_workers(2, g));
+  ASSERT_EQ(fleet.coordinator->load_graph("g0", g, ""), 2u);
+
+  const service::Response budgeted = fleet.coordinator->query(budgeted_request(256));
+  ASSERT_TRUE(budgeted.ok()) << budgeted.error;
+  EXPECT_EQ(fleet.coordinator->stats().queries, 1u);
+
+  // The exact request whose options equal stratum 0's.
+  service::Request exact;
+  exact.graph_id = "g0";
+  exact.options.strategy = core::Strategy::WorkEfficient;
+  exact.options.roots =
+      core::RefinableEstimate(g->num_vertices(), core::StratumPlan{}, 42)
+          .next_stratum_roots();
+  exact.options.sample_roots = 0;
+  exact.options.halve_undirected = false;
+  exact.options.normalize = false;
+  const service::Response resp = fleet.coordinator->query(exact);
+  ASSERT_TRUE(resp.ok()) << resp.error;
+  EXPECT_FALSE(resp.from_cache);
+  EXPECT_EQ(fleet.coordinator->stats().queries, 2u);
 }

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/approx.hpp"
@@ -350,6 +351,197 @@ TEST(ProgressiveService, DegradedProgressiveAnswersAreNeverCached) {
   EXPECT_TRUE(second.degraded);
   EXPECT_FALSE(second.from_cache);
   EXPECT_GT(stratum_attempts.load(), attempts_after_first);
+}
+
+// ---------------------------------------------------------------------------
+// The budgeted submit path: coalescing, admission and lifecycle flags.
+
+/// Holds every compute call until released, counting the calls that
+/// reached it.
+struct ComputeLatch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int calls = 0;
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  void wait_calls(int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return calls >= n; });
+  }
+  core::BCResult run(const graph::CSRGraph& g, const core::Options& o) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++calls;
+    cv.notify_all();
+    cv.wait(lock, [this] { return open; });
+    lock.unlock();
+    return core::compute(g, o);
+  }
+};
+
+ServiceConfig latched_config(const std::shared_ptr<ComputeLatch>& latch) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = [latch](const graph::CSRGraph& g, const core::Options& o) {
+    return latch->run(g, o);
+  };
+  return cfg;
+}
+
+TEST(ProgressiveService, ContractTwinsCoalesceIntoOneCompute) {
+  auto latch = std::make_shared<ComputeLatch>();
+  BcService svc(latched_config(latch));
+  svc.load_graph("g", test_graph());
+
+  const Ticket leader = svc.submit(budgeted_request(256));
+  const Ticket twin = svc.submit(budgeted_request(256));
+  EXPECT_FALSE(leader.coalesced);
+  EXPECT_TRUE(twin.coalesced);
+  latch->release();
+
+  const Response a = svc.wait(leader);
+  const Response b = svc.wait(twin);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(b.coalesced);
+  EXPECT_EQ(a.estimate->roots_used, 256u);
+  EXPECT_EQ(b.estimate->roots_used, 256u);
+  EXPECT_EQ(a.result.get(), b.result.get());  // one leader's answer, shared
+  EXPECT_EQ(svc.metrics().coalesced, 1u);
+  EXPECT_EQ(svc.metrics().approx_strata, 2u);  // rung 0 computed once
+}
+
+TEST(ProgressiveService, DifferentContractsOnOneEntryDoNotCoalesce) {
+  auto latch = std::make_shared<ComputeLatch>();
+  BcService svc(latched_config(latch));
+  svc.load_graph("g", test_graph());
+
+  const Ticket t256 = svc.submit(budgeted_request(256));
+  const Ticket t512 = svc.submit(budgeted_request(512));
+  EXPECT_FALSE(t256.coalesced);
+  EXPECT_FALSE(t512.coalesced);
+  latch->release();
+
+  const Response r256 = svc.wait(t256);
+  const Response r512 = svc.wait(t512);
+  ASSERT_TRUE(r256.ok() && r512.ok());
+  EXPECT_EQ(r256.estimate->roots_used, 256u);
+  EXPECT_EQ(r512.estimate->roots_used, 512u);
+  EXPECT_EQ(svc.metrics().coalesced, 0u);
+}
+
+TEST(ProgressiveService, BudgetedRejectOnFullQueueIsQueueFull) {
+  auto latch = std::make_shared<ComputeLatch>();
+  ServiceConfig cfg = latched_config(latch);
+  cfg.admission = {.max_queue_depth = 1, .policy = AdmissionPolicy::Reject};
+  BcService svc(cfg);
+  svc.load_graph("g", test_graph());
+
+  // Distinct seeds: distinct estimates, so nothing coalesces.
+  auto seeded = [](std::uint64_t seed) {
+    Request r = budgeted_request(256);
+    r.options.seed = seed;
+    return r;
+  };
+  const Ticket running = svc.submit(seeded(1));
+  latch->wait_calls(1);  // the worker holds it; the queue is empty again
+  const Ticket queued = svc.submit(seeded(2));
+  const Ticket rejected = svc.submit(seeded(3));
+  ASSERT_EQ(rejected.future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(svc.wait(rejected).status, QueryStatus::QueueFull);
+  EXPECT_EQ(svc.metrics().rejected_full, 1u);
+
+  latch->release();
+  EXPECT_TRUE(svc.wait(running).ok());
+  EXPECT_TRUE(svc.wait(queued).ok());
+}
+
+TEST(ProgressiveService, BudgetedShedOnFullQueueStopsAtRung0AndRefines) {
+  auto latch = std::make_shared<ComputeLatch>();
+  ServiceConfig cfg = latched_config(latch);
+  cfg.admission = {.max_queue_depth = 1, .policy = AdmissionPolicy::Shed};
+  BcService svc(cfg);
+  svc.load_graph("g", test_graph());
+
+  auto seeded = [](std::uint64_t seed) {
+    Request r = budgeted_request(768);
+    r.options.seed = seed;
+    return r;
+  };
+  const Ticket running = svc.submit(seeded(1));
+  latch->wait_calls(1);
+  const Ticket queued = svc.submit(seeded(2));
+  const Ticket shed = svc.submit(seeded(3));
+  EXPECT_FALSE(queued.shed);
+  EXPECT_TRUE(shed.shed);
+  latch->release();
+
+  const Response r = svc.wait(shed);
+  ASSERT_TRUE(r.ok()) << to_string(r.status);
+  EXPECT_TRUE(r.shed);
+  ASSERT_TRUE(r.estimate.has_value());
+  // The quality dial: synchronous work stops at rung 0 and the rest of
+  // the contract is left to background refinement.
+  EXPECT_EQ(r.estimate->roots_used, 256u);
+  EXPECT_TRUE(r.estimate->refining);
+  EXPECT_EQ(svc.wait(running).estimate->roots_used, 768u);
+  EXPECT_EQ(svc.wait(queued).estimate->roots_used, 768u);
+  svc.drain_refinement();
+}
+
+TEST(ProgressiveService, BudgetedSubmitAfterStopIsServiceStopped) {
+  BcService svc({.workers = 1});
+  svc.load_graph("g", test_graph());
+  svc.stop();
+  const Ticket t = svc.submit(budgeted_request(256));
+  ASSERT_EQ(t.future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(svc.wait(t).status, QueryStatus::ServiceStopped);
+}
+
+// A deadline that passes after rung 0 serves the best published rung
+// (docs/serving.md § Accuracy contracts); only before rung 0 is it
+// DeadlineExceeded.
+TEST(ProgressiveService, DeadlineAfterRung0ServesBestRung) {
+  std::atomic<int> calls{0};
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = [&calls](const graph::CSRGraph& g, const core::Options& o) {
+    // Rung 0 is the first two strata; every later stratum blocks until
+    // the request's deadline fires (bounded, should it never fire).
+    if (calls.fetch_add(1) >= 2) {
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!o.resilience.cancel.cancelled() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return core::compute(g, o);
+  };
+  BcService svc(cfg);
+  svc.load_graph("g", test_graph());
+
+  // Room for rung 0 even under the sanitizers.
+  Request req = budgeted_request(768);
+  req.budget.deadline = std::chrono::milliseconds(1000);
+  const Response r = svc.query(req);
+  ASSERT_TRUE(r.ok()) << to_string(r.status) << ": " << r.error;
+  ASSERT_TRUE(r.estimate.has_value());
+  EXPECT_EQ(r.estimate->roots_used, 256u);
+  EXPECT_FALSE(r.estimate->refining);
+
+  BcService fresh({.workers = 1});
+  fresh.load_graph("g", test_graph());
+  const Response r256 = fresh.query(budgeted_request(256));
+  ASSERT_TRUE(r256.ok());
+  ASSERT_EQ(r.result->scores.size(), r256.result->scores.size());
+  EXPECT_EQ(std::memcmp(r.result->scores.data(), r256.result->scores.data(),
+                        r256.result->scores.size() * sizeof(double)),
+            0);
 }
 
 // ---------------------------------------------------------------------------
