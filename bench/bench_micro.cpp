@@ -13,6 +13,14 @@
 // the repetitions spreads host noise evenly over the strategies:
 //
 //   ./build/bench/bench_micro --benchmark_filter=KernelHostCost --benchmark_enable_random_interleaving=true
+//
+// BM_CpuBrandesForward/<flag>_<family>/<scale> reports `per_root` for
+// cpu::brandes at 1 thread over 128 sampled roots with neighbours, best of
+// 10. `undirected` may expand wide frontiers bottom-up; `directed_flag`
+// holds the same arcs flagged directed, which keeps every level top-down,
+// so the pair is the A/B of the direction-optimizing forward stage:
+//
+//   taskset -c 2 ./build/bench/bench_micro --benchmark_filter=CpuBrandesForward --benchmark_enable_random_interleaving=true
 
 #include <benchmark/benchmark.h>
 
@@ -31,6 +39,7 @@
 #include "graph/storage/compressed.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/bc_state.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -180,6 +189,30 @@ void BM_KernelHostCost(benchmark::State& state, const char* strategy, const char
       kRoots, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 
+// cpu::brandes over 128 sampled roots with neighbours, on g as generated
+// (undirected) or on the same arcs flagged directed (top-down only).
+void BM_CpuBrandesForward(benchmark::State& state, const char* family, bool undirected) {
+  constexpr std::size_t kRoots = 128;
+  const auto& base = cached_graph(family, static_cast<std::uint32_t>(state.range(0)));
+  const auto rows = base.row_offsets();
+  const auto cols = base.col_indices();
+  const graph::CSRGraph g =
+      undirected ? base
+                 : graph::CSRGraph({rows.begin(), rows.end()}, {cols.begin(), cols.end()}, false);
+  cpu::BrandesOptions opt;
+  util::Xoshiro256 rng(9);
+  while (opt.sources.size() < kRoots) {
+    const auto v = static_cast<graph::VertexId>(rng.next_below(g.num_vertices()));
+    if (g.degree(v) > 0) opt.sources.push_back(v);
+  }
+  for (auto _ : state) {
+    const cpu::BrandesResult r = cpu::brandes(g, opt);
+    benchmark::DoNotOptimize(r.bc.data());
+  }
+  state.counters["per_root"] = benchmark::Counter(
+      kRoots, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
 // Best of 10 short repetitions: the host is usually shared, and the
 // minimum is the run the noise touched least (more, shorter samples find
 // a quiet one more reliably than a few long ones).
@@ -306,6 +339,25 @@ BENCHMARK_CAPTURE(BM_KernelHostCost, cpu_serial_road, "cpu-serial", "road")
     ->Apply(host_cost_args)
     ->Arg(14);
 BENCHMARK_CAPTURE(BM_KernelHostCost, cpu_serial_smallworld, "cpu-serial", "smallworld")
+    ->Apply(host_cost_args)
+    ->Arg(14);
+
+BENCHMARK_CAPTURE(BM_CpuBrandesForward, undirected_kron, "kron", true)
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_CpuBrandesForward, directed_flag_kron, "kron", false)
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_CpuBrandesForward, undirected_road, "road", true)
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_CpuBrandesForward, directed_flag_road, "road", false)
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_CpuBrandesForward, undirected_smallworld, "smallworld", true)
+    ->Apply(host_cost_args)
+    ->Arg(14);
+BENCHMARK_CAPTURE(BM_CpuBrandesForward, directed_flag_smallworld, "smallworld", false)
     ->Apply(host_cost_args)
     ->Arg(14);
 

@@ -32,6 +32,9 @@ struct BrandesResult {
   std::uint64_t roots_processed = 0;
   std::uint64_t edges_traversed = 0;  // useful traversals (forward stage)
   std::uint32_t max_depth_seen = 0;
+  /// Forward levels expanded bottom-up, summed over roots (0 when every
+  /// level ran top-down; a root rerun top-down counts none).
+  std::uint64_t bottom_up_levels = 0;
 };
 
 namespace detail {
@@ -40,30 +43,52 @@ struct SingleSourceKernel;
 
 /// Scratch for the single-source kernel, reused across roots: one per
 /// engine call, pool range or stripe, never shared between threads. It
+/// sizes itself on first use for a graph and after each root resets only
+/// the entries that root touched — so any sequence of roots, on any
+/// graphs, sees the same clean state as a fresh allocation. Top-down it
 /// holds 20 bytes per vertex plus one successor bit per directed edge
-/// slot, sizes itself on first use for a graph, and after each root
-/// resets only the entries that root touched — so any sequence of roots,
-/// on any graphs, sees the same clean state as a fresh allocation.
+/// slot; an engine that may go bottom-up adds 4 bytes per vertex (the
+/// unvisited list) and one predecessor bit per slot. Each BFS level costs
+/// 16 bytes more.
 class BrandesWorkspace {
  private:
   friend struct detail::SingleSourceKernel;
+  struct Level {
+    std::size_t end;  // one past the level's last entry in order_
+    bool bottom_up;   // expanded bottom-up from the level before
+  };
   // Vertex level in the forward stage, then the bits of its dependency
   // delta in the dependency stage (which never reads a level).
   std::vector<std::uint64_t> level_or_delta_;
   std::vector<double> sigma_;
   std::vector<graph::VertexId> order_;  // BFS visit order (the stack S)
-  // Bit e is set iff directed edge slot e leads to a successor.
+  std::vector<Level> levels_;
+  // Bit e of successors_ is set iff directed edge slot e leads to a
+  // successor (top-down levels); of predecessors_, to a predecessor
+  // (bottom-up levels).
   std::vector<std::uint64_t> successors_;
+  std::vector<std::uint64_t> predecessors_;
+  // Ascending vertices no level has reached, kept once a root goes
+  // bottom-up and compacted by each bottom-up level.
+  std::vector<graph::VertexId> unvisited_;
 };
+
+/// Whether the forward stage may expand wide frontiers bottom-up on g: g
+/// is flagged undirected, its columns are contiguous (a .hbcgz whose
+/// columns are not resident streams top-down) and every row is strictly
+/// ascending. One sequential pass over the columns; engines call it once
+/// per call, never per root. Scores are the same bits either way.
+bool bottom_up_eligible(const graph::CSRGraph& g);
 
 BrandesResult brandes(const graph::CSRGraph& g, const BrandesOptions& options = {});
 
 /// Single-source stage pair: computes the dependency vector delta for
-/// source s and accumulates it into bc (bc[s] excluded). Throws
+/// source s and accumulates it into bc (bc[s] excluded). `bottom_up` must
+/// be bottom_up_eligible(g), or false to stay top-down. Throws
 /// std::out_of_range when s >= num_vertices().
 void brandes_single_source(const graph::CSRGraph& g, graph::VertexId s,
                            BrandesWorkspace& ws, std::span<double> bc,
-                           BrandesResult* stats = nullptr);
+                           BrandesResult* stats = nullptr, bool bottom_up = false);
 /// As above with a workspace of its own (for one-off roots and tests).
 void brandes_single_source(const graph::CSRGraph& g, graph::VertexId s,
                            std::span<double> bc, BrandesResult* stats = nullptr);

@@ -22,16 +22,32 @@
 // adjacency order, which keeps the BC scores bitwise-identical per
 // backing.
 //
-// The forward stage marks successor edges in a one-bit-per-edge-slot map
-// — the Green & Bader side of the paper's §IV.A storage trade (DESIGN §4
-// item 6). The paper declines it to keep per-block GPU storage at O(n);
-// the CPU runs at most nproc workers, so m/8 bytes each is cheap, and the
-// dependency stage then visits only the marked slots instead of
-// re-testing every neighbor's level.
+// The forward stage runs level by level. A top-down level expands the
+// frontier and marks successor edges in a one-bit-per-edge-slot map — the
+// Green & Bader side of the paper's §IV.A storage trade (DESIGN §4 item
+// 6). The paper declines it to keep per-block GPU storage at O(n); the CPU
+// runs at most nproc workers, so m/8 bytes each is cheap, and the
+// dependency stage then visits only the marked slots instead of re-testing
+// every neighbor's level.
+//
+// On a SpanView whose rows the engine has checked (bottom_up_eligible) a
+// wide frontier is expanded bottom-up instead (Beamer's direction-
+// optimizing BFS, the paper's §VI): every unvisited vertex scans its own
+// row, sums σ over the neighbors on the frontier and marks those slots in
+// a second, predecessor bitmap. The dependency stage then pushes from such
+// a level into its predecessors in ascending vertex id, which — on
+// strictly ascending rows — adds each δ term in exactly the order the
+// successor pull would. σ sums are sums of integers and exact below 2^53,
+// so their order does not matter either. Each σ on a level is at most the
+// σ total of the frontier before it, so a frontier whose total reaches
+// 2^53 never starts a bottom-up level, and a root that meets one after
+// going bottom-up is rerun top-down. The scores are the top-down kernel's
+// to the bit.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -57,35 +73,147 @@ struct SpanView {
 
 struct SingleSourceKernel {
   static constexpr std::uint64_t kUnvisited = ~std::uint64_t{0};
+  /// Below this every integer is a double, so σ sums are exact in any order.
+  static constexpr double kExactSigma = 0x1p53;
 
   /// Both Brandes stages from s (< num_vertices()): calls visit(w, delta_w)
   /// for every vertex s reaches, in reverse BFS order (s last), then
-  /// returns `ws` to its clean state.
+  /// returns `ws` to its clean state. `bottom_up` lets a SpanView expand
+  /// wide frontiers bottom-up; pass it only for rows bottom_up_eligible()
+  /// accepted.
   template <class G, class Visit>
-  static void run(const G& g, graph::VertexId s, BrandesWorkspace& ws,
+  static void run(const G& g, graph::VertexId s, BrandesWorkspace& ws, bool bottom_up,
                   BrandesResult* stats, Visit&& visit) {
+    bottom_up = bottom_up && std::is_same_v<G, SpanView>;
+    prepare(ws, g.num_vertices(), g.row_offsets().back(), bottom_up);
+    std::optional<std::uint64_t> traversed = forward(g, s, ws, bottom_up);
+    if (!traversed) {
+      // σ may have left the exact range after a bottom-up level: redo the
+      // root top-down, the order the scores are defined by.
+      reset_vertices(ws);
+      std::fill(ws.successors_.begin(), ws.successors_.end(), 0);
+      std::fill(ws.predecessors_.begin(), ws.predecessors_.end(), 0);
+      traversed = forward(g, s, ws, false);
+    }
+    if (stats != nullptr) {
+      stats->edges_traversed += *traversed;
+      stats->max_depth_seen = std::max(
+          stats->max_depth_seen, static_cast<std::uint32_t>(ws.levels_.size() - 1));
+      stats->bottom_up_levels += static_cast<std::uint64_t>(
+          std::count_if(ws.levels_.begin(), ws.levels_.end(),
+                        [](const BrandesWorkspace::Level& l) { return l.bottom_up; }));
+    }
+    dependency(g, ws, visit);
+    reset_vertices(ws);
+  }
+
+ private:
+  static std::uint64_t bit(graph::EdgeOffset e) noexcept {
+    return std::uint64_t{1} << (e & 63);
+  }
+
+  /// Calls f(e) for every set bit e of `map` in [begin, end), ascending,
+  /// and clears those bits.
+  template <class F>
+  static void drain_bits(std::uint64_t* map, graph::EdgeOffset begin, graph::EdgeOffset end,
+                         F&& f) {
+    using graph::EdgeOffset;
+    if (begin >= end) return;
+    const EdgeOffset first = begin >> 6;
+    const EdgeOffset last = (end - 1) >> 6;
+    for (EdgeOffset word = first; word <= last; ++word) {
+      std::uint64_t bits = map[word];
+      if (word == first) bits &= ~std::uint64_t{0} << (begin & 63);
+      if (word == last) bits &= ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
+      map[word] ^= bits;
+      for (; bits != 0; bits &= bits - 1) {
+        f((word << 6) + static_cast<EdgeOffset>(std::countr_zero(bits)));
+      }
+    }
+  }
+
+  /// Forward stage: BFS with path counting, one level per pass, recording
+  /// each level's end in `order` and its direction. Returns Σ degree of
+  /// the reached vertices, or nothing (with the state still dirty) when a
+  /// root that went bottom-up reaches a frontier whose σ total is 2^53 or
+  /// more.
+  template <class G>
+  static std::optional<std::uint64_t> forward(const G& g, graph::VertexId s,
+                                              BrandesWorkspace& ws, bool bottom_up) {
     using graph::EdgeOffset;
     using graph::VertexId;
     const std::span<const EdgeOffset> rows = g.row_offsets();
-    prepare(ws, g.num_vertices(), rows.back());
+    const EdgeOffset all_arcs = rows.back();
+    const double* sigma = ws.sigma_.data();
+    std::vector<VertexId>& order = ws.order_;
+
+    ws.level_or_delta_[s] = 0;
+    ws.sigma_[s] = 1.0;
+    order.push_back(s);
+    ws.levels_.push_back({1, false});
+    std::uint64_t traversed = 0;
+    bool went_bottom_up = false;
+    for (std::size_t begin = 0, end = 1; begin < end; begin = end, end = order.size()) {
+      const std::uint64_t cur = ws.levels_.size() - 1;
+      bool expand_bottom_up = false;
+      // A frontier of under n/32 vertices stays top-down without counting
+      // its arcs, which keeps narrow-frontier graphs (road) at top-down cost.
+      EdgeOffset frontier_arcs = 0;
+      if (bottom_up && 32 * (end - begin) > g.num_vertices()) {
+        for (std::size_t i = begin; i < end; ++i) {
+          frontier_arcs += rows[order[i] + 1] - rows[order[i]];
+        }
+        const EdgeOffset unvisited_arcs = all_arcs - traversed - frontier_arcs;
+        expand_bottom_up =
+            2 * frontier_arcs > unvisited_arcs && 32 * frontier_arcs > all_arcs;
+      }
+      if (expand_bottom_up || went_bottom_up) {
+        // Rows are duplicate-free, so no σ on the next level exceeds the
+        // frontier's σ total. Past 2^53 the order of a σ sum can round
+        // differently: a root that has not gone bottom-up yet stays
+        // top-down, and one that has is abandoned (a level after a
+        // bottom-up one sees its frontier in another order than the
+        // top-down run would).
+        double frontier_sigma = 0.0;
+        for (std::size_t i = begin; i < end; ++i) frontier_sigma += sigma[order[i]];
+        if (frontier_sigma >= kExactSigma) {
+          if (went_bottom_up) return std::nullopt;
+          expand_bottom_up = false;
+        }
+      }
+      if (expand_bottom_up) {
+        if (!went_bottom_up) build_unvisited(ws, g.num_vertices());
+        went_bottom_up = true;
+        traversed += frontier_arcs;
+        if constexpr (std::is_same_v<G, SpanView>) expand_up(g, ws, cur);
+      } else {
+        traversed += expand_down(g, ws, begin, end, cur);
+      }
+      if (order.size() > end) ws.levels_.push_back({order.size(), expand_bottom_up});
+    }
+    return traversed;
+  }
+
+  /// Top-down level cur + 1 from order[begin, end): slot e of v is marked
+  /// when its target lies one level below v. Returns Σ degree of the
+  /// frontier.
+  template <class G>
+  static std::uint64_t expand_down(const G& g, BrandesWorkspace& ws, std::size_t begin,
+                                   std::size_t end, std::uint64_t cur) {
+    using graph::EdgeOffset;
+    using graph::VertexId;
+    const std::span<const EdgeOffset> rows = g.row_offsets();
     std::uint64_t* level = ws.level_or_delta_.data();
     double* sigma = ws.sigma_.data();
     std::uint64_t* succ = ws.successors_.data();
     std::vector<VertexId>& order = ws.order_;
-
-    level[s] = 0;
-    sigma[s] = 1.0;
-    order.push_back(s);
-
-    // Forward: BFS with path counting; slot e of v is marked when its
-    // target lies one level below v.
-    std::uint64_t traversed = 0;
-    for (std::size_t head = 0; head < order.size(); ++head) {
-      const VertexId v = order[head];
-      const std::uint64_t next = level[v] + 1;
+    const std::uint64_t next = cur + 1;
+    std::uint64_t arcs = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const VertexId v = order[i];
       const double sigma_v = sigma[v];
       EdgeOffset e = rows[v];
-      traversed += rows[v + 1] - e;
+      arcs += rows[v + 1] - e;
       for (const VertexId w : g.neighbors(v)) {
         if (level[w] == kUnvisited) {
           level[w] = next;
@@ -98,68 +226,129 @@ struct SingleSourceKernel {
         ++e;
       }
     }
-    if (stats != nullptr) {
-      stats->edges_traversed += traversed;
-      stats->max_depth_seen =
-          std::max(stats->max_depth_seen, static_cast<std::uint32_t>(level[order.back()]));
-    }
+    return arcs;
+  }
 
-    // Dependency: successor-form accumulation in reverse BFS order over
-    // the marked slots only, in adjacency order. Each vertex's slots are
-    // cleared as they are read, leaving the map clean for the next root.
-    for (std::size_t i = order.size(); i-- > 0;) {
-      const VertexId w = order[i];
-      const double sigma_w = sigma[w];
-      double dsw = 0.0;
-      const auto add = [&](VertexId v) {
-        dsw += (sigma_w / sigma[v]) * (1.0 + std::bit_cast<double>(level[v]));
-      };
-      const EdgeOffset begin = rows[w];
-      const EdgeOffset end = rows[w + 1];
-      if constexpr (std::is_same_v<G, SpanView>) {
-        if (begin < end) {
-          const VertexId* cols = g.cols.data();
-          const EdgeOffset first = begin >> 6;
-          const EdgeOffset last = (end - 1) >> 6;
-          for (EdgeOffset word = first; word <= last; ++word) {
-            std::uint64_t bits = succ[word];
-            if (word == first) bits &= ~std::uint64_t{0} << (begin & 63);
-            if (word == last) bits &= ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
-            succ[word] ^= bits;
-            for (; bits != 0; bits &= bits - 1) {
-              add(cols[(word << 6) + static_cast<EdgeOffset>(std::countr_zero(bits))]);
-            }
-          }
-        }
-      } else {
-        EdgeOffset e = begin;
-        for (const VertexId v : g.neighbors(w)) {
-          if ((succ[e >> 6] & bit(e)) != 0) {
-            succ[e >> 6] ^= bit(e);
-            add(v);
-          }
-          ++e;
+  /// The vertices no level has reached yet, ascending.
+  static void build_unvisited(BrandesWorkspace& ws, graph::VertexId n) {
+    ws.unvisited_.clear();
+    const std::uint64_t* level = ws.level_or_delta_.data();
+    for (graph::VertexId v = 0; v < n; ++v) {
+      if (level[v] == kUnvisited) ws.unvisited_.push_back(v);
+    }
+  }
+
+  /// Bottom-up level cur + 1: each unvisited vertex sums σ over its
+  /// neighbors on level cur and marks those slots as predecessors. The
+  /// level joins `order` in ascending id; the rest stay on the list.
+  static void expand_up(const SpanView& g, BrandesWorkspace& ws, std::uint64_t cur) {
+    using graph::EdgeOffset;
+    using graph::VertexId;
+    std::uint64_t* level = ws.level_or_delta_.data();
+    double* sigma = ws.sigma_.data();
+    std::uint64_t* pred = ws.predecessors_.data();
+    const VertexId* cols = g.cols.data();
+    std::vector<VertexId>& unvisited = ws.unvisited_;
+    std::size_t kept = 0;
+    for (const VertexId u : unvisited) {
+      if (level[u] != kUnvisited) continue;  // reached by a top-down level
+      double sum = 0.0;
+      const EdgeOffset end = g.rows[u + 1];
+      for (EdgeOffset e = g.rows[u]; e < end; ++e) {
+        const VertexId x = cols[e];
+        if (level[x] == cur) {
+          sum += sigma[x];
+          pred[e >> 6] |= bit(e);
         }
       }
-      level[w] = std::bit_cast<std::uint64_t>(dsw);
-      visit(w, dsw);
+      if (sum != 0.0) {
+        level[u] = cur + 1;
+        sigma[u] = sum;
+        ws.order_.push_back(u);
+      } else {
+        unvisited[kept++] = u;
+      }
     }
-
-    for (const VertexId v : order) {
-      level[v] = kUnvisited;
-      sigma[v] = 0.0;
-    }
-    order.clear();
+    unvisited.resize(kept);
   }
 
- private:
-  static std::uint64_t bit(graph::EdgeOffset e) noexcept {
-    return std::uint64_t{1} << (e & 63);
+  /// Dependency stage in reverse BFS order, level by level. A vertex whose
+  /// next level was expanded top-down pulls δ over its marked successor
+  /// slots in adjacency order; a level expanded bottom-up then pushes into
+  /// its marked predecessor slots, successors in ascending id. Both clear
+  /// the bits they read, leaving the maps clean for the next root.
+  template <class G, class Visit>
+  static void dependency(const G& g, BrandesWorkspace& ws, Visit& visit) {
+    using graph::EdgeOffset;
+    using graph::VertexId;
+    const std::span<const EdgeOffset> rows = g.row_offsets();
+    std::uint64_t* delta = ws.level_or_delta_.data();
+    const double* sigma = ws.sigma_.data();
+    std::uint64_t* succ = ws.successors_.data();
+    const std::vector<VertexId>& order = ws.order_;
+    const std::vector<BrandesWorkspace::Level>& levels = ws.levels_;
+    // The δ term a successor v hands its predecessor x.
+    const auto term = [&](VertexId x, VertexId v) {
+      return (sigma[x] / sigma[v]) * (1.0 + std::bit_cast<double>(delta[v]));
+    };
+
+    for (std::size_t k = levels.size(); k-- > 0;) {
+      const std::size_t begin = k == 0 ? 0 : levels[k - 1].end;
+      const std::size_t end = levels[k].end;
+      const bool pushed = k + 1 < levels.size() && levels[k + 1].bottom_up;
+      for (std::size_t i = end; i-- > begin;) {
+        const VertexId w = order[i];
+        if (!pushed) {
+          double dsw = 0.0;
+          if constexpr (std::is_same_v<G, SpanView>) {
+            drain_bits(succ, rows[w], rows[w + 1],
+                       [&](EdgeOffset e) { dsw += term(w, g.cols[e]); });
+          } else {
+            EdgeOffset e = rows[w];
+            for (const VertexId v : g.neighbors(w)) {
+              if ((succ[e >> 6] & bit(e)) != 0) {
+                succ[e >> 6] ^= bit(e);
+                dsw += term(w, v);
+              }
+              ++e;
+            }
+          }
+          delta[w] = std::bit_cast<std::uint64_t>(dsw);
+        }
+        visit(w, std::bit_cast<double>(delta[w]));
+      }
+      if constexpr (std::is_same_v<G, SpanView>) {
+        if (!levels[k].bottom_up) continue;
+        const std::size_t parents = k == 1 ? 0 : levels[k - 2].end;
+        for (std::size_t i = parents; i < begin; ++i) delta[order[i]] = 0;
+        std::uint64_t* pred = ws.predecessors_.data();
+        for (std::size_t i = begin; i < end; ++i) {
+          const VertexId v = order[i];
+          drain_bits(pred, rows[v], rows[v + 1], [&](EdgeOffset e) {
+            const VertexId x = g.cols[e];
+            delta[x] = std::bit_cast<std::uint64_t>(std::bit_cast<double>(delta[x]) +
+                                                    term(x, v));
+          });
+        }
+      }
+    }
   }
 
-  /// Grow `ws` to cover n vertices and m edge slots; new entries start
-  /// clean and existing ones already are.
-  static void prepare(BrandesWorkspace& ws, graph::VertexId n, graph::EdgeOffset m) {
+  /// Returns the vertices the root reached to the clean state.
+  static void reset_vertices(BrandesWorkspace& ws) {
+    for (const graph::VertexId v : ws.order_) {
+      ws.level_or_delta_[v] = kUnvisited;
+      ws.sigma_[v] = 0.0;
+    }
+    ws.order_.clear();
+    ws.levels_.clear();
+  }
+
+  /// Grow `ws` to cover n vertices and m edge slots (and the bottom-up
+  /// state when it may be used); new entries start clean and existing ones
+  /// already are.
+  static void prepare(BrandesWorkspace& ws, graph::VertexId n, graph::EdgeOffset m,
+                      bool bottom_up) {
     if (ws.level_or_delta_.size() < n) {
       ws.level_or_delta_.resize(n, kUnvisited);
       ws.sigma_.resize(n, 0.0);
@@ -167,6 +356,10 @@ struct SingleSourceKernel {
     }
     const std::size_t words = static_cast<std::size_t>((m + 63) / 64);
     if (ws.successors_.size() < words) ws.successors_.resize(words, 0);
+    if (bottom_up) {
+      if (ws.predecessors_.size() < words) ws.predecessors_.resize(words, 0);
+      ws.unvisited_.reserve(n);
+    }
   }
 };
 

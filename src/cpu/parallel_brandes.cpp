@@ -20,6 +20,7 @@ BrandesResult parallel_brandes(const CSRGraph& g, const ParallelBrandesOptions& 
     std::iota(sources.begin(), sources.end(), VertexId{0});
   }
 
+  const bool bottom_up = bottom_up_eligible(g);
   util::ThreadPool pool(options.num_threads);
   const std::size_t workers = pool.thread_count();
 
@@ -35,7 +36,7 @@ BrandesResult parallel_brandes(const CSRGraph& g, const ParallelBrandesOptions& 
       if (options.cancel.cancelled()) return;
       const VertexId s = sources[i];
       if (s >= n) continue;
-      brandes_single_source(g, s, ws, local.bc, &local);
+      brandes_single_source(g, s, ws, local.bc, &local, bottom_up);
       ++local.roots_processed;
     }
   });
@@ -48,6 +49,7 @@ BrandesResult parallel_brandes(const CSRGraph& g, const ParallelBrandesOptions& 
     result.roots_processed += p.roots_processed;
     result.edges_traversed += p.edges_traversed;
     result.max_depth_seen = std::max(result.max_depth_seen, p.max_depth_seen);
+    result.bottom_up_levels += p.bottom_up_levels;
   }
   return result;
 }

@@ -69,6 +69,7 @@ std::vector<double> exact_scores(const CSRGraph& g, util::ThreadPool& pool,
   const VertexId n = g.num_vertices();
   std::vector<std::vector<double>> partials(reduce_stripes);
   std::atomic<bool> cancelled{false};
+  const bool bottom_up = cpu::bottom_up_eligible(g);
 
   pool.parallel_chunks(n, reduce_stripes,
                        [&](std::size_t stripe, std::size_t begin, std::size_t end) {
@@ -83,7 +84,7 @@ std::vector<double> exact_scores(const CSRGraph& g, util::ThreadPool& pool,
                              return;
                            }
                            cpu::brandes_single_source(g, static_cast<VertexId>(s), ws,
-                                                      partial);
+                                                      partial, nullptr, bottom_up);
                          }
                        });
   if (cancelled.load(std::memory_order_relaxed)) cancel.check();

@@ -29,6 +29,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,14 +71,8 @@ class Writer {
     u32(static_cast<std::uint32_t>(s.size()));
     out_->insert(out_->end(), s.begin(), s.end());
   }
-  void u32s(const std::vector<std::uint32_t>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (std::uint32_t x : v) u32(x);
-  }
-  void f64s(const std::vector<double>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (double x : v) f64(x);
-  }
+  void u32s(const std::vector<std::uint32_t>& v) { array(v); }
+  void f64s(const std::vector<double>& v) { array(v); }
   void updates(const std::vector<WireUpdate>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
     for (const WireUpdate& e : v) {
@@ -88,6 +83,26 @@ class Writer {
   }
 
  private:
+  // Count, then the elements little-endian: on a little-endian host that
+  // is their memory image, moved in one copy.
+  template <class T>
+  void array(const std::vector<T>& v) {
+    u32(static_cast<std::uint32_t>(v.size()));
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::size_t at = out_->size();
+      out_->resize(at + v.size() * sizeof(T));
+      if (!v.empty()) std::memcpy(out_->data() + at, v.data(), v.size() * sizeof(T));
+    } else {
+      for (const T x : v) {
+        if constexpr (sizeof(T) == 4) {
+          u32(x);
+        } else {
+          f64(x);
+        }
+      }
+    }
+  }
+
   std::vector<std::uint8_t>* out_;
 };
 
@@ -133,20 +148,8 @@ class Reader {
     pos_ += len;
     return s;
   }
-  std::vector<std::uint32_t> u32s() {
-    const std::uint32_t count = u32();
-    if (!need(static_cast<std::size_t>(count) * 4)) return {};
-    std::vector<std::uint32_t> v(count);
-    for (std::uint32_t i = 0; i < count; ++i) v[i] = u32();
-    return v;
-  }
-  std::vector<double> f64s() {
-    const std::uint32_t count = u32();
-    if (!need(static_cast<std::size_t>(count) * 8)) return {};
-    std::vector<double> v(count);
-    for (std::uint32_t i = 0; i < count; ++i) v[i] = f64();
-    return v;
-  }
+  std::vector<std::uint32_t> u32s() { return array<std::uint32_t>(); }
+  std::vector<double> f64s() { return array<double>(); }
   std::vector<WireUpdate> updates() {
     const std::uint32_t count = u32();
     if (!need(static_cast<std::size_t>(count) * 9)) return {};
@@ -166,6 +169,27 @@ class Reader {
       return false;
     }
     return true;
+  }
+
+  template <class T>
+  std::vector<T> array() {
+    const std::uint32_t count = u32();
+    const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(T);
+    if (!need(bytes)) return {};
+    std::vector<T> v(count);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count != 0) std::memcpy(v.data(), in_.data() + pos_, bytes);
+      pos_ += bytes;
+    } else {
+      for (T& x : v) {
+        if constexpr (sizeof(T) == 4) {
+          x = u32();
+        } else {
+          x = f64();
+        }
+      }
+    }
+    return v;
   }
 
   std::span<const std::uint8_t> in_;

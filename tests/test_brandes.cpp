@@ -1,13 +1,17 @@
 // Correctness of the CPU oracles: serial Brandes vs the definition-level
 // naive path-counting BC, exact values on the paper's Figure 1 graph, and
 // the parallel Brandes reduction, digests pinning the exact bits of every
-// CPU entry point, and the reused per-worker scratch matching a fresh one.
+// CPU entry point, the reused per-worker scratch matching a fresh one, and
+// the direction-optimizing forward stage matching the top-down one bit for
+// bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "cpu/brandes.hpp"
@@ -17,6 +21,7 @@
 #include "dyn/incremental_bc.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/storage/compressed.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -351,6 +356,194 @@ TEST(Brandes, ReusedScratchEqualsFreshPerRoot) {
     EXPECT_EQ(reused.edges_traversed, fresh.edges_traversed);
     EXPECT_EQ(reused.max_depth_seen, fresh.max_depth_seen);
   }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The same arcs flagged directed: the engines never go bottom-up on it, so
+// it is the top-down reference for the undirected original.
+CSRGraph directed_twin(const CSRGraph& g) {
+  const auto rows = g.row_offsets();
+  const auto cols = g.col_indices();
+  return CSRGraph({rows.begin(), rows.end()}, {cols.begin(), cols.end()}, false);
+}
+
+std::vector<VertexId> sample_roots(const CSRGraph& g, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<VertexId> roots(64);
+  for (VertexId& r : roots) r = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+  return roots;
+}
+
+void expect_same_run(const cpu::BrandesResult& got, const cpu::BrandesResult& want) {
+  EXPECT_TRUE(same_bits(got.bc, want.bc));
+  EXPECT_EQ(got.roots_processed, want.roots_processed);
+  EXPECT_EQ(got.edges_traversed, want.edges_traversed);
+  EXPECT_EQ(got.max_depth_seen, want.max_depth_seen);
+}
+
+TEST(Brandes, DirectionOptimizingMatchesTopDown) {
+  const char* families[] = {"rgg",       "delaunay", "kron", "road", "smallworld",
+                            "scalefree", "web",      "mesh2d"};
+  for (const char* family : families) {
+    for (const std::uint32_t scale : {10u, 12u}) {
+      SCOPED_TRACE(std::string(family) + "-" + std::to_string(scale));
+      const CSRGraph g = graph::gen::family_by_name(family).make(scale, 1);
+      const CSRGraph ref = directed_twin(g);
+      ASSERT_TRUE(cpu::bottom_up_eligible(g));
+      ASSERT_FALSE(cpu::bottom_up_eligible(ref));
+      const std::vector<VertexId> roots = sample_roots(g, scale);
+
+      const auto got = cpu::brandes(g, {.sources = roots, .cancel = {}});
+      const auto want = cpu::brandes(ref, {.sources = roots, .cancel = {}});
+      expect_same_run(got, want);
+      EXPECT_EQ(want.bottom_up_levels, 0u);
+      const std::string f = family;
+      if (f == "kron" || f == "smallworld" || f == "scalefree") {
+        EXPECT_GT(got.bottom_up_levels, 0u);
+      }
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        const cpu::ParallelBrandesOptions opt{
+            .sources = roots, .num_threads = threads, .cancel = {}};
+        const auto par = cpu::parallel_brandes(g, opt);
+        expect_same_run(par, cpu::parallel_brandes(ref, opt));
+        EXPECT_EQ(par.bottom_up_levels, got.bottom_up_levels);
+      }
+      if (scale == 10) {
+        util::ThreadPool pool(2);
+        EXPECT_TRUE(same_bits(dyn::exact_scores(g, pool, 8), dyn::exact_scores(ref, pool, 8)));
+      }
+    }
+  }
+}
+
+TEST(Brandes, DirectionOptimizingRerunsRootsPastExactSigma) {
+  // Vertex s, joined to all of a 256-vertex clique (layer 1), then twelve
+  // layers of 64, each vertex joined to a random half of the next layer,
+  // under a random labelling. From s (or a clique vertex) the clique's
+  // arcs make level 2 bottom-up while σ is small; the layers after it run
+  // top-down in another frontier order than the top-down run and their σ
+  // passes 2^53 by the last layers, where only the rerun keeps the bits.
+  // Roots in the middle layers meet the clique late with σ below 2^53 and
+  // keep their bottom-up levels.
+  constexpr VertexId kClique = 256;
+  constexpr VertexId kLayers = 12;
+  constexpr VertexId kWidth = 64;
+  constexpr VertexId n = 1 + kClique + kLayers * kWidth;
+  util::Xoshiro256 rng(53);
+  std::vector<VertexId> label(n);
+  std::iota(label.begin(), label.end(), VertexId{0});
+  for (VertexId i = n; i > 1; --i) {
+    std::swap(label[i - 1], label[static_cast<VertexId>(rng.next_below(i))]);
+  }
+  // Unlabelled ids: s = 0, the clique 1..kClique, then the layers.
+  const auto layer = [&](VertexId l, VertexId i) { return 1 + kClique + l * kWidth + i; };
+  std::vector<Edge> edges;
+  for (VertexId a = 1; a <= kClique; ++a) {
+    edges.push_back({label[0], label[a]});
+    for (VertexId b = a + 1; b <= kClique; ++b) edges.push_back({label[a], label[b]});
+    for (VertexId b = 0; b < kWidth; ++b) {
+      if (rng.next_below(2) == 0) edges.push_back({label[a], label[layer(0, b)]});
+    }
+  }
+  for (VertexId l = 0; l + 1 < kLayers; ++l) {
+    for (VertexId a = 0; a < kWidth; ++a) {
+      for (VertexId b = 0; b < kWidth; ++b) {
+        if (rng.next_below(2) == 0) edges.push_back({label[layer(l, a)], label[layer(l + 1, b)]});
+      }
+    }
+  }
+  const CSRGraph g = graph::build_csr(n, edges);
+  const CSRGraph ref = directed_twin(g);
+  const std::vector<VertexId> roots{label[0],           label[1],           label[7],
+                                    label[layer(5, 0)], label[layer(6, 9)], label[layer(11, 3)]};
+  const auto sigmas = cpu::count_paths(g, label[0]).sigma;
+  ASSERT_GE(*std::max_element(sigmas.begin(), sigmas.end()), 0x1p53);
+
+  const auto got = cpu::brandes(g, {.sources = roots, .cancel = {}});
+  expect_same_run(got, cpu::brandes(ref, {.sources = roots, .cancel = {}}));
+  EXPECT_GT(got.bottom_up_levels, 0u);
+  const cpu::ParallelBrandesOptions opt{.sources = roots, .num_threads = 2, .cancel = {}};
+  expect_same_run(cpu::parallel_brandes(g, opt), cpu::parallel_brandes(ref, opt));
+  util::ThreadPool pool(2);
+  EXPECT_TRUE(same_bits(dyn::exact_scores(g, pool, 4), dyn::exact_scores(ref, pool, 4)));
+}
+
+TEST(Brandes, UnsortedRowsStayTopDown) {
+  // kron-10's edges fed in reverse, neither sorted nor deduplicated: the
+  // rows come out descending, so the engines keep every level top-down.
+  const CSRGraph kron = graph::gen::family_by_name("kron").make(10, 1);
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < kron.num_vertices(); ++u) {
+    for (VertexId v : kron.neighbors(u)) {
+      if (u < v) edges.push_back({u, v});
+    }
+  }
+  std::reverse(edges.begin(), edges.end());
+  const CSRGraph g = graph::build_csr(kron.num_vertices(), edges,
+                                      {.symmetrize = true,
+                                       .remove_self_loops = true,
+                                       .dedup = false,
+                                       .sort_neighbors = false});
+  ASSERT_TRUE(g.undirected());
+  EXPECT_FALSE(cpu::bottom_up_eligible(g));
+  const CSRGraph ref = directed_twin(g);
+
+  const std::vector<VertexId> roots = sample_roots(g, 7);
+  const auto got = cpu::brandes(g, {.sources = roots, .cancel = {}});
+  expect_same_run(got, cpu::brandes(ref, {.sources = roots, .cancel = {}}));
+  EXPECT_EQ(got.bottom_up_levels, 0u);
+  const auto par =
+      cpu::parallel_brandes(g, {.sources = roots, .num_threads = 2, .cancel = {}});
+  EXPECT_EQ(par.bottom_up_levels, 0u);
+  // The same arcs sorted do go bottom-up.
+  EXPECT_GT(cpu::brandes(kron, {.sources = roots, .cancel = {}}).bottom_up_levels, 0u);
+}
+
+TEST(Brandes, StreamedHbcgzStaysTopDownWithHeapBits) {
+  const CSRGraph heap = graph::gen::family_by_name("kron").make(10, 1);
+  const auto storage = graph::storage::CompressedStorage::compress(
+      heap.row_offsets(), heap.col_indices(), heap.undirected());
+  const CSRGraph comp(storage);
+  EXPECT_FALSE(cpu::bottom_up_eligible(comp));
+  EXPECT_TRUE(storage->resident_columns().empty());
+
+  const std::vector<VertexId> roots = sample_roots(heap, 7);
+  const auto streamed = cpu::brandes(comp, {.sources = roots, .cancel = {}});
+  const auto resident = cpu::brandes(heap, {.sources = roots, .cancel = {}});
+  expect_same_run(streamed, resident);
+  EXPECT_EQ(streamed.bottom_up_levels, 0u);
+  EXPECT_GT(resident.bottom_up_levels, 0u);
+  const cpu::ParallelBrandesOptions opt{.sources = roots, .num_threads = 2, .cancel = {}};
+  expect_same_run(cpu::parallel_brandes(comp, opt), cpu::parallel_brandes(heap, opt));
+  util::ThreadPool pool(2);
+  EXPECT_TRUE(same_bits(dyn::exact_scores(comp, pool, 4), dyn::exact_scores(heap, pool, 4)));
+  EXPECT_TRUE(storage->resident_columns().empty());
+}
+
+TEST(Brandes, BottomUpEligibility) {
+  // Rows 0: {1,3}, 1: {0}, 2: {}, 3: {0,4}, 4: {3}: strictly ascending,
+  // with descents only across row boundaries and an empty row.
+  const std::vector<graph::EdgeOffset> rows{0, 2, 3, 3, 5, 6};
+  const std::vector<VertexId> cols{1, 3, 0, 0, 4, 3};
+  EXPECT_TRUE(cpu::bottom_up_eligible(CSRGraph(rows, cols, true)));
+  EXPECT_FALSE(cpu::bottom_up_eligible(CSRGraph(rows, cols, false)));
+  EXPECT_FALSE(cpu::bottom_up_eligible(CSRGraph(rows, {3, 1, 0, 0, 4, 3}, true)));
+  EXPECT_FALSE(cpu::bottom_up_eligible(CSRGraph(rows, {1, 1, 0, 0, 4, 3}, true)));
+  EXPECT_FALSE(cpu::bottom_up_eligible(CSRGraph(rows, {1, 3, 0, 4, 4, 3}, true)));
+  EXPECT_TRUE(cpu::bottom_up_eligible(CSRGraph({0}, {}, true)));
+
+  // A compressed backing qualifies once its columns are resident.
+  const auto storage = graph::storage::CompressedStorage::compress(rows, cols, true);
+  const CSRGraph comp(storage);
+  EXPECT_FALSE(cpu::bottom_up_eligible(comp));
+  EXPECT_TRUE(storage->resident_columns().empty());
+  storage->col_indices();
+  EXPECT_TRUE(cpu::bottom_up_eligible(comp));
 }
 
 TEST(Brandes, OutOfRangeSourceThrows) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -308,6 +309,46 @@ TEST(NetCodec, ShardResultScoresAreBitExact) {
     EXPECT_EQ(a, b) << "score " << i << " bit pattern changed in transit";
   }
   EXPECT_EQ(out.roots_processed, 999u);
+}
+
+TEST(NetCodec, ArrayBytesAreLittleEndian) {
+  // The exact wire image of a u32 and an f64 array, whatever the host's
+  // byte order: a u32 count, then each element least significant byte
+  // first, doubles as their IEEE-754 bit patterns (-0.0, a NaN payload and
+  // a denormal included).
+  const std::vector<std::uint32_t> ids{0x01020304u, 0xA0B0C0D0u};
+  const std::vector<double> scores{-0.0, std::bit_cast<double>(0x7FF800000000ABCDull),
+                                   std::bit_cast<double>(0x0000000000000001ull), 1.5};
+  std::vector<std::uint8_t> bytes;
+  wire::Writer w(bytes);
+  w.u32s(ids);
+  w.f64s(scores);
+  const std::vector<std::uint8_t> want{
+      0x02, 0x00, 0x00, 0x00,                          // count
+      0x04, 0x03, 0x02, 0x01, 0xD0, 0xC0, 0xB0, 0xA0,  // ids
+      0x04, 0x00, 0x00, 0x00,                          // count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0xCD, 0xAB, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x7F,  // NaN payload
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // smallest denormal
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F,  // 1.5
+  };
+  EXPECT_EQ(bytes, want);
+
+  wire::Reader r(bytes);
+  EXPECT_EQ(r.u32s(), ids);
+  const std::vector<double> back = r.f64s();
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.at_end());
+  ASSERT_EQ(back.size(), scores.size());
+  EXPECT_EQ(0, std::memcmp(back.data(), scores.data(), scores.size() * sizeof(double)));
+
+  // An empty array is its count alone; a short one is a typed failure.
+  std::vector<std::uint8_t> empty;
+  wire::Writer(empty).f64s({});
+  EXPECT_EQ(empty, (std::vector<std::uint8_t>{0, 0, 0, 0}));
+  wire::Reader short_read(std::span<const std::uint8_t>(want.data(), 10));
+  EXPECT_TRUE(short_read.u32s().empty());
+  EXPECT_FALSE(short_read.ok());
 }
 
 TEST(NetCodec, RemainingMessagesRoundTrip) {
