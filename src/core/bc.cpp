@@ -8,8 +8,6 @@
 
 #include "core/teps.hpp"
 #include "cpu/brandes.hpp"
-#include "cpu/fine_grained.hpp"
-#include "cpu/parallel_brandes.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -37,9 +35,6 @@ std::string options_signature(const Options& o) {
   s << ";sample_roots=" << o.sample_roots << ";seed=" << o.seed;
   s << ";halve=" << (o.halve_undirected ? 1 : 0)
     << ";normalize=" << (o.normalize ? 1 : 0);
-  if (o.strategy == Strategy::CpuParallel || o.strategy == Strategy::CpuFineGrained) {
-    s << ";cpu_threads=" << o.cpu_threads;
-  }
   const gpusim::DeviceConfig& d = o.device;
   const gpusim::CostModel& c = d.cost;
   s << ";device=" << d.name << ',' << d.num_sms << ',' << d.threads_per_block << ','
@@ -148,27 +143,16 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
 
   util::Timer wall;
   switch (options.strategy) {
-    case Strategy::CpuSerial: {
-      cpu::BrandesResult r =
-          cpu::brandes(g, {.sources = roots, .cancel = options.resilience.cancel});
-      result.scores = std::move(r.bc);
-      result.roots_processed = r.roots_processed;
-      result.time_seconds = wall.elapsed_seconds();
-      break;
-    }
-    case Strategy::CpuParallel: {
-      cpu::BrandesResult r = cpu::parallel_brandes(
-          g, {.sources = roots, .num_threads = options.cpu_threads,
-              .cancel = options.resilience.cancel});
-      result.scores = std::move(r.bc);
-      result.roots_processed = r.roots_processed;
-      result.time_seconds = wall.elapsed_seconds();
-      break;
-    }
+    case Strategy::CpuSerial:
+    case Strategy::CpuParallel:
     case Strategy::CpuFineGrained: {
-      cpu::BrandesResult r = cpu::fine_grained_brandes(
-          g, {.sources = roots, .num_threads = options.cpu_threads,
-              .cancel = options.resilience.cancel});
+      // One engine: threads split the roots and the bits never depend on
+      // how many there are.
+      const std::size_t threads =
+          options.strategy == Strategy::CpuSerial ? 1 : options.cpu_threads;
+      cpu::BrandesResult r = cpu::brandes(g, {.sources = roots,
+                                              .num_threads = threads,
+                                              .cancel = options.resilience.cancel});
       result.scores = std::move(r.bc);
       result.roots_processed = r.roots_processed;
       result.time_seconds = wall.elapsed_seconds();

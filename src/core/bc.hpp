@@ -59,12 +59,11 @@ struct Options {
   gpusim::DeviceConfig device = gpusim::gtx_titan();
   kernels::HybridParams hybrid;
   kernels::SamplingParams sampling;
-  /// Host worker threads. For the CPU-parallel engines this partitions
-  /// roots across threads (and changes the bit pattern of the merged
-  /// scores). For GPU-model strategies it sets how many simulated blocks
-  /// kernels::BlockDriver executes concurrently — scores, counters, and
-  /// simulated-cycle metrics are bitwise-identical for every value.
-  /// 0 = hardware concurrency.
+  /// Host worker threads. cpu-parallel and cpu-fine-grained split the
+  /// roots across them (cpu-serial runs one); GPU-model strategies run that
+  /// many simulated blocks concurrently (kernels::BlockDriver). Scores,
+  /// counters and simulated-cycle metrics are bitwise-identical for every
+  /// value. 0 = hardware concurrency.
   std::size_t cpu_threads = 0;
 
   /// GPU-model strategies only: override the simulated grid size (number
@@ -183,14 +182,11 @@ std::vector<graph::VertexId> sample_roots(graph::VertexId n, std::uint32_t k,
 ///  * `roots` is serialized verbatim, NOT sorted: root order changes the
 ///    floating-point association of the per-root accumulation, so two
 ///    permutations of the same root set are distinct cache entries.
-///  * `cpu_threads` is included only for the CPU-parallel strategies — it
-///    changes how roots partition across threads and therefore the bit
-///    pattern of the merged scores. For GPU-model strategies it is
-///    EXCLUDED even though kernels::BlockDriver now threads them: the
-///    driver's fixed-block-order reduction makes scores and simulated
-///    metrics bitwise-identical for every thread count, so thread count
-///    must not fragment the cache (a hit computed at any thread count is
-///    bit-identical to a fresh compute at any other).
+///  * `cpu_threads` is excluded for every strategy: the CPU engine adds
+///    each root's dependencies in root order and kernels::BlockDriver
+///    reduces blocks in a fixed order, so scores and simulated metrics are
+///    bitwise-identical at every thread count (a hit computed at any
+///    thread count is bit-identical to a fresh compute at any other).
 ///  * `collect_per_root_stats` is excluded: it only adds diagnostics.
 std::string options_signature(const Options& options);
 

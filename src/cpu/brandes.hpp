@@ -1,7 +1,12 @@
 #pragma once
 
-// Serial Brandes algorithm (Brandes 2001) — the exact-BC oracle every
-// GPU-model kernel is validated against, and the per-node CPU baseline.
+// Brandes algorithm (Brandes 2001) — the exact-BC oracle every GPU-model
+// kernel is validated against, and the per-node CPU baseline.
+//
+// Threads split the roots, never one root: the paper's one-root-per-SM
+// mapping. Each root's dependencies are added into the scores in root
+// order (sum_roots_in_order), so every thread count gives the bits of the
+// plain serial loop.
 //
 // Matches the paper's conventions: unweighted BFS shortest paths, the
 // successor form of the dependency accumulation, and no halving — for an
@@ -9,12 +14,15 @@
 // direction), so callers who want the "count each pair once" convention
 // divide by 2 (core/bc.hpp offers this as an option).
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
 #include "util/cancel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hbc::cpu {
 
@@ -23,6 +31,10 @@ struct BrandesOptions {
   /// This is exactly the paper's root-subset mechanism used for
   /// approximation and for multi-GPU work distribution.
   std::vector<graph::VertexId> sources;
+  /// Worker threads over the roots: 0 = hardware concurrency, 1 = a plain
+  /// loop on the calling thread. Capped by brandes_threads(); the scores
+  /// and stats are the same bits at every value.
+  std::size_t num_threads = 1;
   /// Polled before each source; throws util::Cancelled within one root.
   util::CancelToken cancel;
 };
@@ -42,14 +54,13 @@ struct SingleSourceKernel;
 }
 
 /// Scratch for the single-source kernel, reused across roots: one per
-/// engine call, pool range or stripe, never shared between threads. It
-/// sizes itself on first use for a graph and after each root resets only
-/// the entries that root touched — so any sequence of roots, on any
-/// graphs, sees the same clean state as a fresh allocation. Top-down it
-/// holds 20 bytes per vertex plus one successor bit per directed edge
-/// slot; an engine that may go bottom-up adds 4 bytes per vertex (the
-/// unvisited list) and one predecessor bit per slot. Each BFS level costs
-/// 16 bytes more.
+/// engine worker, never shared between threads. It sizes itself on first
+/// use for a graph and after each root resets only the entries that root
+/// touched — so any sequence of roots, on any graphs, sees the same clean
+/// state as a fresh allocation. Top-down it holds 20 bytes per vertex plus
+/// one successor bit per directed edge slot; an engine that may go
+/// bottom-up adds 4 bytes per vertex (the unvisited list) and one
+/// predecessor bit per slot. Each BFS level costs 16 bytes more.
 class BrandesWorkspace {
  private:
   friend struct detail::SingleSourceKernel;
@@ -80,7 +91,52 @@ class BrandesWorkspace {
 /// per call, never per root. Scores are the same bits either way.
 bool bottom_up_eligible(const graph::CSRGraph& g);
 
+/// Threads brandes() runs `roots` valid roots on: `requested` (0 = the
+/// hardware's count), capped by the roots and by `hardware`
+/// (std::thread::hardware_concurrency(), 0 when unknown), at least 1.
+std::size_t brandes_threads(std::size_t requested, std::size_t roots,
+                            std::size_t hardware) noexcept;
+
+/// Sources outside [0, num_vertices()) are skipped; a repeated source
+/// counts each time.
 BrandesResult brandes(const graph::CSRGraph& g, const BrandesOptions& options = {});
+/// As above on the threads of `pool` (options.num_threads is not read):
+/// the same bits and stats.
+BrandesResult brandes(const graph::CSRGraph& g, const BrandesOptions& options,
+                      util::ThreadPool& pool);
+
+/// One root's part of an ordered sum: the (vertex, value) pairs to add, in
+/// the order they are added. 12 bytes a pair.
+struct RootTerms {
+  std::vector<graph::VertexId> vertices;
+  std::vector<double> values;
+
+  void add(graph::VertexId v, double x) {
+    vertices.push_back(v);
+    values.push_back(x);
+  }
+  void clear() {
+    vertices.clear();
+    values.clear();
+  }
+};
+
+/// work(i, worker, out) appends root i's terms to `out` (empty on entry);
+/// `worker` < the pool's thread count names the caller's per-thread state.
+using RootWork = std::function<void(std::size_t i, std::size_t worker, RootTerms& out)>;
+
+/// The root loop of every multi-root CPU path: runs work for i in
+/// [0, count) and adds each root's terms into `sum` in ascending i, so the
+/// result is the plain loop's to the bit at any thread count. Workers
+/// claim the next index and leave their terms in a ring of 2 x threads
+/// slots; whichever finishes the next root in order folds every ready
+/// slot, in order. A worker waits only while the ring is full. With no
+/// pool, or one thread, it is the plain loop on the calling thread.
+/// `cancel` is polled before each root; the first worker to see it, or an
+/// exception from `work`, stops the run and wakes the waiting workers.
+/// Either is rethrown on the calling thread, with `sum` partly added.
+void sum_roots_in_order(std::size_t count, util::ThreadPool* pool, std::span<double> sum,
+                        const util::CancelToken& cancel, const RootWork& work);
 
 /// Single-source stage pair: computes the dependency vector delta for
 /// source s and accumulates it into bc (bc[s] excluded). `bottom_up` must

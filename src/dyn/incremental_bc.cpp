@@ -41,9 +41,6 @@ void validate(const IncrementalConfig& cfg) {
   if (cfg.churn_threshold < 0.0 || cfg.churn_threshold > 1.0) {
     throw std::invalid_argument("IncrementalConfig: churn_threshold outside [0,1]");
   }
-  if (cfg.reduce_stripes == 0) {
-    throw std::invalid_argument("IncrementalConfig: reduce_stripes == 0");
-  }
 }
 
 trace::Sink* dyn_sink(trace::Tracer* tracer) {
@@ -61,42 +58,8 @@ void dyn_instant(trace::Tracer* tracer, const char* name,
 }  // namespace
 
 std::vector<double> exact_scores(const CSRGraph& g, util::ThreadPool& pool,
-                                 std::size_t reduce_stripes,
                                  const util::CancelToken& cancel) {
-  if (reduce_stripes == 0) {
-    throw std::invalid_argument("exact_scores: reduce_stripes == 0");
-  }
-  const VertexId n = g.num_vertices();
-  std::vector<std::vector<double>> partials(reduce_stripes);
-  std::atomic<bool> cancelled{false};
-  const bool bottom_up = cpu::bottom_up_eligible(g);
-
-  pool.parallel_chunks(n, reduce_stripes,
-                       [&](std::size_t stripe, std::size_t begin, std::size_t end) {
-                         auto& partial = partials[stripe];
-                         partial.assign(n, 0.0);
-                         cpu::BrandesWorkspace ws;
-                         for (std::size_t s = begin; s < end; ++s) {
-                           // Pool tasks must not throw; bail at the source
-                           // boundary, the caller re-raises after the join.
-                           if (cancel.cancelled()) {
-                             cancelled.store(true, std::memory_order_relaxed);
-                             return;
-                           }
-                           cpu::brandes_single_source(g, static_cast<VertexId>(s), ws,
-                                                      partial, nullptr, bottom_up);
-                         }
-                       });
-  if (cancelled.load(std::memory_order_relaxed)) cancel.check();
-
-  // Fixed ascending stripe order: the bit pattern depends on the stripe
-  // count, never on how many threads executed the stripes.
-  std::vector<double> bc(n, 0.0);
-  for (const auto& partial : partials) {
-    if (partial.empty()) continue;
-    for (VertexId v = 0; v < n; ++v) bc[v] += partial[v];
-  }
-  return bc;
+  return cpu::brandes(g, {.sources = {}, .cancel = cancel}, pool).bc;
 }
 
 BatchStats refresh_scores(const CSRGraph& before, const CSRGraph& after,
@@ -179,53 +142,47 @@ BatchStats refresh_scores(const CSRGraph& before, const CSRGraph& after,
                  {"threshold", cfg.churn_threshold}});
     trace::ScopedSpan span(dyn_sink(cfg.tracer), cfg.tracer, "full-recompute",
                            trace::kCompute);
-    scores = exact_scores(after, pool, cfg.reduce_stripes, cfg.cancel);
+    scores = exact_scores(after, pool, cfg.cancel);
     stats.recompute_ms = recompute_timer.elapsed_ms();
     return stats;
   }
 
-  // ---- Incremental path: per affected source, subtract the old
-  // dependency vector and add the new one. Sources are processed in
-  // ascending order within a fixed number of stripes and stripe partials
-  // merge in ascending stripe order — bitwise-deterministic at any
-  // thread count. `scores` is only touched by the final merge, so a
-  // cancellation anywhere above leaves it exactly as it was.
+  // ---- Incremental path: per affected source, the new dependency vector
+  // less the old one, summed into `change` in ascending source order —
+  // bitwise-deterministic at any thread count. `scores` is only touched
+  // by the final add, so a cancellation anywhere above leaves it exactly
+  // as it was.
   stats.sources_recomputed = affected_list.size();
   stats.sources_skipped = n - affected_list.size();
-  std::vector<std::vector<double>> partials(cfg.reduce_stripes);
+  std::vector<double> change(n, 0.0);
   {
     trace::ScopedSpan span(dyn_sink(cfg.tracer), cfg.tracer, "incremental-recompute",
                            trace::kCompute,
                            {{"sources", stats.sources_recomputed}});
-    pool.parallel_chunks(
-        affected_list.size(), cfg.reduce_stripes,
-        [&](std::size_t stripe, std::size_t begin, std::size_t end) {
-          auto& partial = partials[stripe];
-          partial.assign(n, 0.0);
-          cpu::BrandesWorkspace ws;
-          std::vector<double> old_delta(n);
-          std::vector<double> new_delta(n);
-          for (std::size_t i = begin; i < end; ++i) {
-            if (cfg.cancel.cancelled()) {
-              cancelled.store(true, std::memory_order_relaxed);
-              return;
-            }
-            const VertexId s = affected_list[i];
-            cpu::single_source_dependencies(before, s, ws, old_delta);
-            cpu::single_source_dependencies(after, s, ws, new_delta);
-            for (VertexId w = 0; w < n; ++w) {
-              if (w == s) continue;
-              partial[w] += new_delta[w] - old_delta[w];
+    struct alignas(64) Scratch {  // a line of its own per worker
+      cpu::BrandesWorkspace ws;
+      std::vector<double> old_delta, new_delta;
+    };
+    std::vector<Scratch> scratch(pool.thread_count());
+    cpu::sum_roots_in_order(
+        affected_list.size(), &pool, change, cfg.cancel,
+        [&](std::size_t i, std::size_t worker, cpu::RootTerms& out) {
+          Scratch& sc = scratch[worker];
+          sc.old_delta.resize(n);
+          sc.new_delta.resize(n);
+          const VertexId s = affected_list[i];
+          cpu::single_source_dependencies(before, s, sc.ws, sc.old_delta);
+          cpu::single_source_dependencies(after, s, sc.ws, sc.new_delta);
+          // Equal entries would add +0.0, which leaves a sum unchanged.
+          for (VertexId w = 0; w < n; ++w) {
+            if (w != s && sc.new_delta[w] != sc.old_delta[w]) {
+              out.add(w, sc.new_delta[w] - sc.old_delta[w]);
             }
           }
         });
-    if (cancelled.load(std::memory_order_relaxed)) cfg.cancel.check();
   }
 
-  for (const auto& partial : partials) {
-    if (partial.empty()) continue;
-    for (VertexId v = 0; v < n; ++v) scores[v] += partial[v];
-  }
+  for (VertexId v = 0; v < n; ++v) scores[v] += change[v];
   stats.recompute_ms = recompute_timer.elapsed_ms();
   return stats;
 }
@@ -241,7 +198,7 @@ IncrementalBC::IncrementalBC(std::shared_ptr<const CSRGraph> initial,
       pool_(std::make_unique<util::ThreadPool>(cfg_.threads)) {
   validate(cfg_);
   snapshot_ = versioned_.current().graph;
-  bc_ = exact_scores(*snapshot_, *pool_, cfg_.reduce_stripes, cfg_.cancel);
+  bc_ = exact_scores(*snapshot_, *pool_, cfg_.cancel);
 }
 
 IncrementalBC::~IncrementalBC() = default;

@@ -20,13 +20,12 @@
 //   source then pays two single-source Brandes stages (old dependencies
 //   subtracted on `before`, new ones added on `after`).
 //
-// Determinism: affected sources are recomputed in fixed ascending order
-// inside a fixed number of reduction stripes (config.reduce_stripes,
-// util::ThreadPool::parallel_chunks) and stripe partials merge in
-// ascending stripe order — so refreshed scores are bitwise-identical at
+// Determinism: each affected source's change (new dependencies less old)
+// is added in ascending source order by cpu::sum_roots_in_order, the root
+// loop of cpu::brandes — so refreshed scores are bitwise-identical at
 // every thread count, the same guarantee kernels::BlockDriver gives the
-// GPU-model strategies. The churn fallback reuses the identical striped
-// path over all sources, so it inherits the guarantee.
+// GPU-model strategies. The churn fallback and the epoch-0 scores are
+// cpu::brandes over all sources on the engine's pool: cpu-serial's bits.
 //
 // Churn threshold: when the affected fraction exceeds
 // config.churn_threshold the incremental path would do near-full work
@@ -68,10 +67,6 @@ struct IncrementalConfig {
   /// from-scratch recompute on the new snapshot. 1.0 never falls back;
   /// 0.0 always recomputes fully. Values outside [0,1] throw.
   double churn_threshold = 0.25;
-  /// Fixed partial-reduction stripe count (NOT a thread count): part of
-  /// the deterministic accumulation order, so changing it changes the
-  /// floating-point bit pattern the way reordering roots would. Minimum 1.
-  std::size_t reduce_stripes = 32;
   /// Non-owning trace destination (kDyn batch/affected-set/fallback
   /// events, kCompute recompute spans); nullptr = off.
   trace::Tracer* tracer = nullptr;
@@ -97,11 +92,10 @@ struct BatchStats {
   double recompute_ms = 0.0;       // dependency recompute wall time
 };
 
-/// Exact BC of `g` computed with the striped deterministic reduction
-/// (bitwise-identical at every thread count for a fixed stripe count).
-/// This is what the churn fallback and IncrementalBC's constructor run.
+/// Exact BC of `g`: cpu::brandes over all sources on `pool`, the bits of
+/// cpu-serial at every thread count. This is what the churn fallback and
+/// IncrementalBC's constructor run.
 std::vector<double> exact_scores(const graph::CSRGraph& g, util::ThreadPool& pool,
-                                 std::size_t reduce_stripes,
                                  const util::CancelToken& cancel = {});
 
 /// Core one-shot form: advance `scores` — which must hold the exact BC of
@@ -119,8 +113,8 @@ BatchStats refresh_scores(const graph::CSRGraph& before, const graph::CSRGraph& 
 /// across batched epoch transitions.
 class IncrementalBC {
  public:
-  /// Builds epoch-0 scores with a full (striped, deterministic) Brandes
-  /// sweep. Throws std::invalid_argument for directed graphs.
+  /// Builds epoch-0 scores with a full Brandes sweep (exact_scores).
+  /// Throws std::invalid_argument for directed graphs.
   explicit IncrementalBC(graph::CSRGraph initial, IncrementalConfig config = {});
   explicit IncrementalBC(std::shared_ptr<const graph::CSRGraph> initial,
                          IncrementalConfig config = {});

@@ -60,8 +60,6 @@
 #include "cpu/approx.hpp"
 #include "cpu/brandes.hpp"
 #include "cpu/edge_bc.hpp"
-#include "cpu/fine_grained.hpp"
-#include "cpu/parallel_brandes.hpp"
 #include "cpu/weighted_brandes.hpp"
 
 // Dynamic graphs: versioned mutation + batched incremental BC.

@@ -27,8 +27,8 @@ namespace hbc::kernels {
 /// snapshots, so members are only ever appended.
 enum class Strategy {
   CpuSerial,       // Brandes oracle (single thread)
-  CpuParallel,     // coarse-grained threaded Brandes (one source/thread)
-  CpuFineGrained,  // fine-grained threaded Brandes (threads share a source)
+  CpuParallel,     // Brandes, threads split the roots (cpu-serial's bits)
+  CpuFineGrained,  // kept for its wire value and names; runs as CpuParallel
   VertexParallel,  // Jia et al. baseline (GPU model)
   EdgeParallel,    // Jia et al. baseline (GPU model)
   GpuFan,          // Shi & Zhang baseline (GPU model)
@@ -50,8 +50,8 @@ const char* to_string(Strategy strategy) noexcept;
 Strategy strategy_from_string(const std::string& name);
 
 /// True for the strategies that run on the simulated GPU (everything but
-/// the three CPU engines). GPU-model strategies are bitwise-deterministic
-/// in `core::Options::cpu_threads`; the CPU engines are not.
+/// the three CPU strategies). Every strategy is bitwise-deterministic in
+/// `core::Options::cpu_threads`.
 bool uses_gpu_model(Strategy strategy) noexcept;
 
 RunResult run_vertex_parallel(const graph::CSRGraph& g, const RunConfig& config);

@@ -329,7 +329,6 @@ void BcService::refresher_loop() {
         next->refreshable = true;
         dyn::IncrementalConfig icfg;
         icfg.churn_threshold = cfg_.refresh.churn_threshold;
-        icfg.reduce_stripes = cfg_.refresh.reduce_stripes;
         icfg.tracer = cfg_.tracer;
         const dyn::BatchStats stats =
             dyn::refresh_scores(*job.before, *job.after, job.applied,
@@ -556,12 +555,11 @@ Response BcService::query(Request request) {
 }
 
 core::BCResult BcService::run_compute(const graph::CSRGraph& g, const core::Options& o) {
-  // Apply the service's per-request thread budget to GPU-model runs. The
-  // cache key was computed from the request's options at submit time —
-  // that stays correct because options_signature excludes cpu_threads for
-  // GPU-model strategies and BlockDriver results are thread-invariant.
-  if (cfg_.compute_threads != 0 && core::uses_gpu_model(o.strategy) &&
-      o.cpu_threads != cfg_.compute_threads) {
+  // Apply the service's per-request thread budget. The cache key was
+  // computed from the request's options at submit time — that stays
+  // correct because options_signature excludes cpu_threads and every
+  // strategy's bits are thread-invariant.
+  if (cfg_.compute_threads != 0 && o.cpu_threads != cfg_.compute_threads) {
     core::Options budgeted = o;
     budgeted.cpu_threads = cfg_.compute_threads;
     return cfg_.compute_fn ? cfg_.compute_fn(g, budgeted) : core::compute(g, budgeted);
@@ -658,7 +656,6 @@ core::BCResult BcService::compute_resilient(const graph::CSRGraph& g,
     cpu.strategy = core::Strategy::CpuParallel;
     cpu.resilience.fault_plan.reset();
     cpu.resilience.cancel = cancel.token();
-    if (cfg_.compute_threads != 0) cpu.cpu_threads = cfg_.compute_threads;
     core::BCResult r = run_compute(g, cpu);
     metrics_.on_degraded();
     return r;

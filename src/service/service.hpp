@@ -124,15 +124,13 @@ struct ServiceConfig {
   /// Result-cache budget; 0 disables caching (coalescing still applies).
   std::size_t cache_bytes = 256ull << 20;
   AdmissionConfig admission;
-  /// Host-thread budget handed to each GPU-model kernel run (overrides the
-  /// request's Options::cpu_threads). Keeps `workers` concurrent kernel
-  /// runs from oversubscribing the machine now that kernels::BlockDriver
-  /// threads GPU-model strategies: the default of 1 keeps all parallelism
-  /// at the request level. 0 leaves the request's own cpu_threads alone.
-  /// Responses are unaffected either way — GPU-model kernels are bitwise-
-  /// deterministic in the thread count (and the cache key excludes it).
-  /// CPU-parallel strategies are never overridden: their scores DO depend
-  /// on cpu_threads, which the cache key therefore includes.
+  /// Host-thread budget handed to every compute run, whatever its
+  /// strategy (overrides the request's Options::cpu_threads). Keeps
+  /// `workers` concurrent runs from oversubscribing the machine: the
+  /// default of 1 keeps all parallelism at the request level. 0 leaves the
+  /// request's own cpu_threads alone. Responses are unaffected either way
+  /// — every strategy is bitwise-deterministic in the thread count, and
+  /// the cache key excludes it.
   std::size_t compute_threads = 1;
   /// Test hook / strategy override: replaces core::compute for every job.
   /// Must be thread-safe; default (empty) calls core::compute. Receives
@@ -190,8 +188,6 @@ struct ServiceConfig {
     double churn_threshold = 0.25;
     /// Worker threads of the refresher's private pool.
     std::size_t threads = 1;
-    /// Deterministic-reduction stripe count (dyn::IncrementalConfig).
-    std::size_t reduce_stripes = 32;
   };
   RefreshConfig refresh;
 

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace hbc::util {
 
@@ -52,55 +51,6 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     submit([begin, end, &fn] {
       for (std::size_t i = begin; i < end; ++i) fn(i);
     });
-  }
-  wait_idle();
-}
-
-void ThreadPool::parallel_ranges(
-    std::size_t n, const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const std::size_t t = workers_.size();
-  if (n == 0 || t == 0) return;
-  if (t == 1) {
-    fn(0, 0, n);
-    return;
-  }
-  const std::size_t per = n / t;
-  const std::size_t extra = n % t;
-  std::size_t begin = 0;
-  for (std::size_t tid = 0; tid < t; ++tid) {
-    const std::size_t len = per + (tid < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    if (len > 0) {
-      submit([tid, begin, end, &fn] { fn(tid, begin, end); });
-    }
-    begin = end;
-  }
-  wait_idle();
-}
-
-void ThreadPool::parallel_chunks(
-    std::size_t n, std::size_t num_chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (num_chunks == 0) throw std::invalid_argument("parallel_chunks: num_chunks == 0");
-  if (n == 0) return;
-  const std::size_t per = n / num_chunks;
-  const std::size_t extra = n % num_chunks;
-  if (workers_.size() <= 1) {
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < num_chunks && begin < n; ++c) {
-      const std::size_t end = begin + per + (c < extra ? 1 : 0);
-      if (end > begin) fn(c, begin, end);
-      begin = end;
-    }
-    return;
-  }
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < num_chunks && begin < n; ++c) {
-    const std::size_t end = begin + per + (c < extra ? 1 : 0);
-    if (end > begin) {
-      submit([c, begin, end, &fn] { fn(c, begin, end); });
-    }
-    begin = end;
   }
   wait_idle();
 }

@@ -2,10 +2,10 @@
 
 // Fixed-size thread pool with a parallel_for convenience wrapper.
 //
-// Used by cpu::parallel_brandes (coarse-grained parallelism over BC roots —
-// the CPU analogue of the paper's one-root-per-SM mapping) and by the dist
-// communicator when running ranks concurrently. Degrades gracefully to
-// inline execution when constructed with 0 or 1 threads.
+// Runs cpu::brandes's root workers (the CPU analogue of the paper's
+// one-root-per-SM mapping), kernels::BlockDriver's simulated blocks, the
+// service's request workers and dyn's identification passes. parallel_for
+// degrades to inline execution on a one-thread pool.
 
 #include <condition_variable>
 #include <cstddef>
@@ -37,22 +37,6 @@ class ThreadPool {
   /// Run fn(i) for i in [0, n) across the pool, blocking until done.
   /// Iterations are chunked to amortize dispatch overhead.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Static-partition variant: fn(thread_id, begin, end). Exactly
-  /// thread_count() contiguous ranges, matching the "subset of roots per
-  /// GPU" distribution in the paper's multi-GPU section.
-  void parallel_ranges(std::size_t n,
-                       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
-
-  /// Fixed-chunk-count partition: fn(chunk_id, begin, end) for exactly
-  /// `num_chunks` contiguous chunks of [0, n), independent of the pool's
-  /// thread count. This is the CPU analogue of kernels::BlockDriver's
-  /// block decomposition: callers that accumulate one partial per chunk
-  /// and reduce the partials in ascending chunk order get bitwise-
-  /// identical results at every thread count (dyn::IncrementalBC relies
-  /// on this). Chunks beyond n are skipped; num_chunks == 0 is an error.
-  void parallel_chunks(std::size_t n, std::size_t num_chunks,
-                       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
  private:
   void worker_loop();

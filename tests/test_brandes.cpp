@@ -1,23 +1,26 @@
 // Correctness of the CPU oracles: serial Brandes vs the definition-level
-// naive path-counting BC, exact values on the paper's Figure 1 graph, and
-// the parallel Brandes reduction, digests pinning the exact bits of every
-// CPU entry point, the reused per-worker scratch matching a fresh one, and
-// the direction-optimizing forward stage matching the top-down one bit for
-// bit.
+// naive path-counting BC, exact values on the paper's Figure 1 graph, the
+// threaded root loop giving the serial bits at every thread count (also
+// when its ring of slots fills, and under cancel), digests pinning the
+// exact bits of every CPU entry point, the reused per-worker scratch
+// matching a fresh one, and the direction-optimizing forward stage
+// matching the top-down one bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "cpu/brandes.hpp"
 #include "cpu/naive.hpp"
-#include "cpu/fine_grained.hpp"
-#include "cpu/parallel_brandes.hpp"
 #include "dyn/incremental_bc.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -185,57 +188,211 @@ TEST(Brandes, ReportsTraversalStats) {
   EXPECT_GE(r.max_depth_seen, 3u);
 }
 
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Same bits and stats; a top-down twin differs only in bottom_up_levels.
+void expect_same_run(const cpu::BrandesResult& got, const cpu::BrandesResult& want) {
+  EXPECT_TRUE(same_bits(got.bc, want.bc));
+  EXPECT_EQ(got.roots_processed, want.roots_processed);
+  EXPECT_EQ(got.edges_traversed, want.edges_traversed);
+  EXPECT_EQ(got.max_depth_seen, want.max_depth_seen);
+}
+
+// What a thread count may never change: the bits and every stat.
+void expect_identical_run(const cpu::BrandesResult& got, const cpu::BrandesResult& want) {
+  expect_same_run(got, want);
+  EXPECT_EQ(got.bottom_up_levels, want.bottom_up_levels);
+}
+
 TEST(ParallelBrandes, MatchesSerial) {
   const auto g = graph::gen::small_world({.num_vertices = 300, .k = 3, .seed = 9});
-  const auto serial = cpu::brandes(g).bc;
+  const auto serial = cpu::brandes(g);
   for (std::size_t threads : {1u, 2u, 4u}) {
-    const auto par = cpu::parallel_brandes(g, {.sources = {}, .num_threads = threads});
+    const auto par =
+        cpu::brandes(g, {.sources = {}, .num_threads = threads, .cancel = {}});
     EXPECT_EQ(par.roots_processed, g.num_vertices());
-    expect_vectors_near(par.bc, serial, 1e-7);
+    expect_identical_run(par, serial);
   }
 }
 
 TEST(ParallelBrandes, SourceSubsetMatchesSerialSubset) {
   const auto g = graph::gen::scale_free({.num_vertices = 200, .attach = 2, .seed = 3});
   const std::vector<VertexId> subset{0, 5, 9, 100, 199};
-  const auto serial = cpu::brandes(g, {.sources = subset});
-  const auto par = cpu::parallel_brandes(g, {.sources = subset, .num_threads = 3});
-  expect_vectors_near(par.bc, serial.bc, 1e-9);
+  const auto serial = cpu::brandes(g, {.sources = subset, .cancel = {}});
+  const auto par = cpu::brandes(g, {.sources = subset, .num_threads = 3, .cancel = {}});
+  expect_identical_run(par, serial);
   EXPECT_EQ(par.roots_processed, subset.size());
 }
 
 TEST(FineGrainedBrandes, MatchesSerialAcrossThreadCounts) {
   const auto g = graph::gen::kronecker({.scale = 8, .edge_factor = 8, .seed = 4});
-  const auto serial = cpu::brandes(g).bc;
+  const auto serial = cpu::brandes(g);
   for (std::size_t threads : {1u, 2u, 4u}) {
-    const auto fine = cpu::fine_grained_brandes(g, {.sources = {}, .num_threads = threads});
-    EXPECT_EQ(fine.roots_processed, g.num_vertices());
-    expect_vectors_near(fine.bc, serial, 1e-7);
+    const auto par =
+        cpu::brandes(g, {.sources = {}, .num_threads = threads, .cancel = {}});
+    EXPECT_EQ(par.roots_processed, g.num_vertices());
+    expect_identical_run(par, serial);
   }
 }
 
 TEST(FineGrainedBrandes, SourceSubsetAndStats) {
   const auto g = graph::gen::road({.scale = 10, .seed = 2});
   const std::vector<VertexId> subset{0, 7, 99};
-  const auto serial = cpu::brandes(g, {.sources = subset});
-  const auto fine = cpu::fine_grained_brandes(g, {.sources = subset, .num_threads = 2});
-  expect_vectors_near(fine.bc, serial.bc, 1e-9);
-  EXPECT_EQ(fine.roots_processed, 3u);
-  EXPECT_EQ(fine.edges_traversed, serial.edges_traversed);
-  EXPECT_EQ(fine.max_depth_seen, serial.max_depth_seen);
+  const auto serial = cpu::brandes(g, {.sources = subset, .cancel = {}});
+  const auto par = cpu::brandes(g, {.sources = subset, .num_threads = 2, .cancel = {}});
+  expect_identical_run(par, serial);
+  EXPECT_EQ(par.roots_processed, 3u);
 }
 
 TEST(FineGrainedBrandes, IsolatedRootIsSafe) {
   const CSRGraph g = graph::build_csr(4, std::vector<Edge>{{0, 1}});
-  const auto fine = cpu::fine_grained_brandes(g, {.sources = {3}, .num_threads = 2});
-  for (double x : fine.bc) EXPECT_EQ(x, 0.0);
+  const auto par = cpu::brandes(g, {.sources = {3}, .num_threads = 2, .cancel = {}});
+  EXPECT_EQ(par.roots_processed, 1u);
+  for (double x : par.bc) EXPECT_EQ(x, 0.0);
 }
 
 TEST(FineGrainedBrandes, DeterministicScores) {
   const auto g = graph::gen::small_world({.num_vertices = 256, .k = 4, .seed = 6});
-  const auto a = cpu::fine_grained_brandes(g, {.sources = {}, .num_threads = 4});
-  const auto b = cpu::fine_grained_brandes(g, {.sources = {}, .num_threads = 4});
-  expect_vectors_near(a.bc, b.bc, 0.0);
+  const cpu::BrandesOptions opt{.sources = {}, .num_threads = 4, .cancel = {}};
+  const auto a = cpu::brandes(g, opt);
+  const auto b = cpu::brandes(g, opt);
+  expect_identical_run(a, b);
+  expect_identical_run(a, cpu::brandes(g));
+}
+
+TEST(Brandes, ThreadCountRule) {
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+  // 0 asks for the hardware's count; the roots and the hardware cap it.
+  EXPECT_EQ(cpu::brandes_threads(0, 100, 4), 4u);
+  EXPECT_EQ(cpu::brandes_threads(0, 3, 4), 3u);
+  EXPECT_EQ(cpu::brandes_threads(1, 100, 4), 1u);
+  EXPECT_EQ(cpu::brandes_threads(2, 100, 4), 2u);
+  EXPECT_EQ(cpu::brandes_threads(kMax, 100, 4), 4u);
+  EXPECT_EQ(cpu::brandes_threads(kHuge, kHuge, 8), 8u);
+  EXPECT_EQ(cpu::brandes_threads(kMax, 5, 64), 5u);
+  EXPECT_EQ(cpu::brandes_threads(16, 2, 8), 2u);
+  // Never below one: no roots, an unknown hardware count.
+  EXPECT_EQ(cpu::brandes_threads(8, 0, 8), 1u);
+  EXPECT_EQ(cpu::brandes_threads(0, 0, 0), 1u);
+  EXPECT_EQ(cpu::brandes_threads(0, 100, 0), 1u);
+  EXPECT_EQ(cpu::brandes_threads(kMax, kMax, 0), 1u);
+}
+
+TEST(Brandes, ThreadCountNeverChangesBits) {
+  const char* families[] = {"rgg",       "delaunay", "kron", "road", "smallworld",
+                            "scalefree", "web",      "mesh2d"};
+  for (const char* family : families) {
+    for (const std::uint32_t scale : {10u, 12u}) {
+      SCOPED_TRACE(std::string(family) + "-" + std::to_string(scale));
+      const CSRGraph g = graph::gen::family_by_name(family).make(scale, 1);
+      std::vector<VertexId> roots;  // all roots at scale 10
+      if (scale == 12) {
+        util::Xoshiro256 rng(scale);
+        roots.resize(64);
+        for (VertexId& r : roots) r = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+        roots[9] = roots[3];                // counted twice
+        roots[40] = g.num_vertices() + 5;   // skipped
+      }
+      const auto serial = cpu::brandes(g, {.sources = roots, .cancel = {}});
+      EXPECT_EQ(serial.roots_processed, scale == 12 ? 63u : g.num_vertices());
+      for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(threads);
+        const cpu::BrandesOptions opt{.sources = roots, .num_threads = threads, .cancel = {}};
+        expect_identical_run(cpu::brandes(g, opt), serial);
+      }
+    }
+  }
+}
+
+// A path of 2048 vertices (id 0 at one end) and 600 isolated vertices.
+CSRGraph path_and_isolated() {
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v + 1 < 2048; ++v) edges.push_back({v, v + 1});
+  return graph::build_csr(2048 + 600, edges);
+}
+
+TEST(Brandes, RingFullOfCheapRootsKeepsBits) {
+  // Root 0 walks the whole path; the isolated roots after it finish at
+  // once and fill the ring, whose workers then wait for root 0.
+  const CSRGraph g = path_and_isolated();
+  std::vector<VertexId> roots{0};
+  for (VertexId v = 2048; v < g.num_vertices(); ++v) roots.push_back(v);
+  roots.push_back(1024);
+  roots.push_back(7);
+  const auto serial = cpu::brandes(g, {.sources = roots, .cancel = {}});
+  util::ThreadPool pool(4);
+  for (int rep = 0; rep < 3; ++rep) {
+    expect_identical_run(cpu::brandes(g, {.sources = roots, .cancel = {}}, pool), serial);
+  }
+}
+
+TEST(Brandes, RootLoopBoundsLookaheadAndStopsOnCancel) {
+  // Root 0 holds its worker until roots 1..7 are done: the other workers
+  // then fill the ring of 2 x 4 slots and must wait, never starting a
+  // root past 7 before root 0 returns. One run completes in root order;
+  // one cancels from inside root 0 and must throw util::Cancelled; in one
+  // root 0 throws, which must wake the waiting workers (no slot is ever
+  // folded) and reach the caller. None may hang.
+  enum class End { Complete, Cancel, Throw };
+  for (const End end : {End::Complete, End::Cancel, End::Throw}) {
+    SCOPED_TRACE(static_cast<int>(end));
+    util::ThreadPool pool(4);
+    util::CancelSource source;
+    std::atomic<std::size_t> done{0};
+    std::atomic<std::size_t> furthest{0};
+    std::size_t furthest_before_root0 = 0;
+    std::vector<double> sum(4, 0.0);
+    // Terms whose sum depends on the order they are added in.
+    const auto terms_of = [](std::size_t i, cpu::RootTerms& out) {
+      out.add(static_cast<VertexId>(i % 4), i % 2 == 0 ? 1e16 : 1.0);
+      out.add(static_cast<VertexId>(i % 4), i % 3 == 0 ? -1e16 : 0.5);
+    };
+    const cpu::RootWork work = [&](std::size_t i, std::size_t, cpu::RootTerms& out) {
+      if (i == 0) {
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (done.load() < 7 && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        furthest_before_root0 = furthest.load();
+        if (end == End::Cancel) source.cancel();
+        if (end == End::Throw) throw std::runtime_error("root 0 failed");
+      } else {
+        std::size_t seen = furthest.load();
+        while (seen < i && !furthest.compare_exchange_weak(seen, i)) {
+        }
+      }
+      terms_of(i, out);
+      done.fetch_add(1);
+    };
+    constexpr std::size_t kCount = 200;
+    if (end == End::Cancel) {
+      EXPECT_THROW(cpu::sum_roots_in_order(kCount, &pool, sum, source.token(), work),
+                   util::Cancelled);
+      EXPECT_LT(done.load(), kCount);
+    } else if (end == End::Throw) {
+      EXPECT_THROW(cpu::sum_roots_in_order(kCount, &pool, sum, {}, work), std::runtime_error);
+      EXPECT_EQ(done.load(), 7u);  // roots 8.. wait for slot 0, which never folds
+    } else {
+      cpu::sum_roots_in_order(kCount, &pool, sum, {}, work);
+      std::vector<double> want(4, 0.0);
+      cpu::RootTerms terms;
+      for (std::size_t i = 0; i < kCount; ++i) {
+        terms.clear();
+        terms_of(i, terms);
+        for (std::size_t k = 0; k < terms.vertices.size(); ++k) {
+          want[terms.vertices[k]] += terms.values[k];
+        }
+      }
+      EXPECT_TRUE(same_bits(sum, want));
+    }
+    EXPECT_GE(done.load(), 7u);
+    EXPECT_LT(furthest_before_root0, 8u);
+  }
 }
 
 // 64-bit FNV-1a over the raw bytes of a score vector: equal digests mean
@@ -254,9 +411,7 @@ struct GoldenDigests {
   const char* family;
   std::uint64_t all_roots;
   std::uint64_t sampled;
-  std::uint64_t parallel[3];  // threads 1, 2, 4
   std::uint64_t dependencies[3];
-  std::uint64_t exact_striped;
 };
 
 TEST(Brandes, BitsMatchParentCommit) {
@@ -269,21 +424,15 @@ TEST(Brandes, BitsMatchParentCommit) {
       {"kron",
        0xcf28aafb450ddcb7ull,
        0x1875364a1af7c978ull,
-       {0x1875364a1af7c978ull, 0x953cf3d7db1124d4ull, 0xf5c2fdf7496089fcull},
-       {0xb33c1df6bc76b011ull, 0x86c547c4d883e227ull, 0x630c08f707c7dfccull},
-       0xe4ef709a2007df99ull},
+       {0xb33c1df6bc76b011ull, 0x86c547c4d883e227ull, 0x630c08f707c7dfccull}},
       {"road",
        0x134021212e4555daull,
        0x2a2cef85abc3e270ull,
-       {0x2a2cef85abc3e270ull, 0x904c9620fcc85302ull, 0x5b61f07075fed03full},
-       {0x5b08f9602398ce44ull, 0xf0594544f65a685eull, 0x8b89f74544bce315ull},
-       0xc26581c970505ee3ull},
+       {0x5b08f9602398ce44ull, 0xf0594544f65a685eull, 0x8b89f74544bce315ull}},
       {"smallworld",
        0x494559fa40dba8d8ull,
        0xf6920be6c9fd31eeull,
-       {0xf6920be6c9fd31eeull, 0xd85dc8815ba801a2ull, 0xbde281f53835420aull},
-       {0x087bdcdc45ef2488ull, 0x6ab622378683b845ull, 0x2b195731b5f5831eull},
-       0x98eab48356686213ull},
+       {0x087bdcdc45ef2488ull, 0x6ab622378683b845ull, 0x2b195731b5f5831eull}},
   };
   for (const GoldenDigests& want : golden) {
     SCOPED_TRACE(want.family);
@@ -295,19 +444,18 @@ TEST(Brandes, BitsMatchParentCommit) {
 
     EXPECT_EQ(fnv1a(cpu::brandes(g).bc), want.all_roots);
     EXPECT_EQ(fnv1a(cpu::brandes(g, {.sources = roots, .cancel = {}}).bc), want.sampled);
-    const std::size_t thread_counts[] = {1, 2, 4};
-    for (int i = 0; i < 3; ++i) {
+    // Threads split the roots but add them in root order: the serial bits.
+    for (const std::size_t threads : {1u, 2u, 4u}) {
       const auto par =
-          cpu::parallel_brandes(
-          g, {.sources = roots, .num_threads = thread_counts[i], .cancel = {}});
-      EXPECT_EQ(fnv1a(par.bc), want.parallel[i]) << "threads " << thread_counts[i];
+          cpu::brandes(g, {.sources = roots, .num_threads = threads, .cancel = {}});
+      EXPECT_EQ(fnv1a(par.bc), want.sampled) << "threads " << threads;
     }
     for (int i = 0; i < 3; ++i) {
       EXPECT_EQ(fnv1a(cpu::single_source_dependencies(g, roots[i])), want.dependencies[i])
           << "root " << roots[i];
     }
     util::ThreadPool pool(2);
-    EXPECT_EQ(fnv1a(dyn::exact_scores(g, pool, 32)), want.exact_striped);
+    EXPECT_EQ(fnv1a(dyn::exact_scores(g, pool)), want.all_roots);
   }
 }
 
@@ -358,11 +506,6 @@ TEST(Brandes, ReusedScratchEqualsFreshPerRoot) {
   }
 }
 
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
 // The same arcs flagged directed: the engines never go bottom-up on it, so
 // it is the top-down reference for the undirected original.
 CSRGraph directed_twin(const CSRGraph& g) {
@@ -376,13 +519,6 @@ std::vector<VertexId> sample_roots(const CSRGraph& g, std::uint64_t seed) {
   std::vector<VertexId> roots(64);
   for (VertexId& r : roots) r = static_cast<VertexId>(rng.next_below(g.num_vertices()));
   return roots;
-}
-
-void expect_same_run(const cpu::BrandesResult& got, const cpu::BrandesResult& want) {
-  EXPECT_TRUE(same_bits(got.bc, want.bc));
-  EXPECT_EQ(got.roots_processed, want.roots_processed);
-  EXPECT_EQ(got.edges_traversed, want.edges_traversed);
-  EXPECT_EQ(got.max_depth_seen, want.max_depth_seen);
 }
 
 TEST(Brandes, DirectionOptimizingMatchesTopDown) {
@@ -405,17 +541,15 @@ TEST(Brandes, DirectionOptimizingMatchesTopDown) {
       if (f == "kron" || f == "smallworld" || f == "scalefree") {
         EXPECT_GT(got.bottom_up_levels, 0u);
       }
-      for (const std::size_t threads : {1u, 2u, 4u}) {
+      for (const std::size_t threads : {2u, 4u}) {
         SCOPED_TRACE(threads);
-        const cpu::ParallelBrandesOptions opt{
-            .sources = roots, .num_threads = threads, .cancel = {}};
-        const auto par = cpu::parallel_brandes(g, opt);
-        expect_same_run(par, cpu::parallel_brandes(ref, opt));
-        EXPECT_EQ(par.bottom_up_levels, got.bottom_up_levels);
+        const cpu::BrandesOptions opt{.sources = roots, .num_threads = threads, .cancel = {}};
+        expect_identical_run(cpu::brandes(g, opt), got);
+        expect_identical_run(cpu::brandes(ref, opt), want);
       }
       if (scale == 10) {
         util::ThreadPool pool(2);
-        EXPECT_TRUE(same_bits(dyn::exact_scores(g, pool, 8), dyn::exact_scores(ref, pool, 8)));
+        EXPECT_TRUE(same_bits(dyn::exact_scores(g, pool), dyn::exact_scores(ref, pool)));
       }
     }
   }
@@ -465,12 +599,14 @@ TEST(Brandes, DirectionOptimizingRerunsRootsPastExactSigma) {
   ASSERT_GE(*std::max_element(sigmas.begin(), sigmas.end()), 0x1p53);
 
   const auto got = cpu::brandes(g, {.sources = roots, .cancel = {}});
-  expect_same_run(got, cpu::brandes(ref, {.sources = roots, .cancel = {}}));
+  const auto want = cpu::brandes(ref, {.sources = roots, .cancel = {}});
+  expect_same_run(got, want);
   EXPECT_GT(got.bottom_up_levels, 0u);
-  const cpu::ParallelBrandesOptions opt{.sources = roots, .num_threads = 2, .cancel = {}};
-  expect_same_run(cpu::parallel_brandes(g, opt), cpu::parallel_brandes(ref, opt));
+  const cpu::BrandesOptions opt{.sources = roots, .num_threads = 2, .cancel = {}};
+  expect_identical_run(cpu::brandes(g, opt), got);
+  expect_identical_run(cpu::brandes(ref, opt), want);
   util::ThreadPool pool(2);
-  EXPECT_TRUE(same_bits(dyn::exact_scores(g, pool, 4), dyn::exact_scores(ref, pool, 4)));
+  EXPECT_TRUE(same_bits(dyn::exact_scores(g, pool), dyn::exact_scores(ref, pool)));
 }
 
 TEST(Brandes, UnsortedRowsStayTopDown) {
@@ -497,8 +633,7 @@ TEST(Brandes, UnsortedRowsStayTopDown) {
   const auto got = cpu::brandes(g, {.sources = roots, .cancel = {}});
   expect_same_run(got, cpu::brandes(ref, {.sources = roots, .cancel = {}}));
   EXPECT_EQ(got.bottom_up_levels, 0u);
-  const auto par =
-      cpu::parallel_brandes(g, {.sources = roots, .num_threads = 2, .cancel = {}});
+  const auto par = cpu::brandes(g, {.sources = roots, .num_threads = 2, .cancel = {}});
   EXPECT_EQ(par.bottom_up_levels, 0u);
   // The same arcs sorted do go bottom-up.
   EXPECT_GT(cpu::brandes(kron, {.sources = roots, .cancel = {}}).bottom_up_levels, 0u);
@@ -518,10 +653,11 @@ TEST(Brandes, StreamedHbcgzStaysTopDownWithHeapBits) {
   expect_same_run(streamed, resident);
   EXPECT_EQ(streamed.bottom_up_levels, 0u);
   EXPECT_GT(resident.bottom_up_levels, 0u);
-  const cpu::ParallelBrandesOptions opt{.sources = roots, .num_threads = 2, .cancel = {}};
-  expect_same_run(cpu::parallel_brandes(comp, opt), cpu::parallel_brandes(heap, opt));
+  const cpu::BrandesOptions opt{.sources = roots, .num_threads = 2, .cancel = {}};
+  expect_identical_run(cpu::brandes(comp, opt), streamed);
+  expect_identical_run(cpu::brandes(heap, opt), resident);
   util::ThreadPool pool(2);
-  EXPECT_TRUE(same_bits(dyn::exact_scores(comp, pool, 4), dyn::exact_scores(heap, pool, 4)));
+  EXPECT_TRUE(same_bits(dyn::exact_scores(comp, pool), dyn::exact_scores(heap, pool)));
   EXPECT_TRUE(storage->resident_columns().empty());
 }
 

@@ -11,7 +11,6 @@
 
 #include "core/bc.hpp"
 #include "cpu/brandes.hpp"
-#include "cpu/parallel_brandes.hpp"
 #include "cpu/weighted_brandes.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -63,7 +62,7 @@ TEST_P(ConsistencySweep, AllEnginesAgree) {
   pred.use_predecessor_bitmap = true;
   check(kernels::run_work_efficient(g, pred).bc, "we+pred-bitmap");
 
-  check(cpu::parallel_brandes(g, {.sources = {}, .num_threads = 3}).bc, "cpu-parallel");
+  check(cpu::brandes(g, {.sources = {}, .num_threads = 3}).bc, "cpu-parallel");
 
   const cpu::WeightArray unit(g.num_directed_edges(), 1.0);
   check(cpu::weighted_brandes(g, unit).bc, "dijkstra-unit");

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "core/bc.hpp"
 #include "core/report.hpp"
@@ -193,6 +195,38 @@ TEST(Compute, CpuParallelUsesRequestedThreads) {
   const auto oracle = cpu::brandes(g).bc;
   for (std::size_t i = 0; i < oracle.size(); ++i) {
     EXPECT_NEAR(r.scores[i], oracle[i], 1e-9);
+  }
+}
+
+TEST(Compute, CpuStrategiesShareBits) {
+  // One engine behind all three CPU strategies: threads split the roots
+  // and add them in root order, so no strategy or thread count changes a
+  // bit, on all roots or on a sampled subset.
+  const CSRGraph g = graph::gen::small_world({.num_vertices = 300, .k = 3, .seed = 5});
+  for (const std::uint32_t sample : {0u, 40u}) {
+    SCOPED_TRACE(sample);
+    Options base;
+    base.strategy = Strategy::CpuSerial;
+    base.sample_roots = sample;
+    const auto want = core::compute(g, base);
+    for (const auto strategy :
+         {Strategy::CpuSerial, Strategy::CpuParallel, Strategy::CpuFineGrained}) {
+      for (const std::size_t threads : {0u, 1u, 3u}) {
+        SCOPED_TRACE(std::string(core::to_string(strategy)) + " threads " +
+                     std::to_string(threads));
+        Options opt = base;
+        opt.strategy = strategy;
+        opt.cpu_threads = threads;
+        const auto got = core::compute(g, opt);
+        ASSERT_EQ(got.scores.size(), want.scores.size());
+        EXPECT_EQ(0, std::memcmp(got.scores.data(), want.scores.data(),
+                                 want.scores.size() * sizeof(double)));
+        EXPECT_EQ(got.roots_processed, want.roots_processed);
+        Options other = opt;
+        other.cpu_threads = 7;
+        EXPECT_EQ(core::options_signature(opt), core::options_signature(other));
+      }
+    }
   }
 }
 

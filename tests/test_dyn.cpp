@@ -282,13 +282,31 @@ TEST(IncrementalBC, InvalidConfigThrows) {
   const CSRGraph g = graph::build_csr(3, std::vector<Edge>{{0, 1}, {1, 2}});
   EXPECT_THROW(dyn::IncrementalBC(g, inc_cfg(0, /*churn_threshold=*/1.5)),
                std::invalid_argument);
-  dyn::IncrementalConfig no_stripes;
-  no_stripes.reduce_stripes = 0;
-  EXPECT_THROW(dyn::IncrementalBC(g, no_stripes), std::invalid_argument);
   EXPECT_THROW(
       dyn::IncrementalBC(graph::build_csr(3, std::vector<Edge>{{0, 1}},
                                           {.symmetrize = false})),
       std::invalid_argument);
+}
+
+TEST(IncrementalBC, EpochZeroScoresAreSerialBrandesBits) {
+  // The epoch-0 sweep and the churn fallback are cpu::brandes over every
+  // source on the engine's pool: cpu-serial's bits at any thread count.
+  const CSRGraph g = graph::gen::small_world({.num_vertices = 150, .k = 3, .seed = 23});
+  const std::vector<double> serial = cpu::brandes(g).bc;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    const dyn::IncrementalBC engine(g, inc_cfg(threads));
+    ASSERT_EQ(engine.scores().size(), serial.size());
+    EXPECT_EQ(0, std::memcmp(engine.scores().data(), serial.data(),
+                             serial.size() * sizeof(double)));
+
+    dyn::IncrementalBC fallback(g, inc_cfg(threads, /*churn_threshold=*/0.0));
+    const dyn::BatchStats stats = fallback.apply(mixed_batch(g, 3, 1, 29));
+    ASSERT_TRUE(stats.full_recompute);
+    const std::vector<double> fresh = cpu::brandes(fallback.graph()).bc;
+    EXPECT_EQ(0, std::memcmp(fallback.scores().data(), fresh.data(),
+                             fresh.size() * sizeof(double)));
+  }
 }
 
 TEST(IncrementalBC, BitwiseDeterminismAcrossThreadCounts) {

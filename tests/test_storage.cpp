@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cpu/brandes.hpp"
-#include "cpu/parallel_brandes.hpp"
 #include "dyn/versioned_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -592,7 +591,7 @@ TEST(CompressedTraversal, CpuEnginesNeverMaterialize) {
   const CSRGraph comp(storage);
   const std::size_t fresh_bytes = storage->resident_bytes();
 
-  cpu::parallel_brandes(comp, {.sources = {}, .num_threads = 2, .cancel = {}});
+  cpu::brandes(comp, {.sources = {}, .num_threads = 2, .cancel = {}});
   EXPECT_EQ(storage->resident_bytes(), fresh_bytes);
   cpu::single_source_dependencies(comp, 7);
   EXPECT_EQ(storage->resident_bytes(), fresh_bytes);
@@ -616,8 +615,8 @@ TEST(CompressedTraversal, CpuEnginesReadResidentColumns) {
   const std::vector<VertexId> roots{0, 13, 77, 199};
   EXPECT_TRUE(bitwise_equal(cpu::brandes(comp).bc, cpu::brandes(heap).bc));
   EXPECT_TRUE(bitwise_equal(
-      cpu::parallel_brandes(comp, {.sources = roots, .num_threads = 2, .cancel = {}}).bc,
-      cpu::parallel_brandes(heap, {.sources = roots, .num_threads = 2, .cancel = {}}).bc));
+      cpu::brandes(comp, {.sources = roots, .num_threads = 2, .cancel = {}}).bc,
+      cpu::brandes(heap, {.sources = roots, .num_threads = 2, .cancel = {}}).bc));
   for (VertexId s : roots) {
     EXPECT_TRUE(bitwise_equal(cpu::single_source_dependencies(comp, s),
                               cpu::single_source_dependencies(heap, s)))

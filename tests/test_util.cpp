@@ -3,12 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <numeric>
-#include <stdexcept>
-#include <tuple>
 #include <vector>
 
 #include "util/bitvector.hpp"
@@ -221,62 +217,6 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelRangesPartitionExactly) {
-  ThreadPool pool(3);
-  std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  pool.parallel_ranges(10, [&](std::size_t, std::size_t b, std::size_t e) {
-    std::lock_guard<std::mutex> lock(m);
-    ranges.emplace_back(b, e);
-  });
-  std::sort(ranges.begin(), ranges.end());
-  std::size_t covered = 0;
-  std::size_t expected_begin = 0;
-  for (auto [b, e] : ranges) {
-    EXPECT_EQ(b, expected_begin);
-    covered += e - b;
-    expected_begin = e;
-  }
-  EXPECT_EQ(covered, 10u);
-}
-
-TEST(ThreadPool, ParallelChunksPartitionIsThreadCountInvariant) {
-  // The chunk decomposition must depend only on (n, num_chunks) — that
-  // invariance is what dyn::IncrementalBC's bitwise determinism rests on.
-  const auto partition = [](std::size_t threads, std::size_t n, std::size_t chunks) {
-    ThreadPool pool(threads);
-    std::mutex m;
-    std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> out;
-    pool.parallel_chunks(n, chunks, [&](std::size_t c, std::size_t b, std::size_t e) {
-      std::lock_guard<std::mutex> lock(m);
-      out.emplace_back(c, b, e);
-    });
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  const auto one = partition(1, 103, 7);
-  const auto four = partition(4, 103, 7);
-  EXPECT_EQ(one, four);
-  std::size_t expected_begin = 0;
-  for (auto [c, b, e] : one) {
-    EXPECT_EQ(b, expected_begin);
-    EXPECT_LT(b, e);  // empty chunks are skipped, not dispatched
-    expected_begin = e;
-  }
-  EXPECT_EQ(expected_begin, 103u);
-}
-
-TEST(ThreadPool, ParallelChunksSkipsTailBeyondN) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  pool.parallel_chunks(3, 8, [&](std::size_t, std::size_t, std::size_t) {
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 3);  // chunks 3..7 are empty and never run
-  EXPECT_THROW(pool.parallel_chunks(3, 0, [](std::size_t, std::size_t, std::size_t) {}),
-               std::invalid_argument);
 }
 
 TEST(ThreadPool, SingleThreadDegradesToInline) {

@@ -17,10 +17,11 @@
 //                     can be compared with cmp/memcmp (the CI out-of-core
 //                     job checks mapped vs heap backings this way)
 //   --seed S          RNG seed for root sampling (default 42)
-//   --threads N       host worker threads. CPU-parallel strategies split
-//                     roots across threads; GPU-model strategies execute
-//                     simulated blocks concurrently with identical results
-//                     at any thread count (default 0 = hardware concurrency)
+//   --threads N       host worker threads. cpu-parallel and cpu-fine split
+//                     the roots across threads; GPU-model strategies
+//                     execute simulated blocks concurrently. Scores are the
+//                     same bits at any thread count (default 0 = hardware
+//                     concurrency)
 //   --weighted LO:HI  weighted BC with uniform random edge weights in
 //                     [LO, HI); runs the weighted sampling engine
 //                     (Bellman-Ford vs near-far chosen by probe)

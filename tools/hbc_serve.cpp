@@ -70,7 +70,10 @@
 //   --refine          serve budgeted queries at rung 0 and refine toward
 //                     the contract in the background; the replay drains
 //                     the refinement queue before printing metrics
-//   --threads N       cpu_threads for the CPU-parallel strategies (0=hw)
+//   --threads N       host threads per compute run, any strategy (sets
+//                     each request's cpu_threads and the service's
+//                     compute_threads; 0 = hardware). Scores are the same
+//                     bits at every value (default: 1 per run)
 //   --top K           request top-k extraction per query (default 10)
 //   --timeout MS      per-request deadline in milliseconds (default none)
 //   --seed S          workload RNG seed (default 7)
@@ -653,6 +656,7 @@ int main(int argc, char** argv) {
         args.budget.allow_refinement = true;
       } else if (arg == "--threads") {
         args.cpu_threads = cli::parse_size(arg, cursor.value(arg));
+        args.config.compute_threads = args.cpu_threads;
       } else if (arg == "--top") {
         args.top_k = cli::parse_size(arg, cursor.value(arg));
       } else if (arg == "--timeout") {
