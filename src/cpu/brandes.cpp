@@ -50,19 +50,8 @@ void run_kernel(const CSRGraph& g, VertexId s, BrandesWorkspace& ws, bool bottom
 }  // namespace
 
 bool bottom_up_eligible(const CSRGraph& g) {
-  if (!g.undirected() || compressed_backing(g) != nullptr) return false;
-  const auto rows = g.row_offsets();
-  const auto cols = g.col_indices();
-  // Non-ascending neighbour pairs over the whole column array, less the
-  // pairs across a row boundary (at the first slot of each non-empty row
-  // but the array's first): one branch-free pass, not a loop per row.
-  std::size_t descents = 0;
-  for (std::size_t e = 1; e < cols.size(); ++e) descents += cols[e - 1] >= cols[e];
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const graph::EdgeOffset e = rows[v];
-    if (e > 0 && e < rows[v + 1]) descents -= cols[e - 1] >= cols[e];
-  }
-  return descents == 0;
+  return g.undirected() && compressed_backing(g) == nullptr &&
+         g.storage()->rows_strictly_ascending();
 }
 
 void brandes_single_source(const CSRGraph& g, VertexId s, BrandesWorkspace& ws,

@@ -87,9 +87,32 @@ class BrandesWorkspace {
 /// Whether the forward stage may expand wide frontiers bottom-up on g: g
 /// is flagged undirected, its columns are contiguous (a .hbcgz whose
 /// columns are not resident streams top-down) and every row is strictly
-/// ascending. One sequential pass over the columns; engines call it once
-/// per call, never per root. Scores are the same bits either way.
+/// ascending (checked once per graph and cached by its storage). Scores
+/// are the same bits either way.
 bool bottom_up_eligible(const graph::CSRGraph& g);
+
+/// Below this every integer is a double, so σ sums are exact in any order:
+/// a bottom-up level keeps the top-down bits while the frontier's σ total
+/// stays under it (rows are duplicate-free, so no new σ exceeds it).
+inline constexpr double kExactSigma = 0x1p53;
+
+/// A frontier of at most n/32 vertices stays top-down, so callers test
+/// this before counting its arcs (keeps road at top-down cost).
+constexpr bool frontier_is_wide(std::uint64_t n, std::uint64_t frontier_vertices) noexcept {
+  return 32 * frontier_vertices > n;
+}
+
+/// Beamer's direction rule for one BFS level of a graph with n vertices
+/// and m arcs: the frontier expands bottom-up when it is wide, its arcs
+/// outnumber half the arcs of still-unvisited vertices, and they exceed
+/// m/32. The one rule for this engine and for the GPU model's host
+/// execution of work-efficient levels (kernels::BCWorkspace).
+constexpr bool bottom_up_pays(std::uint64_t n, std::uint64_t m, std::uint64_t frontier_vertices,
+                              std::uint64_t frontier_arcs,
+                              std::uint64_t unvisited_arcs) noexcept {
+  return frontier_is_wide(n, frontier_vertices) && 2 * frontier_arcs > unvisited_arcs &&
+         32 * frontier_arcs > m;
+}
 
 /// Threads brandes() runs `roots` valid roots on: `requested` (0 = the
 /// hardware's count), capped by the roots and by `hardware`

@@ -73,8 +73,6 @@ struct SpanView {
 
 struct SingleSourceKernel {
   static constexpr std::uint64_t kUnvisited = ~std::uint64_t{0};
-  /// Below this every integer is a double, so σ sums are exact in any order.
-  static constexpr double kExactSigma = 0x1p53;
 
   /// Both Brandes stages from s (< num_vertices()): calls visit(w, delta_w)
   /// for every vertex s reaches, in reverse BFS order (s last), then
@@ -156,24 +154,19 @@ struct SingleSourceKernel {
     for (std::size_t begin = 0, end = 1; begin < end; begin = end, end = order.size()) {
       const std::uint64_t cur = ws.levels_.size() - 1;
       bool expand_bottom_up = false;
-      // A frontier of under n/32 vertices stays top-down without counting
-      // its arcs, which keeps narrow-frontier graphs (road) at top-down cost.
       EdgeOffset frontier_arcs = 0;
-      if (bottom_up && 32 * (end - begin) > g.num_vertices()) {
+      if (bottom_up && frontier_is_wide(g.num_vertices(), end - begin)) {
         for (std::size_t i = begin; i < end; ++i) {
           frontier_arcs += rows[order[i] + 1] - rows[order[i]];
         }
-        const EdgeOffset unvisited_arcs = all_arcs - traversed - frontier_arcs;
-        expand_bottom_up =
-            2 * frontier_arcs > unvisited_arcs && 32 * frontier_arcs > all_arcs;
+        expand_bottom_up = bottom_up_pays(g.num_vertices(), all_arcs, end - begin, frontier_arcs,
+                                          all_arcs - traversed - frontier_arcs);
       }
       if (expand_bottom_up || went_bottom_up) {
-        // Rows are duplicate-free, so no σ on the next level exceeds the
-        // frontier's σ total. Past 2^53 the order of a σ sum can round
-        // differently: a root that has not gone bottom-up yet stays
-        // top-down, and one that has is abandoned (a level after a
-        // bottom-up one sees its frontier in another order than the
-        // top-down run would).
+        // Past kExactSigma the order of a σ sum can round differently: a
+        // root that has not gone bottom-up yet stays top-down, and one
+        // that has is abandoned (a level after a bottom-up one sees its
+        // frontier in another order than the top-down run would).
         double frontier_sigma = 0.0;
         for (std::size_t i = begin; i < end; ++i) frontier_sigma += sigma[order[i]];
         if (frontier_sigma >= kExactSigma) {

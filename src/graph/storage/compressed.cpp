@@ -115,4 +115,16 @@ std::uint64_t CompressedStorage::compute_fingerprint() const {
   return h;
 }
 
+bool CompressedStorage::compute_rows_strictly_ascending() const {
+  const VertexId n = num_vertices();
+  for (VertexId v = 0; v < n; ++v) {
+    std::int64_t prev = -1;
+    for (const VertexId u : neighbors(v)) {
+      if (static_cast<std::int64_t>(u) <= prev) return false;
+      prev = u;
+    }
+  }
+  return true;
+}
+
 }  // namespace hbc::graph::storage

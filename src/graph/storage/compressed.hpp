@@ -162,6 +162,7 @@ class CompressedStorage final : public Storage {
   void validate_stream(const std::string& context) const;
 
   std::uint64_t compute_fingerprint() const override;
+  bool compute_rows_strictly_ascending() const override;
 
   std::shared_ptr<const util::MmapFile> file_;  // null for heap-built
 

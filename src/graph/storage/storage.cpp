@@ -151,6 +151,27 @@ std::uint64_t Storage::fingerprint() const {
   return fingerprint_;
 }
 
+bool Storage::rows_strictly_ascending() const {
+  std::call_once(rows_ascending_once_,
+                 [this] { rows_ascending_ = compute_rows_strictly_ascending(); });
+  return rows_ascending_;
+}
+
+bool Storage::compute_rows_strictly_ascending() const {
+  const std::span<const VertexId> cols = col_indices();
+  // Non-ascending neighbor pairs over the whole column array, less the
+  // pairs across a row boundary (at the first slot of each non-empty row
+  // but the array's first): one branch-free pass, not a loop per row.
+  std::size_t descents = 0;
+  for (std::size_t e = 1; e < cols.size(); ++e) descents += cols[e - 1] >= cols[e];
+  const VertexId n = num_vertices();
+  for (VertexId v = 0; v < n; ++v) {
+    const EdgeOffset e = rows_[v];
+    if (e > 0 && e < rows_[v + 1]) descents -= cols[e - 1] >= cols[e];
+  }
+  return descents == 0;
+}
+
 std::span<const VertexId> Storage::edge_sources() const {
   std::call_once(edge_sources_once_, [this] {
     edge_sources_.resize(static_cast<std::size_t>(m_));

@@ -149,6 +149,13 @@ class Storage {
   /// graph. Computed once and cached.
   std::uint64_t fingerprint() const;
 
+  /// True when every row lists its neighbors in strictly ascending order
+  /// (sorted, no duplicates) — the order the bottom-up levels of the CPU
+  /// engine and of the GPU-model workspace reproduce. Computed once and
+  /// cached; compressed backings check the decoded stream without
+  /// materializing it.
+  bool rows_strictly_ascending() const;
+
   /// Heap bytes this storage has actually allocated right now
   /// (including lazily built edge_sources / materialized columns).
   virtual std::size_t resident_bytes() const noexcept = 0;
@@ -185,6 +192,9 @@ class Storage {
 
   virtual std::uint64_t compute_fingerprint() const = 0;
 
+  /// One pass over col_indices(); CompressedStorage decodes instead.
+  virtual bool compute_rows_strictly_ascending() const;
+
   /// Safe to read concurrently with a lazy edge_sources() build
   /// (published atomically after the build completes).
   std::size_t edge_sources_resident_bytes() const noexcept {
@@ -203,6 +213,8 @@ class Storage {
   mutable std::atomic<std::size_t> edge_sources_bytes_{0};
   mutable std::once_flag fingerprint_once_;
   mutable std::uint64_t fingerprint_ = 0;
+  mutable std::once_flag rows_ascending_once_;
+  mutable bool rows_ascending_ = false;
 };
 
 /// Validate prebuilt CSR arrays (shared by the heap constructor and the

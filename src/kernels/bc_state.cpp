@@ -1,7 +1,9 @@
 #include "kernels/bc_state.hpp"
 
 #include <algorithm>
+#include <bit>
 
+#include "cpu/brandes.hpp"
 #include "graph/types.hpp"
 
 namespace hbc::kernels {
@@ -20,6 +22,9 @@ std::uint64_t walk_cycles(const gpusim::CostModel& cost, std::uint64_t degree) {
   return scattered * cost.process_rand + (degree - scattered) * cost.process_seq;
 }
 
+std::uint64_t bits_of(double x) noexcept { return std::bit_cast<std::uint64_t>(x); }
+double from_bits(std::uint64_t x) noexcept { return std::bit_cast<double>(x); }
+
 }  // namespace
 
 const char* to_string(Mode mode) noexcept {
@@ -32,7 +37,8 @@ const char* to_string(Mode mode) noexcept {
   return "?";
 }
 
-BCWorkspace::BCWorkspace(const graph::CSRGraph& g) : g_(&g) {
+BCWorkspace::BCWorkspace(const graph::CSRGraph& g)
+    : g_(&g), bottom_up_rows_(g.undirected() && g.storage()->rows_strictly_ascending()) {
   const VertexId n = g.num_vertices();
   d_.assign(n, kInfDistance);
   sigma_.assign(n, 0.0);
@@ -71,7 +77,20 @@ void BCWorkspace::init_root(VertexId s, gpusim::BlockContext& ctx) {
   std::fill(d_.begin(), d_.end(), kInfDistance);
   std::fill(sigma_.begin(), sigma_.end(), 0.0);
   std::fill(delta_.begin(), delta_.end(), 0.0);
-  clear_successor_marks();
+  successor_marks_.reset();
+  const auto offsets = g_->row_offsets();
+  // Parent arcs of bottom-up levels the dependency stage has not drained
+  // (a fault, or depth 0).
+  for (const BottomUpLevel& level : bottom_up_levels_) {
+    for (std::uint64_t i = level.begin; i < level.end; ++i) {
+      const VertexId v = discovered_[i];
+      predecessor_marks_.reset_range(offsets[v], offsets[v + 1]);
+    }
+  }
+  expansion_.clear();
+  bottom_up_levels_.clear();
+  discovered_.clear();
+  settled_arcs_ = 0;
 
   d_[s] = 0;
   sigma_[s] = 1.0;
@@ -91,30 +110,33 @@ void BCWorkspace::init_root(VertexId s, gpusim::BlockContext& ctx) {
   ctx.counters().vertices_scanned += n;
 }
 
-void BCWorkspace::clear_successor_marks() noexcept {
-  if (level_marked_.empty()) return;  // no we_forward_level since the last clear
-  const auto offsets = g_->row_offsets();
-  for (std::uint64_t i = 0; i < s_len_; ++i) {
-    const VertexId v = s_[i];
-    successor_marks_.reset_range(offsets[v], offsets[v + 1]);
-  }
-  level_marked_.clear();
-}
-
 BCWorkspace::LevelStats BCWorkspace::we_forward_level(gpusim::BlockContext& ctx,
                                                       bool mark_predecessors) {
+  const auto offsets = g_->row_offsets();
+  const EdgeOffset m = g_->num_directed_edges();
+  const VertexId n = g_->num_vertices();
+  if (!mark_predecessors && bottom_up_rows_ && cpu::frontier_is_wide(n, q_curr_len_)) {
+    std::uint64_t frontier_arcs = 0;
+    double frontier_sigma = 0.0;
+    for (std::uint64_t i = 0; i < q_curr_len_; ++i) {
+      const VertexId v = q_curr_[i];
+      frontier_arcs += offsets[v + 1] - offsets[v];
+      frontier_sigma += sigma_[v];
+    }
+    if (cpu::bottom_up_pays(n, m, q_curr_len_, frontier_arcs, m - settled_arcs_ - frontier_arcs) &&
+        frontier_sigma < cpu::kExactSigma) {
+      return bottom_up_level(ctx, frontier_arcs);
+    }
+  }
+
   LevelStats stats;
   stats.vertex_frontier = q_curr_len_;
-
-  if (successor_marks_.size() != g_->num_directed_edges()) {
-    successor_marks_.assign(g_->num_directed_edges(), false);
-  }
-  if (level_marked_.size() <= depth_) level_marked_.resize(depth_ + 1, 0);
-  level_marked_[depth_] = 1;
+  if (successor_marks_.size() != m) successor_marks_.assign(m, false);
+  if (expansion_.size() <= depth_) expansion_.resize(depth_ + 1, Expansion::None);
+  expansion_[depth_] = Expansion::TopDown;
 
   auto& counters = ctx.counters();
   const auto& cost = ctx.cost();
-  const auto offsets = g_->row_offsets();
   const auto cols = g_->col_indices();
   round_.reset(ctx.round_threads());
 
@@ -156,11 +178,111 @@ BCWorkspace::LevelStats BCWorkspace::we_forward_level(gpusim::BlockContext& ctx,
   }
   stats.discovered = tail - q_next_len_;
   q_next_len_ = tail;
+  settled_arcs_ += stats.edge_frontier;
 
   counters.edges_traversed += stats.edge_frontier;
   counters.edges_inspected += stats.edge_frontier;
   counters.queue_inserts += stats.discovered;
   counters.atomic_ops += stats.edge_frontier + stats.discovered + sigma_adds;
+  ctx.charge_imbalanced_round(round_);
+  ctx.charge_barrier();
+  ++counters.bfs_iterations;
+  return stats;
+}
+
+BCWorkspace::LevelStats BCWorkspace::bottom_up_level(gpusim::BlockContext& ctx,
+                                                     std::uint64_t frontier_arcs) {
+  const VertexId n = g_->num_vertices();
+  const auto offsets = g_->row_offsets();
+  const auto cols = g_->col_indices();
+  if (predecessor_marks_.size() != g_->num_directed_edges()) {
+    predecessor_marks_.assign(g_->num_directed_edges(), false);
+    discovered_.reserve(n);
+    unvisited_.reserve(n);
+  }
+  if (expansion_.size() <= depth_) expansion_.resize(depth_ + 1, Expansion::None);
+  expansion_[depth_] = Expansion::BottomUp;
+  std::uint32_t* const d = d_.data();
+  double* const sigma = sigma_.data();
+  double* const delta = delta_.data();
+  if (bottom_up_levels_.empty()) {
+    unvisited_.clear();
+    for (VertexId v = 0; v < n; ++v) {
+      if (d[v] == kInfDistance) unvisited_.push_back(v);
+    }
+  }
+  for (std::uint64_t i = 0; i < q_curr_len_; ++i) delta[q_curr_[i]] = from_bits(i << 32);
+
+  // Each unvisited vertex sums σ over its parents (integers below 2^53:
+  // any order gives the top-down bits) and takes the parent first in
+  // Q_curr as its discoverer — the vertex whose CAS wins top-down.
+  const std::uint32_t cur = depth_;
+  VertexId* const discoverer = s_.data() + s_len_;  // S's unused tail
+  const std::uint64_t begin = discovered_.size();
+  std::uint64_t parent_arcs = 0;
+  std::size_t kept = 0;
+  for (const VertexId u : unvisited_) {
+    if (d[u] != kInfDistance) continue;  // reached by a top-down level since
+    double sum = 0.0;
+    std::uint64_t first = ~std::uint64_t{0};
+    for (EdgeOffset e = offsets[u]; e < offsets[u + 1]; ++e) {
+      const VertexId x = cols[e];
+      if (d[x] == cur) {
+        sum += sigma[x];
+        predecessor_marks_.set(e);
+        first = std::min(first, bits_of(delta[x]));
+        ++parent_arcs;
+      }
+    }
+    if (first == ~std::uint64_t{0}) {
+      unvisited_[kept++] = u;
+      continue;
+    }
+    d[u] = cur + 1;
+    sigma[u] = sum;
+    const auto position = static_cast<VertexId>(first >> 32);
+    discoverer[discovered_.size() - begin] = position;
+    discovered_.push_back(u);
+    double& found = delta[q_curr_[position]];
+    found = from_bits(bits_of(found) + 1);
+  }
+  unvisited_.resize(kept);
+  const std::uint64_t discovered = discovered_.size() - begin;
+
+  // The top-down run's charges, in Q_curr order; each found count then
+  // becomes its discoverer's first Q_next slot, and a stable counting
+  // sort by discoverer lays Q_next out as the CAS winners inserted it.
+  const auto& cost = ctx.cost();
+  round_.reset(ctx.round_threads());
+  std::uint64_t slot = q_next_len_;
+  for (std::uint64_t i = 0; i < q_curr_len_; ++i) {
+    const VertexId v = q_curr_[i];
+    const std::uint64_t found = bits_of(delta[v]) & 0xffffffffu;
+    round_.add_item(cost.queue_vertex + walk_cycles(cost, offsets[v + 1] - offsets[v]) +
+                    found * cost.queue_insert);
+    delta[v] = from_bits(slot);
+    slot += found;
+  }
+  for (std::uint64_t k = 0; k < discovered; ++k) {
+    double& next_slot = delta[q_curr_[discoverer[k]]];
+    q_next_[bits_of(next_slot)] = discovered_[begin + k];
+    next_slot = from_bits(bits_of(next_slot) + 1);
+  }
+  for (std::uint64_t i = 0; i < q_curr_len_; ++i) delta[q_curr_[i]] = 0.0;
+  q_next_len_ += discovered;
+  bottom_up_levels_.push_back({depth_, begin, begin + discovered});
+  ++host_bottom_up_levels_;
+  settled_arcs_ += frontier_arcs;
+
+  LevelStats stats;
+  stats.vertex_frontier = q_curr_len_;
+  stats.edge_frontier = frontier_arcs;
+  stats.discovered = discovered;
+  auto& counters = ctx.counters();
+  counters.edges_traversed += frontier_arcs;
+  counters.edges_inspected += frontier_arcs;
+  counters.queue_inserts += discovered;
+  counters.atomic_ops += frontier_arcs + discovered + parent_arcs;
   ctx.charge_imbalanced_round(round_);
   ctx.charge_barrier();
   ++counters.bfs_iterations;
@@ -210,6 +332,7 @@ BCWorkspace::LevelStats BCWorkspace::ep_forward_level(gpusim::BlockContext& ctx,
     }
   }
   const std::uint64_t useful = stats.edge_frontier;
+  settled_arcs_ += useful;
   counters.edges_traversed += useful;
   counters.atomic_ops += useful + sigma_adds;  // CAS on d[w]; sigma adds
   if (maintain_queue) {
@@ -322,6 +445,7 @@ BCWorkspace::LevelStats BCWorkspace::bu_forward_level(gpusim::BlockContext& ctx,
   for (std::uint64_t i = 0; i < q_curr_len_; ++i) {
     stats.edge_frontier += g_->degree(q_curr_[i]);
   }
+  settled_arcs_ += stats.edge_frontier;
   return stats;
 }
 
@@ -346,33 +470,37 @@ void BCWorkspace::we_backward_level(gpusim::BlockContext& ctx, std::uint32_t dep
   const auto& cost = ctx.cost();
   const auto offsets = g_->row_offsets();
   const auto cols = g_->col_indices();
-  const bool marked = depth < level_marked_.size() && level_marked_[depth] != 0;
+  const Expansion expansion = depth < expansion_.size() ? expansion_[depth] : Expansion::None;
+  if (expansion == Expansion::BottomUp) push_to_predecessors(depth);
   round_.reset(ctx.round_threads());
 
   // Threads cover exactly S[ends[depth] .. ends[depth+1]) — no level
   // checks against the rest of the graph (Algorithm 3 line 3). Each
   // thread walks w's whole adjacency checking d[v] == depth+1; the host
   // charges that walk and adds the same successor terms in the same
-  // (adjacency) order, read from the marked edges where it has them.
+  // (adjacency) order, read from the marked edges where it has them (a
+  // bottom-up level's terms are already pushed).
   std::uint64_t walked = 0;
   for (std::uint64_t i = ends_[depth]; i < ends_[depth + 1]; ++i) {
     const VertexId w = s_[i];
-    const double sw = sigma_[w];
-    double dsw = 0.0;
-    if (marked) {
-      successor_marks_.for_each_set(offsets[w], offsets[w + 1], [&](std::size_t e) {
-        const VertexId v = cols[e];
-        dsw += (sw / sigma_[v]) * (1.0 + delta_[v]);
-      });
-    } else {
-      for (EdgeOffset e = offsets[w]; e < offsets[w + 1]; ++e) {
-        const VertexId v = cols[e];
-        if (d_[v] == depth + 1) {
+    if (expansion != Expansion::BottomUp) {
+      const double sw = sigma_[w];
+      double dsw = 0.0;
+      if (expansion == Expansion::TopDown) {
+        successor_marks_.for_each_set(offsets[w], offsets[w + 1], [&](std::size_t e) {
+          const VertexId v = cols[e];
           dsw += (sw / sigma_[v]) * (1.0 + delta_[v]);
+        });
+      } else {
+        for (EdgeOffset e = offsets[w]; e < offsets[w + 1]; ++e) {
+          const VertexId v = cols[e];
+          if (d_[v] == depth + 1) {
+            dsw += (sw / sigma_[v]) * (1.0 + delta_[v]);
+          }
         }
       }
+      delta_[w] = dsw;  // no atomics: w updates itself from successors
     }
-    delta_[w] = dsw;  // no atomics: w updates itself from successors
     const std::uint64_t degree = offsets[w + 1] - offsets[w];
     round_.add_item(cost.queue_vertex + walk_cycles(cost, degree));
     walked += degree;
@@ -381,6 +509,26 @@ void BCWorkspace::we_backward_level(gpusim::BlockContext& ctx, std::uint32_t dep
   counters.edges_inspected += walked;
   ctx.charge_imbalanced_round(round_);
   ctx.charge_barrier();
+}
+
+void BCWorkspace::push_to_predecessors(std::uint32_t depth) {
+  auto level = std::find_if(bottom_up_levels_.begin(), bottom_up_levels_.end(),
+                            [depth](const BottomUpLevel& l) { return l.depth == depth; });
+  const auto offsets = g_->row_offsets();
+  const auto cols = g_->col_indices();
+  // Successors in ascending id: on ascending rows each predecessor x gets
+  // its terms in the order its own successor pull would add them, and
+  // its δ starts at 0.0 as the pull's sum does.
+  for (std::uint64_t i = level->begin; i < level->end; ++i) {
+    const VertexId v = discovered_[i];
+    const double sv = sigma_[v];
+    const double carry = 1.0 + delta_[v];
+    predecessor_marks_.drain(offsets[v], offsets[v + 1], [&](std::size_t e) {
+      const VertexId x = cols[e];
+      delta_[x] += (sigma_[x] / sv) * carry;
+    });
+  }
+  level->end = level->begin;
 }
 
 void BCWorkspace::we_backward_level_pred(gpusim::BlockContext& ctx,

@@ -31,6 +31,21 @@
 // successor edges the forward stage marked in a host-only bitmap. The
 // modelled outputs — scores, counters, cycles, traces — are the same as
 // executing every charged step.
+//
+// The host may also run a level in another order than the one it
+// charges. A wide work-efficient level (Algorithm 2 is top-down) on an
+// undirected graph with strictly ascending rows runs bottom-up on the
+// host, by the CPU engine's rule (cpu::bottom_up_pays): every unvisited
+// vertex sums σ over its parents on the frontier and marks those arcs in
+// a host-only predecessor bitmap. σ sums are integers below 2^53 (the
+// frontier's σ total is checked), so their order does not matter. Each
+// new vertex's discoverer — the parent first in Q_curr — gives the
+// top-down run's Q_next (CAS winners in frontier order, each in its
+// adjacency order, i.e. ascending id) and each frontier vertex's found
+// count, hence the same charges; every later level sees the top-down
+// state. The dependency stage pushes such a level's δ terms into the
+// marked predecessors in ascending successor id, the order the successor
+// pull adds them on ascending rows.
 
 #include <cstdint>
 #include <memory>
@@ -236,7 +251,10 @@ class BCWorkspace {
 
   /// Algorithm 2 body: expand Q_curr into Q_next (queue-driven). With
   /// mark_predecessors, edges on shortest paths are recorded in the O(m)
-  /// bitmap for the predecessor-driven dependency stage.
+  /// bitmap for the predecessor-driven dependency stage. Charged top-down;
+  /// without mark_predecessors, a wide frontier (the CPU engine's rule) on
+  /// an undirected graph with strictly ascending rows runs bottom-up on
+  /// the host when its σ total is below 2^53 (see the file comment).
   LevelStats we_forward_level(gpusim::BlockContext& ctx,
                               bool mark_predecessors = false);
 
@@ -273,7 +291,8 @@ class BCWorkspace {
   /// Algorithm 3 body for one depth (S-slice driven, successor checks).
   /// Charged as a walk over every neighbour; for levels that
   /// we_forward_level expanded, the host sums only over the successor
-  /// edges it marked.
+  /// edges it marked, or, for a level it expanded bottom-up, pushes the
+  /// next level's terms into their marked predecessors.
   void we_backward_level(gpusim::BlockContext& ctx, std::uint32_t depth);
 
   /// Predecessor-bitmap dependency level: walks the same S-slice but
@@ -322,14 +341,37 @@ class BCWorkspace {
   std::span<const std::uint64_t> ends() const noexcept {
     return {ends_.data(), ends_len_};
   }
+  /// Work-efficient levels this workspace ran bottom-up on the host.
+  std::uint64_t host_bottom_up_levels() const noexcept { return host_bottom_up_levels_; }
 
  private:
-  /// Zero the successor bits the previous root set (walks its S).
-  void clear_successor_marks() noexcept;
+  /// How we_forward_level expanded a depth of the current root.
+  enum class Expansion : std::uint8_t { None, TopDown, BottomUp };
+
+  /// A depth expanded bottom-up: its new vertices are
+  /// discovered_[begin, end), ascending, with their parent arcs marked in
+  /// predecessor_marks_ until the dependency stage drains them (end is
+  /// then set to begin).
+  struct BottomUpLevel {
+    std::uint32_t depth;
+    std::uint64_t begin;
+    std::uint64_t end;
+  };
+
+  /// we_forward_level's bottom-up path (frontier_arcs = Σ deg Q_curr).
+  LevelStats bottom_up_level(gpusim::BlockContext& ctx, std::uint64_t frontier_arcs);
+  /// Push the δ terms of the level below `depth` into their predecessors.
+  void push_to_predecessors(std::uint32_t depth);
 
   const graph::CSRGraph* g_;
+  /// Undirected with strictly ascending rows: wide levels may run
+  /// bottom-up on the host.
+  bool bottom_up_rows_;
   std::vector<std::uint32_t> d_;
   std::vector<double> sigma_;
+  /// Also, during a bottom-up level, each frontier vertex's Q_curr
+  /// position (high 32 bits) and found count (low 32) as raw bits;
+  /// zeroed again before the level returns.
   std::vector<double> delta_;
   /// Bit e is set when edge e carried a sigma update in we_forward_level.
   /// Host-only: it is the modelled predecessor bitmap only when the
@@ -337,9 +379,20 @@ class BCWorkspace {
   /// device ledger); otherwise it just lets the dependency stage skip
   /// non-successor edges. Lazily sized; one bit per directed edge.
   util::BitVector successor_marks_;
-  /// level_marked_[k] != 0 when we_forward_level expanded depth k (and so
-  /// marked its successor edges) for the current root.
-  std::vector<std::uint8_t> level_marked_;
+  /// expansion_[k]: how we_forward_level expanded depth k this root.
+  std::vector<Expansion> expansion_;
+  /// Host-only bottom-up state, allocated at the workspace's first
+  /// bottom-up level: the arcs from new vertices to their parents, the
+  /// new vertices of each such level in ascending id, the vertices no
+  /// level has reached yet (ascending; built at a root's first bottom-up
+  /// level), and the bottom-up levels of the current root.
+  util::BitVector predecessor_marks_;
+  std::vector<graph::VertexId> discovered_;
+  std::vector<graph::VertexId> unvisited_;
+  std::vector<BottomUpLevel> bottom_up_levels_;
+  std::uint64_t host_bottom_up_levels_ = 0;
+  /// Σ degree of the depths already expanded this root.
+  std::uint64_t settled_arcs_ = 0;
   gpusim::ImbalancedRound round_{1};  // reused by every imbalanced round
   std::vector<graph::VertexId> q_curr_;
   std::vector<graph::VertexId> q_next_;

@@ -61,6 +61,19 @@ class BitVector {
     }
   }
 
+  /// for_each_set that also clears the bits it visits.
+  template <class Fn>
+  void drain(std::size_t begin, std::size_t end, Fn&& fn) {
+    if (begin >= end) return;
+    for (std::size_t word = begin >> 6; word <= (end - 1) >> 6; ++word) {
+      std::uint64_t bits = words_[word] & range_mask(word, begin, end);
+      words_[word] ^= bits;
+      for (; bits != 0; bits &= bits - 1) {
+        fn((word << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
   std::size_t count() const noexcept {
     std::size_t total = 0;
     for (auto w : words_) total += static_cast<std::size_t>(__builtin_popcountll(w));

@@ -311,8 +311,9 @@ TEST(IncrementalBC, EpochZeroScoresAreSerialBrandesBits) {
 
 TEST(IncrementalBC, BitwiseDeterminismAcrossThreadCounts) {
   // Same graph, same batch, different thread counts: epoch-0 scores and
-  // post-batch scores must be bit-identical — the fixed-stripe reduction
-  // order is the contract, not a tolerance.
+  // post-batch scores must be bit-identical — roots are added in root
+  // order whatever thread ran them; that order is the contract, not a
+  // tolerance.
   const CSRGraph g = graph::gen::small_world({.num_vertices = 120, .k = 3, .seed = 17});
   const dyn::UpdateBatch batch = mixed_batch(g, 4, 2, 41);
 
@@ -333,8 +334,8 @@ TEST(IncrementalBC, BitwiseDeterminismAcrossThreadCounts) {
         << "post-batch scores differ at thread count " << i;
   }
 
-  // The churn fallback reuses the same striped path, so it inherits the
-  // guarantee too.
+  // The churn fallback sums its roots in the same root order, so it
+  // inherits the guarantee too.
   std::vector<std::vector<double>> fallback;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     dyn::IncrementalBC engine(g, inc_cfg(threads, /*churn_threshold=*/0.0));

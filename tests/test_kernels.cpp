@@ -4,16 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <span>
 #include <tuple>
 
 #include "cpu/brandes.hpp"
+#include "cpu/naive.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
+#include "kernels/bc_state.hpp"
 #include "kernels/kernels.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -133,6 +138,30 @@ TEST(Kernels, IsolatedRootContributesNothing) {
        {Strategy::EdgeParallel, Strategy::WorkEfficient, Strategy::Hybrid}) {
     const auto r = kernels::run_strategy(strategy, g, config);
     for (double s : r.bc) EXPECT_EQ(s, 0.0);
+  }
+}
+
+TEST(Kernels, RootsInASmallComponentMatchOracle) {
+  // A 5-vertex path beside a 64-vertex wheel, one host workspace: each
+  // root must start from a clean one whatever the previous root reached.
+  // Each path root marks the path's arcs in another direction.
+  std::vector<graph::Edge> edges{{0, 1}, {1, 2}, {2, 3}, {3, 4}};
+  for (VertexId v = 6; v < 69; ++v) {
+    edges.push_back({5, v});
+    edges.push_back({v, v + 1 < 69 ? v + 1 : 6});
+  }
+  const CSRGraph g = graph::build_csr(69, edges);
+  const std::vector<VertexId> roots{0, 2, 4, 1, 3, 6, 0};
+  const auto oracle = cpu::brandes(g, {.sources = roots, .cancel = {}}).bc;
+  for (const Strategy strategy : {Strategy::WorkEfficient, Strategy::Hybrid,
+                                  Strategy::Sampling, Strategy::DirectionOptimized}) {
+    RunConfig config = small_device_config();
+    config.roots = roots;
+    config.cpu_threads = 1;
+    for (const bool bitmap : {false, true}) {
+      config.use_predecessor_bitmap = bitmap && strategy == Strategy::WorkEfficient;
+      expect_vectors_near(kernels::run_strategy(strategy, g, config).bc, oracle, 1e-12);
+    }
   }
 }
 
@@ -367,6 +396,272 @@ TEST(KernelModel, ResetRoundMatchesFreshRound) {
       EXPECT_EQ(reused.cost_cycles(10), fresh.cost_cycles(10)) << what;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Wide work-efficient levels. On an undirected graph with strictly
+// ascending rows the host may expand a wide level bottom-up and rebuild
+// the top-down run's state from it; the same arcs flagged directed are
+// always expanded top-down, so every modelled output of the two must be
+// equal bit for bit.
+
+/// The same arcs flagged directed: the host never expands them bottom-up.
+CSRGraph directed_twin(const CSRGraph& g) {
+  const auto rows = g.row_offsets();
+  const auto cols = g.col_indices();
+  return CSRGraph({rows.begin(), rows.end()}, {cols.begin(), cols.end()}, false);
+}
+
+/// digest() plus the fault report.
+std::uint64_t digest_with_faults(const kernels::RunResult& r) {
+  Fnv1a f;
+  f.u64(digest(r));
+  f.u64(r.faults.faults_injected);
+  f.u64(r.faults.retries);
+  f.u64(r.faults.rescued_roots);
+  for (const gpusim::RootFailure& failure : r.faults.failed_roots) {
+    f.u64(failure.root);
+    f.u64(static_cast<std::uint64_t>(failure.kind));
+    f.u64(failure.attempts);
+    f.u64(failure.transient ? 1 : 0);
+  }
+  return f.h;
+}
+
+struct WideVariant {
+  const char* name;
+  Strategy strategy;
+  RunConfig config;
+};
+
+/// Every kernel that expands levels with BCWorkspace::we_forward_level.
+std::vector<WideVariant> wide_level_variants(const CSRGraph& g) {
+  std::vector<WideVariant> variants;
+  for (const Strategy s : {Strategy::WorkEfficient, Strategy::Sampling, Strategy::Hybrid,
+                           Strategy::DirectionOptimized}) {
+    variants.push_back({kernels::to_string(s), s, pinned_config(g)});
+  }
+  variants.push_back({"sampling-we", Strategy::Sampling, pinned_config(g)});
+  variants.back().config.sampling.gamma = 0.0;  // phase 2 stays work-efficient
+  // One instruction stream per thread: a round costs its busiest thread,
+  // so every charge depends on the order of Q_curr (thread = position mod
+  // width), not only on its totals.
+  variants.push_back({"work-efficient-ilp1", Strategy::WorkEfficient, pinned_config(g)});
+  variants.back().config.device.cost.thread_ilp = 1;
+  return variants;
+}
+
+// Transient faults whose trip points land inside the wide levels of
+// scale-12 roots; every root recovers (the first plan through an in-block
+// retry and then the recovery sweep, the second through one retry).
+constexpr const char* kWideLevelFaultPlans[] = {
+    "seed=6;ecc,rate=0.4,transient,attempts=2,after=5000",
+    "seed=8;timeout,rate=0.3,transient,attempts=1,after=2500",
+};
+
+// Recorded on the commit before wide levels ran bottom-up on the host.
+// Fault-free digests cover digest(); fault-plan digests add the report.
+constexpr PinnedDigest kWideLevelDigests[] = {
+    {"kron", "work-efficient", 0x32fd7211448c2350ull},
+    {"kron", "work-efficient+fault0", 0xcc04b2ceb92c6fb8ull},
+    {"kron", "work-efficient+fault1", 0x9d57f917d2249e7full},
+    {"kron", "sampling", 0x33839dc3885e4ce4ull},
+    {"kron", "sampling+fault0", 0xa283d3fbb8c067c5ull},
+    {"kron", "sampling+fault1", 0xd2454f0c3c933e8bull},
+    {"kron", "hybrid", 0x8f03729701b4b8f5ull},
+    {"kron", "hybrid+fault0", 0x450bfb62646c1cf0ull},
+    {"kron", "hybrid+fault1", 0x5ea341883501eb2full},
+    {"kron", "direction-optimized", 0xb141bc74ad144bd5ull},
+    {"kron", "direction-optimized+fault0", 0xca99005124d5d0efull},
+    {"kron", "direction-optimized+fault1", 0xee70b8cb4482f521ull},
+    {"kron", "sampling-we", 0x5873748cb57c9880ull},
+    {"kron", "sampling-we+fault0", 0x5f30c19a5fb562d7ull},
+    {"kron", "sampling-we+fault1", 0x70f53bd803329d53ull},
+    {"kron", "work-efficient-ilp1", 0x7aec0c0aaafe8392ull},
+    {"kron", "work-efficient-ilp1+fault0", 0xb6db24a090cf76ebull},
+    {"kron", "work-efficient-ilp1+fault1", 0x8ee2854d6418723dull},
+    {"smallworld", "work-efficient", 0xc95d98ebf2a31ec3ull},
+    {"smallworld", "work-efficient+fault0", 0x40cc540cb3afe110ull},
+    {"smallworld", "work-efficient+fault1", 0xd454a5dcee0d2473ull},
+    {"smallworld", "sampling", 0xe6dfce7c1b38d7b0ull},
+    {"smallworld", "sampling+fault0", 0x402e67f828384002ull},
+    {"smallworld", "sampling+fault1", 0xf9c4466d38623a6cull},
+    {"smallworld", "hybrid", 0xc812b7a2e0d73e2eull},
+    {"smallworld", "hybrid+fault0", 0x15ce2aaa4cfce426ull},
+    {"smallworld", "hybrid+fault1", 0xf7b85e0bf57b5b41ull},
+    {"smallworld", "direction-optimized", 0xcaadf2f66da7c8bdull},
+    {"smallworld", "direction-optimized+fault0", 0xdf4aa5b6eaab044cull},
+    {"smallworld", "direction-optimized+fault1", 0x8e882eca1fa099dfull},
+    {"smallworld", "sampling-we", 0x31285d4e4531c063ull},
+    {"smallworld", "sampling-we+fault0", 0x468b9b737406ca5dull},
+    {"smallworld", "sampling-we+fault1", 0xbc3817853046a7e6ull},
+    {"smallworld", "work-efficient-ilp1", 0xdb0943eec7d1d839ull},
+    {"smallworld", "work-efficient-ilp1+fault0", 0x9c5955ff033f3002ull},
+    {"smallworld", "work-efficient-ilp1+fault1", 0xa2beac57e949f2f3ull},
+    {"scalefree", "work-efficient", 0x949edcd7724c0405ull},
+    {"scalefree", "work-efficient+fault0", 0x7037951c2bef3796ull},
+    {"scalefree", "work-efficient+fault1", 0x8c7c120841542963ull},
+    {"scalefree", "sampling", 0xb57f3031f1506de6ull},
+    {"scalefree", "sampling+fault0", 0xa46969e71935c204ull},
+    {"scalefree", "sampling+fault1", 0xf37d77b9acf9ea01ull},
+    {"scalefree", "hybrid", 0x485b39a83aafba1aull},
+    {"scalefree", "hybrid+fault0", 0x4d8849da5254422cull},
+    {"scalefree", "hybrid+fault1", 0xe2d8c92ef8ab13a4ull},
+    {"scalefree", "direction-optimized", 0x3494185660feceb5ull},
+    {"scalefree", "direction-optimized+fault0", 0x48a4f047c43cfc97ull},
+    {"scalefree", "direction-optimized+fault1", 0x51c82464f069e8baull},
+    {"scalefree", "sampling-we", 0x84038bcf164a0ca2ull},
+    {"scalefree", "sampling-we+fault0", 0xcf23b31cd6efc051ull},
+    {"scalefree", "sampling-we+fault1", 0xc04bce16c763c389ull},
+    {"scalefree", "work-efficient-ilp1", 0x8b5abf448de4ed31ull},
+    {"scalefree", "work-efficient-ilp1+fault0", 0xa9cfa5a218909f4dull},
+    {"scalefree", "work-efficient-ilp1+fault1", 0xbcb7575fc89f424full},
+    {"web", "work-efficient", 0xb11c3d482b39f95aull},
+    {"web", "work-efficient+fault0", 0x12c8c11ff82c6cd5ull},
+    {"web", "work-efficient+fault1", 0x5f046e607014d135ull},
+    {"web", "sampling", 0x84261fc9866c9339ull},
+    {"web", "sampling+fault0", 0x9da2e4e2bb868cb8ull},
+    {"web", "sampling+fault1", 0xcb345a86663a589bull},
+    {"web", "hybrid", 0x5a9dd1570bd321aaull},
+    {"web", "hybrid+fault0", 0x3dd1c190a3092f9ull},
+    {"web", "hybrid+fault1", 0x3537fdd75221dbcaull},
+    {"web", "direction-optimized", 0xc28d987b6479e744ull},
+    {"web", "direction-optimized+fault0", 0xa28f29849ec19d1full},
+    {"web", "direction-optimized+fault1", 0x31103c046cefa413ull},
+    {"web", "sampling-we", 0x8931a13c0522ff6aull},
+    {"web", "sampling-we+fault0", 0xf659f5efd1df6a2dull},
+    {"web", "sampling-we+fault1", 0xe62ef5950ebc0045ull},
+    {"web", "work-efficient-ilp1", 0x5dc15b16c0ab2b34ull},
+    {"web", "work-efficient-ilp1+fault0", 0x688aeea44a4956b5ull},
+    {"web", "work-efficient-ilp1+fault1", 0x0dee6156434e6639ull},
+};
+
+TEST(KernelModel, WideLevelBitsMatchParentCommit) {
+  std::uint64_t faults[std::size(kWideLevelFaultPlans)] = {};
+  for (const std::string family : {"kron", "smallworld", "scalefree", "web"}) {
+    const CSRGraph g = graph::gen::family_by_name(family).make(12, 1);
+    for (WideVariant& v : wide_level_variants(g)) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        v.config.cpu_threads = threads;
+        const std::uint64_t d = digest(kernels::run_strategy(v.strategy, g, v.config));
+        EXPECT_EQ(d, pinned(kWideLevelDigests, family, v.name))
+            << "{\"" << family << "\", \"" << v.name << "\", 0x" << std::hex << d
+            << "ull}, threads=" << std::dec << threads;
+      }
+      for (std::size_t p = 0; p < std::size(kWideLevelFaultPlans); ++p) {
+        RunConfig config = v.config;
+        config.fault_plan = gpusim::FaultPlan::parse_shared(kWideLevelFaultPlans[p]);
+        const kernels::RunResult r = kernels::run_strategy(v.strategy, g, config);
+        EXPECT_TRUE(r.faults.complete());
+        faults[p] += r.faults.faults_injected;
+        const std::string name = std::string(v.name) + "+fault" + std::to_string(p);
+        const std::uint64_t fd = digest_with_faults(r);
+        EXPECT_EQ(fd, pinned(kWideLevelDigests, family, name))
+            << "{\"" << family << "\", \"" << name << "\", 0x" << std::hex << fd << "ull},";
+      }
+    }
+  }
+  for (const std::uint64_t injected : faults) EXPECT_GT(injected, 0u);
+}
+
+/// Every wide-level variant on g and on its directed twin, at 1 and 4
+/// threads: the digests must be equal. `roots` replaces the pinned roots.
+void expect_twin_bits(const CSRGraph& g, const CSRGraph& twin, const std::string& what,
+                      const std::vector<VertexId>& roots = {}) {
+  for (WideVariant& v : wide_level_variants(g)) {
+    if (!roots.empty()) v.config.roots = roots;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      v.config.cpu_threads = threads;
+      EXPECT_EQ(digest(kernels::run_strategy(v.strategy, g, v.config)),
+                digest(kernels::run_strategy(v.strategy, twin, v.config)))
+          << what << "/" << v.name << " threads=" << threads;
+    }
+  }
+}
+
+/// Levels the host ran bottom-up when one workspace runs the
+/// work-efficient kernel's two stages from each root.
+std::uint64_t host_bottom_up_levels(const CSRGraph& g, const std::vector<VertexId>& roots) {
+  gpusim::Device device(gpusim::test_device());
+  device.begin_run(1);
+  gpusim::BlockContext ctx = device.block(0);
+  kernels::BCWorkspace ws(g);
+  for (const VertexId root : roots) {
+    ws.init_root(root, ctx);
+    for (;;) {
+      ws.we_forward_level(ctx);
+      if (ws.q_next_len() == 0) break;
+      ws.finish_level(ctx);
+    }
+    for (std::uint32_t dep = ws.max_depth(); dep-- > 1;) ws.we_backward_level(ctx, dep);
+  }
+  return ws.host_bottom_up_levels();
+}
+
+TEST(KernelModel, HostBottomUpMatchesTopDown) {
+  for (const std::string family : {"kron", "smallworld", "scalefree", "web", "road"}) {
+    const CSRGraph g = graph::gen::family_by_name(family).make(12, 1);
+    const CSRGraph twin = directed_twin(g);
+    expect_twin_bits(g, twin, family);
+    const std::vector<VertexId>& roots = pinned_config(g).roots;
+    EXPECT_EQ(host_bottom_up_levels(twin, roots), 0u) << family;
+    if (family == "road") {
+      EXPECT_EQ(host_bottom_up_levels(g, roots), 0u);
+    } else if (family == "kron" || family == "smallworld") {
+      EXPECT_GT(host_bottom_up_levels(g, roots), 0u) << family;
+    }
+  }
+}
+
+TEST(KernelModel, HostBottomUpPastExactSigmaMatchesTopDown) {
+  // Brandes.DirectionOptimizingRerunsRootsPastExactSigma's graph: vertex
+  // s joined to all of a 256-vertex clique, then twelve layers of 64, each
+  // vertex joined to a random half of the next layer, randomly labelled.
+  // The clique level is wide with σ small; the last layers' σ pass 2^53,
+  // where a level must stay top-down.
+  constexpr VertexId kClique = 256;
+  constexpr VertexId kLayers = 12;
+  constexpr VertexId kWidth = 64;
+  constexpr VertexId n = 1 + kClique + kLayers * kWidth;
+  util::Xoshiro256 rng(53);
+  std::vector<VertexId> label(n);
+  std::iota(label.begin(), label.end(), VertexId{0});
+  for (VertexId i = n; i > 1; --i) {
+    std::swap(label[i - 1], label[static_cast<VertexId>(rng.next_below(i))]);
+  }
+  const auto layer = [&](VertexId l, VertexId i) { return 1 + kClique + l * kWidth + i; };
+  std::vector<graph::Edge> edges;
+  for (VertexId a = 1; a <= kClique; ++a) {
+    edges.push_back({label[0], label[a]});
+    for (VertexId b = a + 1; b <= kClique; ++b) edges.push_back({label[a], label[b]});
+    for (VertexId b = 0; b < kWidth; ++b) {
+      if (rng.next_below(2) == 0) edges.push_back({label[a], label[layer(0, b)]});
+    }
+  }
+  for (VertexId l = 0; l + 1 < kLayers; ++l) {
+    for (VertexId a = 0; a < kWidth; ++a) {
+      for (VertexId b = 0; b < kWidth; ++b) {
+        if (rng.next_below(2) == 0) edges.push_back({label[layer(l, a)], label[layer(l + 1, b)]});
+      }
+    }
+  }
+  const CSRGraph g = graph::build_csr(n, edges);
+  const auto sigmas = cpu::count_paths(g, label[0]).sigma;
+  ASSERT_GE(*std::max_element(sigmas.begin(), sigmas.end()), 0x1p53);
+  const std::vector<VertexId> roots{label[0],           label[1],           label[7],
+                                    label[layer(5, 0)], label[layer(6, 9)], label[layer(11, 3)]};
+  expect_twin_bits(g, directed_twin(g), "past-2^53", roots);
+  EXPECT_GT(host_bottom_up_levels(g, roots), 0u);
+}
+
+TEST(KernelModel, HostBottomUpOnHbcgzMatchesTopDown) {
+  const CSRGraph heap = graph::gen::family_by_name("kron").make(12, 1);
+  const std::string path = testing::TempDir() + "kernels-wide-levels.hbcgz";
+  graph::io::save_binary_v2(heap, path, /*compress=*/true);
+  const CSRGraph mapped = graph::io::open_mapped(path);
+  ASSERT_TRUE(graph::storage::is_compressed(mapped.residency()));
+  expect_twin_bits(mapped, directed_twin(heap), "kron-12.hbcgz");
+  EXPECT_GT(host_bottom_up_levels(mapped, pinned_config(mapped).roots), 0u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpu/brandes.hpp"
@@ -296,6 +297,26 @@ TEST(StorageBackings, DegenerateGraphsRoundTrip) {
       const CSRGraph back = graph::io::open_mapped(path);
       expect_same_structure(*g, back, path.c_str());
     }
+  }
+}
+
+TEST(StorageBackings, RowOrderCheckAgreesAcrossBackings) {
+  // Rows 0: {1,3}, 1: {0}, 2: {}, 3: {0,4}, 4: {3}, then the same arcs
+  // with one row descending, one duplicated neighbor, and one repeated
+  // across a row boundary only (still strictly ascending).
+  const std::vector<EdgeOffset> rows{0, 2, 3, 3, 5, 6};
+  const std::vector<std::pair<std::vector<VertexId>, bool>> cases{
+      {{1, 3, 0, 0, 4, 3}, true},
+      {{3, 1, 0, 0, 4, 3}, false},
+      {{1, 1, 0, 0, 4, 3}, false},
+      {{1, 3, 3, 0, 4, 3}, true},
+  };
+  for (const auto& [cols, ascending] : cases) {
+    const CSRGraph heap(rows, cols, true);
+    EXPECT_EQ(heap.storage()->rows_strictly_ascending(), ascending);
+    const auto comp = graph::storage::CompressedStorage::compress(rows, cols, true);
+    EXPECT_EQ(comp->rows_strictly_ascending(), ascending);
+    EXPECT_TRUE(comp->resident_columns().empty());  // decoded, not materialized
   }
 }
 
