@@ -144,8 +144,7 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
   util::Timer wall;
   switch (options.strategy) {
     case Strategy::CpuSerial:
-    case Strategy::CpuParallel:
-    case Strategy::CpuFineGrained: {
+    case Strategy::CpuParallel: {
       // One engine: threads split the roots and the bits never depend on
       // how many there are.
       const std::size_t threads =

@@ -32,6 +32,7 @@ namespace hbc::core {
 /// kernels/kernels.hpp for the members, names and parsing).
 using Strategy = kernels::Strategy;
 using kernels::strategy_from_string;
+using kernels::strategy_from_wire;
 using kernels::to_string;
 using kernels::uses_gpu_model;
 
@@ -59,8 +60,8 @@ struct Options {
   gpusim::DeviceConfig device = gpusim::gtx_titan();
   kernels::HybridParams hybrid;
   kernels::SamplingParams sampling;
-  /// Host worker threads. cpu-parallel and cpu-fine-grained split the
-  /// roots across them (cpu-serial runs one); GPU-model strategies run that
+  /// Host worker threads. cpu-parallel splits the roots across them
+  /// (cpu-serial runs one); GPU-model strategies run that
   /// many simulated blocks concurrently (kernels::BlockDriver). Scores,
   /// counters and simulated-cycle metrics are bitwise-identical for every
   /// value. 0 = hardware concurrency.

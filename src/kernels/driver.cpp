@@ -8,7 +8,6 @@ const char* to_string(Strategy strategy) noexcept {
   switch (strategy) {
     case Strategy::CpuSerial: return "cpu-serial";
     case Strategy::CpuParallel: return "cpu-parallel";
-    case Strategy::CpuFineGrained: return "cpu-fine-grained";
     case Strategy::VertexParallel: return "vertex-parallel";
     case Strategy::EdgeParallel: return "edge-parallel";
     case Strategy::GpuFan: return "gpu-fan";
@@ -22,8 +21,9 @@ const char* to_string(Strategy strategy) noexcept {
 
 Strategy strategy_from_string(const std::string& name) {
   if (name == "cpu" || name == "cpu-serial") return Strategy::CpuSerial;
-  if (name == "cpu-parallel") return Strategy::CpuParallel;
-  if (name == "cpu-fine-grained" || name == "cpu-fine") return Strategy::CpuFineGrained;
+  if (name == "cpu-parallel" || name == "cpu-fine-grained" || name == "cpu-fine") {
+    return Strategy::CpuParallel;
+  }
   if (name == "vertex" || name == "vertex-parallel") return Strategy::VertexParallel;
   if (name == "edge" || name == "edge-parallel") return Strategy::EdgeParallel;
   if (name == "gpufan" || name == "gpu-fan") return Strategy::GpuFan;
@@ -34,11 +34,16 @@ Strategy strategy_from_string(const std::string& name) {
   throw std::invalid_argument("unknown strategy name: " + name);
 }
 
+std::optional<Strategy> strategy_from_wire(std::uint8_t value) noexcept {
+  if (value == 2) return Strategy::CpuParallel;
+  if (value > static_cast<std::uint8_t>(Strategy::DirectionOptimized)) return std::nullopt;
+  return static_cast<Strategy>(value);
+}
+
 bool uses_gpu_model(Strategy strategy) noexcept {
   switch (strategy) {
     case Strategy::CpuSerial:
     case Strategy::CpuParallel:
-    case Strategy::CpuFineGrained:
       return false;
     default:
       return true;
@@ -57,7 +62,6 @@ RunResult run_strategy(Strategy strategy, const graph::CSRGraph& g,
     case Strategy::DirectionOptimized: return run_direction_optimized(g, config);
     case Strategy::CpuSerial:
     case Strategy::CpuParallel:
-    case Strategy::CpuFineGrained:
       break;
   }
   throw std::invalid_argument(std::string("not a kernel strategy: ") + to_string(strategy));

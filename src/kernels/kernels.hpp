@@ -16,6 +16,8 @@
 // Every kernel produces a bitwise-deterministic BC vector identical (up to
 // floating-point association) to cpu::brandes over the same root set.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "kernels/bc_state.hpp"
@@ -24,33 +26,38 @@ namespace hbc::kernels {
 
 /// Every engine core::compute can run (core::Strategy is this enum). The
 /// numeric values travel as a u8 on the wire and in coordinator
-/// snapshots, so members are only ever appended.
+/// snapshots, so they are fixed and members are only ever appended.
 enum class Strategy {
-  CpuSerial,       // Brandes oracle (single thread)
-  CpuParallel,     // Brandes, threads split the roots (cpu-serial's bits)
-  CpuFineGrained,  // kept for its wire value and names; runs as CpuParallel
-  VertexParallel,  // Jia et al. baseline (GPU model)
-  EdgeParallel,    // Jia et al. baseline (GPU model)
-  GpuFan,          // Shi & Zhang baseline (GPU model)
-  WorkEfficient,   // paper Algorithms 1–3 (GPU model)
-  Hybrid,          // paper Algorithm 4
-  Sampling,        // paper Algorithm 5 (the paper's best overall)
-  DirectionOptimized,  // extension: Beamer-style top-down/bottom-up BC
+  CpuSerial = 0,       // Brandes oracle (single thread)
+  CpuParallel = 1,     // Brandes, threads split the roots (cpu-serial's bits)
+  // 2 was cpu-fine-grained, which ran as CpuParallel; it reads as that.
+  VertexParallel = 3,  // Jia et al. baseline (GPU model)
+  EdgeParallel = 4,    // Jia et al. baseline (GPU model)
+  GpuFan = 5,          // Shi & Zhang baseline (GPU model)
+  WorkEfficient = 6,   // paper Algorithms 1–3 (GPU model)
+  Hybrid = 7,          // paper Algorithm 4
+  Sampling = 8,        // paper Algorithm 5 (the paper's best overall)
+  DirectionOptimized = 9,  // extension: Beamer-style top-down/bottom-up BC
 };
 
 const char* to_string(Strategy strategy) noexcept;
 
 /// Parse a strategy name; round-trips with to_string for every Strategy.
 /// Accepted spellings (canonical first): "cpu-serial"/"cpu",
-/// "cpu-parallel", "cpu-fine-grained"/"cpu-fine", "vertex-parallel"/
+/// "cpu-parallel" (also "cpu-fine-grained"/"cpu-fine"), "vertex-parallel"/
 /// "vertex", "edge-parallel"/"edge", "gpu-fan"/"gpufan",
 /// "work-efficient"/"we", "hybrid", "sampling",
 /// "direction-optimized"/"diropt". Throws std::invalid_argument on
 /// anything else.
 Strategy strategy_from_string(const std::string& name);
 
+/// The strategy a wire or snapshot byte names (2, the retired
+/// cpu-fine-grained, names CpuParallel); nullopt for any other byte that
+/// names no strategy.
+std::optional<Strategy> strategy_from_wire(std::uint8_t value) noexcept;
+
 /// True for the strategies that run on the simulated GPU (everything but
-/// the three CPU strategies). Every strategy is bitwise-deterministic in
+/// the two CPU strategies). Every strategy is bitwise-deterministic in
 /// `core::Options::cpu_threads`.
 bool uses_gpu_model(Strategy strategy) noexcept;
 

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <future>
+#include <stdexcept>
 
 #include "core/teps.hpp"
 #include "net/shard.hpp"
@@ -13,7 +15,6 @@
 namespace hbc::net {
 
 using Clock = std::chrono::steady_clock;
-using service::QueryStatus;
 
 namespace {
 
@@ -37,15 +38,6 @@ std::uint32_t remaining_ms(const Clock::time_point& deadline) {
   return static_cast<std::uint32_t>(std::min<long long>(ms + 1, 0xffffffffll));
 }
 
-service::Response failure(QueryStatus status, std::string error,
-                          Clock::time_point t0) {
-  service::Response resp;
-  resp.status = status;
-  resp.error = std::move(error);
-  resp.total_ms = ms_between(t0, Clock::now());
-  return resp;
-}
-
 /// Every GPU-model strategy except Sampling, whose probe phase ranks the
 /// whole root list (only correct on one node), shards at block granularity.
 bool block_shardable(core::Strategy s) {
@@ -61,13 +53,36 @@ std::vector<wire::WireUpdate> to_wire(const std::vector<dyn::EdgeUpdate>& update
   return out;
 }
 
+/// The coordinator's service: one worker (fleet runs execute one at a time
+/// anyway), no retries or fallback ladder of its own (the fleet heals
+/// itself), the coordinator's budget for both caches, and `compute` as the
+/// executor. Every completed ticket wakes the poll loop.
+service::ServiceConfig fleet_service(const CoordinatorConfig& c,
+                                     decltype(service::ServiceConfig::compute_fn) compute,
+                                     Wakeup& wake) {
+  service::ServiceConfig s;
+  s.workers = 1;
+  s.cache_bytes = c.cache_bytes;
+  s.approx.cache_bytes = c.cache_bytes;
+  s.enable_fallback = false;
+  s.max_compute_retries = 0;
+  s.tracer = c.tracer;
+  s.compute_fn = std::move(compute);
+  s.on_complete = [&wake] { wake.notify(); };
+  return s;
+}
+
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
     : cfg_(std::move(config)),
       listener_(listen_on(cfg_.listen)),
-      cache_(cfg_.cache_bytes),
-      approx_cache_(cfg_.cache_bytes) {
+      svc_(fleet_service(
+          cfg_,
+          [this](const graph::CSRGraph& g, const core::Options& o) {
+            return fleet_compute(g, o);
+          },
+          wake_)) {
   cfg_.max_shard_attempts = std::max<std::uint32_t>(cfg_.max_shard_attempts, 1);
   restore_from_snapshot();
 }
@@ -101,10 +116,7 @@ std::size_t Coordinator::worker_count() const {
 
 std::size_t Coordinator::wait_for_workers(std::size_t count,
                                           std::chrono::milliseconds timeout) {
-  const auto deadline = Clock::now() + timeout;
-  while (worker_count() < count && Clock::now() < deadline) {
-    pump(20);
-  }
+  serve_until([&] { return worker_count() >= count; }, Clock::now() + timeout);
   return worker_count();
 }
 
@@ -157,11 +169,11 @@ std::size_t Coordinator::load_graph(const std::string& id,
                                     std::shared_ptr<const graph::CSRGraph> g,
                                     std::string spec) {
   GraphEntry e;
-  e.graph = std::move(g);
-  e.fingerprint = service::graph_fingerprint(*e.graph);
+  e.fingerprint = service::graph_fingerprint(*g);
   e.base_fingerprint = e.fingerprint;
   e.spec = std::move(spec);
-  graphs_[id] = e;
+  svc_.load_graph(id, std::move(g));
+  graphs_[id] = std::move(e);
   persist_snapshot();
 
   const std::vector<std::uint32_t> owner_slots = owners(id);
@@ -175,10 +187,7 @@ std::size_t Coordinator::load_graph(const std::string& id,
     send_graph_to(it->second, id, graphs_[id]);
     control_->waiting.insert(slot);
   }
-  const auto deadline = Clock::now() + cfg_.control_timeout;
-  while (!control_->waiting.empty() && Clock::now() < deadline) {
-    pump(20);
-  }
+  await_control();
   const std::size_t confirmed = control_->confirmed;
   control_.reset();
   return confirmed;
@@ -196,36 +205,27 @@ service::MutationResult Coordinator::mutate_graph(const std::string& id,
     throw std::invalid_argument("net::Coordinator::mutate_graph: unknown graph id '" +
                                 id + "'");
   }
-  GraphEntry& e = it->second;
-  const dyn::CommitResult cr =
-      service::versioned_graph(e.versioned, e.graph, cfg_.tracer)->apply(batch);
-  e.graph = cr.after.graph;
-  e.fingerprint = cr.after.fingerprint;
-  e.epoch = cr.after.id;
-  const std::vector<wire::WireUpdate> applied = to_wire(cr.applied);
-  e.history.insert(e.history.end(), applied.begin(), applied.end());
-
-  service::MutationResult out = service::mutation_result(cr);
+  // The service commits the epoch and invalidates the old one's cache
+  // entries and estimates (a refinement of a stale estimate is dropped,
+  // never folded: the never-resurrect rule).
+  const service::MutationResult out = svc_.mutate_graph(id, batch);
   ++stats_.mutations;
-  if (cr.applied.empty()) return out;  // no-op batch: nothing changed anywhere
+  if (out.applied == 0) return out;  // no-op batch: nothing changed anywhere
 
-  // The old epoch's cache entries can never serve the new fingerprint —
-  // their keys carry it — so dropping them only reclaims bytes.
-  const std::string old_prefix = service::fingerprint_prefix(cr.before.fingerprint);
-  out.cache_invalidated = cache_.erase_if([&](const std::string& key) {
-    return key.rfind(old_prefix, 0) == 0;
-  });
-  // Partial folds cannot be patched forward across epochs: invalidate the
-  // refinable estimates too. refine_step drops their queued refinements
-  // when it reaches them, so a stale estimate is never advanced or
-  // re-served (the never-resurrect rule).
-  out.approx_invalidated = approx_cache_.invalidate_prefix(old_prefix);
+  // The batch as sent is the update record: a commit keeps the last
+  // operation on each edge, so replaying every batch since epoch 0 as one
+  // reproduces the current epoch.
+  GraphEntry& e = it->second;
+  e.fingerprint = out.fingerprint_after;
+  e.epoch = out.epoch;
+  const std::vector<wire::WireUpdate> updates = to_wire(batch.edges);
+  e.history.insert(e.history.end(), updates.begin(), updates.end());
 
   // Broadcast to every worker that holds the graph; fingerprint agreement
   // is checked on each ack (a disagreeing worker is cut loose).
   wire::MutateMsg m;
   m.graph_id = id;
-  m.updates = applied;
+  m.updates = updates;
   m.fingerprint_after = e.fingerprint;
   control_.emplace();
   control_->request_id = next_request_id_++;
@@ -235,13 +235,80 @@ service::MutationResult Coordinator::mutate_graph(const std::string& id,
     w.conn->send(frame);
     control_->waiting.insert(slot);
   }
-  const auto deadline = Clock::now() + cfg_.control_timeout;
-  while (!control_->waiting.empty() && Clock::now() < deadline) {
-    pump(20);
-  }
+  await_control();
   control_.reset();
   persist_snapshot();  // new epoch + history durable (after cache invalidation)
   return out;
+}
+
+void Coordinator::await_control() {
+  serve_until([&] { return control_->waiting.empty(); },
+              Clock::now() + cfg_.control_timeout);
+}
+
+// --- the inbox: fleet runs for the service -------------------------------
+
+core::BCResult Coordinator::fleet_compute(const graph::CSRGraph& g,
+                                          const core::Options& o) {
+  const auto run = std::make_shared<FleetRun>();
+  run->graph = &g;
+  run->options = o;
+  std::unique_lock<std::mutex> lock(inbox_mu_);
+  inbox_.push_back(run);
+  wake_.notify();
+  while (!run->done) {
+    if (const util::CancelReason r = o.resilience.cancel.state();
+        r != util::CancelReason::None) {
+      // Not started: withdraw it. Started: the fleet loop polls the same
+      // token and ends the run.
+      const auto it = std::find(inbox_.begin(), inbox_.end(), run);
+      if (it != inbox_.end()) {
+        inbox_.erase(it);
+        throw util::Cancelled(r);
+      }
+    }
+    inbox_cv_.wait_for(lock, std::chrono::milliseconds(2));
+  }
+  if (run->error) std::rethrow_exception(run->error);
+  return std::move(run->result);
+}
+
+void Coordinator::serve_until(const std::function<bool()>& done,
+                              Clock::time_point until) {
+  for (;;) {
+    std::shared_ptr<FleetRun> run;
+    {
+      std::lock_guard<std::mutex> lock(inbox_mu_);
+      if (done() || Clock::now() >= until) return;
+      if (!inbox_.empty()) {
+        run = std::move(inbox_.front());
+        inbox_.pop_front();
+      }
+    }
+    if (run) {
+      execute(std::move(run));
+    } else {
+      const auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(until - Clock::now());
+      pump(static_cast<int>(std::clamp<long long>(left.count(), 0, 20)));
+    }
+  }
+}
+
+void Coordinator::execute(std::shared_ptr<FleetRun> run) {
+  try {
+    run->result = run_on_fleet(*run->graph, run->options);
+  } catch (...) {
+    run->error = std::current_exception();
+  }
+  {
+    // Drop this thread's reference before the waiter can see `done`: the
+    // waiter then frees the run, and the exception in it, on its thread.
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    run->done = true;
+    run.reset();
+  }
+  inbox_cv_.notify_all();
 }
 
 // --- the event pump ------------------------------------------------------
@@ -250,6 +317,8 @@ void Coordinator::pump(int timeout_ms) {
   std::vector<pollfd> fds;
   std::vector<std::uint32_t> slots;
   fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+  // The inbox and completed tickets write here to end the wait early.
+  fds.push_back(pollfd{wake_.fd(), POLLIN, 0});
   bool chaos_held = false;
   for (auto& [slot, w] : workers_) {
     // Chaos-delayed frames whose hold time has passed enter the write
@@ -265,6 +334,7 @@ void Coordinator::pump(int timeout_ms) {
   // is otherwise idle.
   if (chaos_held) timeout_ms = std::min(timeout_ms, 5);
   poll_wait(fds, timeout_ms);
+  if (fds[1].revents & POLLIN) wake_.drain();
 
   if (fds[0].revents & POLLIN) {
     for (;;) {
@@ -286,7 +356,7 @@ void Coordinator::pump(int timeout_ms) {
     auto it = workers_.find(slot);
     if (it == workers_.end()) continue;
     WorkerState& w = *&it->second;
-    const short revents = fds[i + 1].revents;
+    const short revents = fds[i + 2].revents;
     bool failed = false;
     if (revents & (POLLIN | POLLHUP | POLLERR)) {
       const Conn::Io io = w.conn->pump_read();
@@ -353,10 +423,6 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
       if (wire::decode(frame, m) != wire::DecodeStatus::Ok) return;
       w.name = m.worker_name;
       w.shard_slots = std::max<std::uint32_t>(m.shard_slots, 1);
-      // Negotiate down to what both sides speak; a v1 worker stays on
-      // exact-only shards (dispatch_pending filters budgeted work).
-      w.protocol = std::min<std::uint16_t>(
-          std::max(m.protocol, wire::kMinProtocolVersion), wire::kProtocolVersion);
       w.ready = true;
       wire::HelloAckMsg ack;
       ack.worker_slot = w.slot;
@@ -409,10 +475,10 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
       if (s.state == Shard::State::Done || s.state == Shard::State::Abandoned) {
         return;  // straggler duplicate: first result won
       }
-      const bool partial_mode = s.msg.mode == wire::ShardMode::Partial;
+      // A degraded answer (the worker substituted a strategy) is not the
+      // requested bits: retried like a failure.
       const bool usable =
-          m.ok != 0 && (!partial_mode || m.degraded == 0) &&
-          m.scores.size() == q.graph->num_vertices();
+          m.ok != 0 && m.degraded == 0 && m.scores.size() == q.graph->num_vertices();
       if (!usable) {
         ++stats_.shard_retries;
         trace_instant("shard-failed", q.id,
@@ -429,12 +495,6 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
       s.partial = std::move(m.scores);
       s.roots_processed = m.roots_processed;
       s.compute_ms = m.compute_ms;
-      s.degraded = m.degraded;
-      s.has_estimate = m.has_estimate;
-      s.est_roots_used = m.est_roots_used;
-      s.est_stderr = m.est_stderr;
-      s.est_rung = m.est_rung;
-      s.est_refining = m.est_refining;
       s.state = Shard::State::Done;
       --q.remaining;
       ++stats_.shards_completed;
@@ -567,13 +627,19 @@ std::optional<wire::HealthState> Coordinator::worker_health(std::uint32_t slot) 
 }
 
 void Coordinator::run_for(std::chrono::milliseconds duration) {
-  const auto deadline = Clock::now() + duration;
-  while (Clock::now() < deadline) {
-    pump(10);
-    // Idle time is refinement time: advance pending upgrades one stratum
-    // per pass so foreground calls interleave at stratum granularity.
-    refine_step();
-  }
+  serve_until([] { return false; }, Clock::now() + duration);
+}
+
+DistStats Coordinator::stats() const {
+  const service::MetricsSnapshot m = svc_.metrics();
+  DistStats s = stats_;
+  s.queries = m.submitted;
+  s.cache_hits = m.cache_hits;
+  s.degraded = m.degraded;
+  s.budgeted_queries = m.approx_served;
+  s.refine_strata = m.refine_strata;
+  s.refine_dropped = m.refine_dropped;
+  return s;
 }
 
 // --- durable warm restart ------------------------------------------------
@@ -589,13 +655,14 @@ void Coordinator::save_snapshot() {
     g.fingerprint = e.fingerprint;
     g.epoch = e.epoch;
     g.history = e.history;
-    g.graph = e.graph;
+    g.graph = svc_.graph(id);
     snap.graphs.push_back(std::move(g));
   }
   // Drain the cache into the manifest (MRU first, extract_if's order) and
   // reinsert LRU-first so put()'s MRU promotion restores the original
   // recency order.
-  auto entries = cache_.extract_if([](const std::string&) { return true; });
+  service::ResultCache& cache = svc_.result_cache();
+  auto entries = cache.extract_if([](const std::string&) { return true; });
   for (const auto& [key, value] : entries) {
     SnapshotCacheEntry e;
     e.key = key;
@@ -609,7 +676,7 @@ void Coordinator::save_snapshot() {
     snap.cache.push_back(std::move(e));
   }
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    cache_.put(it->first, it->second);
+    cache.put(it->first, it->second);
   }
   net::save_snapshot(cfg_.snapshot_dir, snap);
   ++stats_.snapshot_saves;
@@ -635,7 +702,7 @@ void Coordinator::restore_from_snapshot() {
   snapshot_info_.attempted = true;
   try {
     Snapshot snap = load_snapshot(cfg_.snapshot_dir);
-    for (SnapshotGraph& g : snap.graphs) {
+    for (const SnapshotGraph& g : snap.graphs) {
       // Belt and braces: the container verified its own fingerprint, but
       // the *registry* entry must match too, or workers would verify
       // against a stamp the graph no longer carries.
@@ -643,22 +710,23 @@ void Coordinator::restore_from_snapshot() {
         throw SnapshotError("snapshot: graph '" + g.id +
                             "' fingerprint does not match its manifest entry");
       }
-      GraphEntry e;
-      e.graph = g.graph;
-      e.fingerprint = g.fingerprint;
-      e.base_fingerprint = g.base_fingerprint;
-      e.spec = g.spec;
-      e.epoch = g.epoch;
-      e.history = std::move(g.history);
-      graphs_[g.id] = std::move(e);
     }
+    // Every check passed: register, so a failed restore leaves nothing.
+    for (SnapshotGraph& g : snap.graphs) {
+      svc_.load_graph(g.id, g.graph);
+      graphs_[g.id] = GraphEntry{.fingerprint = g.fingerprint,
+                                 .base_fingerprint = g.base_fingerprint,
+                                 .spec = std::move(g.spec),
+                                 .epoch = g.epoch,
+                                 .history = std::move(g.history)};
+    }
+    service::ResultCache& cache = svc_.result_cache();
     for (const SnapshotCacheEntry& e : snap.cache) {
-      if (e.strategy > static_cast<std::uint8_t>(core::Strategy::DirectionOptimized)) {
-        continue;  // unknown strategy tag: skip the entry, keep the rest
-      }
+      const std::optional<core::Strategy> strategy = core::strategy_from_wire(e.strategy);
+      if (!strategy) continue;  // unknown strategy tag: skip the entry, keep the rest
       auto cached = std::make_shared<service::CachedResult>();
       cached->result.scores = e.scores;
-      cached->result.strategy = static_cast<core::Strategy>(e.strategy);
+      cached->result.strategy = *strategy;
       cached->result.roots_processed = e.roots_processed;
       cached->result.approximate = e.approximate != 0;
       cached->result.time_seconds = e.time_seconds;
@@ -666,13 +734,13 @@ void Coordinator::restore_from_snapshot() {
       cached->result.teps = e.teps;
       cached->bytes = service::estimate_result_bytes(cached->result);
       cached->refreshable = false;
-      cache_.put(e.key, cached);
+      cache.put(e.key, cached);
     }
     // Entries were saved MRU-first; the loop above put() them in that
     // order, inverting recency — walk the keys once more, LRU to MRU, to
     // restore it.
     for (auto it = snap.cache.rbegin(); it != snap.cache.rend(); ++it) {
-      (void)cache_.get(it->key);
+      (void)cache.get(it->key);
     }
     snapshot_info_.ok = true;
     snapshot_info_.graphs = snap.graphs.size();
@@ -682,12 +750,12 @@ void Coordinator::restore_from_snapshot() {
     // starts fresh rather than serving doubtful state.
     snapshot_info_.ok = false;
     snapshot_info_.error = ex.what();
-    graphs_.clear();
   }
 }
 
 std::string Coordinator::metrics_report() const {
   char buf[2048];
+  const DistStats st = stats();
   const ChaosStats cs = cfg_.chaos ? cfg_.chaos->stats() : ChaosStats{};
   int n = std::snprintf(
       buf, sizeof(buf),
@@ -702,25 +770,25 @@ std::string Coordinator::metrics_report() const {
       "  durability: snapshot saves %llu restored %s\n"
       "  chaos: frames %llu injected %llu (drop %llu delay %llu dup %llu "
       "trunc %llu flip %llu partition %llu)\n",
-      cfg_.name.c_str(), static_cast<unsigned long long>(stats_.queries),
-      static_cast<unsigned long long>(stats_.cache_hits),
-      static_cast<unsigned long long>(stats_.whole_queries),
-      static_cast<unsigned long long>(stats_.degraded),
-      static_cast<unsigned long long>(stats_.budgeted_queries),
-      static_cast<unsigned long long>(stats_.refine_strata),
-      static_cast<unsigned long long>(stats_.refine_dropped),
-      approx_cache_.size(),
-      static_cast<unsigned long long>(stats_.shards_dispatched),
-      static_cast<unsigned long long>(stats_.shards_completed),
-      static_cast<unsigned long long>(stats_.shard_retries),
-      static_cast<unsigned long long>(stats_.straggler_redispatches),
-      static_cast<unsigned long long>(stats_.local_fallbacks),
-      worker_count(), static_cast<unsigned long long>(stats_.worker_deaths),
-      static_cast<unsigned long long>(stats_.heartbeat_misses),
-      static_cast<unsigned long long>(stats_.quarantines),
-      static_cast<unsigned long long>(stats_.readmissions),
-      static_cast<unsigned long long>(stats_.slow_peer_drops),
-      static_cast<unsigned long long>(stats_.snapshot_saves),
+      cfg_.name.c_str(), static_cast<unsigned long long>(st.queries),
+      static_cast<unsigned long long>(st.cache_hits),
+      static_cast<unsigned long long>(st.whole_queries),
+      static_cast<unsigned long long>(st.degraded),
+      static_cast<unsigned long long>(st.budgeted_queries),
+      static_cast<unsigned long long>(st.refine_strata),
+      static_cast<unsigned long long>(st.refine_dropped),
+      svc_.metrics().approx_entries,
+      static_cast<unsigned long long>(st.shards_dispatched),
+      static_cast<unsigned long long>(st.shards_completed),
+      static_cast<unsigned long long>(st.shard_retries),
+      static_cast<unsigned long long>(st.straggler_redispatches),
+      static_cast<unsigned long long>(st.local_fallbacks),
+      worker_count(), static_cast<unsigned long long>(st.worker_deaths),
+      static_cast<unsigned long long>(st.heartbeat_misses),
+      static_cast<unsigned long long>(st.quarantines),
+      static_cast<unsigned long long>(st.readmissions),
+      static_cast<unsigned long long>(st.slow_peer_drops),
+      static_cast<unsigned long long>(st.snapshot_saves),
       snapshot_info_.attempted ? (snapshot_info_.ok ? "yes" : "failed") : "no",
       static_cast<unsigned long long>(cs.frames),
       static_cast<unsigned long long>(cs.injected()),
@@ -744,30 +812,27 @@ std::string Coordinator::metrics_report() const {
 
 // --- query path ----------------------------------------------------------
 
+service::Response Coordinator::query(service::Request request) {
+  const service::Ticket ticket = svc_.submit(std::move(request));
+  serve_until([&] {
+    return ticket.future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  });
+  return svc_.wait(ticket);
+}
+
 void Coordinator::finish_shard_local(ActiveQuery& q, Shard& s) {
-  try {
-    // Same message → same options → same bits as a remote worker. The
-    // shard runs on the coordinator thread; this is the last rung, used
-    // only when the fleet cannot serve the shard.
-    util::Timer t;
-    core::BCResult r = core::compute(*q.graph, options_from_shard(s.msg));
-    s.partial = std::move(r.scores);
-    s.roots_processed = r.roots_processed;
-    s.compute_ms = t.elapsed_seconds() * 1e3;
-    s.degraded = 0;
-    s.state = Shard::State::Done;
-    --q.remaining;
-    ++stats_.local_fallbacks;
-    trace_instant("shard-local", q.id, {{"shard", std::uint64_t{s.index}}});
-  } catch (const std::invalid_argument& ex) {
-    q.failed = true;
-    q.fail_status = QueryStatus::BadRequest;
-    q.fail_error = ex.what();
-  } catch (const std::exception& ex) {
-    q.failed = true;
-    q.fail_status = QueryStatus::Failed;
-    q.fail_error = ex.what();
-  }
+  // Same message → same options → same bits as a remote worker. The shard
+  // runs on the coordinator thread; this is the last rung, used only when
+  // the fleet cannot serve the shard. A throw ends the run.
+  util::Timer t;
+  core::BCResult r = core::compute(*q.graph, options_from_shard(s.msg));
+  s.partial = std::move(r.scores);
+  s.roots_processed = r.roots_processed;
+  s.compute_ms = t.elapsed_seconds() * 1e3;
+  s.state = Shard::State::Done;
+  --q.remaining;
+  ++stats_.local_fallbacks;
+  trace_instant("shard-local", q.id, {{"shard", std::uint64_t{s.index}}});
 }
 
 void Coordinator::escalate(ActiveQuery& q, Shard& s) {
@@ -775,23 +840,21 @@ void Coordinator::escalate(ActiveQuery& q, Shard& s) {
     finish_shard_local(q, s);
     return;
   }
-  // Degradation: serve what completed (marked degraded, never cached) —
-  // unless nothing can complete at all.
+  // Degradation: fold what completed and report the rest as failed roots
+  // (the service serves that degraded, never cached) — unless nothing can
+  // complete at all.
   s.state = Shard::State::Abandoned;
   --q.remaining;
   ++q.abandoned;
   trace_instant("shard-abandoned", q.id, {{"shard", std::uint64_t{s.index}}});
   if (q.abandoned == q.shards.size()) {
-    q.failed = true;
-    q.fail_status = QueryStatus::Failed;
-    q.fail_error = "no worker could serve any shard (local fallback disabled)";
+    throw std::runtime_error("no worker could serve any shard (local fallback disabled)");
   }
 }
 
 void Coordinator::dispatch_pending(ActiveQuery& q) {
   const auto now = Clock::now();
   for (Shard& s : q.shards) {
-    if (q.failed) return;
     if (s.state != Shard::State::Pending) continue;
     if (s.attempts >= cfg_.max_shard_attempts) {
       escalate(q, s);
@@ -804,7 +867,7 @@ void Coordinator::dispatch_pending(ActiveQuery& q) {
     WorkerState* best = nullptr;
     bool best_untried = false;
     for (auto& [slot, w] : workers_) {
-      if (!eligible(w, q, s)) continue;
+      if (!eligible(w, q)) continue;
       const bool untried = s.tried.count(slot) == 0;
       if (best == nullptr || (untried && !best_untried) ||
           (untried == best_untried && w.inflight < best->inflight)) {
@@ -831,7 +894,7 @@ void Coordinator::check_stragglers(ActiveQuery& q) {
     if (s.attempts >= cfg_.max_shard_attempts) {
       // Out of remote attempts and still no result. Under chaos the
       // outstanding request or reply may simply be gone, and a
-      // deadline-less query must not wait forever for a frame that will
+      // deadline-less run must not wait forever for a frame that will
       // never arrive — escalate now. If a straggler result does land
       // later, the Done/Abandoned guard in handle_frame discards it.
       escalate(q, s);
@@ -841,7 +904,7 @@ void Coordinator::check_stragglers(ActiveQuery& q) {
     // result wins.
     WorkerState* best = nullptr;
     for (auto& [slot, w] : workers_) {
-      if (!eligible(w, q, s) || s.tried.count(slot) != 0) continue;
+      if (!eligible(w, q) || s.tried.count(slot) != 0) continue;
       if (best == nullptr || w.inflight < best->inflight) best = &w;
     }
     if (best == nullptr) {
@@ -857,18 +920,14 @@ void Coordinator::check_stragglers(ActiveQuery& q) {
   }
 }
 
-bool Coordinator::eligible(const WorkerState& w, const ActiveQuery& q,
-                           const Shard& s) const {
-  // Healthy ready owners of the graph. Budgeted shards only travel to
-  // workers that negotiated v2 — a v1 worker would silently run the query
-  // exact (no budget on the wire).
+bool Coordinator::eligible(const WorkerState& w, const ActiveQuery& q) const {
   return w.ready && w.health == wire::HealthState::Healthy &&
-         w.graphs.count(q.graph_id) != 0 && (s.msg.has_budget == 0 || w.protocol >= 2);
+         w.graphs.count(q.graph_id) != 0;
 }
 
 void Coordinator::send_shard(ActiveQuery& q, Shard& s, WorkerState& w, const char* event) {
   s.msg.deadline_ms = remaining_ms(q.deadline);
-  w.conn->send(wire::encode(s.msg, q.id, w.protocol));
+  w.conn->send(wire::encode(s.msg, q.id));
   ++w.inflight;
   ++s.attempts;
   s.dispatched_to.push_back(w.slot);
@@ -879,101 +938,32 @@ void Coordinator::send_shard(ActiveQuery& q, Shard& s, WorkerState& w, const cha
                 {{"shard", std::uint64_t{s.index}}, {"worker", std::uint64_t{w.slot}}});
 }
 
-std::unique_ptr<Coordinator::ActiveQuery> Coordinator::start_query(
-    const service::Request& request, const GraphEntry& entry, Clock::time_point t0) {
+core::BCResult Coordinator::run_on_fleet(const graph::CSRGraph& g, const core::Options& o) {
+  const std::uint64_t fingerprint = g.fingerprint();
+  const auto git = std::find_if(graphs_.begin(), graphs_.end(), [&](const auto& entry) {
+    return entry.second.fingerprint == fingerprint;
+  });
+  if (git == graphs_.end()) {
+    throw std::runtime_error(
+        "fleet run: no registered graph has this snapshot's fingerprint "
+        "(a mutation made it stale)");
+  }
+  const graph::VertexId n = g.num_vertices();
+  core::validate_roots(n, o.roots);
+  const core::RootPlan plan = core::resolve_roots(n, o);
+
   auto q = std::make_unique<ActiveQuery>();
   q->id = next_request_id_++;
-  q->graph_id = request.graph_id;
-  q->graph = entry.graph;
-  q->fingerprint = entry.fingerprint;
-  q->options = request.options;
-  q->whole = !block_shardable(request.options.strategy);
-  q->deadline = request.budget.expires(t0);
-  return q;
-}
-
-service::Response Coordinator::run_query(std::unique_ptr<ActiveQuery> q,
-                                         std::size_t top_k, Clock::time_point t0) {
-  q->remaining = q->shards.size();
-  for (Shard& s : q->shards) {
-    s.msg.graph_id = q->graph_id;
-    s.msg.fingerprint = q->fingerprint;
-    // Per-shard deterministic jitter stream: same query, same schedule.
-    util::BackoffConfig bc = cfg_.redispatch_backoff;
-    bc.seed = mix64(bc.seed ^ (q->id << 16) ^ s.index);
-    s.backoff = util::Backoff(bc);
-  }
-
-  trace::ScopedSpan span(sink(), cfg_.tracer, "dist-request", trace::kService,
-                         {{"req", q->id},
-                          {"shards", static_cast<std::uint64_t>(q->shards.size())},
-                          {"workers", static_cast<std::uint64_t>(worker_count())}});
-
-  active_ = std::move(q);
-  ActiveQuery& aq = *active_;
-  while (!aq.failed && aq.remaining > 0) {
-    if (Clock::now() >= aq.deadline) {
-      aq.failed = true;
-      aq.fail_status = QueryStatus::DeadlineExceeded;
-      aq.fail_error = "deadline exceeded with " + std::to_string(aq.remaining) +
-                      " shard(s) outstanding";
-      break;
-    }
-    dispatch_pending(aq);
-    if (aq.failed || aq.remaining == 0) break;
-    check_stragglers(aq);
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          aq.deadline - Clock::now())
-                          .count();
-    pump(static_cast<int>(std::clamp<long long>(left, 0, 20)));
-  }
-
-  service::Response resp = assemble(aq, top_k, t0);
-  active_.reset();
-  return resp;
-}
-
-service::Response Coordinator::query(service::Request request) {
-  const auto t0 = Clock::now();
-  ++stats_.queries;
-
-  if (drained_) return failure(QueryStatus::ServiceStopped, "coordinator drained", t0);
-  auto git = graphs_.find(request.graph_id);
-  if (git == graphs_.end()) {
-    return failure(QueryStatus::GraphNotFound,
-                   "graph '" + request.graph_id + "' is not registered", t0);
-  }
-  const GraphEntry& entry = git->second;
-  try {
-    core::validate_roots(entry.graph->num_vertices(), request.options.roots);
-  } catch (const std::invalid_argument& ex) {
-    return failure(QueryStatus::BadRequest, ex.what(), t0);
-  }
-
-  if (request.budget.active()) return query_budgeted(std::move(request), t0);
-
-  std::string key = service::cache_key(entry.fingerprint, request.options);
-  if (std::shared_ptr<const service::CachedResult> hit = cache_.get(key)) {
-    ++stats_.cache_hits;
-    service::Response resp = service::cached_response(std::move(hit));
-    if (request.top_k > 0) resp.top = core::top_k(resp.result->scores, request.top_k);
-    resp.total_ms = ms_between(t0, Clock::now());
-    trace_instant("dist-cache-hit", 0);
-    return resp;
-  }
-  return execute(request, entry, t0, std::move(key));
-}
-
-service::Response Coordinator::execute(const service::Request& request,
-                                       const GraphEntry& entry, Clock::time_point t0,
-                                       std::string cache_key) {
-  const core::Options& o = request.options;
-  const graph::VertexId n = entry.graph->num_vertices();
-  auto q = start_query(request, entry, t0);
-  q->cache_key = std::move(cache_key);
-  const core::RootPlan plan = core::resolve_roots(n, o);
+  q->graph_id = git->first;
+  q->graph = &g;
+  q->fingerprint = fingerprint;
+  q->options = o;
+  q->whole = !block_shardable(o.strategy);
   q->approximate = plan.approximate;
   q->resolved_roots = plan.roots.size();
+  q->start = Clock::now();
+  q->cancel = o.resilience.cancel;
+  q->deadline = q->cancel.deadline();
   if (q->whole) {
     ++stats_.whole_queries;
     Shard s;
@@ -1006,14 +996,49 @@ service::Response Coordinator::execute(const service::Request& request,
       q->shards.push_back(std::move(s));
     }
   }
-  return run_query(std::move(q), request.top_k, t0);
+  return run_query(std::move(q));
 }
 
-service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
-                                        Clock::time_point t0) {
-  if (q.failed) return failure(q.fail_status, q.fail_error, t0);
+core::BCResult Coordinator::run_query(std::unique_ptr<ActiveQuery> q) {
+  q->remaining = q->shards.size();
+  for (Shard& s : q->shards) {
+    s.msg.graph_id = q->graph_id;
+    s.msg.fingerprint = q->fingerprint;
+    // Per-shard deterministic jitter stream: same run, same schedule.
+    util::BackoffConfig bc = cfg_.redispatch_backoff;
+    bc.seed = mix64(bc.seed ^ (q->id << 16) ^ s.index);
+    s.backoff = util::Backoff(bc);
+  }
 
-  service::Response resp;
+  trace::ScopedSpan span(sink(), cfg_.tracer, "dist-request", trace::kService,
+                         {{"req", q->id},
+                          {"shards", static_cast<std::uint64_t>(q->shards.size())},
+                          {"workers", static_cast<std::uint64_t>(worker_count())}});
+
+  active_ = std::move(q);
+  ActiveQuery& aq = *active_;
+  try {
+    while (aq.remaining > 0) {
+      // The service's token carries its deadline and stop(): either ends
+      // the run as util::Cancelled.
+      aq.cancel.check();
+      dispatch_pending(aq);
+      if (aq.remaining == 0) break;
+      check_stragglers(aq);
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            aq.deadline - Clock::now())
+                            .count();
+      pump(static_cast<int>(std::clamp<long long>(left, 0, 20)));
+    }
+  } catch (...) {
+    active_.reset();  // late results for this run are ignored as stale
+    throw;
+  }
+  const std::unique_ptr<ActiveQuery> done = std::move(active_);
+  return assemble(*done);
+}
+
+core::BCResult Coordinator::assemble(ActiveQuery& q) {
   const graph::VertexId n = q.graph->num_vertices();
   core::BCResult result;
   result.strategy = q.options.strategy;
@@ -1023,198 +1048,44 @@ service::Response Coordinator::assemble(ActiveQuery& q, std::size_t top_k,
     Shard& s = q.shards.front();
     result.scores = std::move(s.partial);
     result.roots_processed = s.roots_processed;
-    result.approximate = s.has_estimate != 0
-                              ? s.est_roots_used < n
-                              : q.approximate || (q.resolved_roots < n);
-    resp.degraded = s.degraded != 0;
     compute_ms = s.compute_ms;
-    if (q.budgeted) {
-      // What the worker's progressive controller delivered; a local
-      // fallback ran exact, so its estimate is the saturated truth.
-      resp.estimate = s.has_estimate != 0
-                          ? service::Estimate{.roots_used = s.est_roots_used,
-                                              .stderr_est = s.est_stderr,
-                                              .rung = s.est_rung,
-                                              .refining = s.est_refining != 0}
-                          : service::Estimate{.roots_used = s.roots_processed};
-    }
   } else {
     // The paper's MPI_Reduce, made bitwise-deterministic: fold partials in
     // ascending block order (the exact association BlockDriver::finish
     // uses), then finalize exactly as core::compute does.
     result.scores.assign(n, 0.0);
     for (const Shard& s : q.shards) {
-      if (s.state != Shard::State::Done) continue;  // abandoned (degraded)
+      if (s.state != Shard::State::Done) {
+        // Abandoned: its roots are missing from the answer.
+        for (const graph::VertexId r : s.msg.roots) {
+          result.faults.failed_roots.push_back({.root = r, .transient = false});
+        }
+        continue;
+      }
       for (std::size_t v = 0; v < s.partial.size(); ++v) {
         result.scores[v] += s.partial[v];
       }
       result.roots_processed += s.roots_processed;
       compute_ms = std::max(compute_ms, s.compute_ms);
     }
-    resp.degraded = q.abandoned > 0;
+    std::sort(result.faults.failed_roots.begin(), result.faults.failed_roots.end(),
+              [](const auto& a, const auto& b) { return a.root < b.root; });
     core::finalize(result.scores, n, q.approximate ? result.roots_processed : 0,
                    q.options.halve_undirected, q.options.normalize);
-    result.approximate = q.approximate || (q.resolved_roots < n);
   }
-
+  result.approximate = q.approximate || (q.resolved_roots < n);
   result.time_seconds = compute_ms / 1e3;
-  result.wall_seconds = ms_between(t0, Clock::now()) / 1e3;
+  result.wall_seconds = ms_between(q.start, Clock::now()) / 1e3;
   result.teps = core::teps_bc(*q.graph, result.roots_processed, result.time_seconds);
-
-  resp.status = QueryStatus::Ok;
-  resp.compute_ms = compute_ms;
-  resp.total_ms = ms_between(t0, Clock::now());
-  if (resp.degraded) ++stats_.degraded;
-  if (q.cache_key.empty()) {
-    resp.result = std::make_shared<const core::BCResult>(std::move(result));
-  } else {
-    service::store_result(cache_, q.cache_key, std::move(result), /*refreshable=*/false,
-                          resp);
-  }
-  if (top_k > 0) resp.top = core::top_k(resp.result->scores, top_k);
-  return resp;
-}
-
-// --- accuracy contracts --------------------------------------------------
-
-service::StratumFn Coordinator::stratum_runner(const std::string& graph_id,
-                                               Clock::time_point deadline) {
-  // The stratum is an ordinary exact explicit-root sub-run: Partial-sharded
-  // across the fleet and folded in block order, so its raw sums are
-  // bitwise-identical to the stratum a standalone service would compute.
-  // It carries the remaining deadline and bypasses the exact cache.
-  return [this, graph_id, deadline](core::Options stratum) {
-    const auto t0 = Clock::now();
-    if (t0 >= deadline) throw util::Cancelled(util::CancelReason::Deadline);
-    const auto git = graphs_.find(graph_id);
-    if (git == graphs_.end()) {
-      throw std::runtime_error("stratum sub-query: graph '" + graph_id +
-                               "' is not registered");
-    }
-    service::Request sub;
-    sub.graph_id = graph_id;
-    sub.options = std::move(stratum);
-    if (deadline != Clock::time_point::max()) {
-      sub.budget.deadline = std::chrono::ceil<std::chrono::milliseconds>(deadline - t0);
-    }
-    const service::Response r = execute(sub, git->second, t0, "");
-    if (r.status == QueryStatus::DeadlineExceeded) {
-      throw util::Cancelled(util::CancelReason::Deadline);
-    }
-    if (!r.ok() || r.degraded || !r.result) {
-      throw std::runtime_error("stratum sub-query failed: " + r.error);
-    }
-    return service::StratumRun{r.result->scores, r.result->time_seconds};
-  };
-}
-
-bool Coordinator::refine_step() {
-  if (drained_ || refine_queue_.empty()) return false;
-  const PendingRefine job = refine_queue_.front();
-  service::RefineStep step;  // a failed stratum leaves it Met and done
-  try {
-    step = service::refine_step(approx_cache_, job.entry, job.options, job.budget,
-                                stratum_runner(job.graph_id, Clock::time_point::max()));
-  } catch (const std::exception&) {
-    // Best-effort: a failed stratum drops the refinement, not the entry.
-  }
-  if (step.outcome == service::RefineOutcome::Dropped) {
-    ++stats_.refine_dropped;  // never-resurrect: a mutation beat this refinement
-  } else if (step.outcome == service::RefineOutcome::Folded) {
-    ++stats_.refine_strata;
-  }
-  if (step.new_rung) trace_instant("refine-rung", 0, {{"rung", step.after.rung}});
-  // Retire a finished job now so Estimate::refining drops the moment the
-  // last stratum lands, not one refine_step later.
-  if (step.done) {
-    refine_queue_.pop_front();
-    std::lock_guard<std::mutex> lock(job.entry->mu);
-    if (job.entry->refine_pending > 0) --job.entry->refine_pending;
-  }
-  return true;
-}
-
-service::Response Coordinator::query_budgeted(service::Request request,
-                                              const Clock::time_point t0) {
-  if (!request.options.roots.empty()) {
-    return failure(QueryStatus::BadRequest,
-                   "budgeted query must not carry explicit roots", t0);
-  }
-  request.options.sample_roots = 0;  // the budget owns the sampling plan
-  const GraphEntry& entry = graphs_.find(request.graph_id)->second;  // caller checked
-  const graph::VertexId n = entry.graph->num_vertices();
-  ++stats_.budgeted_queries;
-  const bool whole = !block_shardable(request.options.strategy);
-  trace::ScopedSpan span(sink(), cfg_.tracer, "dist-budgeted", trace::kService,
-                         {{"whole", whole ? 1 : 0}});
-
-  if (whole) {
-    // CPU engines and the sampling kernel are not block-shardable: hand
-    // the whole budgeted query to one v2 worker, whose local progressive
-    // controller computes (and caches) the estimate.
-    ++stats_.whole_queries;
-    auto q = start_query(request, entry, t0);
-    q->budgeted = true;
-    q->approximate = true;
-    q->resolved_roots = n;
-    Shard s;
-    s.msg = shard_from_options(request.options);
-    s.msg.mode = wire::ShardMode::Whole;
-    s.msg.has_budget = 1;
-    s.msg.accuracy_target = request.budget.accuracy_target;
-    s.msg.budget_max_roots = request.budget.max_roots;
-    s.msg.allow_refinement = request.budget.allow_refinement ? 1 : 0;
-    q->shards.push_back(std::move(s));
-    return run_query(std::move(q), request.top_k, t0);
-  }
-
-  // Block-shardable GPU-model strategy: run the contract controller here,
-  // each stratum an exact explicit-root sub-run across the fleet.
-  const core::StratumPlan plan;
-  bool created = false;
-  const std::shared_ptr<service::ApproxEntry> e = approx_cache_.get_or_create(
-      service::approx_key(entry.fingerprint, request.options, plan), n, plan,
-      request.options.seed, entry.fingerprint, created);
-  const Clock::time_point deadline = request.budget.expires(t0);
-  const auto queue_refinement = [&] {
-    {
-      std::lock_guard<std::mutex> lock(e->mu);
-      ++e->refine_pending;
-    }
-    refine_queue_.push_back(
-        PendingRefine{request.graph_id, e, request.options, request.budget});
-    return true;
-  };
-  service::ContractRun run;
-  try {
-    run = service::advance_contract(approx_cache_, e, request.options, request.budget,
-                                    request.budget.allow_refinement,
-                                    stratum_runner(request.graph_id, deadline),
-                                    util::CancelSource::with_deadline(deadline).token(),
-                                    queue_refinement);
-  } catch (const util::Cancelled&) {
-    return failure(QueryStatus::DeadlineExceeded,
-                   "deadline exceeded before the first publishable rung", t0);
-  } catch (const std::exception&) {
-    return failure(QueryStatus::Failed, "budgeted query: stratum sub-query failed", t0);
-  }
-
-  service::Response resp;
-  resp.status = QueryStatus::Ok;
-  resp.result = std::move(run.result);
-  resp.estimate = run.estimate;
-  resp.from_cache = !run.computed;
-  resp.total_ms = ms_between(t0, Clock::now());
-  if (request.top_k > 0) resp.top = core::top_k(resp.result->scores, request.top_k);
-  return resp;
+  return result;
 }
 
 void Coordinator::drain() {
   if (drained_) return;
-  // Finish (or drop) pending refinements while the fleet can still serve
-  // strata; each step is bounded by the contract it refines toward.
-  while (refine_step()) {
-  }
+  // Finish (or drop) background refinement while the fleet can still serve
+  // strata; each job is bounded by the contract it refines toward.
+  serve_until([&] { return svc_.refine_backlog() == 0; });
+  svc_.stop();
   drained_ = true;
   persist_snapshot();  // final state durable before the fleet disbands
   const std::vector<std::uint8_t> frame =

@@ -2,77 +2,84 @@
 
 // net::Coordinator — the front of a sharded multi-process BC fleet.
 //
-// The coordinator fronts the hbc::service request/response surface
-// (service::Request in, service::Response out) while farming the actual
-// computation out to net::Worker processes over the wire protocol
-// (net/wire.hpp). It shards work two ways, echoing ROADMAP item 2:
+// The coordinator answers the hbc::service request/response surface
+// (service::Request in, service::Response out) through one
+// service::BcService whose compute hook (ServiceConfig::compute_fn) is the
+// fleet. Cache probe and insert, coalescing, admission, the accuracy
+// contract, background refinement, mutation commit and invalidation all run
+// once, in that service. The coordinator keeps the fleet: workers, ring
+// placement, shard build, dispatch and healing, the fold, the graph specs
+// and update history late joiners replay, and snapshots. A fleet run
+// shards work two ways:
 //
-//  * **By root range within one query** — at simulated-*block*
-//    granularity, which is what makes the distributed reduction
-//    bitwise-deterministic. kernels::BlockDriver deals global root index
-//    i to block i mod B (B = the grid size the standalone run would use)
-//    and folds per-block partial BC vectors in ascending block order.
-//    The coordinator therefore builds shard b from exactly the roots
-//    block b would own, has a worker compute it as a single-block run
-//    (Options::grid_blocks = 1 — bit-identical to that block's partial),
-//    and folds the shards in ascending block order, then applies the
-//    same finalization core::compute would (sampling scale-up → halve →
-//    normalize, all elementwise). The reassembled scores equal a
-//    standalone run bit for bit at ANY worker count — the paper's
-//    MPI_Reduce shape, made reproducible. The sampling kernel (whose
-//    probe phase inspects the whole root list) and the CPU engines
-//    (flat left-fold over roots) are not block-shardable and route to
-//    one worker as a Whole query instead.
+//  * **By root range within one run** — at simulated-*block* granularity,
+//    which is what makes the distributed reduction bitwise-deterministic.
+//    kernels::BlockDriver deals global root index i to block i mod B
+//    (B = the grid size the standalone run would use) and folds per-block
+//    partial BC vectors in ascending block order. The coordinator
+//    therefore builds shard b from exactly the roots block b would own,
+//    has a worker compute it as a single-block run (Options::grid_blocks
+//    = 1 — bit-identical to that block's partial), and folds the shards in
+//    ascending block order, then applies the same finalization
+//    core::compute would (sampling scale-up → halve → normalize, all
+//    elementwise). The reassembled scores equal a standalone run bit for
+//    bit at ANY worker count — the paper's MPI_Reduce shape, made
+//    reproducible. The sampling kernel (whose probe phase inspects the
+//    whole root list) and the CPU engines (flat left-fold over roots) are
+//    not block-shardable and route to one worker as a Whole run instead.
 //
 //  * **By graph across the fleet** — consistent hashing over a ring of
 //    worker vnodes places each named graph on `replication` workers
-//    (0 = every worker, the right call for hot graphs); queries for a
-//    graph only dispatch to its owners.
+//    (0 = every worker, the right call for hot graphs); runs on a graph
+//    only dispatch to its owners.
 //
-// Resilience reuses the PR 4 machinery's shape at the fleet level: a dead
-// worker's outstanding shards are reassigned (the root-range reassignment
-// path), stragglers are re-dispatched after a timeout (first result
-// wins), a shard that exhausts its attempts falls back to a
+// Budgets: every accuracy contract runs the service's controller here, on
+// the coordinator. Each stratum is an exact explicit-root fleet run —
+// Partial shards for block-shardable strategies, one Whole shard
+// otherwise — so the folded estimate has the bits a standalone budgeted
+// query computes. No wire frame carries a budget or an estimate.
+//
+// Resilience at the fleet level: a dead worker's outstanding shards are
+// reassigned (the root-range reassignment path), stragglers are
+// re-dispatched after a timeout (first result wins), a shard that exhausts its attempts falls back to a
 // coordinator-local compute of the same sub-run (bit-identical, since it
 // executes the identical single-block options), and with local fallback
-// disabled the query degrades to the completed shards (degraded results
-// are never cached) or fails. Request deadlines bound the whole exchange.
+// disabled the run reports the abandoned shards' roots as failed roots
+// (the service serves the partial answer degraded and never caches it)
+// or fails. The request deadline bounds the whole exchange.
 //
-// Results are cached in the same ResultCache the in-process service uses,
-// keyed (graph fingerprint, options signature) — the fingerprint is
-// verified against every worker at load/mutate time, so the cross-process
-// cache key cannot diverge. Mutations (dyn::UpdateBatch) commit locally
-// through dyn::VersionedGraph, invalidate the old epoch's entries, and
-// broadcast to owning workers with fingerprint agreement checked on ack.
-//
-// Threading: the coordinator is single-threaded by design — every public
-// call pumps the poll loop itself until its condition is met. One query
-// is in flight at a time (shard-level parallelism across the fleet is
-// where the concurrency lives); hbc-serve's coordinator role replays
-// workloads through it sequentially.
+// Threading: only the thread that calls the coordinator pumps the poll
+// loop. The service's worker and refinement threads put each fleet run
+// into an inbox and wait; the calling thread executes the runs one at a
+// time, in FIFO order, inside query(), run_for(), wait_for_workers(),
+// load_graph(), mutate_graph() and drain(). Background refinement
+// therefore advances only inside those calls. query() submits to the
+// service, then pumps until the ticket is ready.
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "core/approx.hpp"
 #include "dyn/versioned_graph.hpp"
 #include "graph/csr.hpp"
 #include "net/chaos.hpp"
 #include "net/snapshot.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
-#include "service/cache.hpp"
-#include "service/progressive.hpp"
 #include "service/service.hpp"
 #include "trace/trace.hpp"
 #include "util/backoff.hpp"
+#include "util/cancel.hpp"
 
 namespace hbc::net {
 
@@ -80,7 +87,8 @@ struct CoordinatorConfig {
   /// Endpoint to bind ("unix:/path" default shape, "tcp:host:port" opt-in).
   Endpoint listen;
   std::string name = "coordinator";
-  /// Result-cache budget (same semantics as ServiceConfig::cache_bytes).
+  /// Budget of the exact result cache and of the refinable-estimate cache
+  /// (same semantics as ServiceConfig::cache_bytes).
   std::size_t cache_bytes = 64ull << 20;
   /// Workers each graph is placed on; 0 = replicate to every worker.
   std::uint32_t replication = 0;
@@ -131,6 +139,8 @@ struct CoordinatorConfig {
   std::string snapshot_dir;
 };
 
+/// Fleet counters. queries, cache_hits, degraded, budgeted_queries,
+/// refine_strata and refine_dropped are the coordinator's service metrics.
 struct DistStats {
   std::uint64_t queries = 0;
   std::uint64_t cache_hits = 0;
@@ -144,7 +154,7 @@ struct DistStats {
   std::uint64_t degraded = 0;
   std::uint64_t mutations = 0;
   std::uint64_t budgeted_queries = 0;  // accuracy-contract queries served
-  std::uint64_t refine_strata = 0;     // background strata folded fleet-wide
+  std::uint64_t refine_strata = 0;     // background strata folded
   std::uint64_t refine_dropped = 0;    // refinements dropped (invalidated)
   std::uint64_t heartbeat_misses = 0;  // detector deadline expiries
   std::uint64_t quarantines = 0;
@@ -192,23 +202,26 @@ class Coordinator {
 
   std::uint64_t graph_fingerprint(const std::string& id) const;
 
-  /// Apply an edge-update batch: commit locally (dyn::VersionedGraph),
-  /// invalidate the old epoch's cache entries, broadcast to every worker
-  /// holding the graph, and verify fingerprint agreement on each ack.
-  /// Throws like BcService::mutate_graph for unknown ids / bad updates.
+  /// Apply an edge-update batch: commit it in the service (which
+  /// invalidates the old epoch's cache entries and estimates), broadcast it
+  /// to every worker holding the graph, and verify fingerprint agreement on
+  /// each ack. Throws like BcService::mutate_graph for unknown ids / bad
+  /// updates.
   service::MutationResult mutate_graph(const std::string& id,
                                        const dyn::UpdateBatch& batch);
 
-  /// The service surface: shard, dispatch, reduce, finalize. Synchronous;
-  /// respects request.budget.deadline end to end. Response::result is
-  /// bitwise-identical to standalone hbc::service for the same request.
+  /// The service surface: submit to the service, then pump until the
+  /// ticket is ready. Respects request.budget.deadline end to end.
+  /// Response::result is bitwise-identical to standalone hbc::service for
+  /// the same request.
   service::Response query(service::Request request);
 
-  /// Graceful shutdown: ask every worker to drain, wait for goodbyes (or
-  /// the control timeout), close everything. Idempotent.
+  /// Graceful shutdown: finish background refinement, stop the service,
+  /// ask every worker to drain, wait for goodbyes (or the control
+  /// timeout), close everything. Idempotent.
   void drain();
 
-  const DistStats& stats() const noexcept { return stats_; }
+  DistStats stats() const;
   const Endpoint& endpoint() const noexcept { return cfg_.listen; }
 
   /// Detector state of a connected worker (nullopt for unknown slots).
@@ -218,14 +231,14 @@ class Coordinator {
 
   /// Pump the event loop (accepts, heartbeats, detector) for `duration`
   /// with no query in flight — how tests and idle serving loops let the
-  /// failure detector observe the fleet. Also advances the background
-  /// refinement queue one stratum at a time.
+  /// failure detector observe the fleet. Also executes the strata that
+  /// background refinement hands over.
   void run_for(std::chrono::milliseconds duration);
 
-  /// Refinement jobs still queued. The coordinator has no background
-  /// thread: callers loop run_for() until this reaches zero to let
-  /// allow_refinement contracts finish.
-  std::size_t refine_backlog() const { return refine_queue_.size(); }
+  /// Refinement jobs queued or running in the service. Their strata run
+  /// only while this thread pumps: callers loop run_for() until this
+  /// reaches zero to let allow_refinement contracts finish.
+  std::size_t refine_backlog() const { return svc_.refine_backlog(); }
 
   /// Snapshot the registry + cache to CoordinatorConfig::snapshot_dir now.
   /// Throws SnapshotError (no-op without a snapshot_dir). The registry-
@@ -246,9 +259,6 @@ class Coordinator {
     std::uint32_t slot = 0;
     std::string name;
     std::uint32_t shard_slots = 1;
-    /// Negotiated wire version: min(worker's Hello.protocol, ours). v1
-    /// workers never receive budgeted (v2) shards.
-    std::uint16_t protocol = wire::kProtocolVersion;
     bool ready = false;
     bool goodbye = false;
     std::uint32_t inflight = 0;  // load-balance hint, clamped at 0
@@ -263,14 +273,14 @@ class Coordinator {
     std::uint32_t probation_seen = 0;
   };
 
+  /// What workers need to materialize a registered graph; the graph itself
+  /// lives in the service.
   struct GraphEntry {
-    std::shared_ptr<const graph::CSRGraph> graph;
     std::uint64_t fingerprint = 0;       // current epoch
     std::uint64_t base_fingerprint = 0;  // epoch 0 (what `spec` loads)
     std::string spec;
     std::uint64_t epoch = 0;
-    std::shared_ptr<dyn::VersionedGraph> versioned;  // lazy, first mutate
-    /// Applied updates since epoch 0, replayed to late-joining workers.
+    /// Updates since epoch 0, replayed to late-joining workers.
     std::vector<wire::WireUpdate> history;
   };
 
@@ -286,42 +296,54 @@ class Coordinator {
     std::vector<double> partial;
     std::uint64_t roots_processed = 0;
     double compute_ms = 0.0;
-    std::uint8_t degraded = 0;
-    /// v2 estimate block echoed by a budgeted Whole worker (see wire.hpp).
-    std::uint8_t has_estimate = 0;
-    std::uint64_t est_roots_used = 0;
-    double est_stderr = 0.0;
-    std::uint32_t est_rung = 0;
-    std::uint8_t est_refining = 0;
     /// Re-dispatch pacing after a failure: the shard stays Pending but is
     /// not offered to a worker before this instant.
     std::chrono::steady_clock::time_point not_before{};
-    util::Backoff backoff;  // seeded per (query, shard) in query()
+    util::Backoff backoff;  // seeded per (run, shard) in run_query()
   };
 
+  /// The fleet run in flight.
   struct ActiveQuery {
     std::uint64_t id = 0;
     std::string graph_id;
-    std::shared_ptr<const graph::CSRGraph> graph;
-    std::uint64_t fingerprint = 0;  // the graph's, when the query started
-    core::Options options;  // as requested (finalization mirrors these)
+    const graph::CSRGraph* graph = nullptr;  // the service's snapshot
+    std::uint64_t fingerprint = 0;
+    core::Options options;  // as the service asked (finalization mirrors these)
     bool whole = false;
-    /// Accuracy-contract Whole delegation: the response carries the
-    /// worker's estimate.
-    bool budgeted = false;
-    /// Exact-cache slot for the answer; empty = never cached.
-    std::string cache_key;
     bool approximate = false;      // sampled-roots scale-up applies
     std::size_t resolved_roots = 0;  // |resolved root list|
     std::vector<Shard> shards;
     std::size_t remaining = 0;
     std::size_t abandoned = 0;
-    /// time_point::max() = none.
+    std::chrono::steady_clock::time_point start;
+    /// The service's cancel token; its deadline (time_point::max() = none)
+    /// bounds every shard.
+    util::CancelToken cancel;
     std::chrono::steady_clock::time_point deadline;
-    bool failed = false;
-    service::QueryStatus fail_status = service::QueryStatus::Failed;
-    std::string fail_error;
   };
+
+  /// One compute call the service handed to the calling thread.
+  struct FleetRun {
+    const graph::CSRGraph* graph = nullptr;
+    core::Options options;
+    core::BCResult result;
+    std::exception_ptr error;
+    bool done = false;  // guarded by inbox_mu_
+  };
+
+  /// The service's compute hook (any service thread): queue a fleet run,
+  /// wake the poll loop and wait for it. A run still queued when `o`'s
+  /// cancel token fires is withdrawn and throws util::Cancelled.
+  core::BCResult fleet_compute(const graph::CSRGraph& g, const core::Options& o);
+  /// Pump the loop and execute queued fleet runs until `done()` holds or
+  /// `until` passes. `done()` is checked under the inbox lock before each
+  /// run is taken, so a run queued after it became true waits for the
+  /// next call.
+  void serve_until(const std::function<bool()>& done,
+                   std::chrono::steady_clock::time_point until =
+                       std::chrono::steady_clock::time_point::max());
+  /// Execute one fleet run on this thread and hand its outcome back.
+  void execute(std::shared_ptr<FleetRun> run);
 
   /// One poll-loop pass: accept, read, dispatch frames, flush writes,
   /// then run the failure detector.
@@ -329,6 +351,8 @@ class Coordinator {
   void handle_frame(WorkerState& w, const wire::Frame& frame);
   void worker_dead(std::uint32_t slot);
   void send_graph_to(WorkerState& w, const std::string& id, const GraphEntry& e);
+  /// Pump until every worker in control_ acked (or the control timeout).
+  void await_control();
 
   /// Timeout-based heartbeat failure detection: quarantine silent
   /// workers, reassigning their dispatched shards proactively.
@@ -348,55 +372,27 @@ class Coordinator {
   /// replication 0 / >= fleet; ring walk otherwise).
   std::vector<std::uint32_t> owners(const std::string& id) const;
 
-  /// Accuracy-contract queries (request.budget active). GPU-model
-  /// block-shardable strategies run service::advance_contract HERE —
-  /// each stratum is an explicit-root Partial-sharded sub-run through
-  /// execute(), so every stratum (and therefore the folded estimate) is
-  /// bitwise-identical to a standalone budgeted run. CPU/Sampling
-  /// strategies delegate the whole budgeted query to one v2 worker.
-  service::Response query_budgeted(service::Request request,
-                                   std::chrono::steady_clock::time_point t0);
-  /// Advance the oldest pending background refinement by one stratum.
-  /// Returns false when there is nothing to do. Called from run_for()
-  /// between pump passes and drained fully by drain().
-  bool refine_step();
-  /// The fleet's stratum executor for the contract controller: each
-  /// stratum runs through execute() with the time left before `deadline`
-  /// (time_point::max() = none), and a deadline surfaces as
-  /// util::Cancelled. Strata never touch the exact cache.
-  service::StratumFn stratum_runner(const std::string& graph_id,
-                                    std::chrono::steady_clock::time_point deadline);
-
-  /// A query's shared state before sharding: ids, graph snapshot,
-  /// options, shardability and deadline.
-  std::unique_ptr<ActiveQuery> start_query(const service::Request& request,
-                                           const GraphEntry& entry,
-                                           std::chrono::steady_clock::time_point t0);
-  /// Shard, dispatch and fold one exact request: start_query, the shard
-  /// build, run_query. The answer is stored under `cache_key` unless it is
-  /// empty (strata). Client bookkeeping (stats_.queries, the cache probe)
-  /// is query()'s.
-  service::Response execute(const service::Request& request, const GraphEntry& entry,
-                            std::chrono::steady_clock::time_point t0,
-                            std::string cache_key);
-  /// The one dispatch/pump loop: send `q`'s shards, heal failures until
-  /// every shard is done (or the query failed), then assemble.
-  service::Response run_query(std::unique_ptr<ActiveQuery> q, std::size_t top_k,
-                              std::chrono::steady_clock::time_point t0);
+  /// Shard, dispatch and fold one compute call of the service: the graph
+  /// id is the registered one with `g`'s fingerprint (a snapshot a
+  /// mutation made stale throws), the shards are its block schedule or
+  /// one Whole shard, and the result is finalized as core::compute would.
+  core::BCResult run_on_fleet(const graph::CSRGraph& g, const core::Options& o);
+  /// The one dispatch/pump loop: send `q`'s shards and heal failures until
+  /// every shard is done, then assemble. Throws when the run fails.
+  core::BCResult run_query(std::unique_ptr<ActiveQuery> q);
 
   void dispatch_pending(ActiveQuery& q);
   void check_stragglers(ActiveQuery& q);
-  /// Whether `w` may receive shard `s` of `q` at all.
-  bool eligible(const WorkerState& w, const ActiveQuery& q, const Shard& s) const;
+  /// Whether `w` may receive shards of `q` at all.
+  bool eligible(const WorkerState& w, const ActiveQuery& q) const;
   /// Send `s` to `w` with the time left on `q`, and record the attempt
   /// (`event` names the trace instant).
   void send_shard(ActiveQuery& q, Shard& s, WorkerState& w, const char* event);
   /// Escalation for a shard out of remote options: local fallback
-  /// (bit-identical) or abandon/fail.
+  /// (bit-identical) or abandon; throws when the run cannot finish.
   void escalate(ActiveQuery& q, Shard& s);
   void finish_shard_local(ActiveQuery& q, Shard& s);
-  service::Response assemble(ActiveQuery& q, std::size_t top_k,
-                             std::chrono::steady_clock::time_point t0);
+  core::BCResult assemble(ActiveQuery& q);
 
   trace::Sink* sink() const;
   void trace_instant(const char* name, std::uint64_t req,
@@ -404,20 +400,7 @@ class Coordinator {
 
   CoordinatorConfig cfg_;
   Socket listener_;
-  service::ResultCache cache_;
-  /// Refinable estimates for locally-stratified budgeted queries (same
-  /// byte budget as the exact cache).
-  service::ApproxCache approx_cache_;
-  /// Deferred refinement toward stricter contracts; single-threaded —
-  /// advanced stratum-at-a-time by run_for() / drained by drain().
-  struct PendingRefine {
-    std::string graph_id;
-    std::shared_ptr<service::ApproxEntry> entry;
-    core::Options options;
-    service::QueryBudget budget;
-  };
-  std::deque<PendingRefine> refine_queue_;
-  DistStats stats_;
+  DistStats stats_;  // the fleet's counters; stats() adds the service's
 
   std::map<std::uint32_t, WorkerState> workers_;  // slot -> state
   std::uint32_t next_slot_ = 1;
@@ -438,6 +421,17 @@ class Coordinator {
 
   bool drained_ = false;
   SnapshotInfo snapshot_info_;
+
+  // The inbox: fleet runs queued by the service's threads, executed by the
+  // calling thread. wake_ interrupts its poll() on a push and on every
+  // completed ticket.
+  std::mutex inbox_mu_;
+  std::condition_variable inbox_cv_;  // a run finished
+  std::deque<std::shared_ptr<FleetRun>> inbox_;
+  Wakeup wake_;
+  /// Declared last: destroyed first, so its threads are joined while
+  /// everything fleet_compute touches is still alive.
+  service::BcService svc_;
 };
 
 }  // namespace hbc::net

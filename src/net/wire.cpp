@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <optional>
 
 #include "core/bc.hpp"
 
@@ -10,10 +11,9 @@ namespace hbc::net::wire {
 namespace {
 
 std::vector<std::uint8_t> finish_frame(MsgType type, std::uint64_t request_id,
-                                       const std::vector<std::uint8_t>& payload,
-                                       std::uint16_t version = kProtocolVersion) {
+                                       const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
-  append_frame(out, type, request_id, payload, version);
+  append_frame(out, type, request_id, payload);
   return out;
 }
 
@@ -74,11 +74,10 @@ const char* to_string(DecodeStatus status) noexcept {
 }
 
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
-                  std::uint64_t request_id, std::span<const std::uint8_t> payload,
-                  std::uint16_t version) {
+                  std::uint64_t request_id, std::span<const std::uint8_t> payload) {
   Writer w(out);
   w.u32(kMagic);
-  w.u16(version);
+  w.u16(kProtocolVersion);
   w.u16(static_cast<std::uint16_t>(type));
   w.u64(request_id);
   w.u32(static_cast<std::uint32_t>(payload.size()));
@@ -98,9 +97,7 @@ DecodeStatus extract_frame(std::span<const std::uint8_t> in, Frame& frame,
   // Validate the header before demanding payload bytes: a corrupt length
   // prefix must not make the caller wait for (or allocate) garbage.
   if (magic != kMagic) return DecodeStatus::BadMagic;
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    return DecodeStatus::BadVersion;
-  }
+  if (version != kProtocolVersion) return DecodeStatus::BadVersion;
   if (type < static_cast<std::uint16_t>(MsgType::Hello) ||
       type > static_cast<std::uint16_t>(MsgType::Quarantine)) {
     return DecodeStatus::UnknownType;
@@ -108,7 +105,6 @@ DecodeStatus extract_frame(std::span<const std::uint8_t> in, Frame& frame,
   if (payload_len > kMaxPayload) return DecodeStatus::Oversize;
   if (in.size() - kHeaderSize < payload_len) return DecodeStatus::NeedMore;
   frame.type = static_cast<MsgType>(type);
-  frame.version = version;
   frame.request_id = request_id;
   frame.payload.assign(in.begin() + kHeaderSize, in.begin() + kHeaderSize + payload_len);
   consumed = kHeaderSize + payload_len;
@@ -198,8 +194,7 @@ DecodeStatus decode(const Frame& f, GraphLoadedMsg& out) {
 
 // --- shards --------------------------------------------------------------
 
-std::vector<std::uint8_t> encode(const SubmitShardMsg& m, std::uint64_t request_id,
-                                 std::uint16_t version) {
+std::vector<std::uint8_t> encode(const SubmitShardMsg& m, std::uint64_t request_id) {
   static_assert(sizeof(graph::VertexId) == sizeof(std::uint32_t),
                 "roots travel as u32");
   std::vector<std::uint8_t> p;
@@ -224,13 +219,7 @@ std::vector<std::uint8_t> encode(const SubmitShardMsg& m, std::uint64_t request_
   w.u32(m.sampling_min_frontier);
   w.u32(m.deadline_ms);
   w.u32s(m.roots);
-  if (version >= 2) {
-    w.u8(m.has_budget);
-    w.f64(m.accuracy_target);
-    w.u32(m.budget_max_roots);
-    w.u8(m.allow_refinement);
-  }
-  return finish_frame(MsgType::SubmitShard, request_id, p, version);
+  return finish_frame(MsgType::SubmitShard, request_id, p);
 }
 
 DecodeStatus decode(const Frame& f, SubmitShardMsg& out) {
@@ -256,34 +245,19 @@ DecodeStatus decode(const Frame& f, SubmitShardMsg& out) {
   out.sampling_min_frontier = r.u32();
   out.deadline_ms = r.u32();
   out.roots = r.u32s();
-  // v2 append: the budget block. REQUIRED in a v2 frame — a missing or
-  // partial block is Truncated, never silently mistaken for a v1 exact
-  // query — while a v1 frame must stop here (extra bytes seal as
-  // TrailingBytes). Every v1 frame thus decodes with has_budget = 0.
-  if (!r.ok()) return DecodeStatus::Truncated;
-  if (f.version >= 2) {
-    out.has_budget = r.u8();
-    out.accuracy_target = r.f64();
-    out.budget_max_roots = r.u32();
-    out.allow_refinement = r.u8();
-  }
   const DecodeStatus s = seal(r);
   if (s != DecodeStatus::Ok) return s;
-  if (out.has_budget > 1 || out.allow_refinement > 1) return DecodeStatus::BadValue;
-  if (!(out.accuracy_target >= 0.0 && out.accuracy_target <= 1.0)) {
-    return DecodeStatus::BadValue;  // rejects NaN, infinities, negatives
-  }
   if (mode > static_cast<std::uint8_t>(ShardMode::Whole)) return DecodeStatus::BadValue;
   out.mode = static_cast<ShardMode>(mode);
-  if (out.strategy > static_cast<std::uint8_t>(core::Strategy::DirectionOptimized) ||
-      out.halve_undirected > 1 || out.normalize > 1) {
+  const std::optional<core::Strategy> strategy = core::strategy_from_wire(out.strategy);
+  if (!strategy || out.halve_undirected > 1 || out.normalize > 1) {
     return DecodeStatus::BadValue;
   }
+  out.strategy = static_cast<std::uint8_t>(*strategy);  // the retired 2 reads as 1
   return DecodeStatus::Ok;
 }
 
-std::vector<std::uint8_t> encode(const ShardResultMsg& m, std::uint64_t request_id,
-                                 std::uint16_t version) {
+std::vector<std::uint8_t> encode(const ShardResultMsg& m, std::uint64_t request_id) {
   std::vector<std::uint8_t> p;
   Writer w(p);
   w.u32(m.shard_index);
@@ -293,14 +267,7 @@ std::vector<std::uint8_t> encode(const ShardResultMsg& m, std::uint64_t request_
   w.u64(m.roots_processed);
   w.f64(m.compute_ms);
   w.f64s(m.scores);
-  if (version >= 2) {
-    w.u8(m.has_estimate);
-    w.u64(m.est_roots_used);
-    w.f64(m.est_stderr);
-    w.u32(m.est_rung);
-    w.u8(m.est_refining);
-  }
-  return finish_frame(MsgType::ShardResult, request_id, p, version);
+  return finish_frame(MsgType::ShardResult, request_id, p);
 }
 
 DecodeStatus decode(const Frame& f, ShardResultMsg& out) {
@@ -313,19 +280,7 @@ DecodeStatus decode(const Frame& f, ShardResultMsg& out) {
   out.roots_processed = r.u64();
   out.compute_ms = r.f64();
   out.scores = r.f64s();
-  // v2 append: estimate block — required in a v2 frame, forbidden in a
-  // v1 frame (see the SubmitShard decoder for the rule).
-  if (!r.ok()) return DecodeStatus::Truncated;
-  if (f.version >= 2) {
-    out.has_estimate = r.u8();
-    out.est_roots_used = r.u64();
-    out.est_stderr = r.f64();
-    out.est_rung = r.u32();
-    out.est_refining = r.u8();
-  }
   if (out.ok > 1 || out.degraded > 1) return DecodeStatus::BadValue;
-  if (out.has_estimate > 1 || out.est_refining > 1) return DecodeStatus::BadValue;
-  if (!(out.est_stderr >= 0.0)) return DecodeStatus::BadValue;  // rejects NaN
   return seal(r);
 }
 

@@ -198,14 +198,11 @@ class Reader {
 };
 
 inline constexpr std::uint32_t kMagic = 0x4E434248u;  // "HBCN" little-endian
-/// v1: the original fleet protocol. v2 appends accuracy-budget fields to
-/// SubmitShard and estimate fields to ShardResult (required in a v2
-/// frame, forbidden in a v1 frame — the header's version byte decides);
-/// a v1 frame decodes under v2 with the fields at their defaults, so
-/// peers negotiate min(theirs, ours) at Hello and the coordinator keeps
-/// v1 workers on exact-only queries.
-inline constexpr std::uint16_t kProtocolVersion = 2;
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
+/// The one protocol version. v3 dropped v2's accuracy-budget block from
+/// SubmitShard and estimate block from ShardResult: budgets run on the
+/// coordinator, so shards are always exact. Any other version (v1 and v2
+/// included) is BadVersion at the header.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::size_t kHeaderSize = 20;
 /// Payload cap: a hostile length prefix can demand at most 64 MiB.
 inline constexpr std::uint32_t kMaxPayload = 1u << 26;
@@ -243,20 +240,16 @@ enum class DecodeStatus : std::uint8_t {
 
 const char* to_string(DecodeStatus status) noexcept;
 
-/// A decoded frame: type + request id + raw payload bytes. `version` is
-/// the header version the peer stamped (1..kProtocolVersion) — versioned
-/// decoders use it to decide whether appended fields may be present.
+/// A decoded frame: type + request id + raw payload bytes.
 struct Frame {
   MsgType type = MsgType::Error;
-  std::uint16_t version = kProtocolVersion;
   std::uint64_t request_id = 0;
   std::vector<std::uint8_t> payload;
 };
 
 /// Append one whole frame (header + payload) to `out`.
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
-                  std::uint64_t request_id, std::span<const std::uint8_t> payload,
-                  std::uint16_t version = kProtocolVersion);
+                  std::uint64_t request_id, std::span<const std::uint8_t> payload);
 
 /// Try to extract one frame from the head of `in`. Ok sets `frame` and
 /// `consumed` (header + payload bytes to drop from the stream); NeedMore
@@ -342,35 +335,20 @@ struct SubmitShardMsg {
   /// Partial: exactly this shard's roots (ascending standalone order).
   /// Whole: the query's explicit roots (may be empty = all / sampled).
   std::vector<graph::VertexId> roots;
-
-  // --- v2 append: accuracy budget (absent on v1 frames; decode leaves the
-  // defaults, i.e. an inactive budget = exact query). Whole mode only.
-  std::uint8_t has_budget = 0;
-  double accuracy_target = 0.0;  // must be finite, in [0, 1]
-  std::uint32_t budget_max_roots = 0;
-  std::uint8_t allow_refinement = 0;
 };
 
 struct ShardResultMsg {
   std::uint32_t shard_index = 0;
   std::uint8_t ok = 1;
   /// Whole mode: the worker's service degraded the result (substituted
-  /// strategy / partial roots). Partial-mode shards are never accepted
-  /// degraded — the coordinator retries them instead.
+  /// strategy / partial roots). The coordinator never accepts a degraded
+  /// shard — it retries it instead.
   std::uint8_t degraded = 0;
   std::string error;
   std::uint64_t roots_processed = 0;
   double compute_ms = 0.0;
   /// Raw partial (Partial) or finalized (Whole) scores, bit-exact.
   std::vector<double> scores;
-
-  // --- v2 append: what a budgeted (Whole) query actually delivered
-  // (mirrors service::Estimate; absent on v1 frames and exact results).
-  std::uint8_t has_estimate = 0;
-  std::uint64_t est_roots_used = 0;
-  double est_stderr = 0.0;
-  std::uint32_t est_rung = 0;
-  std::uint8_t est_refining = 0;
 };
 
 struct HeartbeatMsg {
@@ -437,14 +415,8 @@ std::vector<std::uint8_t> encode(const HelloMsg& m, std::uint64_t request_id);
 std::vector<std::uint8_t> encode(const HelloAckMsg& m, std::uint64_t request_id);
 std::vector<std::uint8_t> encode(const LoadGraphMsg& m, std::uint64_t request_id);
 std::vector<std::uint8_t> encode(const GraphLoadedMsg& m, std::uint64_t request_id);
-/// Versioned encodes: at version 1 the v2-appended fields are dropped
-/// from the wire image (the budget/estimate simply does not travel —
-/// callers negotiate down before dispatching budgeted work). Default is
-/// the current protocol.
-std::vector<std::uint8_t> encode(const SubmitShardMsg& m, std::uint64_t request_id,
-                                 std::uint16_t version = kProtocolVersion);
-std::vector<std::uint8_t> encode(const ShardResultMsg& m, std::uint64_t request_id,
-                                 std::uint16_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode(const SubmitShardMsg& m, std::uint64_t request_id);
+std::vector<std::uint8_t> encode(const ShardResultMsg& m, std::uint64_t request_id);
 std::vector<std::uint8_t> encode(const HeartbeatMsg& m, std::uint64_t request_id);
 std::vector<std::uint8_t> encode(const HeartbeatAckMsg& m, std::uint64_t request_id);
 std::vector<std::uint8_t> encode(const MutateMsg& m, std::uint64_t request_id);

@@ -282,18 +282,10 @@ void Worker::handle_frame(Conn& conn, const wire::Frame& frame, bool& draining,
       req.graph_id = m.graph_id;
       req.options = options_from_shard(m);
       req.budget.deadline = std::chrono::milliseconds(m.deadline_ms);
-      if (m.has_budget != 0) {
-        // v2 budgeted query (Whole mode): the local service runs its own
-        // progressive controller and reports what it delivered.
-        req.budget.accuracy_target = m.accuracy_target;
-        req.budget.max_roots = m.budget_max_roots;
-        req.budget.allow_refinement = m.allow_refinement != 0;
-      }
       PendingShard p;
       p.request_id = frame.request_id;
       p.shard_index = m.shard_index;
       p.mode = static_cast<std::uint8_t>(m.mode);
-      p.proto = frame.version;
       p.ticket = svc_.submit(std::move(req));
       pending_.push_back(std::move(p));
       return;
@@ -375,13 +367,6 @@ void Worker::poll_tickets(Conn& conn) {
       out.roots_processed = r.result->roots_processed;
       out.compute_ms = r.compute_ms;
       out.scores = r.result->scores;
-      if (r.estimate) {
-        out.has_estimate = 1;
-        out.est_roots_used = r.estimate->roots_used;
-        out.est_stderr = r.estimate->stderr_est;
-        out.est_rung = r.estimate->rung;
-        out.est_refining = r.estimate->refining ? 1 : 0;
-      }
       ++stats_.shards_served;
     } else {
       out.ok = 0;
@@ -392,7 +377,7 @@ void Worker::poll_tickets(Conn& conn) {
       if (r.ok()) ++stats_.shards_refused;
     }
     trace_instant("shard-sent", p.request_id, p.shard_index);
-    conn.send(wire::encode(out, p.request_id, p.proto));
+    conn.send(wire::encode(out, p.request_id));
     pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
   }
 }

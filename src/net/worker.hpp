@@ -131,9 +131,6 @@ class Worker {
     std::uint64_t request_id = 0;
     std::uint32_t shard_index = 0;
     std::uint8_t mode = 0;  // wire::ShardMode
-    /// Wire version of the SubmitShard frame; the result is encoded at
-    /// the same version, so a v1 coordinator never sees v2 bytes.
-    std::uint16_t proto = wire::kProtocolVersion;
     service::Ticket ticket;
   };
 

@@ -192,6 +192,11 @@ void ServiceMetrics::on_refine_rung() {
   ++counts_.refine_rungs;
 }
 
+void ServiceMetrics::on_refine_stratum() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counts_.refine_strata;
+}
+
 void ServiceMetrics::on_refine_dropped() {
   std::lock_guard<std::mutex> lock(mu_);
   ++counts_.refine_dropped;
@@ -236,7 +241,7 @@ std::string format_report(const MetricsSnapshot& s) {
       " cancelled=%llu time_to_cancel_ms mean=%.3f max=%.3f\n"
       "network     reconnects=%llu heartbeat_misses=%llu\n"
       "approx      served=%llu strata=%llu refine_jobs=%llu refine_rungs=%llu"
-      " refine_dropped=%llu entries=%zu bytes=%zu evictions=%llu\n"
+      " refine_strata=%llu refine_dropped=%llu entries=%zu bytes=%zu evictions=%llu\n"
       "dynamic     mutations=%llu updates=%llu noops=%llu refresh_patched=%llu"
       " invalidated=%llu affected_frac mean=%.3f max=%.3f\n"
       "latency_ms  p50=%.3f p90=%.3f p95=%.3f p99=%.3f mean=%.3f max=%.3f"
@@ -270,6 +275,7 @@ std::string format_report(const MetricsSnapshot& s) {
       static_cast<unsigned long long>(s.approx_strata),
       static_cast<unsigned long long>(s.refine_jobs),
       static_cast<unsigned long long>(s.refine_rungs),
+      static_cast<unsigned long long>(s.refine_strata),
       static_cast<unsigned long long>(s.refine_dropped),
       s.approx_entries, s.approx_bytes,
       static_cast<unsigned long long>(s.approx_evictions),

@@ -91,6 +91,7 @@ struct MetricsSnapshot {
   std::uint64_t approx_strata = 0;   // root strata computed (fore+background)
   std::uint64_t refine_jobs = 0;     // background refinement jobs queued
   std::uint64_t refine_rungs = 0;    // rungs completed in the background
+  std::uint64_t refine_strata = 0;   // strata folded in the background
   std::uint64_t refine_dropped = 0;  // refinements dropped: entry invalidated
   std::size_t approx_entries = 0;    // refinable-cache state (assembled by
   std::size_t approx_bytes = 0;      // BcService::metrics())
@@ -179,6 +180,8 @@ class ServiceMetrics {
   void on_refine_queued();
   /// Background refinement completed one rung.
   void on_refine_rung();
+  /// Background refinement folded one stratum.
+  void on_refine_stratum();
   /// A queued refinement was dropped because its entry was invalidated
   /// (mutation/eviction) — the never-resurrect guarantee in action.
   void on_refine_dropped();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -96,11 +97,14 @@ Progress progress(ApproxEntry& entry) {
 
 /// One stratum: take the next stratum's roots, compute them through `run`,
 /// fold the sums, publish once rung 0 is folded, and re-account the entry
-/// in `cache`. Returns the estimate after the fold. Call with the entry
-/// unsaturated; propagates whatever `run` throws (the entry is then
-/// untouched).
-Estimate fold_next_stratum(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
-                           const core::Options& options, const StratumFn& run) {
+/// in `cache`. Returns the estimate after the fold, or nullopt without
+/// folding when `keep_valid` and the entry was invalidated while the
+/// stratum ran. Call with the entry unsaturated; propagates whatever `run`
+/// throws (the entry is then untouched).
+std::optional<Estimate> fold_next_stratum(ApproxCache& cache,
+                                          const std::shared_ptr<ApproxEntry>& entry,
+                                          const core::Options& options,
+                                          const StratumFn& run, bool keep_valid) {
   core::Options stratum = options;
   std::size_t n = 0;
   {
@@ -122,6 +126,7 @@ Estimate fold_next_stratum(ApproxCache& cache, const std::shared_ptr<ApproxEntry
   Estimate after;
   {
     std::lock_guard<std::mutex> lock(entry->mu);
+    if (keep_valid && entry->invalidated) return std::nullopt;
     entry->est.fold(r.scores, stratum_roots);
     entry->accum_seconds += r.seconds;
     if (rung0_done_locked(entry->est)) publish_locked(*entry, options);
@@ -152,7 +157,7 @@ ContractRun advance_contract(ApproxCache& cache, const std::shared_ptr<ApproxEnt
     }
     if (cancelled != util::CancelReason::None) throw util::Cancelled(cancelled);
     try {
-      fold_next_stratum(cache, entry, options, run);
+      fold_next_stratum(cache, entry, options, run, /*keep_valid=*/false);
     } catch (const util::Cancelled& c) {
       if (c.reason() != util::CancelReason::Deadline || !now.rung0_done) throw;
       break;  // the stratum ran out of time: serve what is published
@@ -180,8 +185,20 @@ RefineStep refine_step(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& e
     return step;
   }
   if (contract_met(before.estimate, budget, n)) return step;
+  // Invalidation is checked after the stratum too: one that ran while its
+  // entry was invalidated is dropped, whether it returned or threw.
+  std::optional<Estimate> after;
+  try {
+    after = fold_next_stratum(cache, entry, options, run, /*keep_valid=*/true);
+  } catch (...) {
+    if (!progress(*entry).invalidated) throw;
+  }
+  if (!after) {
+    step.outcome = RefineOutcome::Dropped;
+    return step;
+  }
   step.outcome = RefineOutcome::Folded;
-  step.after = fold_next_stratum(cache, entry, options, run);
+  step.after = *after;
   step.done = contract_met(step.after, budget, n);
   step.new_rung = step.after.rung > before.estimate.rung || step.after.roots_used >= n;
   return step;

@@ -249,7 +249,10 @@ struct RefineStep {
 
 /// One background-refinement step toward `budget`, shared by every
 /// controller (each keeps its own scheduling, metrics and traces).
-/// Propagates whatever `run` throws; the entry then stays valid.
+/// Invalidation is checked before and after the stratum: a stratum whose
+/// entry was invalidated meanwhile is Dropped unfolded, whether `run`
+/// returned or threw. Otherwise propagates whatever `run` throws; the
+/// entry then stays valid.
 RefineStep refine_step(ApproxCache& cache, const std::shared_ptr<ApproxEntry>& entry,
                        const core::Options& options, const QueryBudget& budget,
                        const StratumFn& run);

@@ -30,21 +30,6 @@ Response failed(QueryStatus status, std::string error = {}) {
   return r;
 }
 
-}  // namespace
-
-const char* to_string(QueryStatus status) noexcept {
-  switch (status) {
-    case QueryStatus::Ok: return "ok";
-    case QueryStatus::QueueFull: return "queue-full";
-    case QueryStatus::DeadlineExceeded: return "deadline-exceeded";
-    case QueryStatus::GraphNotFound: return "graph-not-found";
-    case QueryStatus::ServiceStopped: return "service-stopped";
-    case QueryStatus::BadRequest: return "bad-request";
-    case QueryStatus::Failed: return "failed";
-  }
-  return "?";
-}
-
 Response cached_response(std::shared_ptr<const CachedResult> hit) {
   Response r;
   r.status = QueryStatus::Ok;
@@ -53,6 +38,10 @@ Response cached_response(std::shared_ptr<const CachedResult> hit) {
   return r;
 }
 
+/// The exact-cache insert rule: answer `resp` with `result` and keep it
+/// under `key` — unless the answer is degraded (a substitute or partial)
+/// or budgeted (`resp.estimate` set): keyed by the exact options
+/// signature, either would later be served to an exact request.
 void store_result(ResultCache& cache, const std::string& key, core::BCResult result,
                   bool refreshable, Response& resp) {
   if (resp.degraded || resp.estimate) {
@@ -67,21 +56,19 @@ void store_result(ResultCache& cache, const std::string& key, core::BCResult res
   resp.result = std::shared_ptr<const core::BCResult>(cached, &cached->result);
 }
 
-std::shared_ptr<dyn::VersionedGraph> versioned_graph(
-    std::shared_ptr<dyn::VersionedGraph>& slot,
-    std::shared_ptr<const graph::CSRGraph> graph, trace::Tracer* tracer) {
-  if (!slot) slot = std::make_shared<dyn::VersionedGraph>(std::move(graph), tracer);
-  return slot;
-}
+}  // namespace
 
-MutationResult mutation_result(const dyn::CommitResult& commit) {
-  MutationResult out;
-  out.epoch = commit.after.id;
-  out.fingerprint_before = commit.before.fingerprint;
-  out.fingerprint_after = commit.after.fingerprint;
-  out.applied = commit.applied.size();
-  out.noops = commit.noops;
-  return out;
+const char* to_string(QueryStatus status) noexcept {
+  switch (status) {
+    case QueryStatus::Ok: return "ok";
+    case QueryStatus::QueueFull: return "queue-full";
+    case QueryStatus::DeadlineExceeded: return "deadline-exceeded";
+    case QueryStatus::GraphNotFound: return "graph-not-found";
+    case QueryStatus::ServiceStopped: return "service-stopped";
+    case QueryStatus::BadRequest: return "bad-request";
+    case QueryStatus::Failed: return "failed";
+  }
+  return "?";
 }
 
 BcService::BcService(ServiceConfig config)
@@ -207,7 +194,12 @@ MutationResult BcService::mutate_graph(const std::string& id,
     if (it == graphs_.end()) {
       throw std::invalid_argument("mutate_graph: no graph registered as '" + id + "'");
     }
-    vg = versioned_graph(it->second.versioned, it->second.graph, cfg_.tracer);
+    // Created on the first mutation; throws for a directed graph.
+    if (!it->second.versioned) {
+      it->second.versioned =
+          std::make_shared<dyn::VersionedGraph>(it->second.graph, cfg_.tracer);
+    }
+    vg = it->second.versioned;
   }
 
   // Stage + commit outside mu_: the copy-on-write CSR rebuild is O(n + m)
@@ -215,7 +207,12 @@ MutationResult BcService::mutate_graph(const std::string& id,
   // the VersionedGraph's own mutex.
   const dyn::CommitResult cr = vg->apply(batch);
 
-  MutationResult out = mutation_result(cr);
+  MutationResult out;
+  out.epoch = cr.after.id;
+  out.fingerprint_before = cr.before.fingerprint;
+  out.fingerprint_after = cr.after.fingerprint;
+  out.applied = cr.applied.size();
+  out.noops = cr.noops;
   if (cr.applied.empty()) return out;  // all-no-op batch: same epoch
 
   bool fingerprint_shared = false;
@@ -798,49 +795,49 @@ void BcService::refine_loop() {
     }
 
     const util::CancelToken cancel = refine_cancel_.token();
-    {
-      std::unique_lock<std::mutex> work(job.entry->work_mu);
-      const StratumFn run = stratum_runner(*job.graph, cancel);
-      for (;;) {
-        if (cancel.cancelled()) break;
-        // Low priority: foreground queries own the service; refinement
-        // only runs while the admission queue is drained.
-        while (queue_.depth() > 0 && !cancel.cancelled()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        if (cancel.cancelled()) break;
-
-        RefineStep step;
+    const StratumFn run = stratum_runner(*job.graph, cancel);
+    for (bool done = false; !done;) {
+      // Low priority: foreground queries own the service; refinement only
+      // runs while no job is queued or computing.
+      while ((queue_.depth() > 0 || computing_ > 0) && !cancel.cancelled()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      RefineStep step;  // Met and done: cancelled, or a stratum failed
+      if (!cancel.cancelled()) {
         try {
-          trace::ScopedSpan stratum_span(trace_sink(), cfg_.tracer,
-                                         "refine-stratum", trace::kService);
+          std::lock_guard<std::mutex> work(job.entry->work_mu);
+          trace::ScopedSpan stratum_span(trace_sink(), cfg_.tracer, "refine-stratum",
+                                         trace::kService);
           step = refine_step(approx_cache_, job.entry, job.options, job.budget, run);
         } catch (...) {
-          break;  // background work is best-effort; the entry stays valid
+          // background work is best-effort; the entry stays valid
         }
-        if (step.outcome == RefineOutcome::Dropped) {
-          // The never-resurrect guarantee: a mutation or eviction beat
-          // us here, so this estimate must not be advanced or re-served.
-          metrics_.on_refine_dropped();
-          trace_instant("refine-dropped", job.entry->fingerprint);
-        }
-        if (step.new_rung) {
-          metrics_.on_refine_rung();
-          if (cfg_.tracer != nullptr) {
-            if (trace::Sink* sink = trace_sink();
-                sink != nullptr && sink->wants(trace::kService)) {
-              sink->instant("refine-rung", trace::kService, cfg_.tracer->now_ns(),
-                            {{"rung", static_cast<std::uint64_t>(step.after.rung)},
-                             {"roots", static_cast<std::uint64_t>(step.after.roots_used)}});
-            }
+      }
+      done = step.done;
+      if (done) {
+        // Retire before counting the last stratum: whoever sees it counted
+        // also sees Estimate::refining drop.
+        std::lock_guard<std::mutex> lock(job.entry->mu);
+        if (job.entry->refine_pending > 0) --job.entry->refine_pending;
+      }
+      if (step.outcome == RefineOutcome::Folded) metrics_.on_refine_stratum();
+      if (step.outcome == RefineOutcome::Dropped) {
+        // The never-resurrect guarantee: a mutation or eviction beat
+        // us here, so this estimate must not be advanced or re-served.
+        metrics_.on_refine_dropped();
+        trace_instant("refine-dropped", job.entry->fingerprint);
+      }
+      if (step.new_rung) {
+        metrics_.on_refine_rung();
+        if (cfg_.tracer != nullptr) {
+          if (trace::Sink* sink = trace_sink();
+              sink != nullptr && sink->wants(trace::kService)) {
+            sink->instant("refine-rung", trace::kService, cfg_.tracer->now_ns(),
+                          {{"rung", static_cast<std::uint64_t>(step.after.rung)},
+                           {"roots", static_cast<std::uint64_t>(step.after.roots_used)}});
           }
         }
-        if (step.done) break;
       }
-    }
-    {
-      std::lock_guard<std::mutex> lock(job.entry->mu);
-      if (job.entry->refine_pending > 0) --job.entry->refine_pending;
     }
     {
       std::lock_guard<std::mutex> lock(refine_mu_);
@@ -848,6 +845,11 @@ void BcService::refine_loop() {
       if (refine_queue_.empty()) refine_idle_cv_.notify_all();
     }
   }
+}
+
+std::size_t BcService::refine_backlog() const {
+  std::lock_guard<std::mutex> lock(refine_mu_);
+  return refine_queue_.size() + (refine_active_ ? 1 : 0);
 }
 
 void BcService::drain_refinement() {
@@ -861,6 +863,7 @@ void BcService::worker_loop() {
   for (;;) {
     std::optional<Job> job = queue_.pop();
     if (!job) return;
+    ++computing_;
     const std::shared_ptr<Inflight>& entry = job->entry;
     trace::ScopedSpan request_span(trace_sink(), cfg_.tracer, "request",
                                    trace::kService);
@@ -940,6 +943,7 @@ void BcService::worker_loop() {
     }
 
     complete(entry, std::move(resp));
+    --computing_;
   }
 }
 

@@ -132,9 +132,10 @@ struct ServiceConfig {
   /// — every strategy is bitwise-deterministic in the thread count, and
   /// the cache key excludes it.
   std::size_t compute_threads = 1;
-  /// Test hook / strategy override: replaces core::compute for every job.
-  /// Must be thread-safe; default (empty) calls core::compute. Receives
-  /// the job's full Options including `cancel` and any `fault_plan`.
+  /// The executor: replaces core::compute for every job (a test hook, or
+  /// net::Coordinator's fleet). Must be thread-safe; default (empty) calls
+  /// core::compute. Receives the job's full Options including `cancel`
+  /// and any `fault_plan`.
   std::function<core::BCResult(const graph::CSRGraph&, const core::Options&)> compute_fn;
   /// Completion hook: called once per queued request's response, on the
   /// thread that published it (a service worker, or stop() answering jobs
@@ -205,7 +206,8 @@ struct ServiceConfig {
     std::uint32_t base_strata = 2;
     /// Permit background refinement (allow_refinement requests). The
     /// refinement thread starts lazily on the first queued job and runs
-    /// at low priority: it yields whenever foreground work is queued.
+    /// at low priority: it yields whenever foreground work is queued or
+    /// computing.
     bool refinement = true;
   };
   ApproxConfig approx;
@@ -239,32 +241,6 @@ struct MutationResult {
   /// refreshed forward: partial folds cannot be patched across epochs.
   std::size_t approx_invalidated = 0;
 };
-
-// --- Serving decisions shared with net::Coordinator ------------------------
-
-/// The response to an exact-cache hit: Ok, from_cache, and the result
-/// shared with the cache entry.
-Response cached_response(std::shared_ptr<const CachedResult> hit);
-
-/// The exact-cache insert rule: answer `resp` with `result` and keep it
-/// under `key` — unless the answer is degraded (a substitute or partial)
-/// or budgeted (`resp.estimate` set): keyed by the exact options
-/// signature, either would later be served to an exact request.
-/// `refreshable` is the service's call (CachedResult::refreshable); other
-/// callers pass false.
-void store_result(ResultCache& cache, const std::string& key, core::BCResult result,
-                  bool refreshable, Response& resp);
-
-/// The VersionedGraph behind a registered graph, created in `slot` over
-/// `graph` on the first mutation. Throws std::invalid_argument for a
-/// directed graph; nothing changes then.
-std::shared_ptr<dyn::VersionedGraph> versioned_graph(
-    std::shared_ptr<dyn::VersionedGraph>& slot,
-    std::shared_ptr<const graph::CSRGraph> graph, trace::Tracer* tracer);
-
-/// The MutationResult fields a commit alone determines (the cache counts
-/// stay 0 for the caller to fill).
-MutationResult mutation_result(const dyn::CommitResult& commit);
 
 class BcService {
  public:
@@ -337,6 +313,9 @@ class BcService {
   /// in-flight refinement (if any) finished. Immediate when idle.
   void drain_refinement();
 
+  /// Refinement jobs queued or running; never blocks.
+  std::size_t refine_backlog() const;
+
   // -- Query path ---------------------------------------------------------
 
   /// Non-blocking under Reject/Shed; blocks for queue space under Block.
@@ -373,6 +352,10 @@ class BcService {
   /// (residency kind, resident/mapped bytes) — how an operator confirms a
   /// fleet is actually serving a graph mapped rather than from heap.
   std::string metrics_report() const;
+
+  /// The exact result cache, for a host that persists and restores it
+  /// (net::Coordinator's snapshots).
+  ResultCache& result_cache() noexcept { return cache_; }
 
  private:
   struct GraphEntry {
@@ -486,6 +469,8 @@ class BcService {
   bool stopped_ = false;
 
   std::atomic<std::uint64_t> next_id_{1};
+  /// Jobs a worker popped and has not completed; refinement waits for 0.
+  std::atomic<std::size_t> computing_{0};
 
   // Refresher state (all guarded by refresh_mu_ except the pool/thread,
   // which only the ctor and stop() touch).
@@ -501,7 +486,7 @@ class BcService {
   // Background-refinement state (guarded by refine_mu_ except the thread
   // handle, which only enqueue_refinement's lazy start and stop() touch,
   // both under refine_mu_ for the started_ decision).
-  std::mutex refine_mu_;
+  mutable std::mutex refine_mu_;
   std::condition_variable refine_cv_;       // wakes the refinement worker
   std::condition_variable refine_idle_cv_;  // wakes drain_refinement()
   std::deque<RefineJob> refine_queue_;

@@ -103,6 +103,13 @@ class CancelToken {
 
   bool can_cancel() const noexcept { return state_ != nullptr; }
 
+  /// The source's deadline; time_point::max() when it has none (or the
+  /// token is inert).
+  std::chrono::steady_clock::time_point deadline() const noexcept {
+    return state_ && state_->has_deadline ? state_->deadline
+                                          : std::chrono::steady_clock::time_point::max();
+  }
+
  private:
   friend class CancelSource;
   explicit CancelToken(std::shared_ptr<detail::CancelShared> state)

@@ -148,7 +148,7 @@ TEST_P(StorageBackingSweep, BitwiseIdenticalAcrossBackingsAndThreads) {
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, StorageBackingSweep,
     testing::Values(core::Strategy::CpuSerial, core::Strategy::CpuParallel,
-                    core::Strategy::CpuFineGrained, core::Strategy::VertexParallel,
+                    core::Strategy::VertexParallel,
                     core::Strategy::EdgeParallel, core::Strategy::GpuFan,
                     core::Strategy::WorkEfficient, core::Strategy::Hybrid,
                     core::Strategy::Sampling, core::Strategy::DirectionOptimized),

@@ -26,8 +26,7 @@ TEST(Compute, AllStrategiesAgreeOnFigure1) {
   const CSRGraph g = graph::gen::figure1_graph();
   const auto oracle = cpu::brandes(g).bc;
   for (const auto strategy :
-       {Strategy::CpuSerial, Strategy::CpuParallel, Strategy::CpuFineGrained,
-        Strategy::VertexParallel,
+       {Strategy::CpuSerial, Strategy::CpuParallel, Strategy::VertexParallel,
         Strategy::EdgeParallel, Strategy::GpuFan, Strategy::WorkEfficient,
         Strategy::Hybrid, Strategy::Sampling, Strategy::DirectionOptimized}) {
     Options opt;
@@ -147,7 +146,6 @@ TEST(Normalized, TinyGraphsAreZero) {
 
 TEST(StrategyNames, RoundTrip) {
   for (const auto s : {Strategy::CpuSerial, Strategy::CpuParallel,
-                       Strategy::CpuFineGrained,
                        Strategy::VertexParallel, Strategy::EdgeParallel,
                        Strategy::GpuFan, Strategy::WorkEfficient, Strategy::Hybrid,
                        Strategy::Sampling, Strategy::DirectionOptimized}) {
@@ -156,7 +154,7 @@ TEST(StrategyNames, RoundTrip) {
   EXPECT_THROW(core::strategy_from_string("bogus"), std::invalid_argument);
   // Every alias spelling the doc comment promises.
   EXPECT_EQ(core::strategy_from_string("cpu"), Strategy::CpuSerial);
-  EXPECT_EQ(core::strategy_from_string("cpu-fine"), Strategy::CpuFineGrained);
+  EXPECT_EQ(core::strategy_from_string("cpu-fine"), Strategy::CpuParallel);
   EXPECT_EQ(core::strategy_from_string("vertex"), Strategy::VertexParallel);
   EXPECT_EQ(core::strategy_from_string("edge"), Strategy::EdgeParallel);
   EXPECT_EQ(core::strategy_from_string("gpufan"), Strategy::GpuFan);
@@ -210,7 +208,7 @@ TEST(Compute, CpuStrategiesShareBits) {
     base.sample_roots = sample;
     const auto want = core::compute(g, base);
     for (const auto strategy :
-         {Strategy::CpuSerial, Strategy::CpuParallel, Strategy::CpuFineGrained}) {
+         {Strategy::CpuSerial, Strategy::CpuParallel}) {
       for (const std::size_t threads : {0u, 1u, 3u}) {
         SCOPED_TRACE(std::string(core::to_string(strategy)) + " threads " +
                      std::to_string(threads));
@@ -315,7 +313,6 @@ TEST(RootValidation, RejectionDoesNotCountAsInvocation) {
 TEST(Strategy, UsesGpuModelPartition) {
   EXPECT_FALSE(core::uses_gpu_model(Strategy::CpuSerial));
   EXPECT_FALSE(core::uses_gpu_model(Strategy::CpuParallel));
-  EXPECT_FALSE(core::uses_gpu_model(Strategy::CpuFineGrained));
   EXPECT_TRUE(core::uses_gpu_model(Strategy::VertexParallel));
   EXPECT_TRUE(core::uses_gpu_model(Strategy::WorkEfficient));
   EXPECT_TRUE(core::uses_gpu_model(Strategy::Hybrid));

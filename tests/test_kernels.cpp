@@ -177,7 +177,7 @@ TEST(Kernels, RunStrategyRejectsCpuEngines) {
   // never on the simulated device.
   const CSRGraph g = graph::gen::figure1_graph();
   for (const Strategy strategy :
-       {Strategy::CpuSerial, Strategy::CpuParallel, Strategy::CpuFineGrained}) {
+       {Strategy::CpuSerial, Strategy::CpuParallel}) {
     EXPECT_FALSE(kernels::uses_gpu_model(strategy));
     EXPECT_THROW(kernels::run_strategy(strategy, g, small_device_config()),
                  std::invalid_argument);

@@ -682,9 +682,9 @@ TEST(NetDistributed, BudgetedUpgradeThroughFleetIsBitwiseIdenticalToStandalone) 
   EXPECT_EQ(fleet.coordinator->stats().local_fallbacks, 0u);
 }
 
-// CPU strategies route whole: the budget rides the v2 SubmitShard frame
-// to one worker, whose BcService runs the stratified controller and
-// ships the estimate back in the v2 ShardResult.
+// CPU strategies are not block-shardable: the coordinator's service runs
+// the stratified controller and sends each stratum to one worker as an
+// exact Whole shard, so the estimate is the standalone service's.
 TEST(NetDistributed, BudgetedWholeDelegationCarriesEstimate) {
   const auto g = std::make_shared<const graph::CSRGraph>(big_graph());
 

@@ -139,11 +139,11 @@ TEST(NetCodec, StrategyWireValuesAreStable) {
   // make old snapshots and mixed-version fleets run the wrong engine.
   using hbc::core::Strategy;
   const std::pair<Strategy, std::uint8_t> frozen[] = {
-      {Strategy::CpuSerial, 0},      {Strategy::CpuParallel, 1},
-      {Strategy::CpuFineGrained, 2}, {Strategy::VertexParallel, 3},
-      {Strategy::EdgeParallel, 4},   {Strategy::GpuFan, 5},
-      {Strategy::WorkEfficient, 6},  {Strategy::Hybrid, 7},
-      {Strategy::Sampling, 8},       {Strategy::DirectionOptimized, 9},
+      {Strategy::CpuSerial, 0},     {Strategy::CpuParallel, 1},
+      {Strategy::VertexParallel, 3}, {Strategy::EdgeParallel, 4},
+      {Strategy::GpuFan, 5},        {Strategy::WorkEfficient, 6},
+      {Strategy::Hybrid, 7},        {Strategy::Sampling, 8},
+      {Strategy::DirectionOptimized, 9},
   };
   // Payload layout before the strategy byte: graph_id (u32 length +
   // bytes), fingerprint u64, shard_index u32, mode u8.
@@ -169,121 +169,52 @@ TEST(NetCodec, StrategyWireValuesAreStable) {
   ASSERT_EQ(extract(wire::encode(past_end, 1), f), DecodeStatus::Ok);
   wire::SubmitShardMsg out;
   EXPECT_EQ(wire::decode(f, out), DecodeStatus::BadValue);
-}
-
-TEST(NetCodec, SubmitShardBudgetRoundTripV2) {
-  wire::SubmitShardMsg in = sample_shard();
-  in.mode = wire::ShardMode::Whole;
-  in.roots.clear();
-  in.has_budget = 1;
-  in.accuracy_target = 0.05;
-  in.budget_max_roots = 512;
-  in.allow_refinement = 1;
-  Frame f;
-  ASSERT_EQ(extract(wire::encode(in, 21), f), DecodeStatus::Ok);
-  EXPECT_EQ(f.version, 2u);
-  wire::SubmitShardMsg out;
+  // 2 was cpu-fine-grained, which ran as CpuParallel: it still reads so.
+  wire::SubmitShardMsg retired = sample_shard();
+  retired.strategy = 2;
+  ASSERT_EQ(extract(wire::encode(retired, 1), f), DecodeStatus::Ok);
   ASSERT_EQ(wire::decode(f, out), DecodeStatus::Ok);
-  EXPECT_EQ(out.has_budget, 1u);
-  EXPECT_DOUBLE_EQ(out.accuracy_target, 0.05);
-  EXPECT_EQ(out.budget_max_roots, 512u);
-  EXPECT_EQ(out.allow_refinement, 1u);
+  EXPECT_EQ(hbc::net::options_from_shard(out).strategy, Strategy::CpuParallel);
 }
 
-TEST(NetCodec, SubmitShardEncodedAtV1DropsTheBudget) {
-  // Version negotiation: a coordinator talking to a v1 worker encodes at
-  // v1 — the budget block is not written, and a v2 decoder reading the
-  // v1 frame leaves the budget inactive (exact query).
-  wire::SubmitShardMsg in = sample_shard();
-  in.has_budget = 1;
-  in.accuracy_target = 0.25;
-  in.budget_max_roots = 256;
-  const std::vector<std::uint8_t> v1 = wire::encode(in, 22, 1);
-  const std::vector<std::uint8_t> v2 = wire::encode(in, 22, 2);
-  EXPECT_EQ(v2.size(), v1.size() + 14);  // u8 + f64 + u32 + u8
+TEST(NetCodec, ShardFramesRoundTripAtV3) {
+  // One protocol version: every frame carries 3, and the shard messages
+  // end at their last field (no budget or estimate block follows).
+  const wire::SubmitShardMsg shard = sample_shard();
+  const std::vector<std::uint8_t> shard_bytes = wire::encode(shard, 21);
+  EXPECT_EQ(wire::kProtocolVersion, 3u);
+  EXPECT_EQ(shard_bytes[4], 3u);
+  EXPECT_EQ(shard_bytes[5], 0u);
   Frame f;
-  ASSERT_EQ(extract(v1, f), DecodeStatus::Ok);
-  EXPECT_EQ(f.version, 1u);
-  wire::SubmitShardMsg out;
-  ASSERT_EQ(wire::decode(f, out), DecodeStatus::Ok);
-  EXPECT_EQ(out.has_budget, 0u);
-  EXPECT_EQ(out.accuracy_target, 0.0);
-  EXPECT_EQ(out.budget_max_roots, 0u);
+  ASSERT_EQ(extract(shard_bytes, f), DecodeStatus::Ok);
+  wire::SubmitShardMsg shard_out;
+  ASSERT_EQ(wire::decode(f, shard_out), DecodeStatus::Ok);
+  EXPECT_EQ(shard_out.roots, shard.roots);
+
+  wire::ShardResultMsg result;
+  result.shard_index = 1;
+  result.roots_processed = 512;
+  result.scores = {1.0, 2.0};
+  const std::vector<std::uint8_t> result_bytes = wire::encode(result, 26);
+  EXPECT_EQ(result_bytes[4], 3u);
+  ASSERT_EQ(extract(result_bytes, f), DecodeStatus::Ok);
+  wire::ShardResultMsg result_out;
+  ASSERT_EQ(wire::decode(f, result_out), DecodeStatus::Ok);
+  EXPECT_EQ(result_out.roots_processed, 512u);
+  EXPECT_EQ(result_out.scores, result.scores);
 }
 
-TEST(NetCodec, MalformedBudgetBytesAreBadValue) {
-  wire::SubmitShardMsg in = sample_shard();
-  in.has_budget = 1;
-
-  const auto decode_with_target = [&](double target) {
-    wire::SubmitShardMsg m = in;
-    m.accuracy_target = target;
-    Frame f;
-    EXPECT_EQ(extract(wire::encode(m, 23), f), DecodeStatus::Ok);
-    wire::SubmitShardMsg out;
-    return wire::decode(f, out);
-  };
-  EXPECT_EQ(decode_with_target(std::numeric_limits<double>::quiet_NaN()),
-            DecodeStatus::BadValue);
-  EXPECT_EQ(decode_with_target(std::numeric_limits<double>::infinity()),
-            DecodeStatus::BadValue);
-  EXPECT_EQ(decode_with_target(-0.25), DecodeStatus::BadValue);
-  EXPECT_EQ(decode_with_target(1.5), DecodeStatus::BadValue);
-  EXPECT_EQ(decode_with_target(1.0), DecodeStatus::Ok);
-
-  // Non-boolean flag bytes are out of domain.
-  wire::SubmitShardMsg flags = in;
-  flags.has_budget = 2;
-  Frame f;
-  ASSERT_EQ(extract(wire::encode(flags, 24), f), DecodeStatus::Ok);
-  wire::SubmitShardMsg out;
-  EXPECT_EQ(wire::decode(f, out), DecodeStatus::BadValue);
-
-  // A v2 frame truncated mid-budget is Truncated, never silently v1.
-  std::vector<std::uint8_t> bytes = wire::encode(in, 25);
-  bytes.resize(bytes.size() - 6);
-  const std::uint32_t new_len =
-      static_cast<std::uint32_t>(bytes.size() - wire::kHeaderSize);
-  bytes[16] = static_cast<std::uint8_t>(new_len);
-  bytes[17] = static_cast<std::uint8_t>(new_len >> 8);
-  bytes[18] = static_cast<std::uint8_t>(new_len >> 16);
-  bytes[19] = static_cast<std::uint8_t>(new_len >> 24);
-  ASSERT_EQ(extract(bytes, f), DecodeStatus::Ok);
-  EXPECT_EQ(wire::decode(f, out), DecodeStatus::Truncated);
-}
-
-TEST(NetCodec, ShardResultEstimateRoundTripV2) {
-  wire::ShardResultMsg in;
-  in.shard_index = 1;
-  in.ok = 1;
-  in.roots_processed = 512;
-  in.scores = {1.0, 2.0};
-  in.has_estimate = 1;
-  in.est_roots_used = 512;
-  in.est_stderr = 0.014;
-  in.est_rung = 1;
-  in.est_refining = 1;
-  Frame f;
-  ASSERT_EQ(extract(wire::encode(in, 26), f), DecodeStatus::Ok);
-  wire::ShardResultMsg out;
-  ASSERT_EQ(wire::decode(f, out), DecodeStatus::Ok);
-  EXPECT_EQ(out.has_estimate, 1u);
-  EXPECT_EQ(out.est_roots_used, 512u);
-  EXPECT_DOUBLE_EQ(out.est_stderr, 0.014);
-  EXPECT_EQ(out.est_rung, 1u);
-  EXPECT_EQ(out.est_refining, 1u);
-
-  // v1 encoding omits the estimate; the decoder leaves the defaults.
-  ASSERT_EQ(extract(wire::encode(in, 27, 1), f), DecodeStatus::Ok);
-  wire::ShardResultMsg v1;
-  ASSERT_EQ(wire::decode(f, v1), DecodeStatus::Ok);
-  EXPECT_EQ(v1.has_estimate, 0u);
-
-  // A negative (or NaN) stderr is out of domain.
-  wire::ShardResultMsg bad = in;
-  bad.est_stderr = -1.0;
-  ASSERT_EQ(extract(wire::encode(bad, 28), f), DecodeStatus::Ok);
-  EXPECT_EQ(wire::decode(f, out), DecodeStatus::BadValue);
+TEST(NetCodec, OlderProtocolVersionsAreBadVersion) {
+  // v1 and v2 peers are refused at the header, before any payload is read.
+  for (const std::uint8_t old : {1, 2}) {
+    for (std::vector<std::uint8_t> bytes :
+         {wire::encode(sample_shard(), 22), wire::encode(wire::ShardResultMsg{}, 23),
+          wire::encode(wire::HelloMsg{}, 24)}) {
+      bytes[4] = old;
+      Frame f;
+      EXPECT_EQ(extract(bytes, f), DecodeStatus::BadVersion) << int{old};
+    }
+  }
 }
 
 TEST(NetCodec, ShardResultScoresAreBitExact) {
@@ -496,9 +427,8 @@ TEST(NetCodec, OversizeLengthPrefixIsRejectedWithoutAllocation) {
 TEST(NetCodec, HostileArrayCountIsValidatedBeforeAllocating) {
   // A ShardResult whose score *count* claims 2^29 doubles but whose
   // payload holds none: the decoder must fail typed, not allocate 4 GiB.
-  // Encode at v1, where the u32 count of the empty scores array is the
-  // payload's last 4 bytes (v2 appends the estimate block after it).
-  std::vector<std::uint8_t> bytes = wire::encode(wire::ShardResultMsg{}, 14, 1);
+  // The u32 count of the empty scores array is the payload's last 4 bytes.
+  std::vector<std::uint8_t> bytes = wire::encode(wire::ShardResultMsg{}, 14);
   ASSERT_GE(bytes.size(), 4u);
   bytes[bytes.size() - 4] = 0x00;
   bytes[bytes.size() - 3] = 0x00;
@@ -618,17 +548,6 @@ TEST(NetCodec, MutationFuzzNeverCrashesAndStatusesAreTyped) {
     wire::ShardResultMsg m;
     m.scores = {1.0, 2.0, 3.0, 4.0};
     corpus.push_back(wire::encode(m, 4));
-  }
-  // Both protocol versions of the versioned messages: the mutations must
-  // exercise the v1 (no trailing block) and v2 (required block) decoders.
-  corpus.push_back(wire::encode(sample_shard(), 9, 1));
-  {
-    wire::ShardResultMsg m;
-    m.scores = {5.0, 6.0};
-    m.has_estimate = 1;
-    m.est_roots_used = 256;
-    corpus.push_back(wire::encode(m, 10, 1));
-    corpus.push_back(wire::encode(m, 11, 2));
   }
   corpus.push_back(wire::encode(wire::ErrorMsg{1, "x"}, 5));
   corpus.push_back(wire::encode(wire::HeartbeatMsg{99, 2}, 6));

@@ -288,6 +288,9 @@ TEST(ProgressiveService, MutationInvalidatesAndRefinementNeverResurrects) {
   svc.drain_refinement();
   EXPECT_EQ(svc.metrics().refine_dropped, 1u);
   EXPECT_EQ(svc.metrics().refine_rungs, 0u);
+  // The stratum that was running when the mutation landed is dropped too:
+  // no background stratum folds into the invalidated estimate.
+  EXPECT_EQ(svc.metrics().refine_strata, 0u);
 
   // The invalidated estimate must never be served again: the same
   // contract on the mutated graph computes a fresh rung 0.

@@ -347,8 +347,7 @@ TEST(CancelTest, PreCancelledTokenStopsEveryEngine) {
   EXPECT_THROW(kernels::run_strategy(kernels::Strategy::WorkEfficient, g, kc),
                util::Cancelled);
 
-  for (const core::Strategy s : {core::Strategy::CpuSerial, core::Strategy::CpuParallel,
-                                 core::Strategy::CpuFineGrained}) {
+  for (const core::Strategy s : {core::Strategy::CpuSerial, core::Strategy::CpuParallel}) {
     core::Options o;
     o.strategy = s;
     o.resilience.cancel = src.token();

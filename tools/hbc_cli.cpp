@@ -3,9 +3,10 @@
 //   hbc [options] <graph-file | gen:<family>:<scale>[:<seed>]>
 //
 // Options:
-//   --strategy NAME   cpu | cpu-fine | cpu-parallel | vertex | edge | gpufan |
+//   --strategy NAME   cpu | cpu-parallel | vertex | edge | gpufan |
 //                     work-efficient | hybrid | sampling | diropt
-//                     (default: sampling — the paper's best overall)
+//                     (default: sampling — the paper's best overall;
+//                     cpu-fine is another name for cpu-parallel)
 //   --roots K         approximate BC from K sampled roots (default: exact)
 //   --top K           print the K most central vertices (default 10)
 //   --normalize       divide scores by (n-1)(n-2)
@@ -17,8 +18,8 @@
 //                     can be compared with cmp/memcmp (the CI out-of-core
 //                     job checks mapped vs heap backings this way)
 //   --seed S          RNG seed for root sampling (default 42)
-//   --threads N       host worker threads. cpu-parallel and cpu-fine split
-//                     the roots across threads; GPU-model strategies
+//   --threads N       host worker threads. cpu-parallel splits the roots
+//                     across threads; GPU-model strategies
 //                     execute simulated blocks concurrently. Scores are the
 //                     same bits at any thread count (default 0 = hardware
 //                     concurrency)

@@ -584,9 +584,9 @@ int run_coordinator(const ServeArgs& args, trace::Tracer& tracer) {
     replay(all.subspan(mid));
   }
   if (args.budget.allow_refinement) {
-    // The coordinator has no background thread: pump the loop until the
-    // refinement queue drains so the metrics (and trace) show the full
-    // ladder, not just rung 0.
+    // Background strata run on the fleet only while this thread pumps:
+    // pump until the refinement queue drains so the metrics (and trace)
+    // show the full ladder, not just rung 0.
     while (coord->refine_backlog() > 0) {
       coord->run_for(std::chrono::milliseconds(20));
     }
