@@ -21,6 +21,14 @@
 // so the pair is the A/B of the direction-optimizing forward stage:
 //
 //   taskset -c 2 ./build/bench/bench_micro --benchmark_filter=CpuBrandesForward --benchmark_enable_random_interleaving=true
+//
+// BM_ExactFold/<op>_<family>/<scale> is the layer fixture for block
+// reduction and finalize: `per_element` seconds of util::ExactSum::add over the
+// dependency vectors of 8 real roots (every vertex of each), of the plain
+// double add it replaced over the same vectors, and of to_doubles (per
+// vertex):
+//
+//   taskset -c 2 ./build/bench/bench_micro --benchmark_filter=ExactFold
 
 #include <benchmark/benchmark.h>
 
@@ -39,6 +47,7 @@
 #include "graph/storage/compressed.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/bc_state.hpp"
+#include "util/exact_sum.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -91,12 +100,12 @@ const graph::CSRGraph& backed_graph(const std::string& family, std::uint32_t sca
 
 void BM_BrandesSingleSource(benchmark::State& state, const char* family, Backing backing) {
   const auto& g = backed_graph(family, static_cast<std::uint32_t>(state.range(0)), backing);
-  std::vector<double> bc(g.num_vertices(), 0.0);
+  util::ExactSum bc(g.num_vertices());
   cpu::BrandesWorkspace ws;
   graph::VertexId root = 0;
   for (auto _ : state) {
     cpu::brandes_single_source(g, root, ws, bc);
-    benchmark::DoNotOptimize(bc.data());
+    benchmark::DoNotOptimize(bc.cells().data());
     root = (root + 1) % g.num_vertices();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -211,6 +220,53 @@ void BM_CpuBrandesForward(benchmark::State& state, const char* family, bool undi
   }
   state.counters["per_root"] = benchmark::Counter(
       kRoots, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+enum class Fold { kExactAdd, kDoubleAdd, kToDoubles };
+
+void BM_ExactFold(benchmark::State& state, const char* family, Fold fold) {
+  constexpr std::size_t kRoots = 8;
+  const auto& g = cached_graph(family, static_cast<std::uint32_t>(state.range(0)));
+  const graph::VertexId n = g.num_vertices();
+  std::vector<std::vector<double>> deltas;
+  util::Xoshiro256 rng(5);
+  while (deltas.size() < kRoots) {
+    const auto v = static_cast<graph::VertexId>(rng.next_below(n));
+    if (g.degree(v) > 0) deltas.push_back(cpu::single_source_dependencies(g, v));
+  }
+  util::ExactSum sum(n);
+  for (const std::vector<double>& d : deltas) {
+    for (graph::VertexId v = 0; v < n; ++v) sum.add(v, d[v]);
+  }
+  std::vector<double> plain(n, 0.0);
+  std::size_t elements = n;
+  for (auto _ : state) {
+    switch (fold) {
+      case Fold::kExactAdd:
+        for (const std::vector<double>& d : deltas) {
+          for (graph::VertexId v = 0; v < n; ++v) sum.add(v, d[v]);
+        }
+        benchmark::DoNotOptimize(sum.cells().data());
+        elements = kRoots * n;
+        break;
+      case Fold::kDoubleAdd:
+        for (const std::vector<double>& d : deltas) {
+          for (graph::VertexId v = 0; v < n; ++v) plain[v] += d[v];
+        }
+        benchmark::DoNotOptimize(plain.data());
+        elements = kRoots * n;
+        break;
+      case Fold::kToDoubles: {
+        const std::vector<double> out = sum.to_doubles();
+        benchmark::DoNotOptimize(out.data());
+        break;
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_element"] = benchmark::Counter(
+      static_cast<double>(elements),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 
 // Best of 10 short repetitions: the host is usually shared, and the
@@ -360,6 +416,17 @@ BENCHMARK_CAPTURE(BM_CpuBrandesForward, undirected_smallworld, "smallworld", tru
 BENCHMARK_CAPTURE(BM_CpuBrandesForward, directed_flag_smallworld, "smallworld", false)
     ->Apply(host_cost_args)
     ->Arg(14);
+
+BENCHMARK_CAPTURE(BM_ExactFold, add_kron, "kron", Fold::kExactAdd)
+    ->Arg(14)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ExactFold, add_road, "road", Fold::kExactAdd)
+    ->Arg(14)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ExactFold, double_add_kron, "kron", Fold::kDoubleAdd)
+    ->Arg(14)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ExactFold, double_add_road, "road", Fold::kDoubleAdd)
+    ->Arg(14)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ExactFold, to_doubles_kron, "kron", Fold::kToDoubles)
+    ->Arg(14)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_CAPTURE(BM_WeightedBrandesSingleSource, smallworld, "smallworld")
     ->Arg(12)

@@ -16,7 +16,7 @@
 // A RefinableEstimate folds per-stratum UNSCALED dependency sums
 // elementwise in ascending stratum order. Because the fold order is
 // fixed and each stratum's scores are themselves bitwise-deterministic
-// (BlockDriver's fixed-order block reduction), upgrading a cached
+// (every engine adds a stratum's dependencies exactly), upgrading a cached
 // 256-root estimate to 512 roots by folding strata 2..3 produces bits
 // identical to a from-scratch 512-root budgeted run — at every thread
 // count, on every engine with deterministic per-stratum output.

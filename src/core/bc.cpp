@@ -46,11 +46,6 @@ std::string options_signature(const Options& o) {
   s << ";hybrid=" << o.hybrid.alpha << ',' << o.hybrid.beta;
   s << ";sampling=" << o.sampling.n_samps << ',' << o.sampling.gamma << ','
     << o.sampling.min_frontier;
-  // grid_blocks is appended only when set so the signature bytes of every
-  // pre-existing Options value are unchanged (cache keys stay compatible).
-  if (o.grid_blocks != 0 && uses_gpu_model(o.strategy)) {
-    s << ";grid_blocks=" << o.grid_blocks;
-  }
   s << ";roots=";
   for (const VertexId v : o.roots) s << v << ',';
   // A fully-recovered fault-injected run is bitwise-identical to a clean
@@ -153,6 +148,7 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
                                               .num_threads = threads,
                                               .cancel = options.resilience.cancel});
       result.scores = std::move(r.bc);
+      result.sums = std::move(r.sums);
       result.roots_processed = r.roots_processed;
       result.time_seconds = wall.elapsed_seconds();
       break;
@@ -165,7 +161,6 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
       rc.sampling = options.sampling;
       rc.collect_per_root_stats = options.collect_per_root_stats;
       rc.cpu_threads = options.cpu_threads;
-      rc.grid_blocks = options.grid_blocks;
       rc.fault_plan = options.resilience.fault_plan;
       rc.cancel = options.resilience.cancel;
       rc.max_root_attempts = options.resilience.max_root_attempts;
@@ -173,6 +168,7 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
       rc.tracer = tracer;
       kernels::RunResult r = kernels::run_strategy(options.strategy, g, rc);
       result.scores = std::move(r.bc);
+      result.sums = std::move(r.sums);
       result.roots_processed = r.metrics.counters.roots_processed;
       result.time_seconds = r.metrics.sim_seconds;
       result.kernel_metrics = std::move(r.metrics);

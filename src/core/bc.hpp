@@ -25,6 +25,7 @@
 #include "kernels/kernels.hpp"
 #include "trace/trace.hpp"
 #include "util/cancel.hpp"
+#include "util/exact_sum.hpp"
 
 namespace hbc::core {
 
@@ -41,8 +42,9 @@ struct Options {
 
   /// Explicit root set. Empty = exact BC (all vertices as sources).
   /// compute() validates the list (validate_roots): a root >= n or a
-  /// duplicate root throws std::invalid_argument. Order is significant —
-  /// it fixes the floating-point association of the accumulation.
+  /// duplicate root throws std::invalid_argument. The scores depend only
+  /// on the set (every engine adds dependencies exactly); the order deals
+  /// roots onto simulated blocks, so GPU-model metrics depend on it.
   std::vector<graph::VertexId> roots;
 
   /// Approximate BC with k sampled roots (Bader et al. style): when > 0
@@ -66,15 +68,6 @@ struct Options {
   /// counters and simulated-cycle metrics are bitwise-identical for every
   /// value. 0 = hardware concurrency.
   std::size_t cpu_threads = 0;
-
-  /// GPU-model strategies only: override the simulated grid size (number
-  /// of blocks). 0 = strategy default (device.num_sms; GPU-FAN forces 1).
-  /// Changing the block count changes how roots deal round-robin onto
-  /// blocks and therefore the floating-point association of the reduction,
-  /// so a nonzero value fragments options_signature. hbc::net shards a
-  /// query at block granularity with grid_blocks=1 sub-runs and reduces
-  /// the partials in block order, reproducing the default grid bitwise.
-  std::uint32_t grid_blocks = 0;
 
   bool collect_per_root_stats = false;
 
@@ -112,6 +105,11 @@ struct Options {
 
 struct BCResult {
   std::vector<double> scores;
+  /// The exact raw dependency sums `scores` were finalized from
+  /// (util::ExactSum): what a fleet coordinator merges across root shards
+  /// before it finalizes. compute() fills it; service::BcService drops it
+  /// from the answers it computes with core::compute.
+  util::ExactSum sums;
   Strategy strategy = Strategy::Sampling;
   std::uint64_t roots_processed = 0;
   bool approximate = false;
@@ -180,13 +178,14 @@ std::vector<graph::VertexId> sample_roots(graph::VertexId n, std::uint32_t k,
 /// keys its result cache on graph fingerprint + this signature).
 ///
 /// Canonicalization rules:
-///  * `roots` is serialized verbatim, NOT sorted: root order changes the
-///    floating-point association of the per-root accumulation, so two
-///    permutations of the same root set are distinct cache entries.
-///  * `cpu_threads` is excluded for every strategy: the CPU engine adds
-///    each root's dependencies in root order and kernels::BlockDriver
-///    reduces blocks in a fixed order, so scores and simulated metrics are
-///    bitwise-identical at every thread count (a hit computed at any
+///  * `roots` is serialized verbatim, NOT sorted: root order deals roots
+///    onto simulated blocks, so two permutations of the same root set
+///    have equal scores but may have different GPU-model metrics, and are
+///    distinct cache entries.
+///  * `cpu_threads` is excluded for every strategy: every engine adds
+///    dependencies exactly (util::ExactSum) and kernels::BlockDriver
+///    merges its ledgers in a fixed order, so scores and simulated metrics
+///    are bitwise-identical at every thread count (a hit computed at any
 ///    thread count is bit-identical to a fresh compute at any other).
 ///  * `collect_per_root_stats` is excluded: it only adds diagnostics.
 std::string options_signature(const Options& options);

@@ -1,7 +1,7 @@
 #include "cpu/brandes.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <exception>
 #include <iterator>
 #include <mutex>
@@ -55,16 +55,10 @@ bool bottom_up_eligible(const CSRGraph& g) {
 }
 
 void brandes_single_source(const CSRGraph& g, VertexId s, BrandesWorkspace& ws,
-                           std::span<double> bc, BrandesResult* stats, bool bottom_up) {
+                           util::ExactSum& bc, BrandesResult* stats, bool bottom_up) {
   run_kernel(g, s, ws, bottom_up, stats, [&](VertexId w, double dsw) {
-    if (w != s) bc[w] += dsw;
+    if (w != s) bc.add(w, dsw);
   });
-}
-
-void brandes_single_source(const CSRGraph& g, VertexId s, std::span<double> bc,
-                           BrandesResult* stats) {
-  BrandesWorkspace ws;
-  brandes_single_source(g, s, ws, bc, stats);
 }
 
 void single_source_dependencies(const CSRGraph& g, VertexId s, BrandesWorkspace& ws,
@@ -91,98 +85,6 @@ std::size_t brandes_threads(std::size_t requested, std::size_t roots,
 
 namespace {
 
-void add_terms(const RootTerms& terms, std::span<double> sum) {
-  for (std::size_t k = 0; k < terms.vertices.size(); ++k) {
-    sum[terms.vertices[k]] += terms.values[k];
-  }
-}
-
-// The shared state of sum_roots_in_order's workers. Root i owns slot
-// i % slots_.size() from its claim until it is folded; a claim waits while
-// root i - slots_.size() is not folded yet. The worker holding the oldest
-// unfolded root never waits, so the ring always drains.
-class OrderedRing {
- public:
-  OrderedRing(std::size_t count, std::size_t slots, std::span<double> sum,
-              const util::CancelToken& cancel)
-      : count_(count), slots_(slots), sum_(sum), cancel_(cancel) {
-    // Room for one term per vertex, reserved on the calling thread: slots
-    // the workers grew would sit in their own malloc arenas after the call
-    // (3 MiB more peak RSS over the sweep's cpu-parallel jobs).
-    for (Slot& slot : slots_) {
-      slot.terms.vertices.reserve(sum.size());
-      slot.terms.values.reserve(sum.size());
-    }
-  }
-
-  void run(std::size_t worker, const RootWork& work) {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (!stop_ && cancel_.cancelled()) halt(nullptr);
-      if (stop_ || next_ == count_) return;
-      const std::size_t i = next_++;
-      room_.wait(lock, [&] { return stop_ || i < folded_ + slots_.size(); });
-      if (stop_) return;
-      Slot& slot = slots_[i % slots_.size()];
-      lock.unlock();
-      try {
-        work(i, worker, slot.terms);
-      } catch (...) {
-        lock.lock();
-        halt(std::current_exception());
-        return;
-      }
-      lock.lock();
-      slot.ready = true;
-      if (folding_) continue;  // the active folder reaches this slot in turn
-      folding_ = true;
-      while (!stop_ && slots_[folded_ % slots_.size()].ready) {
-        Slot& next = slots_[folded_ % slots_.size()];
-        lock.unlock();
-        add_terms(next.terms, sum_);
-        next.terms.clear();
-        lock.lock();
-        next.ready = false;
-        ++folded_;
-        room_.notify_all();
-      }
-      folding_ = false;
-    }
-  }
-
-  /// After every worker returned: rethrows a work exception, else throws
-  /// util::Cancelled if the run stopped early.
-  void rethrow() const {
-    if (error_) std::rethrow_exception(error_);
-    if (stop_) cancel_.check();
-  }
-
- private:
-  // A line of its own: workers append to different slots at once.
-  struct alignas(64) Slot {
-    RootTerms terms;
-    bool ready = false;
-  };
-
-  void halt(std::exception_ptr error) {
-    if (!error_) error_ = error;
-    stop_ = true;
-    room_.notify_all();
-  }
-
-  const std::size_t count_;
-  std::vector<Slot> slots_;
-  const std::span<double> sum_;
-  const util::CancelToken& cancel_;
-  std::mutex mu_;
-  std::condition_variable room_;
-  std::size_t next_ = 0;    // next root to claim
-  std::size_t folded_ = 0;  // roots [0, folded_) are in sum_
-  bool folding_ = false;
-  bool stop_ = false;
-  std::exception_ptr error_;
-};
-
 // The valid sources in order (all vertices when none are given).
 std::vector<VertexId> valid_roots(VertexId n, const std::vector<VertexId>& sources) {
   std::vector<VertexId> roots;
@@ -198,63 +100,76 @@ std::vector<VertexId> valid_roots(VertexId n, const std::vector<VertexId>& sourc
 
 BrandesResult run_roots(const CSRGraph& g, const std::vector<VertexId>& roots,
                         const util::CancelToken& cancel, util::ThreadPool* pool) {
-  BrandesResult result;
-  result.bc.assign(g.num_vertices(), 0.0);
-  result.roots_processed = roots.size();
   const bool bottom_up = bottom_up_eligible(g);
   const std::size_t workers =
-      pool == nullptr ? 1 : std::min(pool->thread_count(), roots.size());
-  if (workers <= 1) {
-    BrandesWorkspace ws;
-    for (const VertexId s : roots) {
-      cancel.check();
-      brandes_single_source(g, s, ws, result.bc, &result, bottom_up);
-    }
-    return result;
-  }
-  // Lines of their own: the kernel appends to its workspace's vectors.
+      pool == nullptr ? 1 : std::max<std::size_t>(1, std::min(pool->thread_count(), roots.size()));
+  // Lines of their own: the kernel appends to its workspace's vectors. The
+  // sums are allocated here, on the calling thread: grown by the workers
+  // they would stay in the workers' malloc arenas after the call.
   struct alignas(64) Worker {
     BrandesWorkspace ws;
-    BrandesResult stats;
+    BrandesResult part;
   };
   std::vector<Worker> state(workers);
-  const RootWork work = [&](std::size_t i, std::size_t w, RootTerms& out) {
-    const VertexId s = roots[i];
-    run_kernel(g, s, state[w].ws, bottom_up, &state[w].stats, [&](VertexId v, double dsv) {
-      if (v != s) out.add(v, dsv);
-    });
-  };
-  sum_roots_in_order(roots.size(), pool, result.bc, cancel, work);
+  for (Worker& w : state) w.part.sums = util::ExactSum(g.num_vertices());
+  for_each_root(roots.size(), pool, cancel,
+                [&](std::size_t i, std::size_t w) {
+                  brandes_single_source(g, roots[i], state[w].ws, state[w].part.sums,
+                                        &state[w].part, bottom_up);
+                });
   // Integer sums and a max: the same in any order.
-  for (const Worker& st : state) {
-    result.edges_traversed += st.stats.edges_traversed;
-    result.max_depth_seen = std::max(result.max_depth_seen, st.stats.max_depth_seen);
-    result.bottom_up_levels += st.stats.bottom_up_levels;
+  BrandesResult result = std::move(state.front().part);
+  for (std::size_t w = 1; w < workers; ++w) {
+    const BrandesResult& part = state[w].part;
+    result.sums.merge(part.sums);
+    result.edges_traversed += part.edges_traversed;
+    result.max_depth_seen = std::max(result.max_depth_seen, part.max_depth_seen);
+    result.bottom_up_levels += part.bottom_up_levels;
   }
+  result.roots_processed = roots.size();
+  result.bc = result.sums.to_doubles();
   return result;
 }
 
 }  // namespace
 
-void sum_roots_in_order(std::size_t count, util::ThreadPool* pool, std::span<double> sum,
-                        const util::CancelToken& cancel, const RootWork& work) {
+void for_each_root(std::size_t count, util::ThreadPool* pool, const util::CancelToken& cancel,
+                   const std::function<void(std::size_t i, std::size_t worker)>& work) {
   const std::size_t workers = pool == nullptr ? 1 : std::min(pool->thread_count(), count);
   if (workers <= 1) {
-    RootTerms terms;
     for (std::size_t i = 0; i < count; ++i) {
       cancel.check();
-      work(i, 0, terms);
-      add_terms(terms, sum);
-      terms.clear();
+      work(i, 0);
     }
     return;
   }
-  OrderedRing ring(count, 2 * workers, sum, cancel);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> stop{false};
+  std::mutex error_mu;
+  std::exception_ptr error;
   for (std::size_t w = 0; w < workers; ++w) {
-    pool->submit([&ring, &work, w] { ring.run(w, work); });
+    pool->submit([&, w] {
+      while (!stop) {
+        if (cancel.cancelled()) {
+          stop = true;
+          return;
+        }
+        const std::size_t i = next++;
+        if (i >= count) return;
+        try {
+          work(i, w);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (!error) error = std::current_exception();
+          stop = true;
+          return;
+        }
+      }
+    });
   }
   pool->wait_idle();
-  ring.rethrow();
+  if (error) std::rethrow_exception(error);
+  if (stop) cancel.check();
 }
 
 BrandesResult brandes(const CSRGraph& g, const BrandesOptions& options) {

@@ -4,9 +4,10 @@
 // kernel is validated against, and the per-node CPU baseline.
 //
 // Threads split the roots, never one root: the paper's one-root-per-SM
-// mapping. Each root's dependencies are added into the scores in root
-// order (sum_roots_in_order), so every thread count gives the bits of the
-// plain serial loop.
+// mapping. Each worker adds its roots' dependencies into its own
+// util::ExactSum (64.64 fixed point, exact and associative) and the sums
+// are merged at the end, so every thread count and every claim order
+// gives the same bits.
 //
 // Matches the paper's conventions: unweighted BFS shortest paths, the
 // successor form of the dependency accumulation, and no halving — for an
@@ -22,6 +23,7 @@
 
 #include "graph/csr.hpp"
 #include "util/cancel.hpp"
+#include "util/exact_sum.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hbc::cpu {
@@ -40,7 +42,9 @@ struct BrandesOptions {
 };
 
 struct BrandesResult {
-  std::vector<double> bc;
+  std::vector<double> bc;  // sums.to_doubles()
+  /// The exact sum of every processed root's dependencies.
+  util::ExactSum sums;
   std::uint64_t roots_processed = 0;
   std::uint64_t edges_traversed = 0;  // useful traversals (forward stage)
   std::uint32_t max_depth_seen = 0;
@@ -128,49 +132,23 @@ BrandesResult brandes(const graph::CSRGraph& g, const BrandesOptions& options = 
 BrandesResult brandes(const graph::CSRGraph& g, const BrandesOptions& options,
                       util::ThreadPool& pool);
 
-/// One root's part of an ordered sum: the (vertex, value) pairs to add, in
-/// the order they are added. 12 bytes a pair.
-struct RootTerms {
-  std::vector<graph::VertexId> vertices;
-  std::vector<double> values;
-
-  void add(graph::VertexId v, double x) {
-    vertices.push_back(v);
-    values.push_back(x);
-  }
-  void clear() {
-    vertices.clear();
-    values.clear();
-  }
-};
-
-/// work(i, worker, out) appends root i's terms to `out` (empty on entry);
-/// `worker` < the pool's thread count names the caller's per-thread state.
-using RootWork = std::function<void(std::size_t i, std::size_t worker, RootTerms& out)>;
-
-/// The root loop of every multi-root CPU path: runs work for i in
-/// [0, count) and adds each root's terms into `sum` in ascending i, so the
-/// result is the plain loop's to the bit at any thread count. Workers
-/// claim the next index and leave their terms in a ring of 2 x threads
-/// slots; whichever finishes the next root in order folds every ready
-/// slot, in order. A worker waits only while the ring is full. With no
+/// The root loop of every multi-root CPU path: runs work(i, worker) for
+/// every i in [0, count), each worker claiming the next index; `worker` <
+/// the pool's thread count names the caller's per-thread state. With no
 /// pool, or one thread, it is the plain loop on the calling thread.
 /// `cancel` is polled before each root; the first worker to see it, or an
-/// exception from `work`, stops the run and wakes the waiting workers.
-/// Either is rethrown on the calling thread, with `sum` partly added.
-void sum_roots_in_order(std::size_t count, util::ThreadPool* pool, std::span<double> sum,
-                        const util::CancelToken& cancel, const RootWork& work);
+/// exception from `work`, stops every worker before its next root. Either
+/// is rethrown on the calling thread once all workers have returned.
+void for_each_root(std::size_t count, util::ThreadPool* pool, const util::CancelToken& cancel,
+                   const std::function<void(std::size_t i, std::size_t worker)>& work);
 
 /// Single-source stage pair: computes the dependency vector delta for
-/// source s and accumulates it into bc (bc[s] excluded). `bottom_up` must
-/// be bottom_up_eligible(g), or false to stay top-down. Throws
+/// source s and adds it into bc (bc[s] excluded). `bottom_up` must be
+/// bottom_up_eligible(g), or false to stay top-down. Throws
 /// std::out_of_range when s >= num_vertices().
 void brandes_single_source(const graph::CSRGraph& g, graph::VertexId s,
-                           BrandesWorkspace& ws, std::span<double> bc,
+                           BrandesWorkspace& ws, util::ExactSum& bc,
                            BrandesResult* stats = nullptr, bool bottom_up = false);
-/// As above with a workspace of its own (for one-off roots and tests).
-void brandes_single_source(const graph::CSRGraph& g, graph::VertexId s,
-                           std::span<double> bc, BrandesResult* stats = nullptr);
 
 /// The dependency vector delta_s(v) for all v (without accumulation),
 /// written over all of `delta` (num_vertices() entries; 0 where s does

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cpu/brandes.hpp"
+#include "util/exact_sum.hpp"
 #include "util/timer.hpp"
 
 namespace hbc::dyn {
@@ -147,41 +148,43 @@ BatchStats refresh_scores(const CSRGraph& before, const CSRGraph& after,
     return stats;
   }
 
-  // ---- Incremental path: per affected source, the new dependency vector
-  // less the old one, summed into `change` in ascending source order —
-  // bitwise-deterministic at any thread count. `scores` is only touched
-  // by the final add, so a cancellation anywhere above leaves it exactly
-  // as it was.
+  // ---- Incremental path: per affected source, fixed(new δ) − fixed(old
+  // δ) into its worker's util::ExactSum — exact, so the merged change has
+  // the same bits at any thread count. `scores` is only touched by the
+  // final add, so a cancellation anywhere above leaves it exactly as it
+  // was.
   stats.sources_recomputed = affected_list.size();
   stats.sources_skipped = n - affected_list.size();
-  std::vector<double> change(n, 0.0);
+  struct alignas(64) Scratch {  // a line of its own per worker
+    cpu::BrandesWorkspace ws;
+    std::vector<double> old_delta, new_delta;
+    util::ExactSum change;
+  };
+  std::vector<Scratch> scratch(
+      std::max<std::size_t>(1, std::min(pool.thread_count(), affected_list.size())));
+  for (Scratch& sc : scratch) sc.change = util::ExactSum(n);
   {
     trace::ScopedSpan span(dyn_sink(cfg.tracer), cfg.tracer, "incremental-recompute",
                            trace::kCompute,
                            {{"sources", stats.sources_recomputed}});
-    struct alignas(64) Scratch {  // a line of its own per worker
-      cpu::BrandesWorkspace ws;
-      std::vector<double> old_delta, new_delta;
-    };
-    std::vector<Scratch> scratch(pool.thread_count());
-    cpu::sum_roots_in_order(
-        affected_list.size(), &pool, change, cfg.cancel,
-        [&](std::size_t i, std::size_t worker, cpu::RootTerms& out) {
-          Scratch& sc = scratch[worker];
-          sc.old_delta.resize(n);
-          sc.new_delta.resize(n);
-          const VertexId s = affected_list[i];
-          cpu::single_source_dependencies(before, s, sc.ws, sc.old_delta);
-          cpu::single_source_dependencies(after, s, sc.ws, sc.new_delta);
-          // Equal entries would add +0.0, which leaves a sum unchanged.
-          for (VertexId w = 0; w < n; ++w) {
-            if (w != s && sc.new_delta[w] != sc.old_delta[w]) {
-              out.add(w, sc.new_delta[w] - sc.old_delta[w]);
-            }
-          }
-        });
+    cpu::for_each_root(affected_list.size(), &pool, cfg.cancel,
+                       [&](std::size_t i, std::size_t worker) {
+                         Scratch& sc = scratch[worker];
+                         sc.old_delta.resize(n);
+                         sc.new_delta.resize(n);
+                         const VertexId s = affected_list[i];
+                         cpu::single_source_dependencies(before, s, sc.ws, sc.old_delta);
+                         cpu::single_source_dependencies(after, s, sc.ws, sc.new_delta);
+                         for (VertexId w = 0; w < n; ++w) {
+                           if (w != s && sc.new_delta[w] != sc.old_delta[w]) {
+                             sc.change.add(w, sc.new_delta[w]);
+                             sc.change.subtract(w, sc.old_delta[w]);
+                           }
+                         }
+                       });
   }
-
+  for (std::size_t k = 1; k < scratch.size(); ++k) scratch[0].change.merge(scratch[k].change);
+  const std::vector<double> change = scratch[0].change.to_doubles();
   for (VertexId v = 0; v < n; ++v) scores[v] += change[v];
   stats.recompute_ms = recompute_timer.elapsed_ms();
   return stats;

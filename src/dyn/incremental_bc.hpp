@@ -21,10 +21,10 @@
 //   subtracted on `before`, new ones added on `after`).
 //
 // Determinism: each affected source's change (new dependencies less old)
-// is added in ascending source order by cpu::sum_roots_in_order, the root
-// loop of cpu::brandes — so refreshed scores are bitwise-identical at
-// every thread count, the same guarantee kernels::BlockDriver gives the
-// GPU-model strategies. The churn fallback and the epoch-0 scores are
+// is added exactly, as 64.64 fixed point (util::ExactSum), on the root
+// loop of cpu::brandes (cpu::for_each_root) — so refreshed scores are
+// bitwise-identical at every thread count, the same guarantee
+// kernels::BlockDriver gives the GPU-model strategies. The churn fallback and the epoch-0 scores are
 // cpu::brandes over all sources on the engine's pool: cpu-serial's bits.
 //
 // Churn threshold: when the affected fraction exceeds

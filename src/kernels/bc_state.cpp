@@ -630,7 +630,7 @@ void BCWorkspace::vp_backward_level(gpusim::BlockContext& ctx, std::uint32_t dep
   ctx.charge_barrier();
 }
 
-void BCWorkspace::accumulate_bc(std::span<double> bc, VertexId root, bool use_queue,
+void BCWorkspace::accumulate_bc(util::ExactSum& bc, VertexId root, bool use_queue,
                                 gpusim::BlockContext& ctx) {
   const auto& cost = ctx.cost();
   if (use_queue) {
@@ -640,7 +640,7 @@ void BCWorkspace::accumulate_bc(std::span<double> bc, VertexId root, bool use_qu
     for (std::uint64_t i = 0; i < s_len_; ++i) {
       const VertexId v = s_[i];
       if (v != root) {
-        bc[v] += delta_[v];
+        bc.add(v, delta_[v]);
         ++ctx.counters().atomic_ops;  // atomicAdd into the global vector
       }
     }
@@ -650,7 +650,7 @@ void BCWorkspace::accumulate_bc(std::span<double> bc, VertexId root, bool use_qu
     ctx.charge_barrier();
     for (VertexId v = 0; v < n; ++v) {
       if (v != root && d_[v] != kInfDistance) {
-        bc[v] += delta_[v];
+        bc.add(v, delta_[v]);
         ++ctx.counters().atomic_ops;
       }
     }

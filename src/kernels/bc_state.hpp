@@ -58,6 +58,7 @@
 #include "graph/csr.hpp"
 #include "util/bitvector.hpp"
 #include "util/cancel.hpp"
+#include "util/exact_sum.hpp"
 
 namespace hbc::kernels {
 
@@ -109,14 +110,6 @@ struct RunConfig {
   /// vector, operation counters, and simulated-cycle metrics are bitwise
   /// identical for every value — threading changes wall_seconds only.
   std::size_t cpu_threads = 0;
-  /// Override for the simulated grid size (number of blocks). 0 = the
-  /// strategy default (device.num_sms, or a layout-forced count such as
-  /// GPU-FAN's single block). The distributed layer (hbc::net) uses
-  /// grid_blocks=1 to compute one block's shard of a larger run: because
-  /// BlockDriver deals root i to block i % num_blocks and reduces partials
-  /// in ascending block order, a B-way sharded run reassembled at the
-  /// coordinator is bitwise-identical to a local B-block run.
-  std::uint32_t grid_blocks = 0;
   /// Deterministic fault injection (nullptr = fault-free). Shared and
   /// immutable so concurrent runs can reference one plan.
   std::shared_ptr<const gpusim::FaultPlan> fault_plan;
@@ -214,7 +207,9 @@ struct RunMetrics {
 };
 
 struct RunResult {
-  std::vector<double> bc;
+  std::vector<double> bc;  // sums.to_doubles()
+  /// The exact sum of every completed root's dependencies.
+  util::ExactSum sums;
   RunMetrics metrics;
   std::vector<PerRootStats> per_root;  // populated when requested
   /// Fault-injection accounting. faults.complete() == true means every
@@ -315,11 +310,13 @@ class BCWorkspace {
   /// Vertex-parallel dependency level (level check over all vertices).
   void vp_backward_level(gpusim::BlockContext& ctx, std::uint32_t depth);
 
-  /// Add delta into the global BC accumulator (skipping the root).
-  /// Queue-less kernels scan all n vertices; queue-based kernels walk S.
-  /// Every charge is issued before `bc` is touched, so a fault that trips
-  /// in this step leaves the accumulator unchanged for the retry.
-  void accumulate_bc(std::span<double> bc, graph::VertexId root, bool use_queue,
+  /// Add delta into the global BC accumulator (skipping the root): the
+  /// modelled atomicAdd, exact on the host (util::ExactSum), so the sum
+  /// does not depend on which block or thread adds first. Queue-less
+  /// kernels scan all n vertices; queue-based kernels walk S. Every charge
+  /// is issued before `bc` is touched, so a fault that trips in this step
+  /// leaves the accumulator unchanged for the retry.
+  void accumulate_bc(util::ExactSum& bc, graph::VertexId root, bool use_queue,
                      gpusim::BlockContext& ctx);
 
   // --- state inspection used by drivers and tests ---

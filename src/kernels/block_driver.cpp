@@ -18,13 +18,9 @@ BlockDriver::BlockDriver(const CSRGraph& g, const RunConfig& config,
       config_(&config),
       device_(config.device),
       roots_(detail::resolve_roots(g, config)) {
-  // Grid size precedence: a layout-forced count (GPU-FAN's grid mode) wins,
-  // then an explicit RunConfig override (the distributed shard path), then
-  // the device SM count.
-  num_blocks_ = layout.num_blocks != 0   ? layout.num_blocks
-                : config.grid_blocks != 0 ? config.grid_blocks
-                                          : config.device.num_sms;
-  num_blocks_ = std::max<std::uint32_t>(num_blocks_, 1);
+  // A layout-forced grid (GPU-FAN's single block) wins over the SM count.
+  num_blocks_ = std::max<std::uint32_t>(
+      layout.num_blocks != 0 ? layout.num_blocks : config.device.num_sms, 1);
 
   // Device-memory layout: the replicated graph arrays, then each block's
   // local structures — the same ledger order as the serial drivers, so
@@ -39,15 +35,8 @@ BlockDriver::BlockDriver(const CSRGraph& g, const RunConfig& config,
   }
   device_.begin_run(num_blocks_);
 
-  partial_bc_.reserve(num_blocks_);
-  for (std::uint32_t b = 0; b < num_blocks_; ++b) {
-    partial_bc_.emplace_back(g.num_vertices(), 0.0);
-  }
-  we_levels_.assign(num_blocks_, 0);
-  ep_levels_.assign(num_blocks_, 0);
   if (config.collect_per_root_stats) per_root_.resize(roots_.size());
   if (config.collect_root_cycles) per_root_cycles_.assign(roots_.size(), 0);
-  root_done_.assign(roots_.size(), 0);
   deferred_.resize(num_blocks_);
   block_reports_.resize(num_blocks_);
 
@@ -63,13 +52,14 @@ BlockDriver::BlockDriver(const CSRGraph& g, const RunConfig& config,
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   host_threads_ = std::clamp<std::size_t>(requested, 1, num_blocks_);
 
-  // At most host_threads_ blocks execute at once, and a workspace is fully
-  // reset at every root, so one workspace per host thread serves them all.
-  workspaces_.reserve(host_threads_);
-  idle_workspaces_.reserve(host_threads_);
+  // At most host_threads_ blocks execute at once, a workspace is fully
+  // reset at every root and the accumulators are exact, so one slot per
+  // host thread serves them all.
+  slots_.reserve(host_threads_);
+  idle_slots_.reserve(host_threads_);
   for (std::size_t t = 0; t < host_threads_; ++t) {
-    workspaces_.push_back(std::make_unique<BCWorkspace>(g));
-    idle_workspaces_.push_back(workspaces_.back().get());
+    slots_.push_back(std::make_unique<HostSlot>(g));
+    idle_slots_.push_back(slots_.back().get());
   }
 
   // Trace capture: one driver sink (the run span) plus one sink per block,
@@ -101,19 +91,19 @@ std::uint64_t BlockDriver::sim_ns(std::uint64_t cycles) const noexcept {
       device_.config().seconds_from_cycles(static_cast<double>(cycles)) * 1e9);
 }
 
-BCWorkspace& BlockDriver::lease_workspace() {
-  std::lock_guard<std::mutex> lock(workspace_mu_);
-  BCWorkspace* ws = idle_workspaces_.back();
-  idle_workspaces_.pop_back();
-  return *ws;
+BlockDriver::HostSlot& BlockDriver::lease_slot() {
+  std::lock_guard<std::mutex> lock(slot_mu_);
+  HostSlot* slot = idle_slots_.back();
+  idle_slots_.pop_back();
+  return *slot;
 }
 
-void BlockDriver::return_workspace(BCWorkspace& ws) {
-  std::lock_guard<std::mutex> lock(workspace_mu_);
-  idle_workspaces_.push_back(&ws);
+void BlockDriver::return_slot(HostSlot& slot) {
+  std::lock_guard<std::mutex> lock(slot_mu_);
+  idle_slots_.push_back(&slot);
 }
 
-void BlockDriver::launch_root(BCWorkspace& ws, std::uint32_t block,
+void BlockDriver::launch_root(HostSlot& slot, std::uint32_t block,
                               gpusim::BlockContext& ctx, std::size_t i,
                               std::uint32_t plan_attempt, const RootFn& fn) {
   const auto root32 = static_cast<std::uint32_t>(roots_[i]);
@@ -128,14 +118,14 @@ void BlockDriver::launch_root(BCWorkspace& ws, std::uint32_t block,
       device_.arm_fault(block, ef->kind, root32, ef->transient, ef->after_cycles);
     }
   }
-  RootTask task{ws,
+  RootTask task{slot.ws,
                 ctx,
                 roots_[i],
                 i,
                 block,
-                std::span<double>(partial_bc_[block]),
-                we_levels_[block],
-                ep_levels_[block],
+                slot.bc,
+                slot.we_levels,
+                slot.ep_levels,
                 nullptr,
                 ctx.trace()};
   if (config_->collect_per_root_stats) {
@@ -167,24 +157,19 @@ void BlockDriver::launch_root(BCWorkspace& ws, std::uint32_t block,
   }
 }
 
-void BlockDriver::mark_completed(std::size_t i, gpusim::BlockContext& ctx) {
-  root_done_[i] = 1;
-  ++ctx.counters().roots_processed;
-}
-
 void BlockDriver::process_block(std::uint32_t block, std::size_t begin,
                                 std::size_t end, const RootFn& fn) {
   gpusim::BlockContext ctx = device_.block(block);
   trace::Sink* sink = ctx.trace();
   gpusim::FaultReport& rep = block_reports_[block];
-  // The pool runs at most host_threads_ blocks at once, so a workspace is
+  // The pool runs at most host_threads_ blocks at once, so a slot is
   // always idle here; it goes back when the block's phase ends or throws.
-  BCWorkspace& ws = lease_workspace();
+  HostSlot& slot = lease_slot();
   struct Return {
     BlockDriver* driver;
-    BCWorkspace* ws;
-    ~Return() { driver->return_workspace(*ws); }
-  } give_back{this, &ws};
+    HostSlot* slot;
+    ~Return() { driver->return_slot(*slot); }
+  } give_back{this, &slot};
   const std::uint32_t epoch_base = config_->fault_retry_epoch * max_attempts_;
   SimSpan phase_span(sink, ctx, "phase", trace::kRun,
                      {{"first_root", static_cast<std::uint64_t>(begin)},
@@ -203,8 +188,8 @@ void BlockDriver::process_block(std::uint32_t block, std::size_t begin,
     std::uint32_t attempt = 0;
     while (true) {
       try {
-        launch_root(ws, block, ctx, i, epoch_base + attempt, fn);
-        mark_completed(i, ctx);
+        launch_root(slot, block, ctx, i, epoch_base + attempt, fn);
+        ++ctx.counters().roots_processed;
         break;
       } catch (const gpusim::DeviceFault& f) {
         ++rep.faults_injected;
@@ -289,11 +274,9 @@ void BlockDriver::recovery_sweep(const RootFn& fn) {
   if (parked.empty()) return;
   // Serial, ascending-root-index order on the driver thread: deterministic
   // no matter which host thread deferred each root. Each rescue executes
-  // in any workspace (the pool is idle after the barrier) with the root's
-  // OWNING block context and accumulates into that block's
-  // partial vector — the right block, but after the block's other roots,
-  // so a rescued run matches a clean one up to FP re-association (and is
-  // bitwise-reproducible for the same plan at any thread count).
+  // in any slot (the pool is idle after the barrier) with the root's
+  // OWNING block context; its exact sum lands in that slot's accumulator,
+  // so a rescued run has a clean run's scores bit for bit.
   std::sort(parked.begin(), parked.end(),
             [](const DeferredRoot& a, const DeferredRoot& b) {
               return a.index < b.index;
@@ -317,8 +300,8 @@ void BlockDriver::recovery_sweep(const RootFn& fn) {
     while (last_transient && attempt < max_attempts_) {
       ++report_.retries;
       try {
-        launch_root(*workspaces_.front(), block, ctx, d.index, epoch_base + attempt, fn);
-        mark_completed(d.index, ctx);
+        launch_root(*slots_.front(), block, ctx, d.index, epoch_base + attempt, fn);
+        ++ctx.counters().roots_processed;
         ++report_.rescued_roots;
         completed = true;
         break;
@@ -361,14 +344,13 @@ void BlockDriver::recovery_sweep(const RootFn& fn) {
 
 RunResult BlockDriver::finish() {
   RunResult result;
-  result.bc.assign(g_->num_vertices(), 0.0);
-  // Fixed ascending block order: the per-vertex sum is associated the same
-  // way for every host-thread count, keeping scores bitwise-deterministic.
-  for (std::uint32_t b = 0; b < num_blocks_; ++b) {
-    const std::vector<double>& part = partial_bc_[b];
-    for (std::size_t v = 0; v < part.size(); ++v) result.bc[v] += part[v];
-    result.metrics.we_levels += we_levels_[b];
-    result.metrics.ep_levels += ep_levels_[b];
+  // Sums of integers: any merge order gives the same cells and tallies.
+  result.sums = std::move(slots_.front()->bc);
+  for (std::size_t t = 1; t < slots_.size(); ++t) result.sums.merge(slots_[t]->bc);
+  result.bc = result.sums.to_doubles();
+  for (const std::unique_ptr<HostSlot>& slot : slots_) {
+    result.metrics.we_levels += slot->we_levels;
+    result.metrics.ep_levels += slot->ep_levels;
   }
   if (config_->collect_per_root_stats) result.per_root = std::move(per_root_);
   if (config_->collect_root_cycles) {

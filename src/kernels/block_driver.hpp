@@ -19,37 +19,36 @@
 // to a block for the block's share of a phase.
 //
 // Because blocks are independent, the driver executes them on real host
-// threads (util::ThreadPool), one task per block. Determinism is preserved
-// by construction, for every thread count:
+// threads (util::ThreadPool), one task per block. Determinism holds by
+// construction, for every thread count:
 //
 //   * roots are dealt round-robin: global root index i → block i mod B,
 //     exactly the serial schedule, so each block processes the same roots
 //     in the same order regardless of which host thread runs it;
-//   * each block owns a private Counters/cycle ledger (gpusim::Device), a
-//     private fault arm and a private partial BC vector; the workspace it
-//     leases is reset at every root, so which one it gets never shows;
-//   * finish() reduces the partials and ledgers in fixed ascending block
-//     order, so the floating-point association — hence the bit pattern of
-//     every score — and the simulated-cycle totals are independent of the
-//     host thread count. Threading changes wall_seconds only.
+//   * each block owns a private Counters/cycle ledger (gpusim::Device) and
+//     a private fault arm; the workspace it leases is reset at every root,
+//     so which one it gets never shows;
+//   * the modelled atomicAdd into the global BC vector lands in the leased
+//     workspace's util::ExactSum (64.64 fixed point): integer addition is
+//     exact and associative, so finish() merges the workspaces' sums in
+//     any order and every score has the same bits however blocks, threads
+//     or rescues split the roots. Ledgers are merged in ascending block
+//     order. Threading changes wall_seconds only.
 //
 // Resilience (docs/resilience.md): when RunConfig carries a FaultPlan,
 // each root launch may raise a gpusim::DeviceFault. The driver treats the
-// root as the unit of recovery — a completed-root ledger records what is
-// already accumulated, transient faults are retried in-block, and roots
+// root as the unit of recovery — a root counts as processed once its
+// launch completes, transient faults are retried in-block, and roots
 // that exhaust their in-block budget are deferred to a serial recovery
-// sweep at the end of the phase. In-block retries relaunch before the
-// block moves on, so a run recovered in-block is bitwise-identical to a
-// fault-free run. The sweep runs on the driver thread but charges the
-// root's *owning* block context and accumulates into that block's partial
-// vector: a rescued root's value lands on the right block, but AFTER the
-// block's other roots, so sweep rescues equal the fault-free scores only
-// up to floating-point re-association — while remaining bitwise-
-// deterministic for a given plan at every host-thread count (the
-// determinism the cache and the tests actually rely on). Roots that fail
-// every attempt are reported in RunResult::faults instead of aborting.
-// RunConfig::cancel is polled at every root boundary (including the
-// sweep), so a deadline or stop() takes effect within one root.
+// sweep at the end of the phase. A faulted attempt adds nothing (every
+// charge of the accumulate step comes before its adds), and a rescued
+// root's exact sum is the same wherever it lands, so both in-block
+// retries and sweep rescues give a fault-free run's scores bit for bit.
+// The sweep runs on the driver thread and charges the root's *owning*
+// block context. Roots that fail every attempt are reported in
+// RunResult::faults instead of aborting. RunConfig::cancel is polled at
+// every root boundary (including the sweep), so a deadline or stop()
+// takes effect within one root.
 //
 // docs/driver.md walks through the block→thread mapping in detail.
 
@@ -105,8 +104,8 @@ class BlockDriver {
     graph::VertexId root;          // the root to process
     std::size_t index;             // global root index (position in roots())
     std::uint32_t block_id;        // owning simulated block
-    std::span<double> bc;          // this block's partial BC accumulator
-    std::uint64_t& we_levels;      // block-local forward-level tallies
+    util::ExactSum& bc;            // the leased workspace's BC accumulator
+    std::uint64_t& we_levels;      // forward-level tallies of the slot
     std::uint64_t& ep_levels;
     /// Per-root stats sink; nullptr unless collect_per_root_stats is set.
     /// `root` and, by the functor, `max_depth`/`iterations` are filled.
@@ -120,10 +119,9 @@ class BlockDriver {
   using RootFn = std::function<void(RootTask&)>;
 
   /// Resolves roots, builds the device (graph arrays + per-block locals on
-  /// the memory ledger, in layout order), sizes the per-block partial BC
-  /// vectors, picks the host-thread count (clamp(config.cpu_threads or
-  /// hardware concurrency, 1, num_blocks)) and makes one workspace per
-  /// host thread. Throws std::invalid_argument if a root in config.roots
+  /// the memory ledger, in layout order), picks the host-thread count
+  /// (clamp(config.cpu_threads or hardware concurrency, 1, num_blocks))
+  /// and makes one workspace and BC accumulator per host thread. Throws std::invalid_argument if a root in config.roots
   /// is not a vertex of `g`.
   BlockDriver(const graph::CSRGraph& g, const RunConfig& config,
               const DriverLayout& layout);
@@ -135,8 +133,6 @@ class BlockDriver {
   std::uint32_t num_blocks() const noexcept { return num_blocks_; }
   std::size_t host_threads() const noexcept { return host_threads_; }
   std::span<const graph::VertexId> roots() const noexcept { return roots_; }
-  /// Roots consumed by run()/run_phase() so far.
-  std::size_t processed_roots() const noexcept { return next_index_; }
   /// The simulated device (phase-boundary charges, e.g. sampling's sort).
   /// Touch only between run phases — never while a phase is executing.
   gpusim::Device& device() noexcept { return device_; }
@@ -152,19 +148,8 @@ class BlockDriver {
   /// Process every remaining root.
   void run(const RootFn& fn) { run_phase(npos, fn); }
 
-  /// Completed-root ledger: true once root index `i` (position in
-  /// roots()) has been accumulated into its block's partial BC vector.
-  /// Call between phases only (worker threads write it during a phase).
-  bool root_completed(std::size_t i) const { return root_done_.at(i) != 0; }
-  /// Roots whose contribution is accumulated (= roots_processed counter).
-  std::size_t completed_roots() const noexcept {
-    return device_.counters().roots_processed;
-  }
-  /// Fault accounting so far (merged at phase boundaries).
-  const gpusim::FaultReport& fault_report() const noexcept { return report_; }
-
-  /// Reduce per-block partials in fixed block order and finalize metrics
-  /// (counters, elapsed/sim/wall time, memory high-water, per-root data).
+  /// Merge the accumulators and finalize metrics (counters, elapsed/sim/
+  /// wall time, memory high-water, per-root data).
   RunResult finish();
 
  private:
@@ -179,18 +164,28 @@ class BlockDriver {
   /// Simulated nanoseconds for a cycle count (trace timestamps).
   std::uint64_t sim_ns(std::uint64_t cycles) const noexcept;
 
+  /// A host thread's share of the host state: the workspace it leases to
+  /// a block, and the BC accumulator and level tallies that block's roots
+  /// add into (sums of integers: where a root adds never shows).
+  struct HostSlot {
+    explicit HostSlot(const graph::CSRGraph& g) : ws(g), bc(g.num_vertices()) {}
+    BCWorkspace ws;
+    util::ExactSum bc;
+    std::uint64_t we_levels = 0;
+    std::uint64_t ep_levels = 0;
+  };
+
   void process_block(std::uint32_t block, std::size_t begin, std::size_t end,
                      const RootFn& fn);
-  /// Take an idle workspace / give it back (thread-safe).
-  BCWorkspace& lease_workspace();
-  void return_workspace(BCWorkspace& ws);
-  /// One launch of root index `i` on `block` in workspace `ws`:
-  /// inject/arm plan faults for `plan_attempt`, run `fn`, disarm. Throws
+  /// Take an idle slot / give it back (thread-safe).
+  HostSlot& lease_slot();
+  void return_slot(HostSlot& slot);
+  /// One launch of root index `i` on `block` in `slot`: inject/arm plan
+  /// faults for `plan_attempt`, run `fn`, disarm. Throws
   /// gpusim::DeviceFault when the launch fails or an armed fault trips
   /// mid-kernel.
-  void launch_root(BCWorkspace& ws, std::uint32_t block, gpusim::BlockContext& ctx,
+  void launch_root(HostSlot& slot, std::uint32_t block, gpusim::BlockContext& ctx,
                    std::size_t i, std::uint32_t plan_attempt, const RootFn& fn);
-  void mark_completed(std::size_t i, gpusim::BlockContext& ctx);
   /// Serially retry the phase's deferred roots in ascending root order,
   /// charging each root's owning block (run after the phase barrier).
   void recovery_sweep(const RootFn& fn);
@@ -205,15 +200,11 @@ class BlockDriver {
   std::uint32_t in_block_budget_ = 2; // launches before deferring to sweep
   std::vector<graph::VertexId> roots_;
   std::size_t next_index_ = 0;
-  std::vector<std::unique_ptr<BCWorkspace>> workspaces_;  // one per host thread
-  std::mutex workspace_mu_;                     // guards idle_workspaces_
-  std::vector<BCWorkspace*> idle_workspaces_;   // not leased to a block
-  std::vector<std::vector<double>> partial_bc_;           // one per block
-  std::vector<std::uint64_t> we_levels_;                  // one per block
-  std::vector<std::uint64_t> ep_levels_;                  // one per block
+  std::vector<std::unique_ptr<HostSlot>> slots_;  // one per host thread
+  std::mutex slot_mu_;                            // guards idle_slots_
+  std::vector<HostSlot*> idle_slots_;             // not leased to a block
   std::vector<PerRootStats> per_root_;          // root-indexed, if enabled
   std::vector<std::uint64_t> per_root_cycles_;  // root-indexed, if enabled
-  std::vector<std::uint8_t> root_done_;         // root-indexed ledger
   std::vector<std::vector<DeferredRoot>> deferred_;     // one list per block
   std::vector<gpusim::FaultReport> block_reports_;      // one per block
   gpusim::FaultReport report_;  // merged in block order at phase end

@@ -13,8 +13,9 @@
 //   run_direction_optimized — extension: Beamer top-down/bottom-up
 //                          switching applied to BC (related work, §VI)
 //
-// Every kernel produces a bitwise-deterministic BC vector identical (up to
-// floating-point association) to cpu::brandes over the same root set.
+// Every kernel computes cpu::brandes's per-root dependencies and adds them
+// exactly (util::ExactSum), so its BC vector is cpu::brandes's over the
+// same root set, bit for bit.
 
 #include <cstdint>
 #include <optional>

@@ -477,8 +477,10 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
       }
       // A degraded answer (the worker substituted a strategy) is not the
       // requested bits: retried like a failure.
-      const bool usable =
-          m.ok != 0 && m.degraded == 0 && m.scores.size() == q.graph->num_vertices();
+      const graph::VertexId n = q.graph->num_vertices();
+      const bool usable = m.ok != 0 && m.degraded == 0 &&
+                          (q.whole ? m.scores.size() == n
+                                   : m.sum_vertices.empty() || m.sum_vertices.back() < n);
       if (!usable) {
         ++stats_.shard_retries;
         trace_instant("shard-failed", q.id,
@@ -492,7 +494,13 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
         }
         return;
       }
-      s.partial = std::move(m.scores);
+      if (q.whole) {
+        s.scores = std::move(m.scores);
+      } else {
+        for (std::size_t k = 0; k < m.sum_vertices.size(); ++k) {
+          q.sums.add_cell(m.sum_vertices[k], m.sum_cells[k]);
+        }
+      }
       s.roots_processed = m.roots_processed;
       s.compute_ms = m.compute_ms;
       s.state = Shard::State::Done;
@@ -826,7 +834,11 @@ void Coordinator::finish_shard_local(ActiveQuery& q, Shard& s) {
   // the fleet cannot serve the shard. A throw ends the run.
   util::Timer t;
   core::BCResult r = core::compute(*q.graph, options_from_shard(s.msg));
-  s.partial = std::move(r.scores);
+  if (q.whole) {
+    s.scores = std::move(r.scores);
+  } else {
+    q.sums.merge(r.sums);
+  }
   s.roots_processed = r.roots_processed;
   s.compute_ms = t.elapsed_seconds() * 1e3;
   s.state = Shard::State::Done;
@@ -971,26 +983,24 @@ core::BCResult Coordinator::run_on_fleet(const graph::CSRGraph& g, const core::O
     s.msg.mode = wire::ShardMode::Whole;
     q->shards.push_back(std::move(s));
   } else {
-    // Deal resolved root i to block i mod B — kernels::BlockDriver's
-    // schedule. Each block is one raw grid_blocks=1 sub-run.
-    core::Options block = o;
-    block.sample_roots = 0;
-    block.halve_undirected = false;
-    block.normalize = false;
-    block.grid_blocks = 1;
-    std::uint32_t blocks = o.strategy == core::Strategy::GpuFan ? 1
-                           : o.grid_blocks != 0                ? o.grid_blocks
-                                                               : o.device.num_sms;
-    blocks = std::max<std::uint32_t>(blocks, 1);
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      block.roots.clear();
-      for (std::size_t i = b; i < plan.roots.size(); i += blocks) {
-        block.roots.push_back(plan.roots[i]);
+    // Deal resolved root i to shard i mod B, one shard per block of the
+    // standalone grid; each shard is an ordinary raw run of its roots.
+    q->sums = util::ExactSum(n);
+    core::Options shard = o;
+    shard.sample_roots = 0;
+    shard.halve_undirected = false;
+    shard.normalize = false;
+    const std::uint32_t shards =
+        o.strategy == core::Strategy::GpuFan ? 1 : std::max<std::uint32_t>(o.device.num_sms, 1);
+    for (std::uint32_t b = 0; b < shards; ++b) {
+      shard.roots.clear();
+      for (std::size_t i = b; i < plan.roots.size(); i += shards) {
+        shard.roots.push_back(plan.roots[i]);
       }
-      if (block.roots.empty()) continue;  // k < B: zero partial, zero fold
+      if (shard.roots.empty()) continue;  // k < B: nothing to add
       Shard s;
       s.index = b;
-      s.msg = shard_from_options(block);
+      s.msg = shard_from_options(shard);
       s.msg.shard_index = b;
       s.msg.mode = wire::ShardMode::Partial;
       q->shards.push_back(std::move(s));
@@ -1046,14 +1056,13 @@ core::BCResult Coordinator::assemble(ActiveQuery& q) {
 
   if (q.whole) {
     Shard& s = q.shards.front();
-    result.scores = std::move(s.partial);
+    result.scores = std::move(s.scores);
     result.roots_processed = s.roots_processed;
     compute_ms = s.compute_ms;
   } else {
-    // The paper's MPI_Reduce, made bitwise-deterministic: fold partials in
-    // ascending block order (the exact association BlockDriver::finish
-    // uses), then finalize exactly as core::compute does.
-    result.scores.assign(n, 0.0);
+    // The paper's MPI_Reduce, made bitwise-deterministic: the shards'
+    // exact sums were added as they arrived (any order gives the same
+    // cells); convert once, then finalize exactly as core::compute does.
     for (const Shard& s : q.shards) {
       if (s.state != Shard::State::Done) {
         // Abandoned: its roots are missing from the answer.
@@ -1062,12 +1071,10 @@ core::BCResult Coordinator::assemble(ActiveQuery& q) {
         }
         continue;
       }
-      for (std::size_t v = 0; v < s.partial.size(); ++v) {
-        result.scores[v] += s.partial[v];
-      }
       result.roots_processed += s.roots_processed;
       compute_ms = std::max(compute_ms, s.compute_ms);
     }
+    result.scores = q.sums.to_doubles();
     std::sort(result.faults.failed_roots.begin(), result.faults.failed_roots.end(),
               [](const auto& a, const auto& b) { return a.root < b.root; });
     core::finalize(result.scores, n, q.approximate ? result.roots_processed : 0,

@@ -12,21 +12,18 @@
 // and update history late joiners replay, and snapshots. A fleet run
 // shards work two ways:
 //
-//  * **By root range within one run** — at simulated-*block* granularity,
-//    which is what makes the distributed reduction bitwise-deterministic.
-//    kernels::BlockDriver deals global root index i to block i mod B
-//    (B = the grid size the standalone run would use) and folds per-block
-//    partial BC vectors in ascending block order. The coordinator
-//    therefore builds shard b from exactly the roots block b would own,
-//    has a worker compute it as a single-block run (Options::grid_blocks
-//    = 1 — bit-identical to that block's partial), and folds the shards in
-//    ascending block order, then applies the same finalization
-//    core::compute would (sampling scale-up → halve → normalize, all
-//    elementwise). The reassembled scores equal a standalone run bit for
-//    bit at ANY worker count — the paper's MPI_Reduce shape, made
-//    reproducible. The sampling kernel (whose probe phase inspects the
-//    whole root list) and the CPU engines (flat left-fold over roots) are
-//    not block-shardable and route to one worker as a Whole run instead.
+//  * **By root range within one run** — the paper's static partition:
+//    resolved root i goes to shard i mod B (B = the grid size the
+//    standalone run would use, one shard per simulated block). A worker
+//    runs a shard as an ordinary raw run of its roots and returns their
+//    exact sums (util::ExactSum); the coordinator merges the sums in
+//    arrival order — integer addition, so any order gives the same cells
+//    — converts once and applies the same finalization core::compute
+//    would (sampling scale-up → halve → normalize, all elementwise). The
+//    reassembled scores equal a standalone run bit for bit at ANY worker
+//    count — the paper's MPI_Reduce shape, made reproducible. The
+//    sampling kernel (whose probe phase inspects the whole root list) and
+//    the CPU engines route to one worker as a Whole run instead.
 //
 //  * **By graph across the fleet** — consistent hashing over a ring of
 //    worker vnodes places each named graph on `replication` workers
@@ -43,7 +40,7 @@
 // reassigned (the root-range reassignment path), stragglers are
 // re-dispatched after a timeout (first result wins), a shard that exhausts its attempts falls back to a
 // coordinator-local compute of the same sub-run (bit-identical, since it
-// executes the identical single-block options), and with local fallback
+// executes the identical shard options), and with local fallback
 // disabled the run reports the abandoned shards' roots as failed roots
 // (the service serves the partial answer degraded and never caches it)
 // or fails. The request deadline bounds the whole exchange.
@@ -101,7 +98,7 @@ struct CoordinatorConfig {
   /// degradation). Minimum 1.
   std::uint32_t max_shard_attempts = 3;
   /// Compute shards locally when no worker can serve them (bit-identical:
-  /// the same single-block sub-run). Off = degrade/fail instead.
+  /// the same shard run). Off = degrade/fail instead.
   bool local_fallback = true;
   /// Budget for control handshakes (graph load acks, mutate acks, drain).
   std::chrono::milliseconds control_timeout{10'000};
@@ -285,7 +282,7 @@ class Coordinator {
   };
 
   struct Shard {
-    std::uint32_t index = 0;  // block id in the standalone grid
+    std::uint32_t index = 0;  // root i of the query is in shard i mod shards
     enum class State : std::uint8_t { Pending, Dispatched, Done, Abandoned };
     State state = State::Pending;
     std::uint32_t attempts = 0;
@@ -293,7 +290,7 @@ class Coordinator {
     std::vector<std::uint32_t> dispatched_to;  // slots still expected
     std::set<std::uint32_t> tried;
     std::chrono::steady_clock::time_point last_dispatch{};
-    std::vector<double> partial;
+    std::vector<double> scores;  // Whole: the finalized answer
     std::uint64_t roots_processed = 0;
     double compute_ms = 0.0;
     /// Re-dispatch pacing after a failure: the shard stays Pending but is
@@ -313,6 +310,7 @@ class Coordinator {
     bool approximate = false;      // sampled-roots scale-up applies
     std::size_t resolved_roots = 0;  // |resolved root list|
     std::vector<Shard> shards;
+    util::ExactSum sums;  // Partial: the done shards' sums, merged on arrival
     std::size_t remaining = 0;
     std::size_t abandoned = 0;
     std::chrono::steady_clock::time_point start;

@@ -19,7 +19,6 @@ inline core::Options options_from_shard(const wire::SubmitShardMsg& m) {
   o.seed = m.seed;
   o.halve_undirected = m.halve_undirected != 0;
   o.normalize = m.normalize != 0;
-  o.grid_blocks = m.grid_blocks;
   o.cpu_threads = m.cpu_threads;
   o.resilience.max_root_attempts = m.max_root_attempts;
   // 0 = "use the worker's default device"; the tuning params are copied
@@ -45,7 +44,6 @@ inline wire::SubmitShardMsg shard_from_options(const core::Options& o) {
   m.seed = o.seed;
   m.halve_undirected = o.halve_undirected ? 1 : 0;
   m.normalize = o.normalize ? 1 : 0;
-  m.grid_blocks = o.grid_blocks;
   m.cpu_threads = static_cast<std::uint32_t>(o.cpu_threads);
   m.max_root_attempts = o.resilience.max_root_attempts;
   m.device_num_sms = o.device.num_sms;

@@ -1,6 +1,8 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <functional>
 #include <cstring>
 #include <optional>
 
@@ -206,7 +208,6 @@ std::vector<std::uint8_t> encode(const SubmitShardMsg& m, std::uint64_t request_
   w.u8(m.strategy);
   w.u8(m.halve_undirected);
   w.u8(m.normalize);
-  w.u32(m.grid_blocks);
   w.u32(m.sample_roots);
   w.u64(m.seed);
   w.u32(m.cpu_threads);
@@ -232,7 +233,6 @@ DecodeStatus decode(const Frame& f, SubmitShardMsg& out) {
   out.strategy = r.u8();
   out.halve_undirected = r.u8();
   out.normalize = r.u8();
-  out.grid_blocks = r.u32();
   out.sample_roots = r.u32();
   out.seed = r.u64();
   out.cpu_threads = r.u32();
@@ -267,6 +267,8 @@ std::vector<std::uint8_t> encode(const ShardResultMsg& m, std::uint64_t request_
   w.u64(m.roots_processed);
   w.f64(m.compute_ms);
   w.f64s(m.scores);
+  w.u32s(m.sum_vertices);
+  w.cells(m.sum_cells);
   return finish_frame(MsgType::ShardResult, request_id, p);
 }
 
@@ -280,8 +282,16 @@ DecodeStatus decode(const Frame& f, ShardResultMsg& out) {
   out.roots_processed = r.u64();
   out.compute_ms = r.f64();
   out.scores = r.f64s();
-  if (out.ok > 1 || out.degraded > 1) return DecodeStatus::BadValue;
-  return seal(r);
+  out.sum_vertices = r.u32s();
+  out.sum_cells = r.cells();
+  const DecodeStatus s = seal(r);
+  if (s != DecodeStatus::Ok) return s;
+  if (out.ok > 1 || out.degraded > 1 || out.sum_cells.size() != out.sum_vertices.size() ||
+      std::adjacent_find(out.sum_vertices.begin(), out.sum_vertices.end(),
+                         std::greater_equal<>()) != out.sum_vertices.end()) {
+    return DecodeStatus::BadValue;
+  }
+  return DecodeStatus::Ok;
 }
 
 // --- liveness ------------------------------------------------------------

@@ -23,9 +23,10 @@
 // never an out-of-bounds read (tests/test_net_codec.cpp fuzzes this under
 // ASan in CI).
 //
-// Doubles travel as raw IEEE-754 bit patterns (u64), so a partial BC
-// vector arrives at the coordinator bit-exact — the property the fixed-
-// order distributed reduction depends on.
+// Doubles travel as raw IEEE-754 bit patterns (u64) and exact sums as
+// their nonzero 16-byte cells (low u64, then high) with their vertex ids,
+// so a shard's partial sums arrive at the coordinator bit-exact — the
+// property the distributed reduction depends on.
 
 #include <bit>
 #include <cstdint>
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
+#include "util/exact_sum.hpp"
 
 namespace hbc::net::wire {
 
@@ -71,8 +73,9 @@ class Writer {
     u32(static_cast<std::uint32_t>(s.size()));
     out_->insert(out_->end(), s.begin(), s.end());
   }
-  void u32s(const std::vector<std::uint32_t>& v) { array(v); }
-  void f64s(const std::vector<double>& v) { array(v); }
+  void u32s(const std::vector<std::uint32_t>& v) { array<std::uint32_t>(v); }
+  void f64s(const std::vector<double>& v) { array<double>(v); }
+  void cells(std::span<const util::ExactSum::Cell> v) { array(v); }
   void updates(const std::vector<WireUpdate>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
     for (const WireUpdate& e : v) {
@@ -86,7 +89,7 @@ class Writer {
   // Count, then the elements little-endian: on a little-endian host that
   // is their memory image, moved in one copy.
   template <class T>
-  void array(const std::vector<T>& v) {
+  void array(std::span<const T> v) {
     u32(static_cast<std::uint32_t>(v.size()));
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t at = out_->size();
@@ -96,8 +99,11 @@ class Writer {
       for (const T x : v) {
         if constexpr (sizeof(T) == 4) {
           u32(x);
-        } else {
+        } else if constexpr (sizeof(T) == 8) {
           f64(x);
+        } else {
+          u64(static_cast<std::uint64_t>(x));
+          u64(static_cast<std::uint64_t>(x >> 64));
         }
       }
     }
@@ -150,6 +156,7 @@ class Reader {
   }
   std::vector<std::uint32_t> u32s() { return array<std::uint32_t>(); }
   std::vector<double> f64s() { return array<double>(); }
+  std::vector<util::ExactSum::Cell> cells() { return array<util::ExactSum::Cell>(); }
   std::vector<WireUpdate> updates() {
     const std::uint32_t count = u32();
     if (!need(static_cast<std::size_t>(count) * 9)) return {};
@@ -184,8 +191,11 @@ class Reader {
       for (T& x : v) {
         if constexpr (sizeof(T) == 4) {
           x = u32();
-        } else {
+        } else if constexpr (sizeof(T) == 8) {
           x = f64();
+        } else {
+          x = u64();
+          x |= static_cast<T>(u64()) << 64;
         }
       }
     }
@@ -198,11 +208,12 @@ class Reader {
 };
 
 inline constexpr std::uint32_t kMagic = 0x4E434248u;  // "HBCN" little-endian
-/// The one protocol version. v3 dropped v2's accuracy-budget block from
-/// SubmitShard and estimate block from ShardResult: budgets run on the
-/// coordinator, so shards are always exact. Any other version (v1 and v2
-/// included) is BadVersion at the header.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// The one protocol version. v4 returns a Partial shard's exact sums (its
+/// nonzero cells) instead of doubles and drops SubmitShard's grid override; v3 had
+/// dropped v2's accuracy-budget and estimate blocks (budgets run on the
+/// coordinator). Any other version (v1 to v3 included) is BadVersion at
+/// the header.
+inline constexpr std::uint16_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderSize = 20;
 /// Payload cap: a hostile length prefix can demand at most 64 MiB.
 inline constexpr std::uint32_t kMaxPayload = 1u << 26;
@@ -301,10 +312,10 @@ struct GraphLoadedMsg {
 
 /// Shard execution mode.
 enum class ShardMode : std::uint8_t {
-  /// Compute the RAW per-block partial BC vector for the given roots as a
-  /// single simulated block (grid_blocks=1): no sampling scale-up, no
-  /// halving, no normalization — the coordinator folds partials in block
-  /// order and finalizes, reproducing a standalone run bit for bit.
+  /// Run the given roots as an ordinary run and return their exact raw
+  /// sums (no sampling scale-up, no halving, no normalization): the
+  /// coordinator merges the shards' sums in any order and finalizes,
+  /// reproducing a standalone run bit for bit.
   Partial = 0,
   /// Run the whole query on one worker with full core::compute semantics
   /// (CPU engines and the sampling kernel, whose probe phase depends on
@@ -315,12 +326,11 @@ enum class ShardMode : std::uint8_t {
 struct SubmitShardMsg {
   std::string graph_id;
   std::uint64_t fingerprint = 0;  // expected current graph fingerprint
-  std::uint32_t shard_index = 0;  // block id in the standalone grid
+  std::uint32_t shard_index = 0;  // root i of the query is in shard i mod shards
   ShardMode mode = ShardMode::Partial;
   std::uint8_t strategy = 0;  // core::Strategy, range-checked on decode
   std::uint8_t halve_undirected = 0;  // Whole mode only
   std::uint8_t normalize = 0;         // Whole mode only
-  std::uint32_t grid_blocks = 0;      // worker-side grid override (1 = Partial)
   std::uint32_t sample_roots = 0;     // Whole mode only
   std::uint64_t seed = 0;
   std::uint32_t cpu_threads = 0;
@@ -332,7 +342,7 @@ struct SubmitShardMsg {
   double sampling_gamma = 0.0;
   std::uint32_t sampling_min_frontier = 0;
   std::uint32_t deadline_ms = 0;  // remaining budget; 0 = none
-  /// Partial: exactly this shard's roots (ascending standalone order).
+  /// Partial: exactly this shard's roots.
   /// Whole: the query's explicit roots (may be empty = all / sampled).
   std::vector<graph::VertexId> roots;
 };
@@ -347,8 +357,14 @@ struct ShardResultMsg {
   std::string error;
   std::uint64_t roots_processed = 0;
   double compute_ms = 0.0;
-  /// Raw partial (Partial) or finalized (Whole) scores, bit-exact.
+  /// Whole: the finalized scores, bit-exact (empty for Partial).
   std::vector<double> scores;
+  /// Partial: the nonzero cells of the shard's exact raw sums, by
+  /// strictly ascending vertex id (decode checks the order; both empty
+  /// for Whole). A one-root shard reaches few vertices, and its leaves add
+  /// 0, so this is far smaller than every cell.
+  std::vector<graph::VertexId> sum_vertices;
+  std::vector<util::ExactSum::Cell> sum_cells;
 };
 
 struct HeartbeatMsg {

@@ -42,9 +42,16 @@ graph::CSRGraph default_loader(const std::string& spec) {
 }
 
 // The worker's service config: `base` with a completion hook that wakes
-// the serving loop.
+// the serving loop, and core::compute as the executor when `base` names
+// none, so results keep the exact sums a Partial shard returns (the cache
+// charges their bytes).
 service::ServiceConfig waking(service::ServiceConfig base, Wakeup& wake) {
   base.on_complete = [&wake] { wake.notify(); };
+  if (!base.compute_fn) {
+    base.compute_fn = [](const graph::CSRGraph& g, const core::Options& o) {
+      return core::compute(g, o);
+    };
+  }
   return base;
 }
 
@@ -361,19 +368,32 @@ void Worker::poll_tickets(Conn& conn) {
     wire::ShardResultMsg out;
     out.shard_index = p.shard_index;
     const bool partial = p.mode == static_cast<std::uint8_t>(wire::ShardMode::Partial);
-    if (r.ok() && !(partial && r.degraded)) {
+    // A partial must return exact sums: a degraded one (the service
+    // substituted a strategy) or one whose executor kept none would
+    // corrupt the coordinator's exact fold, so it is refused.
+    const bool exact =
+        r.ok() && !r.degraded && r.result->sums.size() == r.result->scores.size();
+    if (r.ok() && (!partial || exact)) {
       out.ok = 1;
       out.degraded = r.degraded ? 1 : 0;
       out.roots_processed = r.result->roots_processed;
       out.compute_ms = r.compute_ms;
-      out.scores = r.result->scores;
+      if (partial) {
+        const std::span<const util::ExactSum::Cell> cells = r.result->sums.cells();
+        for (std::size_t v = 0; v < cells.size(); ++v) {
+          if (cells[v] == 0) continue;
+          out.sum_vertices.push_back(static_cast<graph::VertexId>(v));
+          out.sum_cells.push_back(cells[v]);
+        }
+      } else {
+        out.scores = r.result->scores;
+      }
       ++stats_.shards_served;
     } else {
       out.ok = 0;
-      // A degraded partial is refused: the service substituted a strategy,
-      // and substituted bits would corrupt the coordinator's exact fold.
-      out.error = r.ok() ? "degraded: strategy substituted, bits not exact"
-                         : (r.error.empty() ? "compute failed" : r.error);
+      out.error = !r.ok()      ? (r.error.empty() ? "compute failed" : r.error)
+                  : r.degraded ? "degraded: strategy substituted, bits not exact"
+                               : "no exact sums";
       if (r.ok()) ++stats_.shards_refused;
     }
     trace_instant("shard-sent", p.request_id, p.shard_index);

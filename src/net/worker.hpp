@@ -95,7 +95,7 @@ struct WorkerConfig {
 struct WorkerStats {
   std::uint64_t shards_received = 0;
   std::uint64_t shards_served = 0;
-  std::uint64_t shards_refused = 0;  // degraded partials sent back as errors
+  std::uint64_t shards_refused = 0;  // partials without exact bits sent back as errors
   std::uint64_t graphs_loaded = 0;
   std::uint64_t mutations = 0;
   std::uint64_t heartbeats = 0;

@@ -21,6 +21,7 @@ std::string cache_key(std::uint64_t fingerprint, const core::Options& options) {
 std::size_t estimate_result_bytes(const core::BCResult& r) noexcept {
   std::size_t bytes = sizeof(core::BCResult);
   bytes += r.scores.capacity() * sizeof(double);
+  bytes += r.sums.bytes();
   bytes += r.per_root.capacity() * sizeof(kernels::PerRootStats);
   bytes += r.kernel_metrics.per_root_cycles.capacity() * sizeof(std::uint64_t);
   return bytes;

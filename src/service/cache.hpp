@@ -58,8 +58,8 @@ struct CachedResult {
   bool refreshable = false;
 };
 
-/// Approximate heap footprint of a BCResult: scores + per-root diagnostics
-/// + fixed overhead. Used to charge entries against the cache byte budget.
+/// Approximate heap footprint of a BCResult: scores + exact sums (when it
+/// holds them) + per-root diagnostics + fixed overhead. Used to charge entries against the cache byte budget.
 std::size_t estimate_result_bytes(const core::BCResult& r) noexcept;
 
 class ResultCache {

@@ -323,6 +323,7 @@ void BcService::refresher_loop() {
         // Never patch in place: responses still share the old entry.
         auto next = std::make_shared<CachedResult>();
         next->result = cached->result;
+        next->result.sums = {};  // patched scores no longer match them
         next->refreshable = true;
         dyn::IncrementalConfig icfg;
         icfg.churn_threshold = cfg_.refresh.churn_threshold;
@@ -556,12 +557,15 @@ core::BCResult BcService::run_compute(const graph::CSRGraph& g, const core::Opti
   // computed from the request's options at submit time — that stays
   // correct because options_signature excludes cpu_threads and every
   // strategy's bits are thread-invariant.
-  if (cfg_.compute_threads != 0 && o.cpu_threads != cfg_.compute_threads) {
-    core::Options budgeted = o;
-    budgeted.cpu_threads = cfg_.compute_threads;
-    return cfg_.compute_fn ? cfg_.compute_fn(g, budgeted) : core::compute(g, budgeted);
-  }
-  return cfg_.compute_fn ? cfg_.compute_fn(g, o) : core::compute(g, o);
+  core::Options budgeted = o;
+  if (cfg_.compute_threads != 0) budgeted.cpu_threads = cfg_.compute_threads;
+  if (cfg_.compute_fn) return cfg_.compute_fn(g, budgeted);
+  // A hook's result is served as it comes (net::Worker's keeps the exact
+  // sums its coordinator merges); the service's own answers do not hold
+  // them.
+  core::BCResult r = core::compute(g, budgeted);
+  r.sums = {};
+  return r;
 }
 
 namespace {

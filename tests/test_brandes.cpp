@@ -1,10 +1,11 @@
 // Correctness of the CPU oracles: serial Brandes vs the definition-level
 // naive path-counting BC, exact values on the paper's Figure 1 graph, the
-// threaded root loop giving the serial bits at every thread count (also
-// when its ring of slots fills, and under cancel), digests pinning the
-// exact bits of every CPU entry point, the reused per-worker scratch
-// matching a fresh one, and the direction-optimizing forward stage
-// matching the top-down one bit for bit.
+// threaded root loop giving the serial bits at every thread count (and
+// stopping on cancel or a throw), digests pinning the exact bits of every
+// CPU entry point, the exact fold staying within rounding of a root-order
+// double fold, the reused per-worker scratch matching a fresh one, and the
+// direction-optimizing forward stage matching the top-down one bit for
+// bit.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/storage/compressed.hpp"
+#include "util/exact_sum.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -330,68 +332,64 @@ TEST(Brandes, RingFullOfCheapRootsKeepsBits) {
   }
 }
 
-TEST(Brandes, RootLoopBoundsLookaheadAndStopsOnCancel) {
-  // Root 0 holds its worker until roots 1..7 are done: the other workers
-  // then fill the ring of 2 x 4 slots and must wait, never starting a
-  // root past 7 before root 0 returns. One run completes in root order;
-  // one cancels from inside root 0 and must throw util::Cancelled; in one
-  // root 0 throws, which must wake the waiting workers (no slot is ever
-  // folded) and reach the caller. None may hang.
+TEST(Brandes, RootLoopStopsOnCancelAndThrow) {
+  // Root 0 holds its worker until roots 1..7 are done; the roots after 7
+  // wait for root 0 to end and then take 2 ms each. One run completes and
+  // must visit every root once. In one, root 0 cancels and the loop must
+  // throw util::Cancelled; in one, root 0 throws and the exception must
+  // reach the caller. Either must stop the other workers before their next
+  // root, so roots stay unvisited. None may hang.
   enum class End { Complete, Cancel, Throw };
+  constexpr std::size_t kCount = 200;
   for (const End end : {End::Complete, End::Cancel, End::Throw}) {
     SCOPED_TRACE(static_cast<int>(end));
     util::ThreadPool pool(4);
     util::CancelSource source;
     std::atomic<std::size_t> done{0};
-    std::atomic<std::size_t> furthest{0};
-    std::size_t furthest_before_root0 = 0;
-    std::vector<double> sum(4, 0.0);
-    // Terms whose sum depends on the order they are added in.
-    const auto terms_of = [](std::size_t i, cpu::RootTerms& out) {
-      out.add(static_cast<VertexId>(i % 4), i % 2 == 0 ? 1e16 : 1.0);
-      out.add(static_cast<VertexId>(i % 4), i % 3 == 0 ? -1e16 : 0.5);
-    };
-    const cpu::RootWork work = [&](std::size_t i, std::size_t, cpu::RootTerms& out) {
+    std::atomic<bool> root0_ended{false};
+    std::vector<std::atomic<int>> visits(kCount);
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    const auto work = [&](std::size_t i, std::size_t worker) {
+      EXPECT_LT(worker, pool.thread_count());
+      visits[i].fetch_add(1);
       if (i == 0) {
-        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        struct Ended {
+          std::atomic<bool>& flag;
+          ~Ended() { flag.store(true); }
+        } ended{root0_ended};
         while (done.load() < 7 && std::chrono::steady_clock::now() < give_up) {
           std::this_thread::yield();
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        furthest_before_root0 = furthest.load();
         if (end == End::Cancel) source.cancel();
         if (end == End::Throw) throw std::runtime_error("root 0 failed");
-      } else {
-        std::size_t seen = furthest.load();
-        while (seen < i && !furthest.compare_exchange_weak(seen, i)) {
+      } else if (i >= 8) {
+        while (!root0_ended.load() && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
         }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-      terms_of(i, out);
       done.fetch_add(1);
     };
-    constexpr std::size_t kCount = 200;
     if (end == End::Cancel) {
-      EXPECT_THROW(cpu::sum_roots_in_order(kCount, &pool, sum, source.token(), work),
-                   util::Cancelled);
-      EXPECT_LT(done.load(), kCount);
+      EXPECT_THROW(cpu::for_each_root(kCount, &pool, source.token(), work), util::Cancelled);
     } else if (end == End::Throw) {
-      EXPECT_THROW(cpu::sum_roots_in_order(kCount, &pool, sum, {}, work), std::runtime_error);
-      EXPECT_EQ(done.load(), 7u);  // roots 8.. wait for slot 0, which never folds
+      EXPECT_THROW(cpu::for_each_root(kCount, &pool, {}, work), std::runtime_error);
     } else {
-      cpu::sum_roots_in_order(kCount, &pool, sum, {}, work);
-      std::vector<double> want(4, 0.0);
-      cpu::RootTerms terms;
-      for (std::size_t i = 0; i < kCount; ++i) {
-        terms.clear();
-        terms_of(i, terms);
-        for (std::size_t k = 0; k < terms.vertices.size(); ++k) {
-          want[terms.vertices[k]] += terms.values[k];
-        }
-      }
-      EXPECT_TRUE(same_bits(sum, want));
+      cpu::for_each_root(kCount, &pool, {}, work);
     }
+    EXPECT_TRUE(root0_ended.load());
     EXPECT_GE(done.load(), 7u);
-    EXPECT_LT(furthest_before_root0, 8u);
+    std::size_t visited = 0;
+    for (const std::atomic<int>& v : visits) {
+      EXPECT_LE(v.load(), 1);
+      visited += static_cast<std::size_t>(v.load());
+    }
+    if (end == End::Complete) {
+      EXPECT_EQ(visited, kCount);
+      EXPECT_EQ(done.load(), kCount);
+    } else {
+      EXPECT_LT(visited, kCount);
+    }
   }
 }
 
@@ -407,32 +405,62 @@ std::uint64_t fnv1a(const std::vector<double>& v) {
   return h;
 }
 
-struct GoldenDigests {
-  const char* family;
-  std::uint64_t all_roots;
-  std::uint64_t sampled;
-  std::uint64_t dependencies[3];
-};
+// Each root's dependencies added in root order as doubles: the scores
+// every CPU entry point gave before the exact fold (dependencies are the
+// engine's bits, and a vertex a root does not reach adds +0.0).
+std::vector<double> root_order_double_fold(const CSRGraph& g, const std::vector<VertexId>& roots) {
+  std::vector<double> sum(g.num_vertices(), 0.0);
+  std::vector<double> delta(g.num_vertices());
+  cpu::BrandesWorkspace ws;
+  for (const VertexId s : roots) {
+    cpu::single_source_dependencies(g, s, ws, delta);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (v != s) sum[v] += delta[v];
+    }
+  }
+  return sum;
+}
+
+std::vector<VertexId> all_vertices(const CSRGraph& g) {
+  std::vector<VertexId> roots(g.num_vertices());
+  std::iota(roots.begin(), roots.end(), VertexId{0});
+  return roots;
+}
 
 TEST(Brandes, BitsMatchParentCommit) {
-  // Digests recorded from the per-root-allocating kernel that predates the
-  // successor bitmap and the reused workspace. Every CPU entry point must
-  // reproduce them bit for bit: the accumulation order is part of the
-  // contract, and a uniform reordering would still pass every test that
-  // only compares the kernel with itself.
+  // `all_roots` and `sampled` pin the exact fold's bits; `dependencies`
+  // and `double_fold_*` were recorded from the per-root-allocating kernel
+  // that predates the successor bitmap and the reused workspace, when the
+  // engine still added doubles in root order. Every CPU entry point must
+  // reproduce them bit for bit, and a uniform change would still pass
+  // every test that only compares the kernel with itself.
+  struct GoldenDigests {
+    const char* family;
+    std::uint64_t all_roots;
+    std::uint64_t sampled;
+    std::uint64_t dependencies[3];
+    std::uint64_t double_fold_all_roots;
+    std::uint64_t double_fold_sampled;
+  };
   const GoldenDigests golden[] = {
       {"kron",
+       0x53b8dd6da8ec512eull,
+       0x60928aa3f60967eaull,
+       {0xb33c1df6bc76b011ull, 0x86c547c4d883e227ull, 0x630c08f707c7dfccull},
        0xcf28aafb450ddcb7ull,
-       0x1875364a1af7c978ull,
-       {0xb33c1df6bc76b011ull, 0x86c547c4d883e227ull, 0x630c08f707c7dfccull}},
+       0x1875364a1af7c978ull},
       {"road",
+       0x02841ac76b3afb66ull,
+       0xc371950c04f4e412ull,
+       {0x5b08f9602398ce44ull, 0xf0594544f65a685eull, 0x8b89f74544bce315ull},
        0x134021212e4555daull,
-       0x2a2cef85abc3e270ull,
-       {0x5b08f9602398ce44ull, 0xf0594544f65a685eull, 0x8b89f74544bce315ull}},
+       0x2a2cef85abc3e270ull},
       {"smallworld",
+       0xc2fbadd54a802332ull,
+       0xb742c523980d24a3ull,
+       {0x087bdcdc45ef2488ull, 0x6ab622378683b845ull, 0x2b195731b5f5831eull},
        0x494559fa40dba8d8ull,
-       0xf6920be6c9fd31eeull,
-       {0x087bdcdc45ef2488ull, 0x6ab622378683b845ull, 0x2b195731b5f5831eull}},
+       0xf6920be6c9fd31eeull},
   };
   for (const GoldenDigests& want : golden) {
     SCOPED_TRACE(want.family);
@@ -442,9 +470,11 @@ TEST(Brandes, BitsMatchParentCommit) {
     std::vector<VertexId> roots(64);
     for (VertexId& r : roots) r = static_cast<VertexId>(rng.next_below(n));
 
-    EXPECT_EQ(fnv1a(cpu::brandes(g).bc), want.all_roots);
-    EXPECT_EQ(fnv1a(cpu::brandes(g, {.sources = roots, .cancel = {}}).bc), want.sampled);
-    // Threads split the roots but add them in root order: the serial bits.
+    const std::uint64_t all_roots = fnv1a(cpu::brandes(g).bc);
+    const std::uint64_t sampled = fnv1a(cpu::brandes(g, {.sources = roots, .cancel = {}}).bc);
+    EXPECT_EQ(all_roots, want.all_roots) << std::hex << all_roots;
+    EXPECT_EQ(sampled, want.sampled) << std::hex << sampled;
+    // Threads split the roots and add them exactly: the serial bits.
     for (const std::size_t threads : {1u, 2u, 4u}) {
       const auto par =
           cpu::brandes(g, {.sources = roots, .num_threads = threads, .cancel = {}});
@@ -456,6 +486,44 @@ TEST(Brandes, BitsMatchParentCommit) {
     }
     util::ThreadPool pool(2);
     EXPECT_EQ(fnv1a(dyn::exact_scores(g, pool)), want.all_roots);
+    EXPECT_EQ(fnv1a(root_order_double_fold(g, all_vertices(g))), want.double_fold_all_roots);
+    EXPECT_EQ(fnv1a(root_order_double_fold(g, roots)), want.double_fold_sampled);
+  }
+}
+
+TEST(Brandes, ExactFoldWithinRoundingOfRootOrderFold) {
+  // The exact fold rounds once per vertex; the root-order double fold
+  // rounded at every add. On every family, all roots at scale 10 and 256
+  // sampled roots (a repeat included) at scale 12, they must agree to
+  // 1e-12 relative, and a score is zero under one exactly when it is zero
+  // under the other.
+  const char* families[] = {"rgg",       "delaunay", "kron", "road", "smallworld",
+                            "scalefree", "web",      "mesh2d"};
+  for (const char* family : families) {
+    for (const std::uint32_t scale : {10u, 12u}) {
+      SCOPED_TRACE(std::string(family) + "-" + std::to_string(scale));
+      const CSRGraph g = graph::gen::family_by_name(family).make(scale, 1);
+      std::vector<VertexId> roots = all_vertices(g);
+      if (scale == 12) {
+        util::Xoshiro256 rng(scale);
+        roots.resize(256);
+        for (VertexId& r : roots) r = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+        roots[9] = roots[3];
+      }
+      const std::vector<double> exact = cpu::brandes(g, {.sources = roots, .cancel = {}}).bc;
+      const std::vector<double> folded = root_order_double_fold(g, roots);
+      ASSERT_EQ(exact.size(), folded.size());
+      double worst = 0.0;
+      std::size_t nonzero = 0;
+      for (std::size_t v = 0; v < exact.size(); ++v) {
+        EXPECT_EQ(exact[v] == 0.0, folded[v] == 0.0) << "vertex " << v;
+        if (folded[v] == 0.0) continue;
+        ++nonzero;
+        worst = std::max(worst, std::abs(exact[v] - folded[v]) / std::abs(folded[v]));
+      }
+      EXPECT_LE(worst, 1e-12);
+      EXPECT_GT(nonzero, 0u);
+    }
   }
 }
 
@@ -491,12 +559,14 @@ TEST(Brandes, ReusedScratchEqualsFreshPerRoot) {
     const cpu::BrandesResult reused = cpu::brandes(g, {.sources = roots, .cancel = {}});
 
     cpu::BrandesResult fresh;
-    fresh.bc.assign(n, 0.0);
+    fresh.sums = util::ExactSum(n);
     for (VertexId s : roots) {
       if (s >= n) continue;
-      cpu::brandes_single_source(g, s, fresh.bc, &fresh);
+      cpu::BrandesWorkspace ws;
+      cpu::brandes_single_source(g, s, ws, fresh.sums, &fresh);
       ++fresh.roots_processed;
     }
+    fresh.bc = fresh.sums.to_doubles();
     ASSERT_EQ(reused.bc.size(), fresh.bc.size());
     EXPECT_EQ(0, std::memcmp(reused.bc.data(), fresh.bc.data(), n * sizeof(double)));
     EXPECT_EQ(reused.roots_processed, fresh.roots_processed);
@@ -685,10 +755,11 @@ TEST(Brandes, BottomUpEligibility) {
 TEST(Brandes, OutOfRangeSourceThrows) {
   const CSRGraph g = graph::gen::figure1_graph();
   const VertexId n = g.num_vertices();
-  std::vector<double> bc(n, 0.0);
-  EXPECT_THROW(cpu::brandes_single_source(g, n, bc), std::out_of_range);
+  util::ExactSum bc(n);
+  cpu::BrandesWorkspace ws;
+  EXPECT_THROW(cpu::brandes_single_source(g, n, ws, bc), std::out_of_range);
   EXPECT_THROW(cpu::single_source_dependencies(g, n), std::out_of_range);
-  for (double x : bc) EXPECT_EQ(x, 0.0);
+  for (const util::ExactSum::Cell x : bc.cells()) EXPECT_TRUE(x == 0);
   // The engine keeps skipping such sources rather than throwing.
   EXPECT_EQ(cpu::brandes(g, {.sources = {n, 0}, .cancel = {}}).roots_processed, 1u);
 }

@@ -217,10 +217,18 @@ struct Fnv1a {
   void f64(double v) { bytes(&v, sizeof v); }
 };
 
-std::uint64_t digest(const kernels::RunResult& r) {
+/// The scores, bit for bit.
+std::uint64_t scores_digest(const kernels::RunResult& r) {
   Fnv1a f;
   f.u64(r.bc.size());
   f.bytes(r.bc.data(), r.bc.size() * sizeof(double));
+  return f.h;
+}
+
+/// Every modelled output but the scores: counters, cycles, simulated time,
+/// level tallies, the sampling outcome, per-root cycles and records.
+std::uint64_t metrics_digest(const kernels::RunResult& r) {
+  Fnv1a f;
   const gpusim::Counters& c = r.metrics.counters;
   for (const std::uint64_t v :
        {c.edges_traversed, c.edges_inspected, c.vertices_scanned, c.queue_inserts,
@@ -264,36 +272,45 @@ struct PinnedDigest {
   std::uint64_t digest;
 };
 
-// Recorded on the commit before the level primitives charged in closed
-// form (every fault-free output of that implementation).
-constexpr PinnedDigest kPinnedDigests[] = {
-    {"kron", "vertex-parallel", 0xc32643ca81cce34full},
-    {"kron", "edge-parallel", 0x9f6288390b82bfb4ull},
-    {"kron", "gpu-fan", 0x860d597a2c8cb2bcull},
-    {"kron", "work-efficient", 0xfac44c79875e26ceull},
-    {"kron", "hybrid", 0xc2bbf0d519877d01ull},
-    {"kron", "sampling", 0xbf6625f678a08211ull},
-    {"kron", "direction-optimized", 0x7bbd137c3f9212a7ull},
-    {"kron", "we-predecessor-bitmap", 0x03349cad480fb27aull},
-    {"kron", "sampling-forced-ep", 0xbf6625f678a08211ull},
-    {"road", "vertex-parallel", 0x4f2a4cecacb09a71ull},
-    {"road", "edge-parallel", 0x0b7620e0caf45e8eull},
-    {"road", "gpu-fan", 0xb377780e554a7be0ull},
-    {"road", "work-efficient", 0xe6914a5c915ba49cull},
-    {"road", "hybrid", 0x9fe2670a230356e8ull},
-    {"road", "sampling", 0xda23218c7ba47cd1ull},
-    {"road", "direction-optimized", 0xf5d049bd140f7776ull},
-    {"road", "we-predecessor-bitmap", 0xc137ca03906c5d3bull},
-    {"road", "sampling-forced-ep", 0x8f52e8c28bc371e9ull},
-    {"smallworld", "vertex-parallel", 0x0d35fd5eaa106e2dull},
-    {"smallworld", "edge-parallel", 0x5ae6f19a8c26c61full},
-    {"smallworld", "gpu-fan", 0x7e20922dc29387b3ull},
-    {"smallworld", "work-efficient", 0x20af82551541b405ull},
-    {"smallworld", "hybrid", 0x3c376851c39ae570ull},
-    {"smallworld", "sampling", 0x55460846b89702e3ull},
-    {"smallworld", "direction-optimized", 0xa33ba9e2df4b90deull},
-    {"smallworld", "we-predecessor-bitmap", 0xd470b856923866d9ull},
-    {"smallworld", "sampling-forced-ep", 0x55460846b89702e3ull},
+// Scores: each variant adds the same per-root dependencies exactly, so
+// every variant on a family has one digest (recorded with the exact fold).
+constexpr PinnedDigest kPinnedScores[] = {
+    {"kron", "any", 0xc299d7c6a7ef2597ull},
+    {"road", "any", 0x571817b367f9181bull},
+    {"smallworld", "any", 0x8814262c5dda760aull},
+};
+
+// Metrics: recorded on the commit before the exact fold by this split
+// body, whose combined digest matched the one recorded before the level
+// primitives charged in closed form.
+constexpr PinnedDigest kPinnedMetrics[] = {
+    {"kron", "vertex-parallel", 0x76aee7804220f4caull},
+    {"kron", "edge-parallel", 0xd412fcf3a87bd599ull},
+    {"kron", "gpu-fan", 0xc3c65e7abdf00d85ull},
+    {"kron", "work-efficient", 0x1f24d6e52287daf7ull},
+    {"kron", "hybrid", 0xf69e7f16a23a3700ull},
+    {"kron", "sampling", 0x9c4fbb2146e938f0ull},
+    {"kron", "direction-optimized", 0x4f8fe43b09f51302ull},
+    {"kron", "we-predecessor-bitmap", 0x98cfb06287bb9b3full},
+    {"kron", "sampling-forced-ep", 0x9c4fbb2146e938f0ull},
+    {"road", "vertex-parallel", 0xc3a702133870aceaull},
+    {"road", "edge-parallel", 0xd1e0b47449473065ull},
+    {"road", "gpu-fan", 0xfdfd0cafce99d821ull},
+    {"road", "work-efficient", 0x5e6bce7b5e0bad03ull},
+    {"road", "hybrid", 0xa93178571ac48693ull},
+    {"road", "sampling", 0x4f16ce5cc83599beull},
+    {"road", "direction-optimized", 0x0e6e6a62d6f95a5dull},
+    {"road", "we-predecessor-bitmap", 0x1a1d18ff6ff7896cull},
+    {"road", "sampling-forced-ep", 0x84181270f140157eull},
+    {"smallworld", "vertex-parallel", 0x464b5e43624b270cull},
+    {"smallworld", "edge-parallel", 0x2cc1560166f6b20eull},
+    {"smallworld", "gpu-fan", 0x98677d9656cc1624ull},
+    {"smallworld", "work-efficient", 0x06ce1b7da5e246dcull},
+    {"smallworld", "hybrid", 0x35b123951e1a38b9ull},
+    {"smallworld", "sampling", 0xeadba11c9dbab0eeull},
+    {"smallworld", "direction-optimized", 0x45823869050d5e47ull},
+    {"smallworld", "we-predecessor-bitmap", 0x0d6227e58d98ef04ull},
+    {"smallworld", "sampling-forced-ep", 0xeadba11c9dbab0eeull},
 };
 
 // Chrome-trace export (kAll, i.e. kCharge on) of one 8-root run per
@@ -340,16 +357,17 @@ TEST(KernelModel, BitsMatchParentCommit) {
     variants.back().config.sampling.gamma = 1e9;  // median always below
 
     for (Variant& v : variants) {
-      std::uint64_t first = 0;
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         v.config.cpu_threads = threads;
         const kernels::RunResult r = kernels::run_strategy(v.strategy, g, v.config);
-        const std::uint64_t d = digest(r);
-        if (threads == 1) first = d;
-        EXPECT_EQ(d, first) << family << "/" << v.name << " threads=" << threads;
-        EXPECT_EQ(d, pinned(kPinnedDigests, family, v.name))
-            << family << "/" << v.name << " threads=" << threads << " digest 0x"
-            << std::hex << d;
+        const std::uint64_t scores = scores_digest(r);
+        const std::uint64_t metrics = metrics_digest(r);
+        EXPECT_EQ(scores, pinned(kPinnedScores, family, "any"))
+            << family << "/" << v.name << " threads=" << threads << " scores 0x" << std::hex
+            << scores;
+        EXPECT_EQ(metrics, pinned(kPinnedMetrics, family, v.name))
+            << "{\"" << family << "\", \"" << v.name << "\", 0x" << std::hex << metrics
+            << "ull}, threads=" << std::dec << threads;
       }
       if (v.name == "sampling-forced-ep") {
         EXPECT_TRUE(kernels::run_strategy(v.strategy, g, v.config)
@@ -412,10 +430,10 @@ CSRGraph directed_twin(const CSRGraph& g) {
   return CSRGraph({rows.begin(), rows.end()}, {cols.begin(), cols.end()}, false);
 }
 
-/// digest() plus the fault report.
-std::uint64_t digest_with_faults(const kernels::RunResult& r) {
+/// metrics_digest() plus the fault report.
+std::uint64_t metrics_digest_with_faults(const kernels::RunResult& r) {
   Fnv1a f;
-  f.u64(digest(r));
+  f.u64(metrics_digest(r));
   f.u64(r.faults.faults_injected);
   f.u64(r.faults.retries);
   f.u64(r.faults.rescued_roots);
@@ -459,93 +477,108 @@ constexpr const char* kWideLevelFaultPlans[] = {
     "seed=8;timeout,rate=0.3,transient,attempts=1,after=2500",
 };
 
-// Recorded on the commit before wide levels ran bottom-up on the host.
-// Fault-free digests cover digest(); fault-plan digests add the report.
-constexpr PinnedDigest kWideLevelDigests[] = {
-    {"kron", "work-efficient", 0x32fd7211448c2350ull},
-    {"kron", "work-efficient+fault0", 0xcc04b2ceb92c6fb8ull},
-    {"kron", "work-efficient+fault1", 0x9d57f917d2249e7full},
-    {"kron", "sampling", 0x33839dc3885e4ce4ull},
-    {"kron", "sampling+fault0", 0xa283d3fbb8c067c5ull},
-    {"kron", "sampling+fault1", 0xd2454f0c3c933e8bull},
-    {"kron", "hybrid", 0x8f03729701b4b8f5ull},
-    {"kron", "hybrid+fault0", 0x450bfb62646c1cf0ull},
-    {"kron", "hybrid+fault1", 0x5ea341883501eb2full},
-    {"kron", "direction-optimized", 0xb141bc74ad144bd5ull},
-    {"kron", "direction-optimized+fault0", 0xca99005124d5d0efull},
-    {"kron", "direction-optimized+fault1", 0xee70b8cb4482f521ull},
-    {"kron", "sampling-we", 0x5873748cb57c9880ull},
-    {"kron", "sampling-we+fault0", 0x5f30c19a5fb562d7ull},
-    {"kron", "sampling-we+fault1", 0x70f53bd803329d53ull},
-    {"kron", "work-efficient-ilp1", 0x7aec0c0aaafe8392ull},
-    {"kron", "work-efficient-ilp1+fault0", 0xb6db24a090cf76ebull},
-    {"kron", "work-efficient-ilp1+fault1", 0x8ee2854d6418723dull},
-    {"smallworld", "work-efficient", 0xc95d98ebf2a31ec3ull},
-    {"smallworld", "work-efficient+fault0", 0x40cc540cb3afe110ull},
-    {"smallworld", "work-efficient+fault1", 0xd454a5dcee0d2473ull},
-    {"smallworld", "sampling", 0xe6dfce7c1b38d7b0ull},
-    {"smallworld", "sampling+fault0", 0x402e67f828384002ull},
-    {"smallworld", "sampling+fault1", 0xf9c4466d38623a6cull},
-    {"smallworld", "hybrid", 0xc812b7a2e0d73e2eull},
-    {"smallworld", "hybrid+fault0", 0x15ce2aaa4cfce426ull},
-    {"smallworld", "hybrid+fault1", 0xf7b85e0bf57b5b41ull},
-    {"smallworld", "direction-optimized", 0xcaadf2f66da7c8bdull},
-    {"smallworld", "direction-optimized+fault0", 0xdf4aa5b6eaab044cull},
-    {"smallworld", "direction-optimized+fault1", 0x8e882eca1fa099dfull},
-    {"smallworld", "sampling-we", 0x31285d4e4531c063ull},
-    {"smallworld", "sampling-we+fault0", 0x468b9b737406ca5dull},
-    {"smallworld", "sampling-we+fault1", 0xbc3817853046a7e6ull},
-    {"smallworld", "work-efficient-ilp1", 0xdb0943eec7d1d839ull},
-    {"smallworld", "work-efficient-ilp1+fault0", 0x9c5955ff033f3002ull},
-    {"smallworld", "work-efficient-ilp1+fault1", 0xa2beac57e949f2f3ull},
-    {"scalefree", "work-efficient", 0x949edcd7724c0405ull},
-    {"scalefree", "work-efficient+fault0", 0x7037951c2bef3796ull},
-    {"scalefree", "work-efficient+fault1", 0x8c7c120841542963ull},
-    {"scalefree", "sampling", 0xb57f3031f1506de6ull},
-    {"scalefree", "sampling+fault0", 0xa46969e71935c204ull},
-    {"scalefree", "sampling+fault1", 0xf37d77b9acf9ea01ull},
-    {"scalefree", "hybrid", 0x485b39a83aafba1aull},
-    {"scalefree", "hybrid+fault0", 0x4d8849da5254422cull},
-    {"scalefree", "hybrid+fault1", 0xe2d8c92ef8ab13a4ull},
-    {"scalefree", "direction-optimized", 0x3494185660feceb5ull},
-    {"scalefree", "direction-optimized+fault0", 0x48a4f047c43cfc97ull},
-    {"scalefree", "direction-optimized+fault1", 0x51c82464f069e8baull},
-    {"scalefree", "sampling-we", 0x84038bcf164a0ca2ull},
-    {"scalefree", "sampling-we+fault0", 0xcf23b31cd6efc051ull},
-    {"scalefree", "sampling-we+fault1", 0xc04bce16c763c389ull},
-    {"scalefree", "work-efficient-ilp1", 0x8b5abf448de4ed31ull},
-    {"scalefree", "work-efficient-ilp1+fault0", 0xa9cfa5a218909f4dull},
-    {"scalefree", "work-efficient-ilp1+fault1", 0xbcb7575fc89f424full},
-    {"web", "work-efficient", 0xb11c3d482b39f95aull},
-    {"web", "work-efficient+fault0", 0x12c8c11ff82c6cd5ull},
-    {"web", "work-efficient+fault1", 0x5f046e607014d135ull},
-    {"web", "sampling", 0x84261fc9866c9339ull},
-    {"web", "sampling+fault0", 0x9da2e4e2bb868cb8ull},
-    {"web", "sampling+fault1", 0xcb345a86663a589bull},
-    {"web", "hybrid", 0x5a9dd1570bd321aaull},
-    {"web", "hybrid+fault0", 0x3dd1c190a3092f9ull},
-    {"web", "hybrid+fault1", 0x3537fdd75221dbcaull},
-    {"web", "direction-optimized", 0xc28d987b6479e744ull},
-    {"web", "direction-optimized+fault0", 0xa28f29849ec19d1full},
-    {"web", "direction-optimized+fault1", 0x31103c046cefa413ull},
-    {"web", "sampling-we", 0x8931a13c0522ff6aull},
-    {"web", "sampling-we+fault0", 0xf659f5efd1df6a2dull},
-    {"web", "sampling-we+fault1", 0xe62ef5950ebc0045ull},
-    {"web", "work-efficient-ilp1", 0x5dc15b16c0ab2b34ull},
-    {"web", "work-efficient-ilp1+fault0", 0x688aeea44a4956b5ull},
-    {"web", "work-efficient-ilp1+fault1", 0x0dee6156434e6639ull},
+// Scores, one per family: every variant, fault-free or rescued, adds the
+// same per-root dependencies exactly (recorded with the exact fold).
+constexpr PinnedDigest kWideLevelScores[] = {
+    {"kron", "any", 0x9b68106428f29becull},
+    {"smallworld", "any", 0xcc7b186b23af1761ull},
+    {"scalefree", "any", 0x4f163e5ed44eb920ull},
+    {"web", "any", 0x2002a2788470cfb4ull},
+};
+
+// Metrics: recorded on the commit before the exact fold by this split
+// body, whose combined digests matched the ones recorded before wide
+// levels ran bottom-up on the host. Fault-plan digests add the report.
+constexpr PinnedDigest kWideLevelMetrics[] = {
+    {"kron", "work-efficient", 0x67c40e8c07b52465ull},
+    {"kron", "work-efficient+fault0", 0x93b33d3f84d3bb60ull},
+    {"kron", "work-efficient+fault1", 0x345b5430c13a1093ull},
+    {"kron", "sampling", 0xc7fe9203471dace1ull},
+    {"kron", "sampling+fault0", 0xf1f690d62cc54ba7ull},
+    {"kron", "sampling+fault1", 0x5da15beb70ee720bull},
+    {"kron", "hybrid", 0x59767489a33d9038ull},
+    {"kron", "hybrid+fault0", 0x131faf6a516bee06ull},
+    {"kron", "hybrid+fault1", 0xe80cd8d51f313b23ull},
+    {"kron", "direction-optimized", 0x49c91c6d11065d20ull},
+    {"kron", "direction-optimized+fault0", 0x1e92909a42a5b231ull},
+    {"kron", "direction-optimized+fault1", 0x60dd71ca0ab86d0full},
+    {"kron", "sampling-we", 0xbc4bc16b30e6f075ull},
+    {"kron", "sampling-we+fault0", 0x3cbe59ce38a7fdf7ull},
+    {"kron", "sampling-we+fault1", 0xace84484d8b872b2ull},
+    {"kron", "work-efficient-ilp1", 0xacf12ac7516c6697ull},
+    {"kron", "work-efficient-ilp1+fault0", 0xc1cb4856a2f4a23dull},
+    {"kron", "work-efficient-ilp1+fault1", 0xb55fcdf4793b4560ull},
+    {"smallworld", "work-efficient", 0x81bad8de7bc215aeull},
+    {"smallworld", "work-efficient+fault0", 0xa7943a8623a8e80dull},
+    {"smallworld", "work-efficient+fault1", 0x8ec32a0721b25a71ull},
+    {"smallworld", "sampling", 0x24a40c0af3831f41ull},
+    {"smallworld", "sampling+fault0", 0x84aced701d603891ull},
+    {"smallworld", "sampling+fault1", 0x07f1f37ecca3ebdfull},
+    {"smallworld", "hybrid", 0x5686009fdbf03853ull},
+    {"smallworld", "hybrid+fault0", 0xfc77b3a7c2b9b8f1ull},
+    {"smallworld", "hybrid+fault1", 0x44e094207361de57ull},
+    {"smallworld", "direction-optimized", 0x05671d3d6784fec0ull},
+    {"smallworld", "direction-optimized+fault0", 0x567568a8e2ae2c03ull},
+    {"smallworld", "direction-optimized+fault1", 0x804c9a358959b5b9ull},
+    {"smallworld", "sampling-we", 0x5fa26574cb879d4eull},
+    {"smallworld", "sampling-we+fault0", 0xd14abca3496f4f05ull},
+    {"smallworld", "sampling-we+fault1", 0x33593bdcb8e6ffb4ull},
+    {"smallworld", "work-efficient-ilp1", 0xd9a33d45dccf0e2cull},
+    {"smallworld", "work-efficient-ilp1+fault0", 0x3fa396d5d16dd414ull},
+    {"smallworld", "work-efficient-ilp1+fault1", 0xe300e0d9543b15c8ull},
+    {"scalefree", "work-efficient", 0x8215ef678235a68bull},
+    {"scalefree", "work-efficient+fault0", 0x9285061d7e1e7ae6ull},
+    {"scalefree", "work-efficient+fault1", 0x5daa40044c0511b4ull},
+    {"scalefree", "sampling", 0xa76640ada09bd7ccull},
+    {"scalefree", "sampling+fault0", 0x84e3bbd5f3f2bb76ull},
+    {"scalefree", "sampling+fault1", 0x56eba66bee39d5d8ull},
+    {"scalefree", "hybrid", 0x3b642f40ec703998ull},
+    {"scalefree", "hybrid+fault0", 0xb596d435d5b92296ull},
+    {"scalefree", "hybrid+fault1", 0xb070601a00bef784ull},
+    {"scalefree", "direction-optimized", 0x85b6e516cf8268b7ull},
+    {"scalefree", "direction-optimized+fault0", 0x25f3a1e45ee98737ull},
+    {"scalefree", "direction-optimized+fault1", 0x07334bdd76e2689eull},
+    {"scalefree", "sampling-we", 0x19db0c55550ace90ull},
+    {"scalefree", "sampling-we+fault0", 0xa4487da570eee3b3ull},
+    {"scalefree", "sampling-we+fault1", 0xb835d6e5f6ff2768ull},
+    {"scalefree", "work-efficient-ilp1", 0x41daf9def45611cfull},
+    {"scalefree", "work-efficient-ilp1+fault0", 0x49c48aac022a7d1full},
+    {"scalefree", "work-efficient-ilp1+fault1", 0x8d9cf35ae7e45394ull},
+    {"web", "work-efficient", 0xcfac73345095c4e0ull},
+    {"web", "work-efficient+fault0", 0x9bfa366137314830ull},
+    {"web", "work-efficient+fault1", 0x54fa0e4cab3f34c5ull},
+    {"web", "sampling", 0xa57940456173993full},
+    {"web", "sampling+fault0", 0xf22883745ff9329cull},
+    {"web", "sampling+fault1", 0x09bdc25e7a5da5beull},
+    {"web", "hybrid", 0x359d0daa28f50b80ull},
+    {"web", "hybrid+fault0", 0x3fae4dca3d9db5beull},
+    {"web", "hybrid+fault1", 0xf90c67a66499b6a7ull},
+    {"web", "direction-optimized", 0x0fdf01506704c5a6ull},
+    {"web", "direction-optimized+fault0", 0x4efb5be86496556eull},
+    {"web", "direction-optimized+fault1", 0x1237438ae1d28362ull},
+    {"web", "sampling-we", 0x4e65cf5eda1a3f10ull},
+    {"web", "sampling-we+fault0", 0xaff368f40d026450ull},
+    {"web", "sampling-we+fault1", 0x0840c3f69f16208dull},
+    {"web", "work-efficient-ilp1", 0xf66ebf0e9a6f576eull},
+    {"web", "work-efficient-ilp1+fault0", 0x8bb9e2fbfaf2a01bull},
+    {"web", "work-efficient-ilp1+fault1", 0x12c38ad5169d5093ull},
 };
 
 TEST(KernelModel, WideLevelBitsMatchParentCommit) {
   std::uint64_t faults[std::size(kWideLevelFaultPlans)] = {};
   for (const std::string family : {"kron", "smallworld", "scalefree", "web"}) {
     const CSRGraph g = graph::gen::family_by_name(family).make(12, 1);
+    const std::uint64_t want_scores = pinned(kWideLevelScores, family, "any");
     for (WideVariant& v : wide_level_variants(g)) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         v.config.cpu_threads = threads;
-        const std::uint64_t d = digest(kernels::run_strategy(v.strategy, g, v.config));
-        EXPECT_EQ(d, pinned(kWideLevelDigests, family, v.name))
-            << "{\"" << family << "\", \"" << v.name << "\", 0x" << std::hex << d
+        const kernels::RunResult r = kernels::run_strategy(v.strategy, g, v.config);
+        const std::uint64_t scores = scores_digest(r);
+        const std::uint64_t metrics = metrics_digest(r);
+        EXPECT_EQ(scores, want_scores) << family << "/" << v.name << " threads=" << threads
+                                       << " scores 0x" << std::hex << scores;
+        EXPECT_EQ(metrics, pinned(kWideLevelMetrics, family, v.name))
+            << "{\"" << family << "\", \"" << v.name << "\", 0x" << std::hex << metrics
             << "ull}, threads=" << std::dec << threads;
       }
       for (std::size_t p = 0; p < std::size(kWideLevelFaultPlans); ++p) {
@@ -555,8 +588,10 @@ TEST(KernelModel, WideLevelBitsMatchParentCommit) {
         EXPECT_TRUE(r.faults.complete());
         faults[p] += r.faults.faults_injected;
         const std::string name = std::string(v.name) + "+fault" + std::to_string(p);
-        const std::uint64_t fd = digest_with_faults(r);
-        EXPECT_EQ(fd, pinned(kWideLevelDigests, family, name))
+        // Retried and rescued roots add exactly what a clean run adds.
+        EXPECT_EQ(scores_digest(r), want_scores) << family << "/" << name;
+        const std::uint64_t fd = metrics_digest_with_faults(r);
+        EXPECT_EQ(fd, pinned(kWideLevelMetrics, family, name))
             << "{\"" << family << "\", \"" << name << "\", 0x" << std::hex << fd << "ull},";
       }
     }
@@ -572,8 +607,11 @@ void expect_twin_bits(const CSRGraph& g, const CSRGraph& twin, const std::string
     if (!roots.empty()) v.config.roots = roots;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       v.config.cpu_threads = threads;
-      EXPECT_EQ(digest(kernels::run_strategy(v.strategy, g, v.config)),
-                digest(kernels::run_strategy(v.strategy, twin, v.config)))
+      const kernels::RunResult a = kernels::run_strategy(v.strategy, g, v.config);
+      const kernels::RunResult b = kernels::run_strategy(v.strategy, twin, v.config);
+      EXPECT_EQ(scores_digest(a), scores_digest(b))
+          << what << "/" << v.name << " threads=" << threads;
+      EXPECT_EQ(metrics_digest(a), metrics_digest(b))
           << what << "/" << v.name << " threads=" << threads;
     }
   }

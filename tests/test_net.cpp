@@ -286,6 +286,34 @@ TEST(NetDistributed, ExplicitRootSubsetStaysBitwise) {
   EXPECT_TRUE(resp.result->approximate);  // strict subset of roots
 }
 
+TEST(NetDistributed, WorkerWithoutExactSumsIsRefusedAndStaysBitwise) {
+  // A worker whose executor keeps no exact sums cannot serve a Partial
+  // shard: it refuses each one, and the coordinator computes them itself.
+  const auto g = std::make_shared<const graph::CSRGraph>(test_graph());
+  core::Options opt;
+  opt.strategy = core::Strategy::WorkEfficient;
+  opt.roots = {0, 3, 9, 27, 81, 243};
+  const core::BCResult standalone = core::compute(*g, opt);
+
+  std::vector<net::WorkerConfig> cfgs = in_memory_workers(1, g);
+  cfgs[0].service.compute_fn = [](const graph::CSRGraph& graph, const core::Options& o) {
+    core::BCResult r = core::compute(graph, o);
+    r.sums = {};
+    return r;
+  };
+  Fleet fleet(1, {}, std::move(cfgs));
+  ASSERT_EQ(fleet.coordinator->load_graph("g0", g, ""), 1u);
+  service::Request req;
+  req.graph_id = "g0";
+  req.options = opt;
+  const service::Response resp = fleet.coordinator->query(req);
+  ASSERT_TRUE(resp.ok()) << resp.error;
+  EXPECT_TRUE(bitwise_equal(resp.result->scores, standalone.scores));
+  EXPECT_FALSE(resp.degraded);
+  EXPECT_GT(fleet.coordinator->stats().shard_retries, 0u);
+  EXPECT_GT(fleet.coordinator->stats().local_fallbacks, 0u);
+}
+
 TEST(NetDistributed, WorkerKilledMidRunStillBitwiseIdentical) {
   const auto g = std::make_shared<const graph::CSRGraph>(test_graph());
   core::Options opt;

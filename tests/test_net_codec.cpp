@@ -41,7 +41,6 @@ wire::SubmitShardMsg sample_shard() {
   m.shard_index = 7;
   m.mode = wire::ShardMode::Partial;
   m.strategy = 6;  // WorkEfficient
-  m.grid_blocks = 1;
   m.seed = 42;
   m.cpu_threads = 3;
   m.max_root_attempts = 2;
@@ -119,7 +118,6 @@ TEST(NetCodec, SubmitShardRoundTrip) {
   EXPECT_EQ(out.shard_index, in.shard_index);
   EXPECT_EQ(out.mode, in.mode);
   EXPECT_EQ(out.strategy, in.strategy);
-  EXPECT_EQ(out.grid_blocks, in.grid_blocks);
   EXPECT_EQ(out.seed, in.seed);
   EXPECT_EQ(out.cpu_threads, in.cpu_threads);
   EXPECT_EQ(out.max_root_attempts, in.max_root_attempts);
@@ -177,13 +175,13 @@ TEST(NetCodec, StrategyWireValuesAreStable) {
   EXPECT_EQ(hbc::net::options_from_shard(out).strategy, Strategy::CpuParallel);
 }
 
-TEST(NetCodec, ShardFramesRoundTripAtV3) {
-  // One protocol version: every frame carries 3, and the shard messages
+TEST(NetCodec, ShardFramesRoundTripAtV4) {
+  // One protocol version: every frame carries 4, and the shard messages
   // end at their last field (no budget or estimate block follows).
   const wire::SubmitShardMsg shard = sample_shard();
   const std::vector<std::uint8_t> shard_bytes = wire::encode(shard, 21);
-  EXPECT_EQ(wire::kProtocolVersion, 3u);
-  EXPECT_EQ(shard_bytes[4], 3u);
+  EXPECT_EQ(wire::kProtocolVersion, 4u);
+  EXPECT_EQ(shard_bytes[4], 4u);
   EXPECT_EQ(shard_bytes[5], 0u);
   Frame f;
   ASSERT_EQ(extract(shard_bytes, f), DecodeStatus::Ok);
@@ -196,7 +194,7 @@ TEST(NetCodec, ShardFramesRoundTripAtV3) {
   result.roots_processed = 512;
   result.scores = {1.0, 2.0};
   const std::vector<std::uint8_t> result_bytes = wire::encode(result, 26);
-  EXPECT_EQ(result_bytes[4], 3u);
+  EXPECT_EQ(result_bytes[4], 4u);
   ASSERT_EQ(extract(result_bytes, f), DecodeStatus::Ok);
   wire::ShardResultMsg result_out;
   ASSERT_EQ(wire::decode(f, result_out), DecodeStatus::Ok);
@@ -205,8 +203,9 @@ TEST(NetCodec, ShardFramesRoundTripAtV3) {
 }
 
 TEST(NetCodec, OlderProtocolVersionsAreBadVersion) {
-  // v1 and v2 peers are refused at the header, before any payload is read.
-  for (const std::uint8_t old : {1, 2}) {
+  // v1 to v3 peers are refused at the header, before any payload is read
+  // (a v3 worker would answer a Partial shard with doubles).
+  for (const std::uint8_t old : {1, 2, 3}) {
     for (std::vector<std::uint8_t> bytes :
          {wire::encode(sample_shard(), 22), wire::encode(wire::ShardResultMsg{}, 23),
           wire::encode(wire::HelloMsg{}, 24)}) {
@@ -240,6 +239,46 @@ TEST(NetCodec, ShardResultScoresAreBitExact) {
     EXPECT_EQ(a, b) << "score " << i << " bit pattern changed in transit";
   }
   EXPECT_EQ(out.roots_processed, 999u);
+}
+
+TEST(NetCodec, PartialShardResultCarriesExactSums) {
+  // A Partial shard returns the nonzero cells of its exact sums by
+  // ascending vertex id: every cell, including ones at and past 2^64 (a
+  // high half) and a difference read as negative, must arrive bit for
+  // bit, low u64 first. Ids out of order or a count mismatch are typed.
+  using Cell = hbc::util::ExactSum::Cell;
+  const Cell big = (Cell{0x0123456789ABCDEFull} << 64) | 0xFEDCBA9876543210ull;
+  wire::ShardResultMsg in;
+  in.shard_index = 5;
+  in.roots_processed = 3;
+  in.sum_vertices = {0, 7, 8, 4000, 4095};
+  in.sum_cells = {1, Cell{1} << 64, ~Cell{0}, hbc::util::ExactSum::fixed(0.5), big};
+  const std::vector<std::uint8_t> bytes = wire::encode(in, 31);
+  Frame f;
+  ASSERT_EQ(extract(bytes, f), DecodeStatus::Ok);
+  wire::ShardResultMsg out;
+  ASSERT_EQ(wire::decode(f, out), DecodeStatus::Ok);
+  EXPECT_TRUE(out.scores.empty());
+  EXPECT_EQ(out.sum_vertices, in.sum_vertices);
+  ASSERT_EQ(out.sum_cells.size(), in.sum_cells.size());
+  EXPECT_EQ(0, std::memcmp(out.sum_cells.data(), in.sum_cells.data(),
+                           in.sum_cells.size() * sizeof(Cell)));
+  // The last cell, `big`, on the wire: its low half, then its high half.
+  const std::size_t at = bytes.size() - sizeof(Cell);
+  EXPECT_EQ(bytes[at], 0x10);
+  EXPECT_EQ(bytes[at + 7], 0xFE);
+  EXPECT_EQ(bytes[at + 8], 0xEF);
+  EXPECT_EQ(bytes[at + 15], 0x01);
+
+  for (const std::vector<hbc::graph::VertexId>& ids :
+       {std::vector<hbc::graph::VertexId>{0, 8, 7, 4000, 4095},
+        std::vector<hbc::graph::VertexId>{0, 7, 7, 4000, 4095},
+        std::vector<hbc::graph::VertexId>{0, 7, 8, 4000}}) {
+    wire::ShardResultMsg bad = in;
+    bad.sum_vertices = ids;
+    ASSERT_EQ(extract(wire::encode(bad, 32), f), DecodeStatus::Ok);
+    EXPECT_EQ(wire::decode(f, out), DecodeStatus::BadValue);
+  }
 }
 
 TEST(NetCodec, ArrayBytesAreLittleEndian) {

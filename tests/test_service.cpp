@@ -97,7 +97,8 @@ TEST(ServiceCacheKey, OptionsSignatureCanonicalization) {
   serial1.strategy = serial2.strategy = core::Strategy::CpuParallel;
   EXPECT_EQ(core::options_signature(serial1), core::options_signature(serial2));
 
-  // Root order changes float association, so it must change the key.
+  // Root order deals roots onto simulated blocks (GPU-model metrics), so
+  // it must change the key.
   core::Options r1 = exact_cpu_options(), r2 = exact_cpu_options();
   r1.roots = {1, 2, 3};
   r2.roots = {3, 2, 1};

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "util/bitvector.hpp"
+#include "util/exact_sum.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -368,6 +372,59 @@ TEST(Backoff, HostileConfigIsSanitized) {
     EXPECT_GE(d, 0);
     EXPECT_LE(d, 100);  // never above the (raised) cap
   }
+}
+
+TEST(ExactSum, FixedPointIsExactAboveTwoToMinus64AndTruncatesBelow) {
+  using hbc::util::ExactSum;
+  using Cell = ExactSum::Cell;
+  EXPECT_TRUE(ExactSum::fixed(0.0) == 0);
+  EXPECT_TRUE(ExactSum::fixed(-0.0) == 0);
+  EXPECT_TRUE(ExactSum::fixed(1.0) == Cell{1} << 64);
+  EXPECT_TRUE(ExactSum::fixed(0.75) == Cell{3} << 62);
+  EXPECT_TRUE(ExactSum::fixed(0x1p-64) == 1);
+  EXPECT_TRUE(ExactSum::fixed(0x1.8p-64) == 1);  // truncated, not rounded
+  EXPECT_TRUE(ExactSum::fixed(0x1p-65) == 0);
+  EXPECT_TRUE(ExactSum::fixed(std::numeric_limits<double>::denorm_min()) == 0);
+  const double big = 0x1.fffffffffffffp31;  // the largest double below 2^32
+  EXPECT_TRUE(ExactSum::fixed(big) == (Cell{0x1fffffffffffff} << 64) >> 21);
+  EXPECT_TRUE(ExactSum::fixed(0x1p52) == Cell{1} << 116);
+  // Outside [0, 2^53): zero, never an undefined shift.
+  for (const double x : {-1.0, 0x1p53, 0x1p80, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(ExactSum::fixed(x) == 0) << x;
+  }
+}
+
+TEST(ExactSum, AnyMergeOrderGivesOneSetOfBits) {
+  // Terms whose double sum depends on the order they are added in.
+  std::vector<double> terms;
+  Xoshiro256 rng(11);
+  for (int i = 0; i < 400; ++i) {
+    terms.push_back(static_cast<double>(rng.next_below(1u << 20)) * rng.next_double() + 1e-9);
+  }
+  ExactSum forward(2), backward(2), odd(2), even(2);
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    forward.add(1, terms[i]);
+    backward.add(1, terms[terms.size() - 1 - i]);
+    (i % 2 == 0 ? even : odd).add(1, terms[i]);
+  }
+  odd.merge(even);
+  EXPECT_TRUE(forward.cells()[1] == backward.cells()[1]);
+  EXPECT_TRUE(forward.cells()[1] == odd.cells()[1]);
+  const std::vector<double> out = forward.to_doubles();
+  EXPECT_EQ(out[0], 0.0);
+  double naive = 0.0;
+  for (const double t : terms) naive += t;
+  EXPECT_NEAR(out[1], naive, 1e-12 * naive);
+  // A difference below zero reads as negative; an add taken back is exact.
+  ExactSum diff(1);
+  diff.add(0, 0.5);
+  diff.subtract(0, 2.25);
+  EXPECT_EQ(diff.to_doubles()[0], -1.75);
+  diff.subtract(0, 0.5);
+  diff.add(0, 2.25);
+  EXPECT_TRUE(diff.cells()[0] == 0);
+  EXPECT_THROW(diff.merge(forward), std::invalid_argument);
 }
 
 }  // namespace

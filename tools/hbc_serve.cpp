@@ -2,7 +2,7 @@
 // metrics report. Three roles (docs/distributed.md):
 //
 //   hbc-serve [options] <graph-spec> ...                      # standalone
-//   hbc-serve --role coordinator --listen unix:/run/hbc.sock \
+//   hbc-serve --role coordinator --listen unix:/run/hbc.sock
 //             --expect-workers 2 [options] <graph-spec> ...   # fleet front
 //   hbc-serve --role worker --connect unix:/run/hbc.sock      # fleet member
 //
