@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "util/exact_sum.hpp"
+
 namespace hbc::dist {
 
 using graph::VertexId;
@@ -26,7 +28,7 @@ double InterconnectModel::node_accumulate_seconds(std::uint64_t bytes,
 namespace {
 
 struct GpuOutcome {
-  std::vector<double> bc;
+  util::ExactSum sums;
   double seconds = 0.0;
   gpusim::Counters counters;
   std::uint64_t roots = 0;
@@ -42,7 +44,7 @@ GpuOutcome run_one_gpu(const graph::CSRGraph& g, const ClusterConfig& config,
 
   kernels::RunResult r = kernels::run_strategy(config.strategy, g, rc);
   GpuOutcome out;
-  out.bc = std::move(r.bc);
+  out.sums = std::move(r.sums);
   out.seconds = r.metrics.sim_seconds;
   out.counters = r.metrics.counters;
   out.roots = r.metrics.counters.roots_processed;
@@ -63,7 +65,6 @@ ClusterResult run_cluster_bc(const graph::CSRGraph& g, const ClusterConfig& conf
   const std::uint32_t total_gpus = config.nodes * config.gpus_per_node;
   ClusterResult result;
   result.total_gpus = total_gpus;
-  result.bc.assign(n, 0.0);
   result.per_gpu_seconds.assign(total_gpus, 0.0);
 
   // Static partition of roots over GPUs — "we extend the algorithm by
@@ -87,14 +88,20 @@ ClusterResult run_cluster_bc(const graph::CSRGraph& g, const ClusterConfig& conf
 
   const std::uint64_t bc_bytes = static_cast<std::uint64_t>(n) * sizeof(double);
   std::vector<double> node_seconds(config.nodes, 0.0);
+  // Every GPU's partial merges into one exact sum (the modelled MPI_Reduce),
+  // so the bits depend on neither the GPU count nor the distribution.
+  util::ExactSum sums(n);
 
   for (std::uint32_t node = 0; node < config.nodes; ++node) {
-    std::vector<double> node_bc(n, 0.0);
     double node_compute = 0.0;
     for (std::uint32_t local = 0; local < config.gpus_per_node; ++local) {
       const std::uint32_t gpu = node * config.gpus_per_node + local;
-      GpuOutcome out = run_one_gpu(g, config, gpu_roots(gpu));
-      for (VertexId v = 0; v < n; ++v) node_bc[v] += out.bc[v];
+      std::vector<VertexId> mine = gpu_roots(gpu);
+      // A GPU with no roots stays idle: to a kernel, an empty root list
+      // means every vertex.
+      if (mine.empty()) continue;
+      const GpuOutcome out = run_one_gpu(g, config, std::move(mine));
+      sums.merge(out.sums);
       result.per_gpu_seconds[gpu] = out.seconds;
       node_compute = std::max(node_compute, out.seconds);
       result.counters += out.counters;
@@ -103,9 +110,8 @@ ClusterResult run_cluster_bc(const graph::CSRGraph& g, const ClusterConfig& conf
     node_seconds[node] =
         node_compute +
         config.interconnect.node_accumulate_seconds(bc_bytes, config.gpus_per_node);
-    // Node-level partials combine in node order (the MPI_Reduce).
-    for (VertexId v = 0; v < n; ++v) result.bc[v] += node_bc[v];
   }
+  result.bc = sums.to_doubles();
 
   result.compute_seconds =
       result.per_gpu_seconds.empty()

@@ -4,9 +4,12 @@
 // on every GPU, BC roots are statically partitioned across GPUs, each GPU
 // runs a single-GPU kernel over its subset, per-GPU partial BC vectors are
 // summed within a node, and node-level partials are combined with an
-// MPI_Reduce. The compute side runs the real kernels (one simulated
-// device per GPU); the interconnect side is an analytic latency+bandwidth
-// model of the Keeneland-style Infiniband QDR fabric.
+// MPI_Reduce. The partials are exact sums (util::ExactSum), merged and
+// converted once, so the scores are cpu::brandes's bits over the same
+// roots at any GPU count or distribution. The compute side runs the real
+// kernels (one simulated device per GPU); the interconnect side is an
+// analytic latency+bandwidth model of the Keeneland-style Infiniband QDR
+// fabric.
 
 #include <cstdint>
 #include <span>

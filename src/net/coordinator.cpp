@@ -38,11 +38,8 @@ std::uint32_t remaining_ms(const Clock::time_point& deadline) {
   return static_cast<std::uint32_t>(std::min<long long>(ms + 1, 0xffffffffll));
 }
 
-/// Every GPU-model strategy except Sampling, whose probe phase ranks the
-/// whole root list (only correct on one node), shards at block granularity.
-bool block_shardable(core::Strategy s) {
-  return core::uses_gpu_model(s) && s != core::Strategy::Sampling;
-}
+/// Vnodes per worker on the consistent-hash ring.
+constexpr std::uint32_t kVirtualNodes = 16;
 
 std::vector<wire::WireUpdate> to_wire(const std::vector<dyn::EdgeUpdate>& updates) {
   std::vector<wire::WireUpdate> out;
@@ -130,7 +127,7 @@ std::vector<std::uint32_t> Coordinator::owners(const std::string& id) const {
 
   std::map<std::uint64_t, std::uint32_t> ring;
   for (const std::uint32_t slot : ready) {
-    for (std::uint32_t v = 0; v < std::max<std::uint32_t>(cfg_.virtual_nodes, 1); ++v) {
+    for (std::uint32_t v = 0; v < kVirtualNodes; ++v) {
       ring.emplace(mix64((static_cast<std::uint64_t>(slot) << 32) | v), slot);
     }
   }
@@ -472,15 +469,11 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
       Shard& s = q.shards[m.shard_index];
       auto dit = std::find(s.dispatched_to.begin(), s.dispatched_to.end(), w.slot);
       if (dit != s.dispatched_to.end()) s.dispatched_to.erase(dit);
-      if (s.state == Shard::State::Done || s.state == Shard::State::Abandoned) {
-        return;  // straggler duplicate: first result won
-      }
-      // A degraded answer (the worker substituted a strategy) is not the
-      // requested bits: retried like a failure.
-      const graph::VertexId n = q.graph->num_vertices();
-      const bool usable = m.ok != 0 && m.degraded == 0 &&
-                          (q.whole ? m.scores.size() == n
-                                   : m.sum_vertices.empty() || m.sum_vertices.back() < n);
+      if (s.state == Shard::State::Done) return;  // straggler duplicate: first result won
+      // A refused shard (failed, degraded or without exact sums) is
+      // retried like a failure.
+      const bool usable = m.ok != 0 && (m.sum_vertices.empty() ||
+                                        m.sum_vertices.back() < q.graph->num_vertices());
       if (!usable) {
         ++stats_.shard_retries;
         trace_instant("shard-failed", q.id,
@@ -494,12 +487,8 @@ void Coordinator::handle_frame(WorkerState& w, const wire::Frame& frame) {
         }
         return;
       }
-      if (q.whole) {
-        s.scores = std::move(m.scores);
-      } else {
-        for (std::size_t k = 0; k < m.sum_vertices.size(); ++k) {
-          q.sums.add_cell(m.sum_vertices[k], m.sum_cells[k]);
-        }
+      for (std::size_t k = 0; k < m.sum_vertices.size(); ++k) {
+        q.sums.add_cell(m.sum_vertices[k], m.sum_cells[k]);
       }
       s.roots_processed = m.roots_processed;
       s.compute_ms = m.compute_ms;
@@ -571,8 +560,8 @@ void Coordinator::worker_dead(std::uint32_t slot) {
     }
   }
   // Root-range reassignment: every shard this worker still owed goes back
-  // to Pending; the dispatch loop finds it a new home (or the local-fallback
-  // lane computes it — bit-identical either way).
+  // to Pending; the dispatch loop finds it a new home (or the coordinator
+  // computes it — bit-identical either way).
   reassign_dispatched(slot);
   workers_.erase(it);
 }
@@ -768,7 +757,7 @@ std::string Coordinator::metrics_report() const {
   int n = std::snprintf(
       buf, sizeof(buf),
       "coordinator %s\n"
-      "  queries %llu (cache hits %llu, whole %llu, degraded %llu)\n"
+      "  queries %llu (cache hits %llu, degraded %llu)\n"
       "  approx: budgeted %llu refine-strata %llu refine-dropped %llu "
       "entries %zu\n"
       "  shards: dispatched %llu completed %llu retries %llu stragglers %llu "
@@ -780,7 +769,6 @@ std::string Coordinator::metrics_report() const {
       "trunc %llu flip %llu partition %llu)\n",
       cfg_.name.c_str(), static_cast<unsigned long long>(st.queries),
       static_cast<unsigned long long>(st.cache_hits),
-      static_cast<unsigned long long>(st.whole_queries),
       static_cast<unsigned long long>(st.degraded),
       static_cast<unsigned long long>(st.budgeted_queries),
       static_cast<unsigned long long>(st.refine_strata),
@@ -834,11 +822,7 @@ void Coordinator::finish_shard_local(ActiveQuery& q, Shard& s) {
   // the fleet cannot serve the shard. A throw ends the run.
   util::Timer t;
   core::BCResult r = core::compute(*q.graph, options_from_shard(s.msg));
-  if (q.whole) {
-    s.scores = std::move(r.scores);
-  } else {
-    q.sums.merge(r.sums);
-  }
+  q.sums.merge(r.sums);
   s.roots_processed = r.roots_processed;
   s.compute_ms = t.elapsed_seconds() * 1e3;
   s.state = Shard::State::Done;
@@ -847,29 +831,12 @@ void Coordinator::finish_shard_local(ActiveQuery& q, Shard& s) {
   trace_instant("shard-local", q.id, {{"shard", std::uint64_t{s.index}}});
 }
 
-void Coordinator::escalate(ActiveQuery& q, Shard& s) {
-  if (cfg_.local_fallback) {
-    finish_shard_local(q, s);
-    return;
-  }
-  // Degradation: fold what completed and report the rest as failed roots
-  // (the service serves that degraded, never cached) — unless nothing can
-  // complete at all.
-  s.state = Shard::State::Abandoned;
-  --q.remaining;
-  ++q.abandoned;
-  trace_instant("shard-abandoned", q.id, {{"shard", std::uint64_t{s.index}}});
-  if (q.abandoned == q.shards.size()) {
-    throw std::runtime_error("no worker could serve any shard (local fallback disabled)");
-  }
-}
-
 void Coordinator::dispatch_pending(ActiveQuery& q) {
   const auto now = Clock::now();
   for (Shard& s : q.shards) {
     if (s.state != Shard::State::Pending) continue;
     if (s.attempts >= cfg_.max_shard_attempts) {
-      escalate(q, s);
+      finish_shard_local(q, s);
       continue;
     }
     // Backoff window after a failed attempt: leave the shard Pending.
@@ -888,7 +855,7 @@ void Coordinator::dispatch_pending(ActiveQuery& q) {
       }
     }
     if (best == nullptr) {
-      escalate(q, s);
+      finish_shard_local(q, s);
       continue;
     }
     s.state = Shard::State::Dispatched;
@@ -907,9 +874,9 @@ void Coordinator::check_stragglers(ActiveQuery& q) {
       // Out of remote attempts and still no result. Under chaos the
       // outstanding request or reply may simply be gone, and a
       // deadline-less run must not wait forever for a frame that will
-      // never arrive — escalate now. If a straggler result does land
-      // later, the Done/Abandoned guard in handle_frame discards it.
-      escalate(q, s);
+      // never arrive — compute it here now. If a straggler result does
+      // land later, the Done guard in handle_frame discards it.
+      finish_shard_local(q, s);
       continue;
     }
     // Second opinion: dispatch to an untried healthy worker, first
@@ -924,7 +891,7 @@ void Coordinator::check_stragglers(ActiveQuery& q) {
       // and the timeout passed anyway. Same liveness argument as above —
       // waiting can only help if one of the outstanding frames is merely
       // slow, but it hangs forever if they were dropped.
-      escalate(q, s);
+      finish_shard_local(q, s);
       continue;
     }
     send_shard(q, s, *best, "shard-straggler");
@@ -970,41 +937,27 @@ core::BCResult Coordinator::run_on_fleet(const graph::CSRGraph& g, const core::O
   q->graph = &g;
   q->fingerprint = fingerprint;
   q->options = o;
-  q->whole = !block_shardable(o.strategy);
   q->approximate = plan.approximate;
   q->resolved_roots = plan.roots.size();
   q->start = Clock::now();
   q->cancel = o.resilience.cancel;
   q->deadline = q->cancel.deadline();
-  if (q->whole) {
-    ++stats_.whole_queries;
-    Shard s;
-    s.msg = shard_from_options(o);
-    s.msg.mode = wire::ShardMode::Whole;
-    q->shards.push_back(std::move(s));
-  } else {
-    // Deal resolved root i to shard i mod B, one shard per block of the
-    // standalone grid; each shard is an ordinary raw run of its roots.
-    q->sums = util::ExactSum(n);
-    core::Options shard = o;
-    shard.sample_roots = 0;
-    shard.halve_undirected = false;
-    shard.normalize = false;
-    const std::uint32_t shards =
-        o.strategy == core::Strategy::GpuFan ? 1 : std::max<std::uint32_t>(o.device.num_sms, 1);
-    for (std::uint32_t b = 0; b < shards; ++b) {
-      shard.roots.clear();
-      for (std::size_t i = b; i < plan.roots.size(); i += shards) {
-        shard.roots.push_back(plan.roots[i]);
-      }
-      if (shard.roots.empty()) continue;  // k < B: nothing to add
-      Shard s;
-      s.index = b;
-      s.msg = shard_from_options(shard);
-      s.msg.shard_index = b;
-      s.msg.mode = wire::ShardMode::Partial;
-      q->shards.push_back(std::move(s));
+  q->sums = util::ExactSum(n);
+  // Deal resolved root i to shard i mod B, one shard per SM of the
+  // modelled device, whatever the strategy; each shard is a raw run of
+  // exactly its roots.
+  core::Options shard = o;
+  const std::uint32_t shards = std::max<std::uint32_t>(o.device.num_sms, 1);
+  for (std::uint32_t b = 0; b < shards && b < plan.roots.size(); ++b) {
+    shard.roots.clear();
+    for (std::size_t i = b; i < plan.roots.size(); i += shards) {
+      shard.roots.push_back(plan.roots[i]);
     }
+    Shard s;
+    s.index = b;
+    s.msg = shard_from_options(shard);
+    s.msg.shard_index = b;
+    q->shards.push_back(std::move(s));
   }
   return run_query(std::move(q));
 }
@@ -1053,33 +1006,16 @@ core::BCResult Coordinator::assemble(ActiveQuery& q) {
   core::BCResult result;
   result.strategy = q.options.strategy;
   double compute_ms = 0.0;
-
-  if (q.whole) {
-    Shard& s = q.shards.front();
-    result.scores = std::move(s.scores);
-    result.roots_processed = s.roots_processed;
-    compute_ms = s.compute_ms;
-  } else {
-    // The paper's MPI_Reduce, made bitwise-deterministic: the shards'
-    // exact sums were added as they arrived (any order gives the same
-    // cells); convert once, then finalize exactly as core::compute does.
-    for (const Shard& s : q.shards) {
-      if (s.state != Shard::State::Done) {
-        // Abandoned: its roots are missing from the answer.
-        for (const graph::VertexId r : s.msg.roots) {
-          result.faults.failed_roots.push_back({.root = r, .transient = false});
-        }
-        continue;
-      }
-      result.roots_processed += s.roots_processed;
-      compute_ms = std::max(compute_ms, s.compute_ms);
-    }
-    result.scores = q.sums.to_doubles();
-    std::sort(result.faults.failed_roots.begin(), result.faults.failed_roots.end(),
-              [](const auto& a, const auto& b) { return a.root < b.root; });
-    core::finalize(result.scores, n, q.approximate ? result.roots_processed : 0,
-                   q.options.halve_undirected, q.options.normalize);
+  for (const Shard& s : q.shards) {
+    result.roots_processed += s.roots_processed;
+    compute_ms = std::max(compute_ms, s.compute_ms);
   }
+  // The paper's MPI_Reduce, made bitwise-deterministic: the shards' exact
+  // sums were added as they arrived (any order gives the same cells);
+  // convert once, then finalize exactly as core::compute does.
+  result.scores = q.sums.to_doubles();
+  core::finalize(result.scores, n, q.approximate ? result.roots_processed : 0,
+                 q.options.halve_undirected, q.options.normalize);
   result.approximate = q.approximate || (q.resolved_roots < n);
   result.time_seconds = compute_ms / 1e3;
   result.wall_seconds = ms_between(q.start, Clock::now()) / 1e3;

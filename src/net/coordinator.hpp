@@ -12,18 +12,19 @@
 // and update history late joiners replay, and snapshots. A fleet run
 // shards work two ways:
 //
-//  * **By root range within one run** — the paper's static partition:
-//    resolved root i goes to shard i mod B (B = the grid size the
-//    standalone run would use, one shard per simulated block). A worker
-//    runs a shard as an ordinary raw run of its roots and returns their
-//    exact sums (util::ExactSum); the coordinator merges the sums in
-//    arrival order — integer addition, so any order gives the same cells
-//    — converts once and applies the same finalization core::compute
-//    would (sampling scale-up → halve → normalize, all elementwise). The
-//    reassembled scores equal a standalone run bit for bit at ANY worker
-//    count — the paper's MPI_Reduce shape, made reproducible. The
-//    sampling kernel (whose probe phase inspects the whole root list) and
-//    the CPU engines route to one worker as a Whole run instead.
+//  * **By root within one run** — the paper's static partition (§V.D),
+//    for every strategy: resolved root i goes to shard i mod B, with
+//    B = max(device.num_sms, 1), one shard per SM of the modelled device
+//    (shard b holds what block b of a block-parallel grid owns). A worker
+//    runs a shard as a raw run of exactly its roots (for Sampling, the
+//    probe runs per shard, as it does per GPU in dist::run_cluster_bc)
+//    and returns the nonzero cells of its exact sums (util::ExactSum).
+//    The coordinator merges the cells in arrival order — integer
+//    addition, so any order gives the same cells — converts once and
+//    applies core::finalize (sampling scale-up → halve → normalize, all
+//    elementwise). Finalization happens only here. The reassembled
+//    scores equal a standalone run bit for bit at ANY worker count — the
+//    paper's MPI_Reduce shape, made reproducible.
 //
 //  * **By graph across the fleet** — consistent hashing over a ring of
 //    worker vnodes places each named graph on `replication` workers
@@ -31,19 +32,17 @@
 //    only dispatch to its owners.
 //
 // Budgets: every accuracy contract runs the service's controller here, on
-// the coordinator. Each stratum is an exact explicit-root fleet run —
-// Partial shards for block-shardable strategies, one Whole shard
-// otherwise — so the folded estimate has the bits a standalone budgeted
-// query computes. No wire frame carries a budget or an estimate.
+// the coordinator. Each stratum is an exact explicit-root fleet run, so
+// the folded estimate has the bits a standalone budgeted query computes.
+// No wire frame carries a budget or an estimate.
 //
 // Resilience at the fleet level: a dead worker's outstanding shards are
 // reassigned (the root-range reassignment path), stragglers are
-// re-dispatched after a timeout (first result wins), a shard that exhausts its attempts falls back to a
-// coordinator-local compute of the same sub-run (bit-identical, since it
-// executes the identical shard options), and with local fallback
-// disabled the run reports the abandoned shards' roots as failed roots
-// (the service serves the partial answer degraded and never caches it)
-// or fails. The request deadline bounds the whole exchange.
+// re-dispatched after a timeout (first result wins), and a shard that
+// exhausts its attempts, or finds no eligible worker, is computed on the
+// coordinator (bit-identical, since it executes the identical shard
+// options). A local compute that throws fails the run. The request
+// deadline bounds the whole exchange.
 //
 // Threading: only the thread that calls the coordinator pumps the poll
 // loop. The service's worker and refinement threads put each fleet run
@@ -89,17 +88,12 @@ struct CoordinatorConfig {
   std::size_t cache_bytes = 64ull << 20;
   /// Workers each graph is placed on; 0 = replicate to every worker.
   std::uint32_t replication = 0;
-  /// Vnodes per worker on the consistent-hash ring.
-  std::uint32_t virtual_nodes = 16;
   /// Re-dispatch a shard still unanswered after this long to a second
   /// worker (first result wins). 0 = off.
   std::chrono::milliseconds straggler_timeout{0};
-  /// Dispatch attempts per shard before escalating to local fallback (or
-  /// degradation). Minimum 1.
+  /// Dispatch attempts per shard before the coordinator computes it
+  /// itself (bit-identical: the same shard run). Minimum 1.
   std::uint32_t max_shard_attempts = 3;
-  /// Compute shards locally when no worker can serve them (bit-identical:
-  /// the same shard run). Off = degrade/fail instead.
-  bool local_fallback = true;
   /// Budget for control handshakes (graph load acks, mutate acks, drain).
   std::chrono::milliseconds control_timeout{10'000};
   /// Request-lifecycle tracing; spans/instants carry the propagated
@@ -147,7 +141,6 @@ struct DistStats {
   std::uint64_t straggler_redispatches = 0;
   std::uint64_t worker_deaths = 0;
   std::uint64_t local_fallbacks = 0;  // shards computed on the coordinator
-  std::uint64_t whole_queries = 0;    // routed unsharded (CPU / sampling)
   std::uint64_t degraded = 0;
   std::uint64_t mutations = 0;
   std::uint64_t budgeted_queries = 0;  // accuracy-contract queries served
@@ -283,14 +276,13 @@ class Coordinator {
 
   struct Shard {
     std::uint32_t index = 0;  // root i of the query is in shard i mod shards
-    enum class State : std::uint8_t { Pending, Dispatched, Done, Abandoned };
+    enum class State : std::uint8_t { Pending, Dispatched, Done };
     State state = State::Pending;
     std::uint32_t attempts = 0;
     wire::SubmitShardMsg msg;  // built once; local fallback replays it
     std::vector<std::uint32_t> dispatched_to;  // slots still expected
     std::set<std::uint32_t> tried;
     std::chrono::steady_clock::time_point last_dispatch{};
-    std::vector<double> scores;  // Whole: the finalized answer
     std::uint64_t roots_processed = 0;
     double compute_ms = 0.0;
     /// Re-dispatch pacing after a failure: the shard stays Pending but is
@@ -306,13 +298,11 @@ class Coordinator {
     const graph::CSRGraph* graph = nullptr;  // the service's snapshot
     std::uint64_t fingerprint = 0;
     core::Options options;  // as the service asked (finalization mirrors these)
-    bool whole = false;
     bool approximate = false;      // sampled-roots scale-up applies
     std::size_t resolved_roots = 0;  // |resolved root list|
     std::vector<Shard> shards;
-    util::ExactSum sums;  // Partial: the done shards' sums, merged on arrival
+    util::ExactSum sums;  // the done shards' sums, merged on arrival
     std::size_t remaining = 0;
-    std::size_t abandoned = 0;
     std::chrono::steady_clock::time_point start;
     /// The service's cancel token; its deadline (time_point::max() = none)
     /// bounds every shard.
@@ -372,8 +362,8 @@ class Coordinator {
 
   /// Shard, dispatch and fold one compute call of the service: the graph
   /// id is the registered one with `g`'s fingerprint (a snapshot a
-  /// mutation made stale throws), the shards are its block schedule or
-  /// one Whole shard, and the result is finalized as core::compute would.
+  /// mutation made stale throws), root i goes to shard i mod B, and the
+  /// result is finalized as core::compute would.
   core::BCResult run_on_fleet(const graph::CSRGraph& g, const core::Options& o);
   /// The one dispatch/pump loop: send `q`'s shards and heal failures until
   /// every shard is done, then assemble. Throws when the run fails.
@@ -386,9 +376,8 @@ class Coordinator {
   /// Send `s` to `w` with the time left on `q`, and record the attempt
   /// (`event` names the trace instant).
   void send_shard(ActiveQuery& q, Shard& s, WorkerState& w, const char* event);
-  /// Escalation for a shard out of remote options: local fallback
-  /// (bit-identical) or abandon; throws when the run cannot finish.
-  void escalate(ActiveQuery& q, Shard& s);
+  /// A shard out of remote options is computed on this thread
+  /// (bit-identical: the same shard run); a throw fails the run.
   void finish_shard_local(ActiveQuery& q, Shard& s);
   core::BCResult assemble(ActiveQuery& q);
 

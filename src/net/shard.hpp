@@ -4,7 +4,9 @@
 // builds every SubmitShard with shard_from_options; the worker executes it
 // with options_from_shard, and so does the coordinator's local-fallback
 // path — one translation each way, so a shard computed locally is
-// bit-identical to the same shard computed remotely by construction.
+// bit-identical to the same shard computed remotely by construction. A
+// shard is a raw run of exactly its roots: the options it yields never
+// sample, halve or normalize (finalization happens on the coordinator).
 
 #include "core/bc.hpp"
 #include "net/wire.hpp"
@@ -15,10 +17,6 @@ inline core::Options options_from_shard(const wire::SubmitShardMsg& m) {
   core::Options o;
   o.strategy = static_cast<core::Strategy>(m.strategy);
   o.roots.assign(m.roots.begin(), m.roots.end());
-  o.sample_roots = m.sample_roots;
-  o.seed = m.seed;
-  o.halve_undirected = m.halve_undirected != 0;
-  o.normalize = m.normalize != 0;
   o.cpu_threads = m.cpu_threads;
   o.resilience.max_root_attempts = m.max_root_attempts;
   // 0 = "use the worker's default device"; the tuning params are copied
@@ -33,17 +31,13 @@ inline core::Options options_from_shard(const wire::SubmitShardMsg& m) {
   return o;
 }
 
-/// The options half of a SubmitShard: every score-affecting field of `o`.
-/// The caller fills the routing fields (graph id, fingerprint, mode,
-/// shard index, deadline, budget).
+/// The options half of a SubmitShard: `o.roots` and every field of `o`
+/// that steers a raw run of them. The caller fills the routing fields
+/// (graph id, fingerprint, shard index, deadline).
 inline wire::SubmitShardMsg shard_from_options(const core::Options& o) {
   wire::SubmitShardMsg m;
   m.strategy = static_cast<std::uint8_t>(o.strategy);
   m.roots.assign(o.roots.begin(), o.roots.end());
-  m.sample_roots = o.sample_roots;
-  m.seed = o.seed;
-  m.halve_undirected = o.halve_undirected ? 1 : 0;
-  m.normalize = o.normalize ? 1 : 0;
   m.cpu_threads = static_cast<std::uint32_t>(o.cpu_threads);
   m.max_root_attempts = o.resilience.max_root_attempts;
   m.device_num_sms = o.device.num_sms;

@@ -204,12 +204,7 @@ std::vector<std::uint8_t> encode(const SubmitShardMsg& m, std::uint64_t request_
   w.str(m.graph_id);
   w.u64(m.fingerprint);
   w.u32(m.shard_index);
-  w.u8(static_cast<std::uint8_t>(m.mode));
   w.u8(m.strategy);
-  w.u8(m.halve_undirected);
-  w.u8(m.normalize);
-  w.u32(m.sample_roots);
-  w.u64(m.seed);
   w.u32(m.cpu_threads);
   w.u32(m.max_root_attempts);
   w.u32(m.device_num_sms);
@@ -229,12 +224,7 @@ DecodeStatus decode(const Frame& f, SubmitShardMsg& out) {
   out.graph_id = r.str();
   out.fingerprint = r.u64();
   out.shard_index = r.u32();
-  const std::uint8_t mode = r.u8();
   out.strategy = r.u8();
-  out.halve_undirected = r.u8();
-  out.normalize = r.u8();
-  out.sample_roots = r.u32();
-  out.seed = r.u64();
   out.cpu_threads = r.u32();
   out.max_root_attempts = r.u32();
   out.device_num_sms = r.u32();
@@ -247,12 +237,8 @@ DecodeStatus decode(const Frame& f, SubmitShardMsg& out) {
   out.roots = r.u32s();
   const DecodeStatus s = seal(r);
   if (s != DecodeStatus::Ok) return s;
-  if (mode > static_cast<std::uint8_t>(ShardMode::Whole)) return DecodeStatus::BadValue;
-  out.mode = static_cast<ShardMode>(mode);
   const std::optional<core::Strategy> strategy = core::strategy_from_wire(out.strategy);
-  if (!strategy || out.halve_undirected > 1 || out.normalize > 1) {
-    return DecodeStatus::BadValue;
-  }
+  if (!strategy) return DecodeStatus::BadValue;
   out.strategy = static_cast<std::uint8_t>(*strategy);  // the retired 2 reads as 1
   return DecodeStatus::Ok;
 }
@@ -262,7 +248,6 @@ std::vector<std::uint8_t> encode(const ShardResultMsg& m, std::uint64_t request_
   Writer w(p);
   w.u32(m.shard_index);
   w.u8(m.ok);
-  w.u8(m.degraded);
   w.str(m.error);
   w.u64(m.roots_processed);
   w.f64(m.compute_ms);
@@ -277,7 +262,6 @@ DecodeStatus decode(const Frame& f, ShardResultMsg& out) {
   Reader r(f.payload);
   out.shard_index = r.u32();
   out.ok = r.u8();
-  out.degraded = r.u8();
   out.error = r.str();
   out.roots_processed = r.u64();
   out.compute_ms = r.f64();
@@ -286,7 +270,7 @@ DecodeStatus decode(const Frame& f, ShardResultMsg& out) {
   out.sum_cells = r.cells();
   const DecodeStatus s = seal(r);
   if (s != DecodeStatus::Ok) return s;
-  if (out.ok > 1 || out.degraded > 1 || out.sum_cells.size() != out.sum_vertices.size() ||
+  if (out.ok > 1 || out.sum_cells.size() != out.sum_vertices.size() ||
       std::adjacent_find(out.sum_vertices.begin(), out.sum_vertices.end(),
                          std::greater_equal<>()) != out.sum_vertices.end()) {
     return DecodeStatus::BadValue;

@@ -208,12 +208,12 @@ class Reader {
 };
 
 inline constexpr std::uint32_t kMagic = 0x4E434248u;  // "HBCN" little-endian
-/// The one protocol version. v4 returns a Partial shard's exact sums (its
-/// nonzero cells) instead of doubles and drops SubmitShard's grid override; v3 had
-/// dropped v2's accuracy-budget and estimate blocks (budgets run on the
-/// coordinator). Any other version (v1 to v3 included) is BadVersion at
-/// the header.
-inline constexpr std::uint16_t kProtocolVersion = 4;
+/// The one protocol version. v5 has one shard kind: a SubmitShard is an
+/// explicit raw root list, answered with the nonzero cells of its exact
+/// sums. Any other version (v1 to v4 included) is BadVersion at the
+/// header: a v4 frame still carries a shard mode, finalization flags and
+/// a degraded flag.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 inline constexpr std::size_t kHeaderSize = 20;
 /// Payload cap: a hostile length prefix can demand at most 64 MiB.
 inline constexpr std::uint32_t kMaxPayload = 1u << 26;
@@ -223,8 +223,8 @@ enum class MsgType : std::uint16_t {
   HelloAck = 2,      // coordinator -> worker: slot assignment
   LoadGraph = 3,     // coordinator -> worker: load a named graph
   GraphLoaded = 4,   // worker -> coordinator: load outcome + fingerprint
-  SubmitShard = 5,   // coordinator -> worker: compute a root shard / query
-  ShardResult = 6,   // worker -> coordinator: partial or final BC vector
+  SubmitShard = 5,   // coordinator -> worker: compute a root shard
+  ShardResult = 6,   // worker -> coordinator: the shard's exact sums
   Heartbeat = 7,     // worker -> coordinator: liveness + load
   HeartbeatAck = 8,  // coordinator -> worker
   Mutate = 9,        // coordinator -> worker: apply an edge-update batch
@@ -310,29 +310,16 @@ struct GraphLoadedMsg {
   std::string error;
 };
 
-/// Shard execution mode.
-enum class ShardMode : std::uint8_t {
-  /// Run the given roots as an ordinary run and return their exact raw
-  /// sums (no sampling scale-up, no halving, no normalization): the
-  /// coordinator merges the shards' sums in any order and finalizes,
-  /// reproducing a standalone run bit for bit.
-  Partial = 0,
-  /// Run the whole query on one worker with full core::compute semantics
-  /// (CPU engines and the sampling kernel, whose probe phase depends on
-  /// the complete root list, are not block-shardable).
-  Whole = 1,
-};
-
+/// Run exactly `roots` as a raw run (no sampling scale-up, no halving,
+/// no normalization) and return the nonzero cells of its exact sums: the
+/// coordinator merges the shards' cells in any order, converts once and
+/// finalizes, reproducing a standalone run bit for bit. Every strategy
+/// shards this way; a shard is always an explicit root list.
 struct SubmitShardMsg {
   std::string graph_id;
   std::uint64_t fingerprint = 0;  // expected current graph fingerprint
   std::uint32_t shard_index = 0;  // root i of the query is in shard i mod shards
-  ShardMode mode = ShardMode::Partial;
   std::uint8_t strategy = 0;  // core::Strategy, range-checked on decode
-  std::uint8_t halve_undirected = 0;  // Whole mode only
-  std::uint8_t normalize = 0;         // Whole mode only
-  std::uint32_t sample_roots = 0;     // Whole mode only
-  std::uint64_t seed = 0;
   std::uint32_t cpu_threads = 0;
   std::uint32_t max_root_attempts = 3;
   std::uint32_t device_num_sms = 0;  // 0 = worker default device
@@ -342,27 +329,25 @@ struct SubmitShardMsg {
   double sampling_gamma = 0.0;
   std::uint32_t sampling_min_frontier = 0;
   std::uint32_t deadline_ms = 0;  // remaining budget; 0 = none
-  /// Partial: exactly this shard's roots.
-  /// Whole: the query's explicit roots (may be empty = all / sampled).
   std::vector<graph::VertexId> roots;
 };
 
 struct ShardResultMsg {
   std::uint32_t shard_index = 0;
+  /// 0 = refused: the run failed, or its answer was degraded or kept no
+  /// exact sums (any of which would corrupt the coordinator's fold).
   std::uint8_t ok = 1;
-  /// Whole mode: the worker's service degraded the result (substituted
-  /// strategy / partial roots). The coordinator never accepts a degraded
-  /// shard — it retries it instead.
-  std::uint8_t degraded = 0;
   std::string error;
   std::uint64_t roots_processed = 0;
   double compute_ms = 0.0;
-  /// Whole: the finalized scores, bit-exact (empty for Partial).
+  /// Raw IEEE-754 doubles, bit-exact. No worker fills it and the
+  /// coordinator ignores it (a shard answers with exact sums only); it
+  /// stays on the wire because perfbench's wire probe times its codec.
   std::vector<double> scores;
-  /// Partial: the nonzero cells of the shard's exact raw sums, by
-  /// strictly ascending vertex id (decode checks the order; both empty
-  /// for Whole). A one-root shard reaches few vertices, and its leaves add
-  /// 0, so this is far smaller than every cell.
+  /// The nonzero cells of the shard's exact raw sums, by strictly
+  /// ascending vertex id (decode checks the order). A one-root shard
+  /// reaches few vertices, and its leaves add 0, so this is far smaller
+  /// than every cell.
   std::vector<graph::VertexId> sum_vertices;
   std::vector<util::ExactSum::Cell> sum_cells;
 };

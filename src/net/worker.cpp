@@ -43,8 +43,8 @@ graph::CSRGraph default_loader(const std::string& spec) {
 
 // The worker's service config: `base` with a completion hook that wakes
 // the serving loop, and core::compute as the executor when `base` names
-// none, so results keep the exact sums a Partial shard returns (the cache
-// charges their bytes).
+// none, so results keep the exact sums a shard returns (the cache charges
+// their bytes).
 service::ServiceConfig waking(service::ServiceConfig base, Wakeup& wake) {
   base.on_complete = [&wake] { wake.notify(); };
   if (!base.compute_fn) {
@@ -292,7 +292,6 @@ void Worker::handle_frame(Conn& conn, const wire::Frame& frame, bool& draining,
       PendingShard p;
       p.request_id = frame.request_id;
       p.shard_index = m.shard_index;
-      p.mode = static_cast<std::uint8_t>(m.mode);
       p.ticket = svc_.submit(std::move(req));
       pending_.push_back(std::move(p));
       return;
@@ -367,26 +366,19 @@ void Worker::poll_tickets(Conn& conn) {
     const service::Response r = svc_.wait(p.ticket);
     wire::ShardResultMsg out;
     out.shard_index = p.shard_index;
-    const bool partial = p.mode == static_cast<std::uint8_t>(wire::ShardMode::Partial);
-    // A partial must return exact sums: a degraded one (the service
+    // A shard must return exact sums: a degraded one (the service
     // substituted a strategy) or one whose executor kept none would
     // corrupt the coordinator's exact fold, so it is refused.
     const bool exact =
         r.ok() && !r.degraded && r.result->sums.size() == r.result->scores.size();
-    if (r.ok() && (!partial || exact)) {
-      out.ok = 1;
-      out.degraded = r.degraded ? 1 : 0;
+    if (exact) {
       out.roots_processed = r.result->roots_processed;
       out.compute_ms = r.compute_ms;
-      if (partial) {
-        const std::span<const util::ExactSum::Cell> cells = r.result->sums.cells();
-        for (std::size_t v = 0; v < cells.size(); ++v) {
-          if (cells[v] == 0) continue;
-          out.sum_vertices.push_back(static_cast<graph::VertexId>(v));
-          out.sum_cells.push_back(cells[v]);
-        }
-      } else {
-        out.scores = r.result->scores;
+      const std::span<const util::ExactSum::Cell> cells = r.result->sums.cells();
+      for (std::size_t v = 0; v < cells.size(); ++v) {
+        if (cells[v] == 0) continue;
+        out.sum_vertices.push_back(static_cast<graph::VertexId>(v));
+        out.sum_cells.push_back(cells[v]);
       }
       ++stats_.shards_served;
     } else {

@@ -17,11 +17,13 @@
 // there is no timer on the result path. request_stop() uses the same
 // pipe, so a stopped worker leaves run() at once.
 //
-// Determinism contract: a Partial-mode shard the local service answered
-// *degraded* (strategy substituted by the resilience ladder) is refused —
-// sent back as an error — because substituted bits would corrupt the
-// coordinator's bitwise reduction. The coordinator retries elsewhere or
-// computes the shard itself; either path produces the exact bits.
+// Determinism contract: every shard is a raw run of explicit roots, and it
+// answers with the exact sums of those roots or not at all. A shard the
+// local service answered *degraded* (strategy substituted by the
+// resilience ladder), or without exact sums, is refused — sent back with
+// ok = 0 — because such bits would corrupt the coordinator's reduction.
+// The coordinator retries elsewhere or computes the shard itself; either
+// path produces the exact bits.
 //
 // Lifecycle: Drain finishes in-flight shards, says Goodbye, and returns.
 // `die_after_shards` is the chaos hook for the distributed kill tests:
@@ -95,7 +97,7 @@ struct WorkerConfig {
 struct WorkerStats {
   std::uint64_t shards_received = 0;
   std::uint64_t shards_served = 0;
-  std::uint64_t shards_refused = 0;  // partials without exact bits sent back as errors
+  std::uint64_t shards_refused = 0;  // answers without exact bits sent back as errors
   std::uint64_t graphs_loaded = 0;
   std::uint64_t mutations = 0;
   std::uint64_t heartbeats = 0;
@@ -130,7 +132,6 @@ class Worker {
   struct PendingShard {
     std::uint64_t request_id = 0;
     std::uint32_t shard_index = 0;
-    std::uint8_t mode = 0;  // wire::ShardMode
     service::Ticket ticket;
   };
 

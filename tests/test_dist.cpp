@@ -1,9 +1,13 @@
 // The multi-GPU cluster driver: correctness of the reduction and the
-// scaling shape the paper reports in Figure 6 / Table IV.
+// scaling shape the paper reports in Figure 6 / Table IV. The reduction is
+// exact, so the scores are memcmp-equal to cpu::brandes over the same
+// roots: "close" is not a pass.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "cpu/brandes.hpp"
 #include "dist/cluster.hpp"
@@ -13,6 +17,11 @@ namespace {
 
 using namespace hbc;
 using dist::ClusterConfig;
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 TEST(Cluster, BCMatchesSerialOracle) {
   const auto g = graph::gen::small_world({.num_vertices = 512, .k = 4, .seed = 1});
@@ -26,10 +35,7 @@ TEST(Cluster, BCMatchesSerialOracle) {
 
   EXPECT_EQ(r.total_gpus, 6u);
   EXPECT_EQ(r.roots_processed, g.num_vertices());
-  ASSERT_EQ(r.bc.size(), oracle.size());
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    EXPECT_NEAR(r.bc[i], oracle[i], 1e-9 * std::max(1.0, oracle[i]));
-  }
+  EXPECT_TRUE(bitwise_equal(r.bc, oracle));
 }
 
 TEST(Cluster, NearLinearScalingWithEnoughWork) {
@@ -73,6 +79,7 @@ TEST(Cluster, PerGpuTimesReported) {
 
 TEST(Cluster, RoundRobinMatchesContiguousScores) {
   const auto g = graph::gen::kronecker({.scale = 9, .edge_factor = 8, .seed = 2});
+  const auto oracle = cpu::brandes(g).bc;
   ClusterConfig config;
   config.nodes = 2;
   config.gpus_per_node = 3;
@@ -80,10 +87,25 @@ TEST(Cluster, RoundRobinMatchesContiguousScores) {
   const auto contiguous = dist::run_cluster_bc(g, config);
   config.distribution = dist::RootDistribution::RoundRobin;
   const auto interleaved = dist::run_cluster_bc(g, config);
-  ASSERT_EQ(contiguous.bc.size(), interleaved.bc.size());
-  for (std::size_t i = 0; i < contiguous.bc.size(); ++i) {
-    EXPECT_NEAR(contiguous.bc[i], interleaved.bc[i],
-                1e-9 * std::max(1.0, contiguous.bc[i]));
+  EXPECT_TRUE(bitwise_equal(contiguous.bc, oracle));
+  EXPECT_TRUE(bitwise_equal(interleaved.bc, oracle));
+}
+
+TEST(Cluster, GpusWithoutRootsStayIdle) {
+  // 2 roots on 6 GPUs: four GPUs get none and must add nothing.
+  const auto g = graph::gen::small_world({.num_vertices = 64, .k = 3, .seed = 1});
+  ClusterConfig config;
+  config.nodes = 2;
+  config.gpus_per_node = 3;
+  config.strategy = kernels::Strategy::WorkEfficient;
+  const std::vector<graph::VertexId> roots{1, 2};
+  for (const auto distribution :
+       {dist::RootDistribution::Contiguous, dist::RootDistribution::RoundRobin}) {
+    config.distribution = distribution;
+    const auto r = dist::run_cluster_bc(g, config, roots);
+    EXPECT_EQ(r.roots_processed, 2u);
+    EXPECT_TRUE(bitwise_equal(r.bc, cpu::brandes(g, {.sources = roots}).bc));
+    EXPECT_EQ(std::count(r.per_gpu_seconds.begin(), r.per_gpu_seconds.end(), 0.0), 4);
   }
 }
 
@@ -112,10 +134,7 @@ TEST(Cluster, RootSubsetSplitsEvenly) {
   std::vector<graph::VertexId> roots{0, 1, 2, 3, 4, 5, 6};  // 7 roots on 3 GPUs
   const auto r = dist::run_cluster_bc(g, config, roots);
   EXPECT_EQ(r.roots_processed, 7u);
-  const auto oracle = cpu::brandes(g, {.sources = roots}).bc;
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    EXPECT_NEAR(r.bc[i], oracle[i], 1e-9 * std::max(1.0, oracle[i]));
-  }
+  EXPECT_TRUE(bitwise_equal(r.bc, cpu::brandes(g, {.sources = roots}).bc));
 }
 
 }  // namespace

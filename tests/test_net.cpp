@@ -287,7 +287,7 @@ TEST(NetDistributed, ExplicitRootSubsetStaysBitwise) {
 }
 
 TEST(NetDistributed, WorkerWithoutExactSumsIsRefusedAndStaysBitwise) {
-  // A worker whose executor keeps no exact sums cannot serve a Partial
+  // A worker whose executor keeps no exact sums cannot serve a
   // shard: it refuses each one, and the coordinator computes them itself.
   const auto g = std::make_shared<const graph::CSRGraph>(test_graph());
   core::Options opt;
@@ -338,39 +338,61 @@ TEST(NetDistributed, WorkerKilledMidRunStillBitwiseIdentical) {
   EXPECT_GE(fleet.coordinator->stats().shard_retries, 1u);
 }
 
-TEST(NetDistributed, GpuFanSingleBlockAndWholeModeRouting) {
+TEST(NetDistributed, EveryStrategyShardsByRootAndStaysBitwise) {
+  // One shard kind: whatever the strategy, resolved root i goes to shard
+  // i mod B (B = the device's SM count), every shard returns exact sums,
+  // and the coordinator finalizes once.
   const auto g = std::make_shared<const graph::CSRGraph>(test_graph());
-  Fleet fleet(2, {}, in_memory_workers(2, g));
-  ASSERT_EQ(fleet.coordinator->load_graph("g0", g, ""), 2u);
+  const graph::VertexId n = g->num_vertices();
+  struct Case {
+    const char* name;
+    core::Options options;
+    std::size_t roots;  // resolved root count
+  };
+  std::vector<Case> cases(4);
+  cases[0] = {"all roots", {}, n};
+  cases[1] = {"explicit roots", {}, 7};
+  cases[1].options.roots = {0, 3, 9, 27, 81, 243, 5};
+  cases[2] = {"sampled roots", {}, 32};
+  cases[2].options.sample_roots = 32;
+  cases[2].options.seed = 7;
+  cases[3] = {"sampled, halved, normalized", {}, 20};
+  cases[3].options.sample_roots = 20;
+  cases[3].options.seed = 11;
+  cases[3].options.halve_undirected = true;
+  cases[3].options.normalize = true;
 
-  // GPU-FAN forces one block, so the query is one Partial shard.
-  {
-    core::Options opt;
-    opt.strategy = core::Strategy::GpuFan;
-    const core::BCResult standalone = core::compute(*g, opt);
-    service::Request req;
-    req.graph_id = "g0";
-    req.options = opt;
-    const service::Response resp = fleet.coordinator->query(req);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_TRUE(bitwise_equal(resp.result->scores, standalone.scores));
+  const core::Strategy strategies[] = {
+      core::Strategy::CpuSerial,      core::Strategy::CpuParallel,
+      core::Strategy::VertexParallel, core::Strategy::EdgeParallel,
+      core::Strategy::GpuFan,         core::Strategy::WorkEfficient,
+      core::Strategy::Hybrid,         core::Strategy::Sampling,
+      core::Strategy::DirectionOptimized};
+  for (const std::size_t n_workers : {1u, 2u}) {
+    Fleet fleet(n_workers, {}, in_memory_workers(n_workers, g));
+    ASSERT_EQ(fleet.coordinator->load_graph("g0", g, ""), n_workers);
+    for (const core::Strategy strategy : strategies) {
+      for (Case c : cases) {
+        c.options.strategy = strategy;
+        const core::BCResult standalone = core::compute(*g, c.options);
+        const std::uint64_t before = fleet.coordinator->stats().shards_dispatched;
+        service::Request req;
+        req.graph_id = "g0";
+        req.options = c.options;
+        const service::Response resp = fleet.coordinator->query(req);
+        const std::string where = std::string(core::to_string(strategy)) + ", " + c.name +
+                                  " @ " + std::to_string(n_workers) + " workers";
+        ASSERT_TRUE(resp.ok()) << resp.error << " (" << where << ")";
+        EXPECT_TRUE(bitwise_equal(resp.result->scores, standalone.scores)) << where;
+        EXPECT_EQ(resp.result->roots_processed, standalone.roots_processed) << where;
+        EXPECT_EQ(resp.result->approximate, standalone.approximate) << where;
+        const std::size_t shards =
+            std::min<std::size_t>(c.options.device.num_sms, c.roots);
+        EXPECT_EQ(fleet.coordinator->stats().shards_dispatched - before, shards) << where;
+      }
+    }
+    EXPECT_EQ(fleet.coordinator->stats().local_fallbacks, 0u);
   }
-  // CPU and sampling strategies are not block-shardable: routed Whole.
-  for (const core::Strategy strategy :
-       {core::Strategy::CpuSerial, core::Strategy::Sampling}) {
-    core::Options opt;
-    opt.strategy = strategy;
-    opt.sample_roots = strategy == core::Strategy::Sampling ? 32 : 0;
-    const core::BCResult standalone = core::compute(*g, opt);
-    service::Request req;
-    req.graph_id = "g0";
-    req.options = opt;
-    const service::Response resp = fleet.coordinator->query(req);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_TRUE(bitwise_equal(resp.result->scores, standalone.scores))
-        << core::to_string(strategy);
-  }
-  EXPECT_GE(fleet.coordinator->stats().whole_queries, 2u);
 }
 
 TEST(NetDistributed, LocalFallbackServesWithNoWorkersBitwise) {
@@ -392,23 +414,6 @@ TEST(NetDistributed, LocalFallbackServesWithNoWorkersBitwise) {
   ASSERT_TRUE(resp.ok()) << resp.error;
   EXPECT_TRUE(bitwise_equal(resp.result->scores, standalone.scores));
   EXPECT_GT(coordinator.stats().local_fallbacks, 0u);
-}
-
-TEST(NetDistributed, NoWorkersAndNoFallbackFailsCleanly) {
-  const auto g = std::make_shared<const graph::CSRGraph>(test_graph());
-  SocketDir dir;
-  net::CoordinatorConfig cfg;
-  cfg.listen = net::Endpoint::parse(dir.sock());
-  cfg.local_fallback = false;
-  net::Coordinator coordinator(std::move(cfg));
-  coordinator.load_graph("g0", g, "");
-
-  service::Request req;
-  req.graph_id = "g0";
-  req.options.strategy = core::Strategy::WorkEfficient;
-  const service::Response resp = coordinator.query(req);
-  EXPECT_EQ(resp.status, service::QueryStatus::Failed);
-  EXPECT_FALSE(resp.error.empty());
 }
 
 // --- service semantics over the wire -------------------------------------
@@ -710,10 +715,10 @@ TEST(NetDistributed, BudgetedUpgradeThroughFleetIsBitwiseIdenticalToStandalone) 
   EXPECT_EQ(fleet.coordinator->stats().local_fallbacks, 0u);
 }
 
-// CPU strategies are not block-shardable: the coordinator's service runs
-// the stratified controller and sends each stratum to one worker as an
-// exact Whole shard, so the estimate is the standalone service's.
-TEST(NetDistributed, BudgetedWholeDelegationCarriesEstimate) {
+// A CPU strategy's budgeted query: the coordinator's service runs the
+// stratified controller and shards each stratum by root like any fleet
+// run, so the estimate is the standalone service's.
+TEST(NetDistributed, BudgetedCpuQueryCarriesEstimate) {
   const auto g = std::make_shared<const graph::CSRGraph>(big_graph());
 
   service::BcService svc({.workers = 2});
@@ -732,7 +737,6 @@ TEST(NetDistributed, BudgetedWholeDelegationCarriesEstimate) {
   EXPECT_GE(resp.estimate->stderr_est, 0.0);
   EXPECT_TRUE(bitwise_equal(resp.result->scores, standalone.result->scores));
   EXPECT_EQ(fleet.coordinator->stats().budgeted_queries, 1u);
-  EXPECT_GE(fleet.coordinator->stats().whole_queries, 1u);
 }
 
 // allow_refinement: the coordinator answers at rung 0 and run_for()

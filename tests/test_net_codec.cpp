@@ -39,9 +39,7 @@ wire::SubmitShardMsg sample_shard() {
   m.graph_id = "g0";
   m.fingerprint = 0x0123456789abcdefull;
   m.shard_index = 7;
-  m.mode = wire::ShardMode::Partial;
   m.strategy = 6;  // WorkEfficient
-  m.seed = 42;
   m.cpu_threads = 3;
   m.max_root_attempts = 2;
   m.device_num_sms = 14;
@@ -116,9 +114,7 @@ TEST(NetCodec, SubmitShardRoundTrip) {
   EXPECT_EQ(out.graph_id, in.graph_id);
   EXPECT_EQ(out.fingerprint, in.fingerprint);
   EXPECT_EQ(out.shard_index, in.shard_index);
-  EXPECT_EQ(out.mode, in.mode);
   EXPECT_EQ(out.strategy, in.strategy);
-  EXPECT_EQ(out.seed, in.seed);
   EXPECT_EQ(out.cpu_threads, in.cpu_threads);
   EXPECT_EQ(out.max_root_attempts, in.max_root_attempts);
   EXPECT_EQ(out.device_num_sms, in.device_num_sms);
@@ -144,9 +140,9 @@ TEST(NetCodec, StrategyWireValuesAreStable) {
       {Strategy::DirectionOptimized, 9},
   };
   // Payload layout before the strategy byte: graph_id (u32 length +
-  // bytes), fingerprint u64, shard_index u32, mode u8.
+  // bytes), fingerprint u64, shard_index u32.
   const std::string graph_id = "g0";
-  const std::size_t at = wire::kHeaderSize + 4 + graph_id.size() + 8 + 4 + 1;
+  const std::size_t at = wire::kHeaderSize + 4 + graph_id.size() + 8 + 4;
   for (const auto& [strategy, value] : frozen) {
     hbc::core::Options options;
     options.strategy = strategy;
@@ -175,13 +171,13 @@ TEST(NetCodec, StrategyWireValuesAreStable) {
   EXPECT_EQ(hbc::net::options_from_shard(out).strategy, Strategy::CpuParallel);
 }
 
-TEST(NetCodec, ShardFramesRoundTripAtV4) {
-  // One protocol version: every frame carries 4, and the shard messages
+TEST(NetCodec, ShardFramesRoundTripAtV5) {
+  // One protocol version: every frame carries 5, and the shard messages
   // end at their last field (no budget or estimate block follows).
   const wire::SubmitShardMsg shard = sample_shard();
   const std::vector<std::uint8_t> shard_bytes = wire::encode(shard, 21);
-  EXPECT_EQ(wire::kProtocolVersion, 4u);
-  EXPECT_EQ(shard_bytes[4], 4u);
+  EXPECT_EQ(wire::kProtocolVersion, 5u);
+  EXPECT_EQ(shard_bytes[4], 5u);
   EXPECT_EQ(shard_bytes[5], 0u);
   Frame f;
   ASSERT_EQ(extract(shard_bytes, f), DecodeStatus::Ok);
@@ -194,7 +190,7 @@ TEST(NetCodec, ShardFramesRoundTripAtV4) {
   result.roots_processed = 512;
   result.scores = {1.0, 2.0};
   const std::vector<std::uint8_t> result_bytes = wire::encode(result, 26);
-  EXPECT_EQ(result_bytes[4], 4u);
+  EXPECT_EQ(result_bytes[4], 5u);
   ASSERT_EQ(extract(result_bytes, f), DecodeStatus::Ok);
   wire::ShardResultMsg result_out;
   ASSERT_EQ(wire::decode(f, result_out), DecodeStatus::Ok);
@@ -203,9 +199,10 @@ TEST(NetCodec, ShardFramesRoundTripAtV4) {
 }
 
 TEST(NetCodec, OlderProtocolVersionsAreBadVersion) {
-  // v1 to v3 peers are refused at the header, before any payload is read
-  // (a v3 worker would answer a Partial shard with doubles).
-  for (const std::uint8_t old : {1, 2, 3}) {
+  // v1 to v4 peers are refused at the header, before any payload is read
+  // (a v3 worker would answer a shard with doubles, and a v4 SubmitShard
+  // carries a mode, finalization flags and a sample count v5 dropped).
+  for (const std::uint8_t old : {1, 2, 3, 4}) {
     for (std::vector<std::uint8_t> bytes :
          {wire::encode(sample_shard(), 22), wire::encode(wire::ShardResultMsg{}, 23),
           wire::encode(wire::HelloMsg{}, 24)}) {
@@ -242,7 +239,7 @@ TEST(NetCodec, ShardResultScoresAreBitExact) {
 }
 
 TEST(NetCodec, PartialShardResultCarriesExactSums) {
-  // A Partial shard returns the nonzero cells of its exact sums by
+  // A shard returns the nonzero cells of its exact sums by
   // ascending vertex id: every cell, including ones at and past 2^64 (a
   // high half) and a difference read as negative, must arrive bit for
   // bit, low u64 first. Ids out of order or a count mismatch are typed.
@@ -526,9 +523,12 @@ TEST(NetCodec, TrailingBytesInPayloadAreTyped) {
 TEST(NetCodec, OutOfDomainEnumsAreBadValue) {
   wire::SubmitShardMsg in = sample_shard();
   const std::vector<std::uint8_t> good = wire::encode(in, 17);
-  // Find the mode byte by brute force: flip each payload byte to 0xFF and
-  // require that NO single-byte corruption ever crashes; specifically the
-  // mode/strategy corruptions must surface BadValue.
+  // Flip each payload byte to 0xFF and require that NO single-byte
+  // corruption ever crashes; specifically the strategy corruption must
+  // surface BadValue.
+  // The strategy byte follows graph_id (u32 length + bytes), fingerprint
+  // u64 and shard_index u32.
+  const std::size_t strategy_at = wire::kHeaderSize + 4 + in.graph_id.size() + 8 + 4;
   std::size_t bad_value_seen = 0;
   for (std::size_t i = wire::kHeaderSize; i < good.size(); ++i) {
     std::vector<std::uint8_t> bytes = good;
@@ -538,9 +538,12 @@ TEST(NetCodec, OutOfDomainEnumsAreBadValue) {
     wire::SubmitShardMsg out;
     const DecodeStatus s = wire::decode(f, out);
     if (s == DecodeStatus::BadValue) ++bad_value_seen;
+    if (i == strategy_at) {
+      EXPECT_EQ(s, DecodeStatus::BadValue);
+    }
   }
-  // mode, strategy, halve, normalize are all range-checked single bytes.
-  EXPECT_GE(bad_value_seen, 4u);
+  // strategy is SubmitShard's one range-checked single byte.
+  EXPECT_GE(bad_value_seen, 1u);
 }
 
 TEST(NetCodec, QuarantineStateOutOfDomainIsBadValue) {
