@@ -14,6 +14,13 @@
 //
 //   ./build/bench/bench_micro --benchmark_filter=KernelHostCost --benchmark_enable_random_interleaving=true
 //
+// BM_WorkEfficientForward and BM_EdgeParallelLevel report `ns_per_arc`
+// (printed as e.g. 2.1ns): host time of the forward stage per arc its
+// levels walk (the frontier rows, Σ LevelStats::edge_frontier), the
+// forward stage's own per-arc cost:
+//
+//   taskset -c 2 ./build/bench/bench_micro --benchmark_filter='WorkEfficientForward|EdgeParallelLevel'
+//
 // BM_CpuBrandesForward/<flag>_<family>/<scale> reports `per_root` for
 // cpu::brandes at 1 thread over 128 sampled roots with neighbours, best of
 // 10. `undirected` may expand wide frontiers bottom-up; `directed_flag`
@@ -62,6 +69,12 @@ const graph::CSRGraph& cached_graph(const std::string& family, std::uint32_t sca
     it = cache.emplace(key, graph::gen::family_by_name(family).make(scale, 1)).first;
   }
   return it->second;
+}
+
+/// Host seconds per unit of `count` (printed with an SI prefix, e.g. 2.1ns).
+benchmark::Counter per(std::uint64_t count) {
+  return benchmark::Counter(static_cast<double>(count),
+                            benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
 void BM_HostBfs(benchmark::State& state, const char* family) {
@@ -118,11 +131,12 @@ void BM_WorkEfficientForward(benchmark::State& state, const char* family) {
   device.begin_run(1);
   kernels::BCWorkspace ws(g);
   graph::VertexId root = 0;
+  std::uint64_t arcs = 0;
   for (auto _ : state) {
     auto ctx = device.block(0);
     ws.init_root(root, ctx);
     while (true) {
-      ws.we_forward_level(ctx);
+      arcs += ws.we_forward_level(ctx).edge_frontier;
       if (ws.q_next_len() == 0) break;
       ws.finish_level(ctx);
     }
@@ -131,6 +145,7 @@ void BM_WorkEfficientForward(benchmark::State& state, const char* family) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.num_directed_edges()));
+  state.counters["ns_per_arc"] = per(arcs);
 }
 
 // Dependency stage only: the forward stage of each root runs untimed.
@@ -160,6 +175,8 @@ void BM_WorkEfficientDependency(benchmark::State& state, const char* family) {
 
 // The queue-less edge-parallel forward stage (Jia et al.): one
 // ep_forward_level per depth; `per_level` is host seconds per level.
+// Charged as a full scan per level, the host walks only the frontier's
+// arcs, which `ns_per_arc` counts.
 void BM_EdgeParallelLevel(benchmark::State& state, const char* family) {
   const auto& g = cached_graph(family, static_cast<std::uint32_t>(state.range(0)));
   gpusim::Device device(gpusim::gtx_titan());
@@ -167,18 +184,22 @@ void BM_EdgeParallelLevel(benchmark::State& state, const char* family) {
   kernels::BCWorkspace ws(g);
   graph::VertexId root = 0;
   std::uint64_t levels = 0;
+  std::uint64_t arcs = 0;
   for (auto _ : state) {
     auto ctx = device.block(0);
     ws.init_root(root, ctx);
     for (std::uint32_t depth = 0;; ++depth) {
       ++levels;
-      if (ws.ep_forward_level(ctx, depth, /*maintain_queue=*/false).discovered == 0) break;
+      const auto level = ws.ep_forward_level(ctx, depth, /*maintain_queue=*/false);
+      arcs += level.edge_frontier;
+      if (level.discovered == 0) break;
     }
     benchmark::DoNotOptimize(ws.sigmas().data());
     root = (root + 1) % g.num_vertices();
   }
   state.counters["per_level"] = benchmark::Counter(
       static_cast<double>(levels), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["ns_per_arc"] = per(arcs);
 }
 
 // Whole-strategy host cost per root: core::compute at 1 thread over 64

@@ -25,6 +25,61 @@ std::uint64_t walk_cycles(const gpusim::CostModel& cost, std::uint64_t degree) {
 std::uint64_t bits_of(double x) noexcept { return std::bit_cast<std::uint64_t>(x); }
 double from_bits(std::uint64_t x) noexcept { return std::bit_cast<double>(x); }
 
+/// Collects a row's arc bits in a register and ORs them into a bitmap
+/// once per 64 arcs and at the row end, not one read-modify-write per
+/// marked arc.
+class RowMarks {
+ public:
+  explicit RowMarks(util::BitVector& marks) noexcept : marks_(&marks) {}
+
+  /// `bit` (0 or 1) for arc e; a row's arcs arrive in ascending order.
+  void put(EdgeOffset e, std::uint64_t bit) noexcept {
+    word_ |= bit << (e & 63);
+    if ((e & 63) == 63) {
+      marks_->or_word(e >> 6, word_);
+      word_ = 0;
+    }
+  }
+
+  /// Ends a row whose last arc is end - 1.
+  void flush(EdgeOffset end) noexcept {
+    if (word_ != 0) marks_->or_word((end - 1) >> 6, word_);
+    word_ = 0;
+  }
+
+ private:
+  util::BitVector* marks_;
+  std::uint64_t word_ = 0;
+};
+
+/// Top-down expansion of one frontier row [begin, end) into depth `next`,
+/// without a branch per arc: an unvisited w (d = ∞) takes d = next and the
+/// discovery slot out[tail] (written for every arc, kept by advancing the
+/// tail), and every w at `next` gets sigma_v added and its arc marked. A
+/// non-successor gets +0.0 added to σ ≥ +0 and its own d stored back, so
+/// the state is what the branching loop leaves. Returns the successors.
+std::uint64_t expand_row(EdgeOffset begin, EdgeOffset end, const VertexId* cols,
+                         std::uint32_t* d, double* sigma, std::uint32_t next,
+                         double sigma_v, VertexId* out, std::uint64_t& tail,
+                         RowMarks& marks) noexcept {
+  const std::uint64_t sigma_bits = bits_of(sigma_v);
+  std::uint64_t successors = 0;
+  for (EdgeOffset e = begin; e < end; ++e) {
+    const VertexId w = cols[e];
+    const std::uint32_t dw = d[w];
+    const std::uint32_t reached = std::min(dw, next);  // the CAS: ∞ becomes next
+    d[w] = reached;
+    out[tail] = w;
+    tail += dw == kInfDistance;
+    const std::uint64_t successor = reached == next;
+    sigma[w] += from_bits(sigma_bits & (0 - successor));
+    marks.put(e, successor);
+    successors += successor;
+  }
+  marks.flush(end);
+  return successors;
+}
+
 }  // namespace
 
 const char* to_string(Mode mode) noexcept {
@@ -43,9 +98,9 @@ BCWorkspace::BCWorkspace(const graph::CSRGraph& g)
   d_.assign(n, kInfDistance);
   sigma_.assign(n, 0.0);
   delta_.assign(n, 0.0);
-  q_curr_.assign(n, 0);
-  q_next_.assign(n, 0);
-  s_.assign(n, 0);
+  scratch_.assign(n, 0);
+  // One spare slot past n for the forward levels' unconditional write.
+  s_.assign(static_cast<std::size_t>(n) + 1, 0);
   // At most one ends entry per BFS level; n + 2 is a safe upper bound
   // (paper: ends_len = max depth + 1 plus the leading 0).
   ends_.assign(static_cast<std::size_t>(n) + 2, 0);
@@ -94,7 +149,6 @@ void BCWorkspace::init_root(VertexId s, gpusim::BlockContext& ctx) {
 
   d_[s] = 0;
   sigma_[s] = 1.0;
-  q_curr_[0] = s;
   q_curr_len_ = 1;
   q_next_len_ = 0;
   s_[0] = s;
@@ -119,7 +173,7 @@ BCWorkspace::LevelStats BCWorkspace::we_forward_level(gpusim::BlockContext& ctx,
     std::uint64_t frontier_arcs = 0;
     double frontier_sigma = 0.0;
     for (std::uint64_t i = 0; i < q_curr_len_; ++i) {
-      const VertexId v = q_curr_[i];
+      const VertexId v = q_curr()[i];
       frontier_arcs += offsets[v + 1] - offsets[v];
       frontier_sigma += sigma_[v];
     }
@@ -143,27 +197,16 @@ BCWorkspace::LevelStats BCWorkspace::we_forward_level(gpusim::BlockContext& ctx,
   // Locals keep the hot loop's stores from aliasing the members.
   std::uint32_t* const d = d_.data();
   double* const sigma = sigma_.data();
-  VertexId* const q_next = q_next_.data();
+  const VertexId* const q_curr = this->q_curr();
+  VertexId* const q_next = this->q_next();
   std::uint64_t tail = q_next_len_;
   std::uint64_t sigma_adds = 0;
+  RowMarks successors(successor_marks_);  // (v -> w) is a shortest-path edge
   for (std::uint64_t i = 0; i < q_curr_len_; ++i) {
-    const VertexId v = q_curr_[i];
-    const std::uint32_t next = d[v] + 1;
-    const double sigma_v = sigma[v];
+    const VertexId v = q_curr[i];
     const std::uint64_t tail_before = tail;
-    std::uint64_t marks = 0;
-    for (EdgeOffset e = offsets[v]; e < offsets[v + 1]; ++e) {
-      const VertexId w = cols[e];
-      if (d[w] == kInfDistance) {  // CAS wins: insert into Q_next
-        d[w] = next;
-        q_next[tail++] = w;
-      }
-      if (d[w] == next) {
-        sigma[w] += sigma_v;
-        successor_marks_.set(e);  // (v -> w) is a shortest-path edge
-        ++marks;
-      }
-    }
+    const std::uint64_t marks = expand_row(offsets[v], offsets[v + 1], cols.data(), d, sigma,
+                                           d[v] + 1, sigma[v], q_next, tail, successors);
     // Per edge: the unconditional atomicCAS on d[w] and the adjacency walk;
     // per discovery: the Q_next insert (atomicAdd on its tail); per
     // successor: the atomicAdd on sigma[w], plus, with the predecessor
@@ -211,29 +254,35 @@ BCWorkspace::LevelStats BCWorkspace::bottom_up_level(gpusim::BlockContext& ctx,
       if (d[v] == kInfDistance) unvisited_.push_back(v);
     }
   }
-  for (std::uint64_t i = 0; i < q_curr_len_; ++i) delta[q_curr_[i]] = from_bits(i << 32);
+  const VertexId* const q_curr = this->q_curr();
+  VertexId* const q_next = this->q_next();
+  for (std::uint64_t i = 0; i < q_curr_len_; ++i) delta[q_curr[i]] = from_bits(i << 32);
 
   // Each unvisited vertex sums σ over its parents (integers below 2^53:
   // any order gives the top-down bits) and takes the parent first in
-  // Q_curr as its discoverer — the vertex whose CAS wins top-down.
+  // Q_curr as its discoverer — the vertex whose CAS wins top-down. The
+  // parent test is a mask, not a branch: a non-parent adds +0.0 to the
+  // sum and all-ones to the min.
   const std::uint32_t cur = depth_;
-  VertexId* const discoverer = s_.data() + s_len_;  // S's unused tail
+  VertexId* const discoverer = scratch_.data();
   const std::uint64_t begin = discovered_.size();
   std::uint64_t parent_arcs = 0;
   std::size_t kept = 0;
+  RowMarks parents(predecessor_marks_);
   for (const VertexId u : unvisited_) {
     if (d[u] != kInfDistance) continue;  // reached by a top-down level since
     double sum = 0.0;
     std::uint64_t first = ~std::uint64_t{0};
-    for (EdgeOffset e = offsets[u]; e < offsets[u + 1]; ++e) {
+    const EdgeOffset end = offsets[u + 1];
+    for (EdgeOffset e = offsets[u]; e < end; ++e) {
       const VertexId x = cols[e];
-      if (d[x] == cur) {
-        sum += sigma[x];
-        predecessor_marks_.set(e);
-        first = std::min(first, bits_of(delta[x]));
-        ++parent_arcs;
-      }
+      const std::uint64_t parent = d[x] == cur;
+      sum += from_bits(bits_of(sigma[x]) & (0 - parent));
+      first = std::min(first, bits_of(delta[x]) | (parent - 1));
+      parents.put(e, parent);
+      parent_arcs += parent;
     }
+    parents.flush(end);
     if (first == ~std::uint64_t{0}) {
       unvisited_[kept++] = u;
       continue;
@@ -243,7 +292,7 @@ BCWorkspace::LevelStats BCWorkspace::bottom_up_level(gpusim::BlockContext& ctx,
     const auto position = static_cast<VertexId>(first >> 32);
     discoverer[discovered_.size() - begin] = position;
     discovered_.push_back(u);
-    double& found = delta[q_curr_[position]];
+    double& found = delta[q_curr[position]];
     found = from_bits(bits_of(found) + 1);
   }
   unvisited_.resize(kept);
@@ -256,7 +305,7 @@ BCWorkspace::LevelStats BCWorkspace::bottom_up_level(gpusim::BlockContext& ctx,
   round_.reset(ctx.round_threads());
   std::uint64_t slot = q_next_len_;
   for (std::uint64_t i = 0; i < q_curr_len_; ++i) {
-    const VertexId v = q_curr_[i];
+    const VertexId v = q_curr[i];
     const std::uint64_t found = bits_of(delta[v]) & 0xffffffffu;
     round_.add_item(cost.queue_vertex + walk_cycles(cost, offsets[v + 1] - offsets[v]) +
                     found * cost.queue_insert);
@@ -264,11 +313,11 @@ BCWorkspace::LevelStats BCWorkspace::bottom_up_level(gpusim::BlockContext& ctx,
     slot += found;
   }
   for (std::uint64_t k = 0; k < discovered; ++k) {
-    double& next_slot = delta[q_curr_[discoverer[k]]];
-    q_next_[bits_of(next_slot)] = discovered_[begin + k];
+    double& next_slot = delta[q_curr[discoverer[k]]];
+    q_next[bits_of(next_slot)] = discovered_[begin + k];
     next_slot = from_bits(bits_of(next_slot) + 1);
   }
-  for (std::uint64_t i = 0; i < q_curr_len_; ++i) delta[q_curr_[i]] = 0.0;
+  for (std::uint64_t i = 0; i < q_curr_len_; ++i) delta[q_curr[i]] = 0.0;
   q_next_len_ += discovered;
   bottom_up_levels_.push_back({depth_, begin, begin + discovered});
   ++host_bottom_up_levels_;
@@ -307,29 +356,27 @@ BCWorkspace::LevelStats BCWorkspace::ep_forward_level(gpusim::BlockContext& ctx,
 
   // Only edges whose source sits at `depth` do anything. Sorted, the
   // level's vertices visit exactly those edges in edge-array order, so
-  // sigma sums and Q_next come out as the scan would produce them.
-  const std::span<VertexId> frontier =
-      maintain_queue ? std::span<VertexId>(q_curr_.data(), q_curr_len_)
-                     : std::span<VertexId>(s_.data() + ends_[depth],
-                                           ends_[depth + 1] - ends_[depth]);
+  // sigma sums and Q_next come out as the scan would produce them. Q_curr
+  // is S's last slice, whose order the dependency stage charges, so a
+  // queue-maintaining level sorts a copy.
+  std::span<VertexId> frontier(s_.data() + ends_[depth], ends_[depth + 1] - ends_[depth]);
+  if (maintain_queue) {
+    frontier = {scratch_.data(), q_curr_len_};
+    std::copy_n(q_curr(), q_curr_len_, frontier.begin());
+  }
   std::sort(frontier.begin(), frontier.end());
-  VertexId* const out = maintain_queue ? q_next_.data() + q_next_len_ : s_.data() + s_len_;
 
+  // Successor arcs go into the host-only bitmap for ep_backward_level.
+  if (successor_marks_.size() != g_->num_directed_edges()) {
+    successor_marks_.assign(g_->num_directed_edges(), false);
+  }
+  RowMarks successors(successor_marks_);
   std::uint64_t sigma_adds = 0;
   for (const VertexId u : frontier) {
-    const double sigma_u = sigma_[u];
     stats.edge_frontier += offsets[u + 1] - offsets[u];
-    for (EdgeOffset e = offsets[u]; e < offsets[u + 1]; ++e) {
-      const VertexId w = cols[e];
-      if (d_[w] == kInfDistance) {
-        d_[w] = depth + 1;
-        out[stats.discovered++] = w;
-      }
-      if (d_[w] == depth + 1) {
-        sigma_[w] += sigma_u;
-        ++sigma_adds;
-      }
-    }
+    sigma_adds += expand_row(offsets[u], offsets[u + 1], cols.data(), d_.data(), sigma_.data(),
+                             depth + 1, sigma_[u], q_next() + q_next_len_, stats.discovered,
+                             successors);
   }
   const std::uint64_t useful = stats.edge_frontier;
   settled_arcs_ += useful;
@@ -427,7 +474,7 @@ BCWorkspace::LevelStats BCWorkspace::bu_forward_level(gpusim::BlockContext& ctx,
       if (acc > 0.0) {
         d_[v] = depth + 1;
         sigma_[v] = acc;
-        q_next_[q_next_len_++] = v;
+        q_next()[q_next_len_++] = v;
         ++stats.discovered;
         ++counters.queue_inserts;
         ++counters.atomic_ops;  // queue tail (the filter pass's only atomic)
@@ -443,7 +490,7 @@ BCWorkspace::LevelStats BCWorkspace::bu_forward_level(gpusim::BlockContext& ctx,
   // Edge frontier (out-edges of the level we just finished expanding)
   // for the heuristics/stats, same definition as the other primitives.
   for (std::uint64_t i = 0; i < q_curr_len_; ++i) {
-    stats.edge_frontier += g_->degree(q_curr_[i]);
+    stats.edge_frontier += g_->degree(q_curr()[i]);
   }
   settled_arcs_ += stats.edge_frontier;
   return stats;
@@ -451,11 +498,9 @@ BCWorkspace::LevelStats BCWorkspace::bu_forward_level(gpusim::BlockContext& ctx,
 
 void BCWorkspace::finish_level(gpusim::BlockContext& ctx) {
   // Lines 14–24 of Algorithm 2: copy Q_next into Q_curr and append to S.
+  // Charged as those copies; on the host Q_next was written in place at
+  // S's tail, so appending it makes it both S's last slice and Q_curr.
   ctx.charge_uniform_round(q_next_len_, 2 * ctx.cost().scan_seq);
-  for (std::uint64_t i = 0; i < q_next_len_; ++i) {
-    q_curr_[i] = q_next_[i];
-    s_[s_len_ + i] = q_next_[i];
-  }
   ends_[ends_len_] = ends_[ends_len_ - 1] + q_next_len_;
   ++ends_len_;
   q_curr_len_ = q_next_len_;
@@ -576,8 +621,9 @@ void BCWorkspace::ep_backward_level(gpusim::BlockContext& ctx, std::uint32_t dep
   ctx.charge_uniform_round(m, cost.scan_seq, width);
   counters.edges_inspected += m;
 
-  // The scan's useful edges are those leaving S[ends[depth] ..
-  // ends[depth+1]); each w's terms arrive in adjacency order either way.
+  // The scan's useful edges are the successor arcs leaving S[ends[depth]
+  // .. ends[depth+1]), which ep_forward_level marked; each w's terms
+  // arrive in adjacency order either way.
   std::uint64_t traversed = 0;
   std::uint64_t useful = 0;
   for (std::uint64_t i = ends_[depth]; i < ends_[depth + 1]; ++i) {
@@ -585,15 +631,13 @@ void BCWorkspace::ep_backward_level(gpusim::BlockContext& ctx, std::uint32_t dep
     const double sw = sigma_[w];
     double dw = delta_[w];
     traversed += offsets[w + 1] - offsets[w];
-    for (EdgeOffset e = offsets[w]; e < offsets[w + 1]; ++e) {
+    successor_marks_.for_each_set(offsets[w], offsets[w + 1], [&](std::size_t e) {
       const VertexId v = cols[e];
-      if (d_[v] == depth + 1) {
-        // Multiple threads share the same w, so the accumulation into
-        // delta[w] must be atomic (§IV.A's closing observation).
-        dw += (sw / sigma_[v]) * (1.0 + delta_[v]);
-        ++useful;
-      }
-    }
+      // Multiple threads share the same w, so the accumulation into
+      // delta[w] must be atomic (§IV.A's closing observation).
+      dw += (sw / sigma_[v]) * (1.0 + delta_[v]);
+      ++useful;
+    });
     delta_[w] = dw;
   }
   counters.edges_traversed += traversed;

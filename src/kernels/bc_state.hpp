@@ -46,6 +46,26 @@
 // state. The dependency stage pushes such a level's δ terms into the
 // marked predecessors in ascending successor id, the order the successor
 // pull adds them on ascending rows.
+//
+// Masks, not branches. The host's per-arc loops — a top-down level's row
+// expansion (we_forward_level, ep_forward_level) and a bottom-up level's
+// parent scan — test nothing per arc; their tests (d[w] == ∞,
+// d[w] == next, d[x] == cur) are 0/1 masks, because a branch on them is
+// mispredicted on every wide level. No modelled bit can move: a masked σ
+// add adds +0.0 to σ ≥ +0 (and a masked parent sum adds +0.0 to a sum
+// ≥ +0), which keeps its bits; the CAS is d[w] = min(d[w], next), a store
+// of the same value to a visited w; every arc writes w into the next
+// discovery slot and only a discovery advances the tail, so S keeps one
+// spare slot past n; marked arcs collect in a register word that is ORed
+// into the bitmap once per 64 arcs and at the row end. Arcs are visited
+// in the same order, so σ sums, queues, counters, charges, cycles and
+// traces are those of the branching loops.
+//
+// On the host, Q_curr is S's last slice and Q_next is written in place
+// right after it: finish_level is charged as Algorithm 2's two copies but
+// moves nothing. The Q_curr of an edge-parallel level, which the host
+// sorts, is copied first, since S's order is what the dependency stage
+// charges.
 
 #include <cstdint>
 #include <memory>
@@ -259,7 +279,8 @@ class BCWorkspace {
   /// bookkeeping (frontier sizes, S, ends) stays intact.
   /// `width` widens the round to more threads (GPU-FAN grid mode).
   /// Charged as the full scan; the host walks only the frontier's edges,
-  /// in ascending source order — the edge array's order. Without
+  /// in ascending source order — the edge array's order — and marks the
+  /// successor arcs for ep_backward_level. Without
   /// maintain_queue (the queue-less Jia et al. kernels, which keep no
   /// frontier on the device) the level's vertices still go into S and
   /// ends as host-only entries, uncharged, so the next level and the
@@ -280,7 +301,8 @@ class BCWorkspace {
   LevelStats bu_forward_level(gpusim::BlockContext& ctx, std::uint32_t depth);
 
   /// Algorithm 2 lines 14–24: publish Q_next as the new Q_curr, append it
-  /// to S and push a new `ends` entry.
+  /// to S and push a new `ends` entry (on the host, Q_next already sits at
+  /// S's tail, so only the lengths move).
   void finish_level(gpusim::BlockContext& ctx);
 
   /// Algorithm 3 body for one depth (S-slice driven, successor checks).
@@ -303,7 +325,8 @@ class BCWorkspace {
   /// Edge-parallel dependency level: scan all edges; updates the
   /// dependency of edge sources atomically (the paper notes edge-parallel
   /// successor accumulation cannot avoid atomics). Charged as the full
-  /// scan; the host walks only the edges of the level's S slice.
+  /// scan; the host sums over the successor arcs ep_forward_level marked
+  /// in the rows of the level's S slice.
   void ep_backward_level(gpusim::BlockContext& ctx, std::uint32_t depth,
                          std::uint64_t width = 0);
 
@@ -333,7 +356,7 @@ class BCWorkspace {
   }
   /// Contents of Q_next (valid between a forward level and finish_level).
   std::span<const graph::VertexId> next_queue() const noexcept {
-    return {q_next_.data(), q_next_len_};
+    return {s_.data() + s_len_, q_next_len_};
   }
   std::span<const std::uint64_t> ends() const noexcept {
     return {ends_.data(), ends_len_};
@@ -360,6 +383,11 @@ class BCWorkspace {
   /// Push the δ terms of the level below `depth` into their predecessors.
   void push_to_predecessors(std::uint32_t depth);
 
+  /// On the host Q_curr is S's last slice and Q_next is written in place
+  /// right after it, so finish_level moves no vertex.
+  graph::VertexId* q_curr() noexcept { return s_.data() + s_len_ - q_curr_len_; }
+  graph::VertexId* q_next() noexcept { return s_.data() + s_len_; }
+
   const graph::CSRGraph* g_;
   /// Undirected with strictly ascending rows: wide levels may run
   /// bottom-up on the host.
@@ -370,11 +398,12 @@ class BCWorkspace {
   /// position (high 32 bits) and found count (low 32) as raw bits;
   /// zeroed again before the level returns.
   std::vector<double> delta_;
-  /// Bit e is set when edge e carried a sigma update in we_forward_level.
-  /// Host-only: it is the modelled predecessor bitmap only when the
-  /// kernel runs with use_predecessor_bitmap (which puts it on the
-  /// device ledger); otherwise it just lets the dependency stage skip
-  /// non-successor edges. Lazily sized; one bit per directed edge.
+  /// Bit e is set when edge e carried a sigma update in we_forward_level
+  /// (top-down) or ep_forward_level. Host-only: it is the modelled
+  /// predecessor bitmap only when the kernel runs with
+  /// use_predecessor_bitmap (which puts it on the device ledger);
+  /// otherwise it just lets the dependency stage skip non-successor
+  /// edges. Lazily sized; one bit per directed edge.
   util::BitVector successor_marks_;
   /// expansion_[k]: how we_forward_level expanded depth k this root.
   std::vector<Expansion> expansion_;
@@ -391,8 +420,11 @@ class BCWorkspace {
   /// Σ degree of the depths already expanded this root.
   std::uint64_t settled_arcs_ = 0;
   gpusim::ImbalancedRound round_{1};  // reused by every imbalanced round
-  std::vector<graph::VertexId> q_curr_;
-  std::vector<graph::VertexId> q_next_;
+  /// Host-only: the sorted copy of Q_curr of an edge-parallel level, or a
+  /// bottom-up level's discoverer positions.
+  std::vector<graph::VertexId> scratch_;
+  /// S, which also holds Q_curr and Q_next (see q_curr()), plus one spare
+  /// slot for the forward levels' unconditional discovery write.
   std::vector<graph::VertexId> s_;
   std::vector<std::uint64_t> ends_;
   std::uint64_t q_curr_len_ = 0;

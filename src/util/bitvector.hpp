@@ -31,6 +31,9 @@ class BitVector {
   void set(std::size_t i) noexcept { words_[i >> 6] |= (std::uint64_t{1} << (i & 63)); }
   void clear(std::size_t i) noexcept { words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }
 
+  /// OR `bits` into word `word` (bits [64 * word, 64 * word + 64)).
+  void or_word(std::size_t word, std::uint64_t bits) noexcept { words_[word] |= bits; }
+
   void assign(std::size_t n, bool value) {
     size_ = n;
     words_.assign((n + 63) / 64, value ? ~std::uint64_t{0} : 0);

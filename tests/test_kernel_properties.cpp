@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cpu/brandes.hpp"
 #include "cpu/naive.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/bc_state.hpp"
@@ -233,6 +237,75 @@ TEST(PerRootStats, FrontiersMatchBfs) {
     EXPECT_GT(stats.iterations[i].cycles, 0u);
   }
   EXPECT_EQ(stats.max_depth, bfs.max_depth);
+}
+
+// The forward levels write a discovery slot for every arc and advance the
+// tail only on a discovery, so the last write of a level that reaches
+// every remaining vertex lands one past n (S's spare slot). Graphs where
+// that happens at once — a complete graph, a star from its hub (a
+// bottom-up level on the host when n < 32) or from a leaf, a single edge
+// — and roots that reach nothing must still give cpu::brandes's bits in
+// every strategy, with and without edge-parallel levels.
+TEST(BoundaryGraphs, EveryStrategyGivesOracleBits) {
+  auto star = [](VertexId leaves) {
+    std::vector<graph::Edge> edges;
+    for (VertexId v = 1; v <= leaves; ++v) edges.push_back({0, v});
+    return graph::build_csr(leaves + 1, edges);
+  };
+  std::vector<graph::Edge> complete;
+  for (VertexId u = 0; u < 64; ++u) {
+    for (VertexId v = u + 1; v < 64; ++v) complete.push_back({u, v});
+  }
+  // A triangle, a path and two isolated vertices (3 and 7).
+  const std::vector<graph::Edge> sparse = {{0, 1}, {1, 2}, {0, 2}, {4, 5}, {5, 6}};
+
+  struct Case {
+    std::string name;
+    CSRGraph g;
+    std::vector<VertexId> roots;  // empty = every vertex
+  };
+  std::vector<Case> cases;
+  cases.push_back({"K64", graph::build_csr(64, complete), {}});
+  // Two roots each, so sampling probes one work-efficiently and runs the
+  // other with edge-parallel levels.
+  cases.push_back({"star16-hub-leaf", star(16), {0, 9}});
+  cases.push_back({"star16-leaf-hub", star(16), {9, 0}});
+  cases.push_back({"star63-hub-leaf", star(63), {0, 63}});
+  cases.push_back({"star63-leaf-hub", star(63), {63, 0}});
+  cases.push_back({"path2", graph::build_csr(2, std::vector<graph::Edge>{{0, 1}}), {}});
+  cases.push_back({"isolated-roots", graph::build_csr(8, sparse), {3, 0, 7, 5}});
+  cases.push_back({"isolated-all", graph::build_csr(8, sparse), {}});
+
+  kernels::RunConfig plain;
+  plain.device = gpusim::test_device();
+  kernels::RunConfig edge_parallel = plain;  // hybrid and sampling go edge-parallel
+  edge_parallel.hybrid.alpha = 0;
+  edge_parallel.hybrid.beta = 0;
+  edge_parallel.sampling.n_samps = 1;
+  edge_parallel.sampling.gamma = 1e9;
+  edge_parallel.sampling.min_frontier = 1;
+
+  for (const Case& c : cases) {
+    const std::vector<double> oracle = cpu::brandes(c.g, {.sources = c.roots}).bc;
+    for (kernels::RunConfig config : {plain, edge_parallel}) {
+      config.roots = c.roots;
+      for (const auto strategy :
+           {kernels::Strategy::VertexParallel, kernels::Strategy::EdgeParallel,
+            kernels::Strategy::GpuFan, kernels::Strategy::WorkEfficient,
+            kernels::Strategy::Hybrid, kernels::Strategy::Sampling,
+            kernels::Strategy::DirectionOptimized}) {
+        const std::vector<double> bc = kernels::run_strategy(strategy, c.g, config).bc;
+        ASSERT_EQ(bc.size(), oracle.size()) << c.name;
+        EXPECT_EQ(0, std::memcmp(bc.data(), oracle.data(), oracle.size() * sizeof(double)))
+            << c.name << " " << kernels::to_string(strategy)
+            << (config.hybrid.beta == 0 ? " edge-parallel" : "");
+      }
+      config.use_predecessor_bitmap = true;
+      const std::vector<double> bc = kernels::run_work_efficient(c.g, config).bc;
+      EXPECT_EQ(0, std::memcmp(bc.data(), oracle.data(), oracle.size() * sizeof(double)))
+          << c.name << " work-efficient with the predecessor bitmap";
+    }
+  }
 }
 
 TEST(PerRootStats, ModesRecordedByHybrid) {
