@@ -48,11 +48,10 @@ std::string options_signature(const Options& o) {
     << o.sampling.min_frontier;
   s << ";roots=";
   for (const VertexId v : o.roots) s << v << ',';
-  // A fully-recovered fault-injected run is bitwise-identical to a clean
-  // one, but runs that can FAIL roots are not interchangeable with clean
-  // runs — so any armed plan (and the retry budget that shapes which roots
-  // survive) conservatively fragments the key. cancel/fault_retry_epoch
-  // are excluded: they never change the scores of a result that completes.
+  // A fault-injected run has a clean run's scores, but its fault report
+  // and device metrics differ — so any armed plan (and the retry budget
+  // that decides which roots the host finishes) fragments the key.
+  // cancel is excluded: it never changes a result that completes.
   // Options::trace is excluded entirely — capture is pure diagnostics.
   if (o.resilience.fault_plan && !o.resilience.fault_plan->empty()) {
     s << ";faults=" << o.resilience.fault_plan->signature()
@@ -164,7 +163,6 @@ BCResult compute(const graph::CSRGraph& g, const Options& options) {
       rc.fault_plan = options.resilience.fault_plan;
       rc.cancel = options.resilience.cancel;
       rc.max_root_attempts = options.resilience.max_root_attempts;
-      rc.fault_retry_epoch = options.resilience.fault_retry_epoch;
       rc.tracer = tracer;
       kernels::RunResult r = kernels::run_strategy(options.strategy, g, rc);
       result.scores = std::move(r.bc);

@@ -83,12 +83,9 @@ struct Options {
     /// deadline or a manual cancel takes effect within one root rather
     /// than at run end. Default-constructed = never cancels.
     util::CancelToken cancel;
-    /// Launches a root may consume before it is reported as failed (first
+    /// Device launches a root may consume before the host runs it (first
     /// try + retries + the recovery-sweep attempt). Minimum 1.
     std::uint32_t max_root_attempts = 3;
-    /// Attempt-index offset for FaultPlan queries; bump per whole-run
-    /// retry so transient faults deterministically clear (see RunConfig).
-    std::uint32_t fault_retry_epoch = 0;
   };
   Resilience resilience;
 
@@ -127,9 +124,8 @@ struct BCResult {
   std::vector<kernels::PerRootStats> per_root;
 
   /// Fault-injection accounting (GPU-model strategies with a fault_plan).
-  /// complete() == false means some roots' contributions are missing from
-  /// `scores` — the result is partial, not exact; callers decide whether
-  /// to retry, degrade, or surface the failure.
+  /// Scores are complete under any plan: roots no device launch finished
+  /// were run on the host and are listed in faults.host_roots.
   gpusim::FaultReport faults;
 };
 

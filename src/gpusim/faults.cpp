@@ -64,19 +64,12 @@ DeviceFault::DeviceFault(FaultKind kind, std::uint32_t root, std::uint32_t block
       block_(block),
       transient_(transient) {}
 
-bool FaultReport::all_failures_transient() const noexcept {
-  if (failed_roots.empty()) return false;
-  return std::all_of(failed_roots.begin(), failed_roots.end(),
-                     [](const RootFailure& f) { return f.transient; });
-}
-
 FaultReport& FaultReport::operator+=(const FaultReport& other) {
   faults_injected += other.faults_injected;
   retries += other.retries;
   rescued_roots += other.rescued_roots;
-  failed_roots.insert(failed_roots.end(), other.failed_roots.begin(),
-                      other.failed_roots.end());
-  std::sort(failed_roots.begin(), failed_roots.end(),
+  host_roots.insert(host_roots.end(), other.host_roots.begin(), other.host_roots.end());
+  std::sort(host_roots.begin(), host_roots.end(),
             [](const RootFailure& a, const RootFailure& b) { return a.root < b.root; });
   return *this;
 }

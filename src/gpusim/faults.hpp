@@ -24,9 +24,10 @@
 //
 // Transient faults clear after `fail_attempts` launches of the same root
 // (the retry path recovers); persistent faults fire on every attempt (the
-// degradation ladder takes over). Faults surface as hbc::DeviceFault; the
-// kernels::BlockDriver catches them at root granularity and retries or
-// records them in the run's FaultReport.
+// host rescue takes over: the driver runs the root on the host CPU engine,
+// with the same bits). Faults surface as hbc::DeviceFault; the
+// kernels::BlockDriver catches them at root granularity, retries them and
+// records the roots the host finished in the run's FaultReport.
 
 #include <cstdint>
 #include <memory>
@@ -94,7 +95,8 @@ struct FaultArm {
   std::uint64_t trip_cycles = 0;  // absolute block-cycle threshold
 };
 
-/// A root the run could not complete within its attempt budget.
+/// A root no device launch completed within its attempt budget; the host
+/// ran it instead.
 struct RootFailure {
   std::uint32_t root = 0;
   FaultKind kind = FaultKind::KernelLaunch;  // kind of the last fault seen
@@ -103,20 +105,16 @@ struct RootFailure {
 };
 
 /// Per-run fault accounting, filled by kernels::BlockDriver and surfaced
-/// through core::BCResult. A report with empty failed_roots means every
-/// root's contribution is present — scores are bitwise-identical to a
-/// fault-free run of the same configuration.
+/// through core::BCResult. Every root's contribution is present whatever
+/// the report says — scores are bitwise-identical to a fault-free run of
+/// the same roots; the report only says how they were recovered.
 struct FaultReport {
   std::uint64_t faults_injected = 0;  // DeviceFaults thrown
   std::uint64_t retries = 0;          // relaunches after a transient fault
   std::uint64_t rescued_roots = 0;    // recovered by the recovery sweep
-  std::vector<RootFailure> failed_roots;  // permanent failures, ascending
+  std::vector<RootFailure> host_roots;  // finished on the host, ascending
 
-  bool complete() const noexcept { return failed_roots.empty(); }
-  bool clean() const noexcept { return faults_injected == 0 && failed_roots.empty(); }
-  /// True when every permanent failure was transient-kind — a whole-run
-  /// retry at a later epoch may succeed (the service's backoff path).
-  bool all_failures_transient() const noexcept;
+  bool clean() const noexcept { return faults_injected == 0 && host_roots.empty(); }
 
   FaultReport& operator+=(const FaultReport& other);
 };

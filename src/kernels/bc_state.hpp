@@ -136,14 +136,10 @@ struct RunConfig {
   /// Cooperative cancellation, polled by the driver at every root
   /// boundary. Default-constructed = never cancels (one pointer test).
   util::CancelToken cancel;
-  /// Total launches a root may consume (first try + in-block retries +
-  /// the recovery-sweep attempt) before it lands in FaultReport. Min 1.
+  /// Total device launches a root may consume (first try + in-block
+  /// retries + the recovery-sweep attempt) before the host runs it and it
+  /// lands in FaultReport::host_roots. Min 1.
   std::uint32_t max_root_attempts = 3;
-  /// Offset applied to the attempt index in FaultPlan queries. A whole-run
-  /// retry at epoch+1 sees fresh attempt numbers, so transient faults
-  /// (which clear after `fail_attempts` launches) deterministically stop
-  /// firing — the service's backoff path relies on this.
-  std::uint32_t fault_retry_epoch = 0;
   /// Trace capture (nullptr = off; docs/tracing.md). The driver registers
   /// one sink per simulated block and stamps every event from the block's
   /// cycle ledger, so captures are bitwise-identical at every host-thread
@@ -232,9 +228,8 @@ struct RunResult {
   util::ExactSum sums;
   RunMetrics metrics;
   std::vector<PerRootStats> per_root;  // populated when requested
-  /// Fault-injection accounting. faults.complete() == true means every
-  /// root's contribution is present (scores exact); failed roots are
-  /// missing from `bc` and listed in faults.failed_roots.
+  /// Fault-injection accounting. Every root's contribution is present;
+  /// roots the host finished are listed in faults.host_roots.
   gpusim::FaultReport faults;
 };
 

@@ -1,10 +1,12 @@
 #include "kernels/block_driver.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "cpu/brandes.hpp"
 #include "kernels/detail.hpp"
 #include "util/thread_pool.hpp"
 
@@ -170,7 +172,6 @@ void BlockDriver::process_block(std::uint32_t block, std::size_t begin,
     HostSlot* slot;
     ~Return() { driver->return_slot(*slot); }
   } give_back{this, &slot};
-  const std::uint32_t epoch_base = config_->fault_retry_epoch * max_attempts_;
   SimSpan phase_span(sink, ctx, "phase", trace::kRun,
                      {{"first_root", static_cast<std::uint64_t>(begin)},
                       {"end_root", static_cast<std::uint64_t>(end)}});
@@ -188,7 +189,7 @@ void BlockDriver::process_block(std::uint32_t block, std::size_t begin,
     std::uint32_t attempt = 0;
     while (true) {
       try {
-        launch_root(slot, block, ctx, i, epoch_base + attempt, fn);
+        launch_root(slot, block, ctx, i, attempt, fn);
         ++ctx.counters().roots_processed;
         break;
       } catch (const gpusim::DeviceFault& f) {
@@ -281,7 +282,9 @@ void BlockDriver::recovery_sweep(const RootFn& fn) {
             [](const DeferredRoot& a, const DeferredRoot& b) {
               return a.index < b.index;
             });
-  const std::uint32_t epoch_base = config_->fault_retry_epoch * max_attempts_;
+  HostSlot& slot = *slots_.front();
+  // The host engine's scratch, made only once a root needs it.
+  std::optional<cpu::BrandesWorkspace> host_ws;
   for (const DeferredRoot& d : parked) {
     config_->cancel.check();
     std::uint32_t attempt = d.attempts;
@@ -289,19 +292,18 @@ void BlockDriver::recovery_sweep(const RootFn& fn) {
     bool last_transient = d.last_transient;
     bool completed = false;
     const auto block = static_cast<std::uint32_t>(d.index % num_blocks_);
+    const auto root = static_cast<std::uint64_t>(roots_[d.index]);
     // The sweep runs on the driver thread after the phase barrier, so
     // writing the owning block's sink here is still single-writer; the
     // block ledger keeps growing, so timestamps stay monotonic per sink.
     gpusim::BlockContext ctx = device_.block(block);
     trace::Sink* sink = ctx.trace();
     SimSpan rescue_span(sink, ctx, "rescue", trace::kFault,
-                        {{"root", static_cast<std::uint64_t>(roots_[d.index])},
-                         {"prior_attempts", std::uint64_t{d.attempts}}});
+                        {{"root", root}, {"prior_attempts", std::uint64_t{d.attempts}}});
     while (last_transient && attempt < max_attempts_) {
       ++report_.retries;
       try {
-        launch_root(*slots_.front(), block, ctx, d.index, epoch_base + attempt, fn);
-        ++ctx.counters().roots_processed;
+        launch_root(slot, block, ctx, d.index, attempt, fn);
         ++report_.rescued_roots;
         completed = true;
         break;
@@ -319,24 +321,32 @@ void BlockDriver::recovery_sweep(const RootFn& fn) {
         }
       }
     }
+    if (!completed) {
+      // No device launch completed: the host engine runs the root. It adds
+      // the same exact dependencies a device launch would and charges no
+      // device cycles, so the run stays complete with a clean run's bits.
+      if (!host_ws) host_ws.emplace();
+      cpu::brandes_single_source(*g_, roots_[d.index], *host_ws, slot.bc);
+      if (config_->collect_per_root_stats) {
+        per_root_[d.index] = PerRootStats{};
+        per_root_[d.index].root = roots_[d.index];
+      }
+      report_.host_roots.push_back(gpusim::RootFailure{
+          static_cast<std::uint32_t>(root), last_kind, attempt, last_transient});
+    }
+    ++ctx.counters().roots_processed;
     if (sink && sink->wants(trace::kFault)) {
       if (completed) {
-        sink->instant("rescued", trace::kFault, ctx.sim_ns(),
-                      {{"root", static_cast<std::uint64_t>(roots_[d.index])}});
+        sink->instant("rescued", trace::kFault, ctx.sim_ns(), {{"root", root}});
       } else {
-        sink->instant("root-failed", trace::kFault, ctx.sim_ns(),
-                      {{"root", static_cast<std::uint64_t>(roots_[d.index])},
+        sink->instant("host-rescue", trace::kFault, ctx.sim_ns(),
+                      {{"root", root},
                        {"kind", gpusim::to_string(last_kind)},
                        {"attempts", std::uint64_t{attempt}}});
       }
     }
-    if (!completed) {
-      report_.failed_roots.push_back(gpusim::RootFailure{
-          static_cast<std::uint32_t>(roots_[d.index]), last_kind, attempt,
-          last_transient});
-    }
   }
-  std::sort(report_.failed_roots.begin(), report_.failed_roots.end(),
+  std::sort(report_.host_roots.begin(), report_.host_roots.end(),
             [](const gpusim::RootFailure& a, const gpusim::RootFailure& b) {
               return a.root < b.root;
             });

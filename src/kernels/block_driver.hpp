@@ -45,8 +45,11 @@
 // root's exact sum is the same wherever it lands, so both in-block
 // retries and sweep rescues give a fault-free run's scores bit for bit.
 // The sweep runs on the driver thread and charges the root's *owning*
-// block context. Roots that fail every attempt are reported in
-// RunResult::faults instead of aborting. RunConfig::cancel is polled at
+// block context. A root that no launch completes is run once on the host
+// (cpu::brandes_single_source, the cpu-serial kernel): it adds the same
+// exact dependencies, charges no device cycles, counts as processed and
+// is listed in FaultReport::host_roots — so every run is complete, with a
+// clean run's scores, under any fault plan. RunConfig::cancel is polled at
 // every root boundary (including the sweep), so a deadline or stop()
 // takes effect within one root.
 //
@@ -187,7 +190,8 @@ class BlockDriver {
   void launch_root(HostSlot& slot, std::uint32_t block, gpusim::BlockContext& ctx,
                    std::size_t i, std::uint32_t plan_attempt, const RootFn& fn);
   /// Serially retry the phase's deferred roots in ascending root order,
-  /// charging each root's owning block (run after the phase barrier).
+  /// charging each root's owning block, and run on the host each root whose
+  /// launches all failed (after the phase barrier).
   void recovery_sweep(const RootFn& fn);
 
   const graph::CSRGraph* g_;

@@ -51,8 +51,7 @@ std::vector<wire::WireUpdate> to_wire(const std::vector<dyn::EdgeUpdate>& update
 }
 
 /// The coordinator's service: one worker (fleet runs execute one at a time
-/// anyway), no retries or fallback ladder of its own (the fleet heals
-/// itself), the coordinator's budget for both caches, and `compute` as the
+/// anyway), the coordinator's budget for both caches, and `compute` as the
 /// executor. Every completed ticket wakes the poll loop.
 service::ServiceConfig fleet_service(const CoordinatorConfig& c,
                                      decltype(service::ServiceConfig::compute_fn) compute,
@@ -61,8 +60,6 @@ service::ServiceConfig fleet_service(const CoordinatorConfig& c,
   s.workers = 1;
   s.cache_bytes = c.cache_bytes;
   s.approx.cache_bytes = c.cache_bytes;
-  s.enable_fallback = false;
-  s.max_compute_retries = 0;
   s.tracer = c.tracer;
   s.compute_fn = std::move(compute);
   s.on_complete = [&wake] { wake.notify(); };

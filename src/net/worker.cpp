@@ -107,7 +107,6 @@ void Worker::run() {
     if (stop_.load(std::memory_order_relaxed)) return;
     if (session >= cfg_.rejoin_attempts) return;
     ++stats_.reconnects;
-    svc_.note_reconnect();
     std::this_thread::sleep_for(rejoin.next());
   }
 }
@@ -204,7 +203,6 @@ Worker::SessionEnd Worker::run_session() {
       if (heartbeat_seq_ > last_acked_seq_) {
         ++misses_in_row_;
         ++stats_.heartbeat_misses;
-        svc_.note_heartbeat_miss();
         if (misses_in_row_ >=
             std::max<std::uint32_t>(cfg_.max_heartbeat_misses, 1)) {
           return SessionEnd::ConnLost;
@@ -366,9 +364,9 @@ void Worker::poll_tickets(Conn& conn) {
     const service::Response r = svc_.wait(p.ticket);
     wire::ShardResultMsg out;
     out.shard_index = p.shard_index;
-    // A shard must return exact sums: a degraded one (the service
-    // substituted a strategy) or one whose executor kept none would
-    // corrupt the coordinator's exact fold, so it is refused.
+    // A shard must return the requested run's exact sums: a degraded one
+    // (the service substituted a strategy) or one whose executor kept none
+    // is refused.
     const bool exact =
         r.ok() && !r.degraded && r.result->sums.size() == r.result->scores.size();
     if (exact) {
@@ -384,7 +382,7 @@ void Worker::poll_tickets(Conn& conn) {
     } else {
       out.ok = 0;
       out.error = !r.ok()      ? (r.error.empty() ? "compute failed" : r.error)
-                  : r.degraded ? "degraded: strategy substituted, bits not exact"
+                  : r.degraded ? "degraded: strategy substituted"
                                : "no exact sums";
       if (r.ok()) ++stats_.shards_refused;
     }

@@ -19,9 +19,9 @@
 //
 // Determinism contract: every shard is a raw run of explicit roots, and it
 // answers with the exact sums of those roots or not at all. A shard the
-// local service answered *degraded* (strategy substituted by the
-// resilience ladder), or without exact sums, is refused — sent back with
-// ok = 0 — because such bits would corrupt the coordinator's reduction.
+// local service answered *degraded* (the CPU engine substituted for a
+// run that threw out of compute), or without exact sums, is refused —
+// sent back with ok = 0 — because it is not the requested run's answer.
 // The coordinator retries elsewhere or computes the shard itself; either
 // path produces the exact bits.
 //

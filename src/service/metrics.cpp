@@ -122,16 +122,6 @@ void ServiceMetrics::on_faults(std::uint64_t n) {
   counts_.device_faults += n;
 }
 
-void ServiceMetrics::on_compute_retry() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.compute_retries;
-}
-
-void ServiceMetrics::on_fallback() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.fallbacks;
-}
-
 void ServiceMetrics::on_degraded() {
   std::lock_guard<std::mutex> lock(mu_);
   ++counts_.degraded;
@@ -160,16 +150,6 @@ void ServiceMetrics::on_refresh_invalidated(std::uint64_t n) {
   if (n == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   counts_.refresh_invalidated += n;
-}
-
-void ServiceMetrics::on_reconnect() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.net_reconnects;
-}
-
-void ServiceMetrics::on_heartbeat_miss() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.net_heartbeat_misses;
 }
 
 void ServiceMetrics::on_approx_served() {
@@ -237,9 +217,8 @@ std::string format_report(const MetricsSnapshot& s) {
       "admission   shed=%llu rejected_full=%llu rejected_deadline=%llu"
       " deadline_dropped=%llu graph_not_found=%llu\n"
       "queue       depth=%zu peak=%zu\n"
-      "resilience  faults=%llu retries=%llu fallbacks=%llu degraded=%llu"
+      "resilience  faults=%llu degraded=%llu"
       " cancelled=%llu time_to_cancel_ms mean=%.3f max=%.3f\n"
-      "network     reconnects=%llu heartbeat_misses=%llu\n"
       "approx      served=%llu strata=%llu refine_jobs=%llu refine_rungs=%llu"
       " refine_strata=%llu refine_dropped=%llu entries=%zu bytes=%zu evictions=%llu\n"
       "dynamic     mutations=%llu updates=%llu noops=%llu refresh_patched=%llu"
@@ -264,13 +243,9 @@ std::string format_report(const MetricsSnapshot& s) {
       static_cast<unsigned long long>(s.graph_not_found),
       s.queue_depth, s.queue_peak_depth,
       static_cast<unsigned long long>(s.device_faults),
-      static_cast<unsigned long long>(s.compute_retries),
-      static_cast<unsigned long long>(s.fallbacks),
       static_cast<unsigned long long>(s.degraded),
       static_cast<unsigned long long>(s.cancellations),
       s.time_to_cancel_mean_ms, s.time_to_cancel_max_ms,
-      static_cast<unsigned long long>(s.net_reconnects),
-      static_cast<unsigned long long>(s.net_heartbeat_misses),
       static_cast<unsigned long long>(s.approx_served),
       static_cast<unsigned long long>(s.approx_strata),
       static_cast<unsigned long long>(s.refine_jobs),

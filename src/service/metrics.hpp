@@ -73,18 +73,12 @@ struct MetricsSnapshot {
 
   // Resilience (docs/resilience.md).
   std::uint64_t device_faults = 0;    // simulated DeviceFaults observed
-  std::uint64_t compute_retries = 0;  // whole-run retries after transient failure
-  std::uint64_t fallbacks = 0;        // degradation-ladder descents
-  std::uint64_t degraded = 0;         // responses served degraded
+  std::uint64_t degraded = 0;         // responses served by a substitute
   std::uint64_t cancellations = 0;    // in-flight computes cancelled
                                       // (deadline mid-compute or stop())
   // Cancel request -> compute actually stopped (one root boundary).
   double time_to_cancel_mean_ms = 0.0;
   double time_to_cancel_max_ms = 0.0;
-
-  // Network (populated when the service backs a net::Worker).
-  std::uint64_t net_reconnects = 0;       // fleet rejoin sessions entered
-  std::uint64_t net_heartbeat_misses = 0; // heartbeats sent while prior unacked
 
   // Progressive approximation (docs/serving.md § Accuracy contracts).
   std::uint64_t approx_served = 0;   // budgeted responses (fresh or cached)
@@ -150,11 +144,7 @@ class ServiceMetrics {
   void on_computed(double compute_ms, double total_ms);
   /// `n` simulated device faults surfaced from one compute run.
   void on_faults(std::uint64_t n);
-  /// A whole-run retry was scheduled after a transient failure.
-  void on_compute_retry();
-  /// The degradation ladder descended one rung.
-  void on_fallback();
-  /// A response was served degraded (substitute or partial result).
+  /// A response was served degraded (the CPU engine's substitute).
   void on_degraded();
   /// An in-flight compute was cancelled; `time_to_cancel_ms` measures
   /// cancel request -> the run actually unwinding (root-boundary latency).
@@ -166,12 +156,6 @@ class ServiceMetrics {
   void on_refresh_patched(double affected_fraction);
   /// `n` cache entries were dropped by a mutation instead of patched.
   void on_refresh_invalidated(std::uint64_t n);
-  /// The hosting net::Worker entered a rejoin session after losing the
-  /// coordinator.
-  void on_reconnect();
-  /// The hosting net::Worker sent a heartbeat while the previous one was
-  /// still unacked (its half of the failure detector).
-  void on_heartbeat_miss();
   /// A budgeted (progressive) response was served.
   void on_approx_served();
   /// One root stratum was computed (foreground or background).

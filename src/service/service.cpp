@@ -14,7 +14,6 @@
 #include "gpusim/faults.hpp"
 #include "gpusim/memory.hpp"
 #include "graph/io.hpp"
-#include "util/backoff.hpp"
 #include "util/timer.hpp"
 
 namespace hbc::service {
@@ -568,20 +567,6 @@ core::BCResult BcService::run_compute(const graph::CSRGraph& g, const core::Opti
   return r;
 }
 
-namespace {
-
-/// Deadline- and cancel-aware backoff sleep: never sleeps past the
-/// moment the token would fire, and wakes promptly on stop().
-void backoff_sleep(std::chrono::milliseconds budget, const util::CancelToken& cancel) {
-  const Clock::time_point until = Clock::now() + budget;
-  while (Clock::now() < until) {
-    if (cancel.cancelled()) return;  // the next check() will throw
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-}  // namespace
-
 core::BCResult BcService::compute_resilient(const graph::CSRGraph& g,
                                             const core::Options& requested,
                                             const util::CancelSource& cancel,
@@ -589,96 +574,29 @@ core::BCResult BcService::compute_resilient(const graph::CSRGraph& g,
   degraded = false;
   core::Options opts = requested;
   opts.resilience.cancel = cancel.token();
-
-  // Shared fleet retry policy: exponential from retry_backoff up to
-  // retry_backoff_max, deterministically jittered per attempt.
-  util::BackoffConfig backoff_cfg;
-  backoff_cfg.initial = cfg_.retry_backoff;
-  backoff_cfg.max = cfg_.retry_backoff_max;
-  util::Backoff retry_backoff(backoff_cfg);
-
-  // Rung 0: the requested strategy, with whole-run retries while failures
-  // are transient. Each retry bumps fault_retry_epoch, so a seeded
-  // FaultPlan's transient faults deterministically clear. Returns false
-  // once the retries are spent.
-  const auto retry = [&](std::uint32_t attempt) {
-    if (attempt >= cfg_.max_compute_retries) return false;
-    metrics_.on_compute_retry();
-    trace_instant("compute-retry", attempt + 1);
-    backoff_sleep(retry_backoff.next(), opts.resilience.cancel);
-    opts.resilience.fault_retry_epoch = requested.resilience.fault_retry_epoch + attempt + 1;
-    return true;
-  };
-  core::BCResult partial;
-  bool have_partial = false;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    opts.resilience.cancel.check();
-    try {
-      core::BCResult r = run_compute(g, opts);
-      metrics_.on_faults(r.faults.faults_injected);
-      if (r.faults.complete()) return r;  // clean or fully recovered
-      if (r.faults.all_failures_transient() && retry(attempt)) continue;
-      partial = std::move(r);  // persistent failures (or retries exhausted)
-      have_partial = true;
-    } catch (const util::Cancelled&) {
-      throw;
-    } catch (const std::invalid_argument&) {
-      throw;  // client error — never worth a fallback
-    } catch (const hbc::DeviceFault& f) {
-      // A fault escaped compute (e.g. an injecting compute_fn hook).
-      metrics_.on_faults(1);
-      if (f.transient() && retry(attempt)) continue;
-      if (!cfg_.enable_fallback || !core::uses_gpu_model(requested.strategy)) throw;
-    } catch (const gpusim::DeviceOutOfMemory&) {
-      // Resource exhaustion never clears by retrying — descend directly.
-      if (!cfg_.enable_fallback || !core::uses_gpu_model(requested.strategy)) throw;
-    }
-    break;
-  }
-
-  if (!cfg_.enable_fallback || !core::uses_gpu_model(requested.strategy)) {
-    // No ladder: surface the partial result, marked degraded (failed
-    // roots are listed in result.faults; the cache never sees it).
-    if (have_partial) {
-      degraded = true;
-      metrics_.on_degraded();
-      trace_instant("degraded-partial", 0);
-      return partial;
-    }
-    throw std::runtime_error("compute failed with no result");
-  }
-
-  // Rung 1: exact scores on the CPU — slower, but immune to device faults.
-  degraded = true;
-  metrics_.on_fallback();
-  trace_instant("fallback-cpu-exact", 0);
+  opts.resilience.cancel.check();
   try {
-    core::Options cpu = requested;
-    cpu.strategy = core::Strategy::CpuParallel;
-    cpu.resilience.fault_plan.reset();
-    cpu.resilience.cancel = cancel.token();
-    core::BCResult r = run_compute(g, cpu);
-    metrics_.on_degraded();
+    // The driver finishes every root under any fault plan, on the device
+    // or on the host, with a clean run's bits: nothing here to retry.
+    core::BCResult r = run_compute(g, opts);
+    metrics_.on_faults(r.faults.faults_injected);
     return r;
-  } catch (const util::Cancelled&) {
-    throw;
-  } catch (const std::exception&) {
-    // fall through to the approximation rung
+  } catch (const hbc::DeviceFault&) {
+    // A fault escaped compute (a compute_fn hook that injects).
+    metrics_.on_faults(1);
+    if (!core::uses_gpu_model(requested.strategy)) throw;
+  } catch (const gpusim::DeviceOutOfMemory&) {
+    // The run does not fit the simulated device (GPU-FAN's O(n^2) cliff).
+    if (!core::uses_gpu_model(requested.strategy)) throw;
   }
-
-  // Rung 2: McLaughlin & Bader Algorithm-5 style approximation — a
-  // principled partial answer when the exact one can't be afforded.
-  metrics_.on_fallback();
-  trace_instant("fallback-sampling", 0);
-  core::Options approx = requested;
-  approx.strategy = core::Strategy::Sampling;
-  approx.resilience.fault_plan.reset();
-  approx.resilience.cancel = cancel.token();
-  approx.roots.clear();
-  approx.sample_roots = std::max<std::uint32_t>(1, cfg_.fallback_sample_roots);
-  core::BCResult r = run_compute(g, approx);
+  // The one substitution: exact scores from the CPU engine, marked
+  // degraded because they answer for a strategy that did not run.
+  degraded = true;
   metrics_.on_degraded();
-  return r;
+  trace_instant("cpu-substitute", 0);
+  opts.strategy = core::Strategy::CpuParallel;
+  opts.resilience.fault_plan.reset();
+  return run_compute(g, opts);
 }
 
 core::StratumPlan BcService::stratum_plan() const {
@@ -693,7 +611,6 @@ StratumFn BcService::stratum_runner(const graph::CSRGraph& g, util::CancelToken 
     stratum.resilience.cancel = cancel;
     core::BCResult r = run_compute(g, stratum);
     metrics_.on_faults(r.faults.faults_injected);
-    if (!r.faults.complete()) throw std::runtime_error("stratum compute incomplete");
     metrics_.on_approx_stratum();
     return StratumRun{std::move(r.scores), r.time_seconds};
   };
@@ -724,9 +641,10 @@ void BcService::compute_progressive(const Job& job,
   } catch (const std::invalid_argument&) {
     throw;
   } catch (const std::exception&) {
-    // A stratum failed persistently: abandon the progressive path and
-    // answer through the resilience ladder on the original request. The
-    // substitute NEVER touches either cache.
+    // A stratum threw (the device ran out of memory, or a compute hook
+    // raised a fault): abandon the progressive path and answer the
+    // original request through compute_resilient. A degraded substitute
+    // NEVER touches either cache.
     bool degraded = false;
     core::BCResult computed =
         compute_resilient(g, job.options, cancel, degraded);

@@ -92,11 +92,11 @@ struct Response {
   bool from_cache = false;
   bool coalesced = false;
   bool shed = false;        // served from a shed (downgraded) computation
-  /// The answer is not what was asked for: the requested strategy failed
-  /// persistently and the degradation ladder served a CPU or sampling
-  /// substitute (result->strategy says which), or — with the ladder
-  /// disabled — a partial result with failed roots missing. Degraded
-  /// results are NEVER cached; a later identical request recomputes.
+  /// The answer is not what was asked for: the requested GPU-model run
+  /// threw out of compute (the simulated device ran out of memory, or a
+  /// compute_fn hook raised a DeviceFault) and the CPU engine answered
+  /// instead (result->strategy says CpuParallel). Degraded results are
+  /// NEVER cached; a later identical request recomputes.
   bool degraded = false;
   /// Present on every budgeted (progressive) response: what the sampled
   /// estimate actually delivered. nullopt on classic exact responses.
@@ -145,26 +145,6 @@ struct ServiceConfig {
   /// rejects, bad requests) get no call. The hook must be cheap, must not
   /// block and must not throw. Empty (default) = no call.
   std::function<void()> on_complete;
-
-  // --- resilience (docs/resilience.md) ---
-
-  /// Whole-run retries after a run fails only transiently (every failed
-  /// root's last fault was transient, or a transient DeviceFault escaped
-  /// compute). Each retry bumps Options::fault_retry_epoch so a seeded
-  /// FaultPlan deterministically clears, and backs off exponentially.
-  std::uint32_t max_compute_retries = 2;
-  /// Backoff before the first retry; grows exponentially per util::Backoff
-  /// (the fleet-wide retry policy) up to `retry_backoff_max`. Sleeps are
-  /// capped by the request deadline and interrupted by stop().
-  std::chrono::milliseconds retry_backoff{1};
-  std::chrono::milliseconds retry_backoff_max{250};
-  /// After retries are exhausted (or a persistent fault), descend the
-  /// ladder: requested GPU strategy → CpuParallel exact → Sampling
-  /// approximation — marking the response degraded. false = surface the
-  /// partial result (degraded) instead of substituting.
-  bool enable_fallback = true;
-  /// Root-sample width of the final (approximation) rung.
-  std::uint32_t fallback_sample_roots = 64;
 
   // --- dynamic graphs (docs/dynamic.md) ---
 
@@ -343,11 +323,6 @@ class BcService {
   std::size_t worker_count() const noexcept;
   std::size_t queue_depth() const { return queue_.depth(); }
   MetricsSnapshot metrics() const;
-  /// Network-health hooks for a hosting net::Worker: forwarded into the
-  /// metrics sink so fleet rejoins and heartbeat misses show up in
-  /// metrics()/metrics_report() next to the compute-side counters.
-  void note_reconnect() { metrics_.on_reconnect(); }
-  void note_heartbeat_miss() { metrics_.on_heartbeat_miss(); }
   /// format_report(metrics()) plus one storage line per registered graph
   /// (residency kind, resident/mapped bytes) — how an operator confirms a
   /// fleet is actually serving a graph mapped rather than from heap.
@@ -445,12 +420,12 @@ class BcService {
   /// The stratified-sample geometry of cfg_.approx, clamped to valid values.
   core::StratumPlan stratum_plan() const;
   /// The service's stratum executor: run_compute under `cancel`, with fault
-  /// accounting; throws std::runtime_error on an incomplete stratum. `g`
-  /// must outlive the returned function.
+  /// accounting. `g` must outlive the returned function.
   StratumFn stratum_runner(const graph::CSRGraph& g, util::CancelToken cancel);
-  /// Retry-with-backoff + degradation ladder around run_compute. Sets
-  /// `degraded` when a substitute (or partial) result is returned. Throws
-  /// util::Cancelled, std::invalid_argument, or the final rung's error.
+  /// run_compute, or — when a GPU-model run throws DeviceOutOfMemory or a
+  /// DeviceFault out of compute — CpuParallel's exact answer with
+  /// `degraded` set. Any other error (util::Cancelled,
+  /// std::invalid_argument, ...) propagates.
   core::BCResult compute_resilient(const graph::CSRGraph& g,
                                    const core::Options& requested,
                                    const util::CancelSource& cancel,

@@ -437,7 +437,7 @@ std::uint64_t metrics_digest_with_faults(const kernels::RunResult& r) {
   f.u64(r.faults.faults_injected);
   f.u64(r.faults.retries);
   f.u64(r.faults.rescued_roots);
-  for (const gpusim::RootFailure& failure : r.faults.failed_roots) {
+  for (const gpusim::RootFailure& failure : r.faults.host_roots) {
     f.u64(failure.root);
     f.u64(static_cast<std::uint64_t>(failure.kind));
     f.u64(failure.attempts);
@@ -585,7 +585,7 @@ TEST(KernelModel, WideLevelBitsMatchParentCommit) {
         RunConfig config = v.config;
         config.fault_plan = gpusim::FaultPlan::parse_shared(kWideLevelFaultPlans[p]);
         const kernels::RunResult r = kernels::run_strategy(v.strategy, g, config);
-        EXPECT_TRUE(r.faults.complete());
+        EXPECT_TRUE(r.faults.host_roots.empty());
         faults[p] += r.faults.faults_injected;
         const std::string name = std::string(v.name) + "+fault" + std::to_string(p);
         // Retried and rescued roots add exactly what a clean run adds.

@@ -2,15 +2,16 @@
 //
 //   * gpusim::FaultPlan — grammar round-trip, deterministic seeded
 //     targeting, transient clearing;
-//   * kernels::BlockDriver — the {kind} × {transient, persistent} ×
-//     {work-efficient, hybrid, sampling} matrix: transient faults recover
-//     to BITWISE-identical scores at any host-thread count, persistent
-//     faults surface as FaultReport::failed_roots;
+//   * kernels::BlockDriver — transient faults recover to BITWISE-identical
+//     scores at any host-thread count; roots no launch completes run on
+//     the host and are listed in FaultReport::host_roots; every GPU-model
+//     strategy under persistent faults of every kind gives cpu-serial's
+//     bits;
 //   * cooperative cancellation — pre-cancelled tokens stop both the
 //     GPU-model driver and every CPU engine at a root boundary;
-//   * hbc::service — whole-run retry clears stubborn transients, the
-//     degradation ladder serves substitutes marked degraded, degraded
-//     results never enter the cache, bad requests map to BadRequest,
+//   * hbc::service — fault-injected answers are exact and cached, the one
+//     substitute (CPU engine after a run throws out of compute) is marked
+//     degraded and never cached, bad requests map to BadRequest,
 //     deadlines cancel mid-compute, and stop() cancels in-flight work.
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 
 #include "core/bc.hpp"
 #include "gpusim/faults.hpp"
+#include "gpusim/memory.hpp"
 #include "graph/generators.hpp"
 #include "kernels/kernels.hpp"
 #include "service/service.hpp"
@@ -162,7 +164,7 @@ TEST(DriverResilienceTest, TransientFaultsRecoverBitwiseIdentical) {
       // scores are indistinguishable from the fault-free run.
       EXPECT_GE(r.faults.faults_injected, 15u) << what;
       EXPECT_GE(r.faults.retries, 1u) << what;
-      EXPECT_TRUE(r.faults.complete()) << what;
+      EXPECT_TRUE(r.faults.host_roots.empty()) << what;
       expect_bitwise_equal(r.bc, baseline.bc, what);
     }
   }
@@ -182,7 +184,7 @@ TEST(DriverResilienceTest, RecoverySweepRescuesRootsThatExhaustInBlockRetries) {
   const kernels::RunResult r =
       kernels::run_strategy(kernels::Strategy::WorkEfficient, g, faulty);
   EXPECT_GE(r.faults.rescued_roots, 1u);
-  EXPECT_TRUE(r.faults.complete());
+  EXPECT_TRUE(r.faults.host_roots.empty());
   // A rescued root adds its dependencies exactly, wherever it lands, so
   // sweep rescues give the clean run's bits (as in-block retries do — see
   // TransientFaultsRecoverBitwiseIdentical).
@@ -199,7 +201,7 @@ TEST(DriverResilienceTest, RecoveryIsIdenticalAcrossHostThreadCounts) {
   base.cpu_threads = 1;
   const kernels::RunResult serial =
       kernels::run_strategy(kernels::Strategy::Hybrid, g, base);
-  ASSERT_TRUE(serial.faults.complete());
+  ASSERT_TRUE(serial.faults.host_roots.empty());
   ASSERT_GE(serial.faults.faults_injected, 1u);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{5}}) {
@@ -228,25 +230,27 @@ TEST(DriverResilienceTest, PersistentFaultsSurfaceAsFailedRoots) {
   const kernels::RunResult r =
       kernels::run_strategy(kernels::Strategy::WorkEfficient, g, faulty);
 
-  ASSERT_FALSE(r.faults.complete());
-  EXPECT_FALSE(r.faults.all_failures_transient());
-  std::uint32_t previous = 0;
-  for (const gpusim::RootFailure& f : r.faults.failed_roots) {
-    EXPECT_TRUE(plan->targets_root(f.root));
+  // Every targeted root failed its one launch (persistent faults are not
+  // relaunched) and the host finished it: host_roots is exactly the
+  // plan's targets, ascending.
+  std::vector<std::uint32_t> targets;
+  for (std::uint32_t v = 0; v < g.num_vertices(); ++v) {
+    if (plan->targets_root(v)) targets.push_back(v);
+  }
+  ASSERT_FALSE(targets.empty());
+  std::vector<std::uint32_t> host;
+  for (const gpusim::RootFailure& f : r.faults.host_roots) {
+    host.push_back(f.root);
     EXPECT_EQ(f.kind, FaultKind::DeviceAlloc);
     EXPECT_FALSE(f.transient);
-    EXPECT_GE(f.attempts, 1u);
-    if (&f != r.faults.failed_roots.data()) {
-      EXPECT_GT(f.root, previous);
-    }
-    previous = f.root;
+    EXPECT_EQ(f.attempts, 1u);
   }
-  // The failed roots' contributions are genuinely missing.
-  EXPECT_NE(std::memcmp(r.bc.data(), baseline.bc.data(),
-                        baseline.bc.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(r.metrics.counters.roots_processed +
-                static_cast<std::uint64_t>(r.faults.failed_roots.size()),
+  EXPECT_EQ(host, targets);
+  EXPECT_EQ(r.faults.faults_injected, targets.size());
+  EXPECT_EQ(r.faults.rescued_roots, 0u);
+  // The host adds the same exact dependencies, so nothing is missing.
+  expect_bitwise_equal(r.bc, baseline.bc, "host rescue");
+  EXPECT_EQ(r.metrics.counters.roots_processed,
             static_cast<std::uint64_t>(g.num_vertices()));
 }
 
@@ -319,7 +323,7 @@ TEST(DriverResilienceTest, DirtyPooledWorkspacesRetryBitwiseIdentical) {
         const kernels::RunResult r = kernels::run_strategy(strategy, g, faulty);
         EXPECT_EQ(r.faults.faults_injected, targeted) << what;
         EXPECT_EQ(r.faults.retries, targeted) << what;
-        EXPECT_TRUE(r.faults.complete()) << what;
+        EXPECT_TRUE(r.faults.host_roots.empty()) << what;
         expect_bitwise_equal(r.bc, baseline.bc, what);
         // The completing attempt of every root costs what the clean one did.
         EXPECT_EQ(r.metrics.per_root_cycles, baseline.metrics.per_root_cycles) << what;
@@ -360,7 +364,7 @@ TEST(CancelTest, DeadlineSourceLatchesAndStampsTimeToCancel) {
 }
 
 // ---------------------------------------------------------------------------
-// hbc::service: retry, ladder, cache hygiene, cancellation.
+// hbc::service: exact answers under faults, cache hygiene, cancellation.
 
 graph::CSRGraph service_graph() {
   return graph::gen::small_world({.num_vertices = 256, .k = 3, .seed = 1});
@@ -382,6 +386,48 @@ core::Options gpu_options(core::Strategy strategy = core::Strategy::WorkEfficien
   return o;
 }
 
+// Every GPU-model strategy × persistent faults of every kind on >= 10% of
+// the roots × host threads {1, 4} × {64 sampled roots, all roots}: the
+// host finishes each root no launch completed, so every run has
+// cpu-serial's bits over the same roots and processes all of them.
+TEST(HostRescueTest, EveryStrategyGivesCpuSerialBitsUnderPersistentFaults) {
+  const auto g = driver_graph();
+  constexpr core::Strategy kGpuStrategies[] = {
+      core::Strategy::VertexParallel, core::Strategy::EdgeParallel,
+      core::Strategy::GpuFan,         core::Strategy::WorkEfficient,
+      core::Strategy::Hybrid,         core::Strategy::Sampling,
+      core::Strategy::DirectionOptimized,
+  };
+  for (const std::uint32_t sample : {64u, 0u}) {
+    core::Options serial_opts = gpu_options(core::Strategy::CpuSerial);
+    serial_opts.sample_roots = sample;
+    const core::BCResult serial = core::compute(g, serial_opts);
+    const std::uint64_t roots = serial.roots_processed;
+    ASSERT_EQ(roots, sample != 0 ? std::uint64_t{sample} : g.num_vertices());
+    for (const core::Strategy strategy : kGpuStrategies) {
+      for (const MatrixKind& mk : kMatrixKinds) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          const std::string what = std::string(core::to_string(strategy)) + "/" +
+                                   mk.name + " threads=" + std::to_string(threads) +
+                                   " roots=" + std::to_string(roots);
+          core::Options opts = gpu_options(strategy);
+          opts.sample_roots = sample;
+          opts.cpu_threads = threads;
+          // A tenth of the matrix's trip point fires inside every root,
+          // even vertex-parallel's cheapest.
+          opts.resilience.fault_plan = one_spec_plan(
+              13, {.kind = mk.kind, .transient = false, .rate = 0.2,
+                   .after_cycles = mk.after_cycles / 10});
+          const core::BCResult r = core::compute(g, opts);
+          EXPECT_GE(r.faults.host_roots.size() * 10, roots) << what;
+          EXPECT_EQ(r.roots_processed, roots) << what;
+          expect_bitwise_equal(r.scores, serial.scores, what);
+        }
+      }
+    }
+  }
+}
+
 TEST(ServiceResilienceTest, TransientFaultsRecoverAndTheResultIsCached) {
   service::ServiceConfig cfg;
   cfg.workers = 1;
@@ -395,7 +441,7 @@ TEST(ServiceResilienceTest, TransientFaultsRecoverAndTheResultIsCached) {
   const service::Response r = svc.query({.graph_id = "g", .options = opts});
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_FALSE(r.degraded);
-  EXPECT_TRUE(r.result->faults.complete());
+  EXPECT_TRUE(r.result->faults.host_roots.empty());
   EXPECT_GE(svc.metrics().device_faults, 1u);
   EXPECT_EQ(svc.metrics().degraded, 0u);
 
@@ -409,14 +455,12 @@ TEST(ServiceResilienceTest, TransientFaultsRecoverAndTheResultIsCached) {
   EXPECT_TRUE(warm.from_cache);  // complete recoveries are cacheable
 }
 
-TEST(ServiceResilienceTest, WholeRunRetryClearsStubbornTransientFaults) {
-  // fail_attempts=3 exhausts the driver's whole budget (2 in-block + 1
-  // sweep) at epoch 0; the service's retry bumps the epoch, which shifts
-  // the plan's attempt indices past fail_attempts — deterministic clear.
+TEST(ServiceResilienceTest, StubbornTransientFaultsCompleteExact) {
+  // fail_attempts=3 exhausts the driver's whole device budget (2 in-block
+  // + 1 sweep), so the host finishes every targeted root: the first
+  // answer is already exact, with no whole-run retry.
   service::ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.max_compute_retries = 2;
-  cfg.retry_backoff = std::chrono::milliseconds(1);
   service::BcService svc(cfg);
   const auto g = service_graph();
   svc.load_graph("g", g);
@@ -427,46 +471,65 @@ TEST(ServiceResilienceTest, WholeRunRetryClearsStubbornTransientFaults) {
   const service::Response r = svc.query({.graph_id = "g", .options = opts});
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_FALSE(r.degraded);
-  EXPECT_GE(svc.metrics().compute_retries, 1u);
+  EXPECT_FALSE(r.result->faults.host_roots.empty());
+  for (const gpusim::RootFailure& f : r.result->faults.host_roots) {
+    EXPECT_EQ(f.attempts, 3u);
+    EXPECT_TRUE(f.transient);
+  }
 
   const core::BCResult fresh = core::compute(g, gpu_options());
-  expect_bitwise_equal(r.result->scores, fresh.scores, "retried vs clean");
+  expect_bitwise_equal(r.result->scores, fresh.scores, "host rescue vs clean");
 }
 
-TEST(ServiceResilienceTest, PersistentFaultsDescendTheLadderToCpuExact) {
+TEST(ServiceResilienceTest, PersistentFaultsAnswerExactAndCached) {
   service::ServiceConfig cfg;
   cfg.workers = 1;
   service::BcService svc(cfg);
-  svc.load_graph("g", service_graph());
-
-  core::Options opts = gpu_options(core::Strategy::Hybrid);
-  opts.resilience.fault_plan = one_spec_plan(
-      11, {.kind = FaultKind::DeviceAlloc, .transient = false, .rate = 0.2});
-  const service::Response r = svc.query({.graph_id = "g", .options = opts});
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_TRUE(r.degraded);
-  EXPECT_FALSE(r.from_cache);
-  // The substitute is the exact CPU rung, not the requested strategy.
-  EXPECT_EQ(r.result->strategy, core::Strategy::CpuParallel);
-  const service::MetricsSnapshot m = svc.metrics();
-  EXPECT_GE(m.fallbacks, 1u);
-  EXPECT_GE(m.degraded, 1u);
-}
-
-TEST(ServiceResilienceTest, DegradedResultsAreNeverCached) {
-  service::ServiceConfig cfg;
-  cfg.workers = 1;
-  service::BcService svc(cfg);
-  svc.load_graph("g", service_graph());
+  const auto g = service_graph();
+  svc.load_graph("g", g);
 
   core::Options opts = gpu_options(core::Strategy::Hybrid);
   opts.resilience.fault_plan = one_spec_plan(
       11, {.kind = FaultKind::DeviceAlloc, .transient = false, .rate = 0.2});
   const service::Request req{.graph_id = "g", .options = opts};
+  const service::Response r = svc.query(req);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_FALSE(r.degraded);
+  EXPECT_FALSE(r.from_cache);
+  // The requested strategy answered, with the clean run's bits.
+  EXPECT_EQ(r.result->strategy, core::Strategy::Hybrid);
+  EXPECT_FALSE(r.result->faults.host_roots.empty());
+  const core::BCResult fresh = core::compute(g, gpu_options(core::Strategy::Hybrid));
+  expect_bitwise_equal(r.result->scores, fresh.scores, "persistent vs clean");
+  EXPECT_EQ(svc.metrics().degraded, 0u);
+
+  const service::Response again = svc.query(req);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.from_cache);
+}
+
+TEST(ServiceResilienceTest, DegradedResultsAreNeverCached) {
+  // The device cannot hold the requested run: the CPU engine answers it,
+  // marked degraded.
+  service::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.compute_fn = [](const graph::CSRGraph& g, const core::Options& o) {
+    if (o.strategy == core::Strategy::Hybrid) {
+      throw gpusim::DeviceOutOfMemory("bc", 1ull << 40, 1ull << 30);
+    }
+    return core::compute(g, o);
+  };
+  service::BcService svc(cfg);
+  svc.load_graph("g", service_graph());
+
+  const core::Options opts = gpu_options(core::Strategy::Hybrid);
+  const service::Request req{.graph_id = "g", .options = opts};
 
   const service::Response first = svc.query(req);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first.degraded);
+  EXPECT_EQ(first.result->strategy, core::Strategy::CpuParallel);
+  EXPECT_EQ(svc.metrics().degraded, 1u);
   EXPECT_EQ(svc.metrics().cache_entries, 0u);
 
   // An identical request recomputes — it must get a fresh shot at the
@@ -476,28 +539,6 @@ TEST(ServiceResilienceTest, DegradedResultsAreNeverCached) {
   EXPECT_TRUE(second.degraded);
   EXPECT_FALSE(second.from_cache);
   EXPECT_EQ(svc.metrics().computed, 2u);
-}
-
-TEST(ServiceResilienceTest, LadderDisabledServesThePartialResult) {
-  service::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.enable_fallback = false;
-  service::BcService svc(cfg);
-  svc.load_graph("g", service_graph());
-
-  core::Options opts = gpu_options();
-  opts.resilience.fault_plan = one_spec_plan(
-      11, {.kind = FaultKind::Timeout, .transient = false, .rate = 0.1,
-           .after_cycles = 500});
-  const service::Response r = svc.query({.graph_id = "g", .options = opts});
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_TRUE(r.degraded);
-  // Same strategy, but with the failed roots' contributions missing and
-  // itemized in the report.
-  EXPECT_EQ(r.result->strategy, core::Strategy::WorkEfficient);
-  EXPECT_FALSE(r.result->faults.failed_roots.empty());
-  EXPECT_EQ(svc.metrics().fallbacks, 0u);
-  EXPECT_EQ(svc.metrics().cache_entries, 0u);
 }
 
 TEST(ServiceResilienceTest, InvalidRootsMapToBadRequest) {

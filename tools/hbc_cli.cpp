@@ -29,8 +29,8 @@
 //   --inject-faults SPEC  deterministic simulated-device fault plan for
 //                     GPU-model strategies (docs/resilience.md), e.g.
 //                     "seed=9;launch,rate=0.05;timeout,roots=3:17,persistent"
-//   --max-attempts N  launches a root may consume before it is reported
-//                     failed (default 3: first try + retry + rescue)
+//   --max-attempts N  device launches a root may consume before the host
+//                     runs it (default 3: first try + retry + rescue)
 //   --deadline MS     cancel the computation cooperatively after MS
 //                     milliseconds (exit code 3 when it fires)
 //   --sample-error    progressive-sampling error table instead of one
@@ -247,14 +247,13 @@ int main(int argc, char** argv) {
     const core::BCResult result = core::compute(g, options);
     if (options.resilience.fault_plan && !options.resilience.fault_plan->empty()) {
       const gpusim::FaultReport& fr = result.faults;
-      std::printf("faults: injected=%llu retries=%llu rescued=%llu failed=%zu%s\n",
+      std::printf("faults: injected=%llu retries=%llu rescued=%llu host=%zu\n",
                   static_cast<unsigned long long>(fr.faults_injected),
                   static_cast<unsigned long long>(fr.retries),
                   static_cast<unsigned long long>(fr.rescued_roots),
-                  fr.failed_roots.size(),
-                  fr.complete() ? " (scores exact)" : " (scores partial)");
-      for (const gpusim::RootFailure& f : fr.failed_roots) {
-        std::printf("  root %u failed: %s after %u attempts (%s)\n", f.root,
+                  fr.host_roots.size());
+      for (const gpusim::RootFailure& f : fr.host_roots) {
+        std::printf("  root %u ran on the host: %s after %u attempts (%s)\n", f.root,
                     gpusim::to_string(f.kind), f.attempts,
                     f.transient ? "transient" : "persistent");
       }

@@ -92,11 +92,9 @@
 //   --refresh-budget N  entries patched per mutation (default 4)
 //   --inject-faults SPEC  attach a deterministic fault plan to every
 //                     request (docs/resilience.md grammar), exercising the
-//                     service's retry and degradation ladder
-//   --max-attempts N  per-root launch budget inside each run (default 3)
-//   --retries N       whole-run retries after transient failure (default 2)
-//   --no-fallback     disable the CPU/sampling degradation ladder
-//   --fallback-roots K  sample width of the final ladder rung (default 64)
+//                     driver's retries and host rescue
+//   --max-attempts N  per-root device launch budget inside each run before
+//                     the host runs the root (default 3)
 //   --trace-dir DIR   capture request-lifecycle spans for the replay and
 //                     write DIR/serve.json (Chrome trace_event JSON) and
 //                     DIR/serve-summary.txt; DIR is created if needed
@@ -139,8 +137,7 @@ using namespace hbc;
                "          [--roots K] [--accuracy T] [--budget-roots K] [--refine]\n"
                "          [--threads N] [--top K] [--timeout MS]\n"
                "          [--seed S] [--workload FILE] [--inject-faults SPEC]\n"
-               "          [--max-attempts N] [--retries N] [--no-fallback]\n"
-               "          [--fallback-roots K] [--trace-dir DIR]\n"
+               "          [--max-attempts N] [--trace-dir DIR]\n"
                "          [--mutate FILE] [--refresh] [--refresh-budget N]\n"
                "          [--dump-scores FILE]\n"
                "          [--role coordinator|worker|standalone]\n"
@@ -676,12 +673,6 @@ int main(int argc, char** argv) {
         args.fault_plan = gpusim::FaultPlan::parse_shared(cursor.value(arg));
       } else if (arg == "--max-attempts") {
         args.max_root_attempts = cli::parse_u32(arg, cursor.value(arg));
-      } else if (arg == "--retries") {
-        args.config.max_compute_retries = cli::parse_u32(arg, cursor.value(arg));
-      } else if (arg == "--no-fallback") {
-        args.config.enable_fallback = false;
-      } else if (arg == "--fallback-roots") {
-        args.config.fallback_sample_roots = cli::parse_u32(arg, cursor.value(arg));
       } else if (arg == "--trace-dir") {
         args.trace_dir = cursor.value(arg);
       } else if (arg == "--dump-scores") {
